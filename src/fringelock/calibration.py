@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Protocol, Sequence
 
 import numpy as np
@@ -174,19 +175,23 @@ def phase_to_compensation_code(alpha_hat: float, cfg: PmConfig) -> DacCode:
 
 
 def _wrap_into_span(v: float, cfg: PmConfig) -> float:
-    """Shift a voltage by multiples of 2*v_pi until it fits the DAC span.
+    """Shift a voltage by the fewest multiples of 2*v_pi that fit the DAC span.
 
     A 2*v_pi shift leaves the modulator phase unchanged, so scan points that
-    fall off a rail keep their place on the phase grid.
+    fall off a rail keep their place on the phase grid. The shift is computed
+    in exact rationals and rounded once, so any finite voltage lands in the
+    span, and a one-period shift rounds exactly like ``v +/- 2*v_pi``.
     """
-    period = 2.0 * cfg.v_pi
-    while v < cfg.v_min:
-        v += period
-    while v > cfg.v_max:
-        v -= period
-    if not cfg.v_min <= v <= cfg.v_max:
+    if cfg.v_min <= v <= cfg.v_max:
+        return v
+    if not math.isfinite(v):
         raise ValueError(f"cannot wrap {v} V into span [{cfg.v_min}, {cfg.v_max}]")
-    return v
+    exact, period = Fraction(v), Fraction(2.0 * cfg.v_pi)
+    if v < cfg.v_min:
+        exact += math.ceil((Fraction(cfg.v_min) - exact) / period) * period
+    else:
+        exact -= math.ceil((exact - Fraction(cfg.v_max)) / period) * period
+    return float(exact)
 
 
 def run_calibration(

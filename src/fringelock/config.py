@@ -1,26 +1,39 @@
 """Configuration: defaults, INI files, and dotted-key overrides.
 
 The on-disk format is a plain sections-of-key=value file (configparser
-syntax), one section per subsystem. Every run echoes its effective
-configuration back into the output directory; reloading that echo
-reproduces the run byte for byte.
+syntax), one section per subsystem. The schema is derived from the config
+dataclasses: each section holds the scalar fields of the ``RunSettings``
+subtree named in ``SECTIONS``, and each field's type picks its parser and
+its echo format. Every run echoes its effective configuration back into the
+output directory; reloading that echo reproduces the run byte for byte.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import replace
+import math
+from dataclasses import fields, is_dataclass, replace
+from operator import attrgetter
 from pathlib import Path
+from typing import get_type_hints
 
-from .calibration import CalibrationConfig, InitialStepPlan
-from .controller import MODES, FrameSchedule, RunSettings
-from .drift import DriftConfig
-from .hardware import DetectorConfig, PmConfig
-from .plant import PlantConfig
+from .controller import RunSettings
 
 
 class ConfigError(ValueError):
     """Unknown key, malformed value, or inconsistent configuration."""
+
+
+#: INI section -> attribute paths (in RunSettings) whose scalar fields it holds.
+SECTIONS = (
+    ("run", ("",)),
+    ("schedule", ("schedule",)),
+    ("pm", ("plant.pm",)),
+    ("detector", ("plant.detector",)),
+    ("optics", ("plant",)),
+    ("drift", ("plant.drift",)),
+    ("calibration", ("calibration.plan", "calibration")),
+)
 
 
 def _parse_bool(text: str) -> bool:
@@ -32,11 +45,15 @@ def _parse_bool(text: str) -> bool:
     raise ConfigError(f"expected a boolean, got {text!r}")
 
 
+def _parse_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _parse_float_list(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(part) for part in text.split(",") if part.strip())
-    except ValueError as exc:
-        raise ConfigError(f"expected comma-separated floats, got {text!r}") from exc
+    return tuple(_parse_float(part) for part in text.split(",") if part.strip())
 
 
 def _parse_offsets(text: str) -> str | tuple[float, ...]:
@@ -45,139 +62,58 @@ def _parse_offsets(text: str) -> str | tuple[float, ...]:
     return _parse_float_list(text)
 
 
-def _parse_mode(text: str) -> str:
-    mode = text.strip()
-    if mode not in MODES:
-        raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
-    return mode
-
-
-_PARSERS = {
-    ("run", "seconds"): int,
-    ("run", "mode"): _parse_mode,
-    ("run", "seed"): int,
-    ("run", "output_dir"): str,
-    ("schedule", "stab_duration_us"): int,
-    ("schedule", "perm_slot_us"): int,
-    ("schedule", "qkd_duration_us"): int,
-    ("schedule", "switch_rate_hz"): int,
-    ("pm", "v_min"): float,
-    ("pm", "v_max"): float,
-    ("pm", "v_pi"): float,
-    ("pm", "dac_bits"): int,
-    ("detector", "efficiency"): float,
-    ("detector", "dark_rate"): float,
-    ("detector", "input_rate"): float,
-    ("detector", "shot_noise"): _parse_bool,
-    ("optics", "contrast"): float,
-    ("drift", "laser_ou_sigma"): float,
-    ("drift", "laser_ou_tau"): float,
-    ("drift", "path_walk_sigma"): float,
-    ("drift", "optical_freq_hz"): float,
-    ("drift", "static_offsets"): _parse_offsets,
-    ("calibration", "ext_phases"): _parse_float_list,
-    ("calibration", "coarse_interval"): float,
-    ("calibration", "fine_interval"): float,
-    ("calibration", "step_window_us"): int,
-    ("calibration", "accept_threshold"): float,
+_PARSE_BY_TYPE = {
+    int: int,
+    float: _parse_float,
+    bool: _parse_bool,
+    str: str,
+    tuple[float, ...]: _parse_float_list,
+    str | tuple[float, ...]: _parse_offsets,
 }
 
 
-def _values_from(settings: RunSettings, output_dir: str) -> dict[tuple[str, str], object]:
-    p = settings.plant
-    c = settings.calibration
-    s = settings.schedule
-    return {
-        ("run", "seconds"): settings.seconds,
-        ("run", "mode"): settings.mode,
-        ("run", "seed"): settings.seed,
-        ("run", "output_dir"): output_dir,
-        ("schedule", "stab_duration_us"): s.stab_duration_us,
-        ("schedule", "perm_slot_us"): s.perm_slot_us,
-        ("schedule", "qkd_duration_us"): s.qkd_duration_us,
-        ("schedule", "switch_rate_hz"): s.switch_rate_hz,
-        ("pm", "v_min"): p.pm.v_min,
-        ("pm", "v_max"): p.pm.v_max,
-        ("pm", "v_pi"): p.pm.v_pi,
-        ("pm", "dac_bits"): p.pm.dac_bits,
-        ("detector", "efficiency"): p.detector.efficiency,
-        ("detector", "dark_rate"): p.detector.dark_rate,
-        ("detector", "input_rate"): p.detector.input_rate,
-        ("detector", "shot_noise"): p.detector.shot_noise,
-        ("optics", "contrast"): p.contrast,
-        ("drift", "laser_ou_sigma"): p.drift.laser_ou_sigma,
-        ("drift", "laser_ou_tau"): p.drift.laser_ou_tau,
-        ("drift", "path_walk_sigma"): p.drift.path_walk_sigma,
-        ("drift", "optical_freq_hz"): p.drift.optical_freq_hz,
-        ("drift", "static_offsets"): p.drift.static_offsets,
-        ("calibration", "ext_phases"): c.plan.ext_phases,
-        ("calibration", "coarse_interval"): c.coarse_interval,
-        ("calibration", "fine_interval"): c.fine_interval,
-        ("calibration", "step_window_us"): c.step_window_us,
-        ("calibration", "accept_threshold"): c.accept_threshold,
+def _derive_schema() -> dict[tuple[str, str], tuple[str, object]]:
+    schema = {}
+    for section, paths in SECTIONS:
+        for path in paths:
+            cls = RunSettings
+            for name in filter(None, path.split(".")):
+                cls = get_type_hints(cls)[name]
+            hints = get_type_hints(cls)
+            for f in fields(cls):
+                hint = hints[f.name]
+                if not is_dataclass(hint):
+                    schema[(section, f.name)] = (f"{path}.{f.name}".lstrip("."), hint)
+    schema[("run", "output_dir")] = ("output_dir", str)
+    return schema
+
+
+#: (section, key) -> (attribute path in RunSettings, field type), in echo order.
+SCHEMA = _derive_schema()
+
+
+def _values_from(settings: RunSettings, output_dir: str) -> dict[str, object]:
+    values = {
+        path: attrgetter(path)(settings) for path, _ in SCHEMA.values() if path != "output_dir"
     }
+    return {**values, "output_dir": output_dir}
 
 
-def _build(values: dict[tuple[str, str], object]) -> tuple[RunSettings, str]:
-    def get(section: str, key: str):
-        return values[(section, key)]
-
-    try:
-        settings = RunSettings(
-            plant=PlantConfig(
-                pm=PmConfig(
-                    v_min=get("pm", "v_min"),
-                    v_max=get("pm", "v_max"),
-                    v_pi=get("pm", "v_pi"),
-                    dac_bits=get("pm", "dac_bits"),
-                ),
-                detector=DetectorConfig(
-                    efficiency=get("detector", "efficiency"),
-                    dark_rate=get("detector", "dark_rate"),
-                    input_rate=get("detector", "input_rate"),
-                    shot_noise=get("detector", "shot_noise"),
-                ),
-                drift=DriftConfig(
-                    laser_ou_sigma=get("drift", "laser_ou_sigma"),
-                    laser_ou_tau=get("drift", "laser_ou_tau"),
-                    path_walk_sigma=get("drift", "path_walk_sigma"),
-                    optical_freq_hz=get("drift", "optical_freq_hz"),
-                    static_offsets=get("drift", "static_offsets"),
-                ),
-                contrast=get("optics", "contrast"),
-                seed=get("run", "seed"),
-            ),
-            calibration=CalibrationConfig(
-                plan=InitialStepPlan(ext_phases=tuple(get("calibration", "ext_phases"))),
-                coarse_interval=get("calibration", "coarse_interval"),
-                fine_interval=get("calibration", "fine_interval"),
-                step_window_us=get("calibration", "step_window_us"),
-                accept_threshold=get("calibration", "accept_threshold"),
-            ),
-            schedule=FrameSchedule(
-                stab_duration_us=get("schedule", "stab_duration_us"),
-                perm_slot_us=get("schedule", "perm_slot_us"),
-                qkd_duration_us=get("schedule", "qkd_duration_us"),
-                switch_rate_hz=get("schedule", "switch_rate_hz"),
-            ),
-            seconds=get("run", "seconds"),
-            mode=get("run", "mode"),
-            seed=get("run", "seed"),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return settings, str(get("run", "output_dir"))
-
-
-def default_values() -> dict[tuple[str, str], object]:
-    return _values_from(RunSettings(), "out")
+def _build(cls: type, path: str, values: dict[str, object]):
+    hints = get_type_hints(cls)
+    kwargs = {}
+    for f in fields(cls):
+        sub = f"{path}.{f.name}".lstrip(".")
+        hint = hints[f.name]
+        kwargs[f.name] = _build(hint, sub, values) if is_dataclass(hint) else values[sub]
+    return cls(**kwargs)
 
 
 def load_config(
     path: str | Path | None = None, overrides: list[str] | None = None
 ) -> tuple[RunSettings, str]:
     """Effective configuration: defaults, then file, then --set overrides."""
-    values = default_values()
+    values = _values_from(RunSettings(), "out")
     if path is not None:
         parser = configparser.ConfigParser(interpolation=None)
         read = parser.read(str(path))
@@ -194,18 +130,21 @@ def load_config(
             raise ConfigError(f"override key must be section.key, got {dotted!r}")
         section, key = dotted.split(".", 1)
         _set_value(values, section.strip(), key.strip(), raw.strip())
-    return _build(values)
+    try:
+        settings = _build(RunSettings, "", values)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return settings, values["output_dir"]
 
 
 def _set_value(values: dict, section: str, key: str, raw: str) -> None:
-    parser = _PARSERS.get((section, key))
-    if parser is None:
+    entry = SCHEMA.get((section, key))
+    if entry is None:
         raise ConfigError(f"unknown configuration key [{section}] {key}")
+    path, kind = entry
     try:
-        values[(section, key)] = parser(raw)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
+        values[path] = _PARSE_BY_TYPE[kind](raw)
+    except ValueError as exc:
         raise ConfigError(f"bad value for [{section}] {key}: {raw!r} ({exc})") from exc
 
 
@@ -223,10 +162,10 @@ def write_config(settings: RunSettings, output_dir: str, path: str | Path) -> No
     """Echo the effective configuration; reloading it reproduces the run."""
     values = _values_from(settings, output_dir)
     parser = configparser.ConfigParser(interpolation=None)
-    for (section, key), value in values.items():
+    for (section, key), (attr, _) in SCHEMA.items():
         if not parser.has_section(section):
             parser.add_section(section)
-        parser.set(section, key, _format_value(value))
+        parser.set(section, key, _format_value(values[attr]))
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         parser.write(handle)
 
@@ -234,8 +173,4 @@ def write_config(settings: RunSettings, output_dir: str, path: str | Path) -> No
 def override_settings(settings: RunSettings, **kwargs) -> RunSettings:
     """Apply run-level overrides (seconds, mode, seed) preserving validation."""
     updates = {k: v for k, v in kwargs.items() if v is not None}
-    if not updates:
-        return settings
-    if "seed" in updates:
-        settings = replace(settings, plant=replace(settings.plant, seed=updates["seed"]))
-    return replace(settings, **updates)
+    return replace(settings, **updates) if updates else settings

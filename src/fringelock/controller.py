@@ -30,6 +30,9 @@ from .plant import Plant, PlantConfig
 
 US_PER_SECOND = 1_000_000
 
+#: The 128 gate patterns, decoded once; both stages index this table.
+DELAYS = tuple(select_delay(i) for i in range(NUM_DELAYS))
+
 CLOSED_LOOP = "closed-loop"
 OPEN_LOOP = "open-loop"
 MODES = (CLOSED_LOOP, OPEN_LOOP)
@@ -132,7 +135,7 @@ def run_stabilization_stage(
     for index in range(NUM_DELAYS):
         slot_start = plant.elapsed_us
         try:
-            result = run_calibration(select_delay(index), plant, calib_cfg, plant.config.pm)
+            result = run_calibration(DELAYS[index], plant, calib_cfg, plant.config.pm)
             entries.append(
                 TableEntry(result.optimal_code, result.final_visibility, result.accepted, second)
             )
@@ -163,7 +166,7 @@ def run_qkd_stage(
     records: list[QkdSlotRecord] = []
     for slot in range(schedule.qkd_slots):
         index = int(rng_delay.integers(0, NUM_DELAYS))
-        counts = plant.measure(select_delay(index), table[index].code, schedule.qkd_slot_us)
+        counts = plant.measure(DELAYS[index], table[index].code, schedule.qkd_slot_us)
         vis = (counts.c1 - counts.c2) / counts.total if counts.total > 0 else None
         records.append(QkdSlotRecord(second, slot, index, counts, vis))
     return records
@@ -259,8 +262,8 @@ def run_experiment(
                 if calib_sink is not None:
                     for record in trace:
                         calib_sink(second, index, record)
-            for entry in table.entries:
-                assert entry.refreshed_at == second, "table must be refreshed this second"
+            if any(entry.refreshed_at != second for entry in table.entries):
+                raise RuntimeError("table must be refreshed this second")
         else:
             plant.idle(schedule.stab_duration_us)
 
@@ -279,10 +282,8 @@ def run_experiment(
                 a.vis_slots += int(slot_counts[index])
                 a.second_means.append(slot_sums[index] / slot_counts[index])
 
-        expected_us = (second + 1) * US_PER_SECOND
-        assert plant.elapsed_us == expected_us, (
-            f"clock skew: {plant.elapsed_us} us after second {second}"
-        )
+        if plant.elapsed_us != (second + 1) * US_PER_SECOND:
+            raise RuntimeError(f"clock skew: {plant.elapsed_us} us after second {second}")
 
     per_delay = []
     for index, a in enumerate(acc):

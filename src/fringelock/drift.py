@@ -68,7 +68,6 @@ class DriftConfig:
 class DriftState:
     """Mutable drift state advanced on the simulation clock."""
 
-    t: float
     laser_eps: float
     path_phases: np.ndarray
     offsets: np.ndarray = field(repr=False)
@@ -81,7 +80,6 @@ def initial_state(cfg: DriftConfig, rng: np.random.Generator) -> DriftState:
     else:
         offsets = np.array([canonical_phase(p) for p in cfg.static_offsets], dtype=float)
     return DriftState(
-        t=0.0,
         laser_eps=0.0,
         path_phases=np.zeros(NUM_DELAYS),
         offsets=offsets,
@@ -103,7 +101,6 @@ def advance(
     shock = math.sqrt(1.0 - decay * decay)
     state.laser_eps = state.laser_eps * decay + cfg.laser_ou_sigma * shock * rng.standard_normal()
     state.path_phases += cfg.path_walk_sigma * math.sqrt(dt) * rng.standard_normal(NUM_DELAYS)
-    state.t += dt
     return state
 
 

@@ -34,7 +34,6 @@ class PlantConfig:
     detector: DetectorConfig = field(default_factory=DetectorConfig)
     drift: DriftConfig = field(default_factory=DriftConfig)
     contrast: float = 0.995
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.contrast <= 1.0:
@@ -49,12 +48,8 @@ class Plant:
     independent instances for parallel experiments.
     """
 
-    def __init__(
-        self, config: PlantConfig, entropy: int | np.random.SeedSequence | None = None
-    ) -> None:
+    def __init__(self, config: PlantConfig, entropy: int | np.random.SeedSequence = 0) -> None:
         self.config = config
-        if entropy is None:
-            entropy = config.seed
         ss = entropy if isinstance(entropy, np.random.SeedSequence) else np.random.SeedSequence(entropy)
         offsets_ss, drift_ss, detector_ss = ss.spawn(3)
         self._rng_drift = np.random.default_rng(drift_ss)
@@ -62,11 +57,7 @@ class Plant:
         self.state: DriftState = drift_mod.initial_state(
             config.drift, np.random.default_rng(offsets_ss)
         )
-        self.clock_us: int = 0
-
-    @property
-    def elapsed_us(self) -> int:
-        return self.clock_us
+        self.elapsed_us: int = 0
 
     def measure(self, delay: DelaySelector, code: DacCode, window_us: int) -> DetectorCounts:
         """Integrate one counting window, then advance drift by the window.
@@ -94,4 +85,4 @@ class Plant:
 
     def _advance(self, duration_us: int) -> None:
         drift_mod.advance(self.state, duration_us * 1e-6, self.config.drift, self._rng_drift)
-        self.clock_us += duration_us
+        self.elapsed_us += duration_us

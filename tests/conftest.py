@@ -45,8 +45,8 @@ def noiseless_plant(
             ),
             drift=quiet_drift(offsets),
             contrast=contrast,
-            seed=seed,
-        )
+        ),
+        entropy=seed,
     )
 
 

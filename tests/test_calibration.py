@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fringelock.calibration import (
     AmbiguousPhaseError,
     CalibrationAborted,
     CalibrationConfig,
     InitialStepPlan,
+    _wrap_into_span,
     least_squares_phase,
     phase_to_compensation_code,
     run_calibration,
@@ -174,8 +177,8 @@ class TestRunCalibration:
                     drift=DriftConfig(
                         laser_ou_sigma=0.0, path_walk_sigma=0.0, static_offsets=offsets
                     ),
-                    seed=10_000 + trial,
-                )
+                ),
+                entropy=10_000 + trial,
             )
             result = run_calibration(delay, plant, cfg, plant.config.pm)
             hits += result.final_visibility >= 0.98
@@ -226,3 +229,34 @@ class TestRunCalibration:
         low, high = rmse(200.0), rmse(20_000.0)
         assert high < low / 5.0
         assert low / high < 25.0
+
+
+class TestWrapIntoSpan:
+    PERIOD = 2.0 * PM.v_pi
+
+    @pytest.mark.parametrize("v", [1e9 + 1.3, -1e9 - 1.3])
+    def test_huge_offset_wraps_and_keeps_phase(self, v):
+        w = _wrap_into_span(v, PM)
+        assert PM.v_min <= w <= PM.v_max
+        assert math.remainder(w - v, self.PERIOD) == 0.0
+
+    def test_single_period_shift_is_one_addition(self):
+        assert _wrap_into_span(-0.3, PM) == -0.3 + self.PERIOD
+        assert _wrap_into_span(10.4, PM) == 10.4 - self.PERIOD
+        assert _wrap_into_span(10.0, PM) == 10.0
+
+    @pytest.mark.parametrize("v", [math.nan, math.inf, -math.inf])
+    def test_non_finite_voltage_rejected(self, v):
+        with pytest.raises(ValueError, match="cannot wrap"):
+            _wrap_into_span(v, PM)
+
+    def test_huge_scan_interval_completes(self):
+        cfg = CalibrationConfig(coarse_interval=1e9, fine_interval=1e9)
+        result = run_calibration(select_delay(0), noiseless_plant(), cfg, PM)
+        assert len(result.trace) == 23
+
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    def test_any_finite_voltage_lands_in_span_with_its_phase(self, v):
+        w = _wrap_into_span(v, PM)
+        assert PM.v_min <= w <= PM.v_max
+        assert abs(math.remainder(w - v, self.PERIOD)) <= 1e-9 * max(1.0, abs(v))

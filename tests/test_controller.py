@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from fringelock import controller
 from fringelock.calibration import CalibrationConfig
 from fringelock.controller import (
     CLOSED_LOOP,
@@ -47,7 +48,7 @@ class TestStabilizationStage:
         settings = zero_noise_settings()
         # random static offsets: the search must still land every path at 1.0
         drift = replace(settings.plant.drift, static_offsets="random")
-        plant = Plant(replace(settings.plant, drift=drift, seed=21))
+        plant = Plant(replace(settings.plant, drift=drift), entropy=21)
         table, outcomes = run_stabilization_stage(
             0, plant, settings.calibration, settings.schedule, bootstrap_table(plant.config)
         )
@@ -60,7 +61,7 @@ class TestStabilizationStage:
 
     def test_default_noise_acceptance_over_sixty_seconds(self):
         # frozen threshold: at least 120 of 128 refreshes accepted each second
-        plant = Plant(PlantConfig(seed=22))
+        plant = Plant(PlantConfig(), entropy=22)
         calib = CalibrationConfig()
         schedule = FrameSchedule()
         table = bootstrap_table(plant.config)
@@ -74,7 +75,7 @@ class TestStabilizationStage:
     def test_aborted_entry_keeps_previous_code(self):
         settings = zero_noise_settings()
         dead = replace(settings.plant.detector, input_rate=0.0, dark_rate=0.0)
-        plant = Plant(replace(settings.plant, detector=dead, seed=23))
+        plant = Plant(replace(settings.plant, detector=dead), entropy=23)
         previous = bootstrap_table(plant.config)
         table, outcomes = run_stabilization_stage(
             0, plant, settings.calibration, settings.schedule, previous
@@ -96,7 +97,7 @@ class TestStabilizationStage:
 class _SpyPlant(Plant):
     """Records every (delay index, code) the controller applies."""
 
-    def __init__(self, config, entropy=None):
+    def __init__(self, config, entropy=0):
         super().__init__(config, entropy)
         self.applied = []
 
@@ -108,7 +109,7 @@ class _SpyPlant(Plant):
 class TestQkdStage:
     def test_slot_count_and_lookup_correctness(self):
         settings = zero_noise_settings()
-        plant = _SpyPlant(replace(settings.plant, seed=24))
+        plant = _SpyPlant(settings.plant, entropy=24)
         table, _ = run_stabilization_stage(
             0, plant, settings.calibration, settings.schedule, bootstrap_table(plant.config)
         )
@@ -123,7 +124,7 @@ class TestQkdStage:
     def test_zero_count_slots_retained_as_missing(self):
         settings = zero_noise_settings()
         dead = replace(settings.plant.detector, input_rate=0.0, dark_rate=0.0)
-        plant = Plant(replace(settings.plant, detector=dead, seed=26))
+        plant = Plant(replace(settings.plant, detector=dead), entropy=26)
         table = bootstrap_table(plant.config)
         records = run_qkd_stage(0, table, plant, settings.schedule, np.random.default_rng(27))
         assert len(records) == 6600
@@ -190,3 +191,21 @@ class TestRunExperiment:
             RunSettings(mode="flywheel")
         with pytest.raises(ValueError):
             RunSettings(seconds=0)
+
+
+class TestTimingInvariants:
+    """The timing contract holds under ``python -O`` too: real exceptions."""
+
+    def test_stale_table_raises(self, monkeypatch):
+        monkeypatch.setattr(
+            controller,
+            "run_stabilization_stage",
+            lambda second, plant, calib, schedule, previous: (previous, []),
+        )
+        with pytest.raises(RuntimeError, match="table must be refreshed this second"):
+            run_experiment(zero_noise_settings())
+
+    def test_clock_skew_raises(self, monkeypatch):
+        monkeypatch.setattr(controller, "run_qkd_stage", lambda *args: [])
+        with pytest.raises(RuntimeError, match="clock skew: 340000 us after second 0"):
+            run_experiment(zero_noise_settings())
