@@ -1,4 +1,5 @@
 import csv
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -20,7 +21,26 @@ def read_rows(path: Path) -> list[dict]:
         return list(csv.DictReader(handle))
 
 
+#: SHA-256 of `run --seconds 2 --seed 0` with the default config, taken
+#: with Python 3.11.7 and numpy 2.4.6. A change here is an output change.
+PINNED_DIGESTS = {
+    "calib_trace.csv": "8d59816bffd2f7bf5d874d01e775e3d0c4ec911c235c9e2a48e6c7c48fad1a97",
+    "qkd_trace.csv": "c132b079258f88a5f877757c05cb088b94e0467f279a6571e7419ad3febd5c25",
+    "per_delay_summary.csv": "51aa75df3d6d90b5710c7d5f9d07473196d3d8a03b958b1e17bcb1ba445b7da7",
+    "report.txt": "350111bd8402a7d4be9434186dd1853487a37c119435f045377ca936d2cd9963",
+}
+
+
 class TestRunCommand:
+    def test_outputs_match_pinned_digests(self, tmp_path):
+        out = tmp_path / "run"
+        assert main(["run", "--seconds", "2", "--seed", "0", "--out", str(out)]) == 0
+        digests = {
+            name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in PINNED_DIGESTS
+        }
+        assert digests == PINNED_DIGESTS
+
     def test_zero_noise_summary(self, tmp_path, capsys):
         out = tmp_path / "run"
         code = main(["run", "--seconds", "1", "--seed", "5", "--out", str(out), *ZERO_NOISE_OVERRIDES])
