@@ -15,11 +15,11 @@ from .calibration import (
 from .controller import (
     CLOSED_LOOP,
     OPEN_LOOP,
+    QKD_SLOT,
     CompensationTable,
     DelaySummary,
     ExperimentReport,
     FrameSchedule,
-    QkdSlotRecord,
     RunSettings,
     TableEntry,
     bootstrap_table,

@@ -2,7 +2,8 @@
 
 Batch only; runs write CSV traces plus a text report into the output
 directory and echo their effective configuration for reproducibility.
-Exit codes: 0 success, 1 runtime fault, 2 usage or configuration error.
+Exit codes: 0 success, 1 runtime fault, 2 usage or configuration error (a
+sweep still runs and records its other values when one is rejected).
 """
 
 from __future__ import annotations
@@ -90,13 +91,18 @@ def _execute_run(settings: RunSettings, out_dir: Path):
         calib_writer.writerow(CALIB_TRACE_HEADER)
         qkd_writer = make_writer(qkd_f)
         qkd_writer.writerow(QKD_TRACE_HEADER)
-        report = run_experiment(
-            settings,
-            calib_sink=lambda second, delay, record: calib_writer.writerow(
-                calib_trace_row(second, delay, record, pm)
-            ),
-            qkd_sink=lambda record: qkd_writer.writerow(qkd_trace_row(record)),
-        )
+
+        def write_second(second, traces, slots):
+            calib_writer.writerows(
+                calib_trace_row(second, index, record, pm)
+                for index, trace in enumerate(traces)
+                for record in trace
+            )
+            qkd_writer.writerows(
+                qkd_trace_row(second, slot, row) for slot, row in enumerate(slots.tolist())
+            )
+
+        report = run_experiment(settings, write_second)
     write_summary(report, out_dir / "per_delay_summary.csv")
     (out_dir / "report.txt").write_text(render_report(report), encoding="utf-8")
     return report
@@ -130,38 +136,38 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     out_dir = Path(args.out) if args.out else out_default
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    rows = []
-    for raw in raw_values:
-        settings, _ = load_config(args.config, base_overrides + [f"{args.param}={raw}"])
-        # every value runs at the same base seed so value-to-value
-        # comparisons are paired
-        settings = override_settings(
-            settings, seconds=args.seconds, mode=args.mode, seed=args.seed
-        )
-        report = run_experiment(settings)
-        rows.append(
-            (
-                args.param,
-                raw,
-                settings.seed,
-                f"{report.global_mean_visibility:.6f}",
-                f"{report.mean_calib_visibility:.6f}",
-                f"{report.fraction_delays_at_least(0.96):.6f}",
-            )
-        )
-        print(
-            f"{args.param}={raw}: global mean visibility "
-            f"{report.global_mean_visibility:.6f}"
-        )
+    failed = 0
     with open(out_dir / "sweep.csv", "w", encoding="utf-8", newline="") as handle:
         writer = make_writer(handle)
         writer.writerow(
             ("parameter", "value", "seed", "global_mean_visibility",
              "mean_calib_visibility", "fraction_delays_ge_0.96")
         )
-        writer.writerows(rows)
+        for raw in raw_values:
+            try:
+                settings, _ = load_config(args.config, base_overrides + [f"{args.param}={raw}"])
+                # every value runs at the same base seed so value-to-value
+                # comparisons are paired
+                settings = override_settings(
+                    settings, seconds=args.seconds, mode=args.mode, seed=args.seed
+                )
+                report = run_experiment(settings)
+            except (ConfigError, ValueError) as exc:
+                # a rejected value keeps its row, with no seed or metrics
+                print(f"error: {args.param}={raw}: {exc}", file=sys.stderr)
+                writer.writerow((args.param, raw, "", "", "", ""))
+                failed += 1
+            else:
+                vis = f"{report.global_mean_visibility:.6f}"
+                writer.writerow((
+                    args.param, raw, settings.seed, vis,
+                    f"{report.mean_calib_visibility:.6f}",
+                    f"{report.fraction_delays_at_least(0.96):.6f}",
+                ))
+                print(f"{args.param}={raw}: global mean visibility {vis}")
+            handle.flush()
     print(f"sweep results written to {out_dir / 'sweep.csv'}")
-    return EXIT_OK
+    return EXIT_USAGE if failed else EXIT_OK
 
 
 def main(argv: list[str] | None = None) -> int:

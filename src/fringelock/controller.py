@@ -5,26 +5,29 @@ recalibrated, one 2.5 ms permutation slot each, 20 ms slack) and a 660 ms
 QKD stage (delay switching at 10 kHz with table-lookup compensation). The
 clock is integer microseconds throughout, so the timing arithmetic is exact
 and checkable from traces.
+
+Stage results are columnar: the stabilization stage returns the refreshed
+table plus the 128 step traces, and the QKD stage returns one ``QKD_SLOT``
+array with a row per switch slot.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .calibration import (
     CalibrationAborted,
     CalibrationConfig,
-    CalibResult,
     CalibStepRecord,
     TOTAL_STEPS,
     phase_to_compensation_code,
     run_calibration,
 )
-from .hardware import NUM_DELAYS, DacCode, DetectorCounts, select_delay
+from .hardware import NUM_DELAYS, DacCode, select_delay
 from .keyrate import KeyRateParams, key_rate
 from .plant import Plant, PlantConfig
 
@@ -93,13 +96,11 @@ class CompensationTable:
         return self.entries[delay_index]
 
 
-@dataclass(frozen=True)
-class QkdSlotRecord:
-    second: int
-    slot: int
-    delay_index: int
-    counts: DetectorCounts
-    visibility: float | None
+#: One QKD switch slot: the drawn delay, its two port counts and the slot
+#: visibility (c1 - c2) / (c1 + c2), NaN when the slot saw no counts.
+QKD_SLOT = np.dtype(
+    [("delay_index", np.int64), ("c1", np.int64), ("c2", np.int64), ("visibility", np.float64)]
+)
 
 
 def bootstrap_table(plant_cfg: PlantConfig) -> CompensationTable:
@@ -117,12 +118,12 @@ def run_stabilization_stage(
     calib_cfg: CalibrationConfig,
     schedule: FrameSchedule,
     previous: CompensationTable,
-) -> tuple[CompensationTable, list[tuple[int, CalibResult | None, list[CalibStepRecord]]]]:
+) -> tuple[CompensationTable, list[Sequence[CalibStepRecord]]]:
     """Recalibrate all 128 delays in order, one permutation slot each.
 
-    Returns the refreshed table plus, per delay, the calibration outcome and
-    its step trace (partial when a calibration aborted; the aborted entry
-    keeps the previous second's code and is marked not accepted).
+    Returns the refreshed table plus the 128 step traces in delay order. An
+    aborted calibration leaves a partial trace, and its entry keeps the
+    previous second's code with NaN visibility and is marked not accepted.
     """
     if TOTAL_STEPS * calib_cfg.step_window_us > schedule.perm_slot_us:
         raise ValueError(
@@ -131,7 +132,7 @@ def run_stabilization_stage(
         )
     start_us = plant.elapsed_us
     entries: list[TableEntry] = []
-    outcomes: list[tuple[int, CalibResult | None, list[CalibStepRecord]]] = []
+    traces: list[Sequence[CalibStepRecord]] = []
     for index in range(NUM_DELAYS):
         slot_start = plant.elapsed_us
         try:
@@ -139,37 +140,37 @@ def run_stabilization_stage(
             entries.append(
                 TableEntry(result.optimal_code, result.final_visibility, result.accepted, second)
             )
-            outcomes.append((index, result, list(result.trace)))
+            traces.append(result.trace)
         except CalibrationAborted as fault:
             entries.append(
                 TableEntry(previous[index].code, math.nan, False, second)
             )
-            outcomes.append((index, None, fault.trace))
+            traces.append(fault.trace)
         plant.idle(slot_start + schedule.perm_slot_us - plant.elapsed_us)
     plant.idle(start_us + schedule.stab_duration_us - plant.elapsed_us)
-    return CompensationTable(entries), outcomes
+    return CompensationTable(entries), traces
 
 
 def run_qkd_stage(
-    second: int,
     table: CompensationTable,
     plant: Plant,
     schedule: FrameSchedule,
     rng_delay: np.random.Generator,
-) -> list[QkdSlotRecord]:
+) -> np.ndarray:
     """Switch delays at the configured rate, compensating from the table.
 
     Each slot draws a fresh 7-bit random delay, applies that entry's DAC
-    code immediately, and integrates counts for the slot. Zero-count slots
-    are retained with missing visibility.
+    code immediately, and integrates counts for the slot. Returns one
+    ``QKD_SLOT`` row per slot in switching order; zero-count slots are
+    retained with NaN visibility.
     """
-    records: list[QkdSlotRecord] = []
-    for slot in range(schedule.qkd_slots):
+    rows = []
+    for _ in range(schedule.qkd_slots):
         index = int(rng_delay.integers(0, NUM_DELAYS))
         counts = plant.measure(DELAYS[index], table[index].code, schedule.qkd_slot_us)
-        vis = (counts.c1 - counts.c2) / counts.total if counts.total > 0 else None
-        records.append(QkdSlotRecord(second, slot, index, counts, vis))
-    return records
+        vis = (counts.c1 - counts.c2) / counts.total if counts.total > 0 else math.nan
+        rows.append((index, counts.c1, counts.c2, vis))
+    return np.array(rows, dtype=QKD_SLOT)
 
 
 @dataclass(frozen=True)
@@ -207,32 +208,19 @@ class ExperimentReport:
         return key_rate(KeyRateParams(L=L, v_th=v_th, Q=q, e_bit=e))
 
 
-CalibSink = Callable[[int, int, CalibStepRecord], None]
-QkdSink = Callable[[QkdSlotRecord], None]
+#: Gets (second, its 128 step traces or none if it did not calibrate, its slots).
+SecondSink = Callable[[int, Sequence[Sequence[CalibStepRecord]], np.ndarray], None]
 
 
-@dataclass
-class _DelayAccumulator:
-    vis_sum: float = 0.0
-    vis_slots: int = 0
-    second_means: list[float] = field(default_factory=list)
-    accepted: int = 0
-    calibrations: int = 0
-    calib_vis_sum: float = 0.0
-    calib_vis_count: int = 0
-
-
-def run_experiment(
-    config: "RunSettings",
-    calib_sink: CalibSink | None = None,
-    qkd_sink: QkdSink | None = None,
-) -> ExperimentReport:
+def run_experiment(config: "RunSettings", sink: SecondSink | None = None) -> ExperimentReport:
     """Alternate stabilization and QKD stages for the configured seconds.
 
     Deterministic for a given (config, seed): the single seed spawns the
     plant's streams and the delay-draw stream through a fixed recipe. In
     open-loop mode only the first second calibrates; later stabilization
     windows idle with the stale table, which is what the mode is for.
+    Per-delay statistics accumulate in arrays, one element per delay, and
+    ``sink`` receives each second's stage results once.
     """
     if config.seconds < 1:
         raise ValueError(f"experiment needs at least one second, got {config.seconds}")
@@ -243,77 +231,74 @@ def run_experiment(
     rng_delay = np.random.default_rng(delay_ss)
     schedule = config.schedule
     table = bootstrap_table(config.plant)
-    acc = [_DelayAccumulator() for _ in range(NUM_DELAYS)]
+    calibrated_seconds = 0
+    accepted = np.zeros(NUM_DELAYS, dtype=np.int64)
+    calib_vis_sum = np.zeros(NUM_DELAYS)
+    calib_vis_count = np.zeros(NUM_DELAYS, dtype=np.int64)
+    vis_sum = np.zeros(NUM_DELAYS)
+    vis_slots = np.zeros(NUM_DELAYS, dtype=np.int64)
+    # worst per-second mean; NaN until a delay has a counted slot
+    min_second_mean = np.full(NUM_DELAYS, math.nan)
 
     for second in range(config.seconds):
-        calibrate = config.mode == CLOSED_LOOP or second == 0
-        if calibrate:
-            table, outcomes = run_stabilization_stage(
+        traces = ()
+        if config.mode == CLOSED_LOOP or second == 0:
+            table, traces = run_stabilization_stage(
                 second, plant, config.calibration, schedule, table
             )
-            for index, result, trace in outcomes:
-                a = acc[index]
-                a.calibrations += 1
-                if result is not None:
-                    a.calib_vis_sum += result.final_visibility
-                    a.calib_vis_count += 1
-                    if result.accepted:
-                        a.accepted += 1
-                if calib_sink is not None:
-                    for record in trace:
-                        calib_sink(second, index, record)
             if any(entry.refreshed_at != second for entry in table.entries):
                 raise RuntimeError("table must be refreshed this second")
+            calibrated_seconds += 1
+            accepted += [entry.accepted for entry in table.entries]
+            calib_vis = np.array([entry.calib_visibility for entry in table.entries])
+            completed = ~np.isnan(calib_vis)
+            calib_vis_sum[completed] += calib_vis[completed]
+            calib_vis_count += completed
         else:
             plant.idle(schedule.stab_duration_us)
 
-        slot_sums = np.zeros(NUM_DELAYS)
-        slot_counts = np.zeros(NUM_DELAYS, dtype=int)
-        for record in run_qkd_stage(second, table, plant, schedule, rng_delay):
-            if record.visibility is not None:
-                slot_sums[record.delay_index] += record.visibility
-                slot_counts[record.delay_index] += 1
-            if qkd_sink is not None:
-                qkd_sink(record)
-        for index in range(NUM_DELAYS):
-            if slot_counts[index]:
-                a = acc[index]
-                a.vis_sum += slot_sums[index]
-                a.vis_slots += int(slot_counts[index])
-                a.second_means.append(slot_sums[index] / slot_counts[index])
+        slots = run_qkd_stage(table, plant, schedule, rng_delay)
+        counted = slots[~np.isnan(slots["visibility"])]
+        # bincount adds in slot order, so each per-delay sum is sequential
+        sums = np.bincount(
+            counted["delay_index"], weights=counted["visibility"], minlength=NUM_DELAYS
+        )
+        counts = np.bincount(counted["delay_index"], minlength=NUM_DELAYS)
+        vis_sum += sums
+        vis_slots += counts
+        second_mean = np.divide(sums, counts, out=np.full(NUM_DELAYS, math.nan), where=counts > 0)
+        min_second_mean = np.fmin(min_second_mean, second_mean)
+        if sink is not None:
+            sink(second, traces, slots)
 
         if plant.elapsed_us != (second + 1) * US_PER_SECOND:
             raise RuntimeError(f"clock skew: {plant.elapsed_us} us after second {second}")
 
-    per_delay = []
-    for index, a in enumerate(acc):
-        mean_vis = a.vis_sum / a.vis_slots if a.vis_slots else math.nan
-        per_delay.append(
-            DelaySummary(
-                delay_index=index,
-                delay_ns=2 * index,
-                mean_visibility=mean_vis,
-                min_visibility=min(a.second_means) if a.second_means else math.nan,
-                e_bit_proxy=(1.0 - mean_vis) / 2.0 if a.vis_slots else math.nan,
-                accepted_fraction=a.accepted / a.calibrations if a.calibrations else 0.0,
-                slots=a.vis_slots,
-            )
-        )
-    total_vis = sum(a.vis_sum for a in acc)
-    total_slots = sum(a.vis_slots for a in acc)
-    calib_vis = [a.calib_vis_sum for a in acc]
-    calib_n = sum(a.calib_vis_count for a in acc)
+    mean_vis = np.divide(vis_sum, vis_slots, out=np.full(NUM_DELAYS, math.nan), where=vis_slots > 0)
+    # columns in DelaySummary field order, after delay_index and delay_ns
+    columns = zip(
+        mean_vis.tolist(),
+        min_second_mean.tolist(),
+        ((1.0 - mean_vis) / 2.0).tolist(),
+        (accepted / calibrated_seconds).tolist(),
+        vis_slots.tolist(),
+    )
+    per_delay = tuple(DelaySummary(i, 2 * i, *row) for i, row in enumerate(columns))
+    # sum() adds the np.float64 elements one by one in delay order, as the
+    # pinned outputs need; np.sum's pairwise order would change the bits
+    total_slots = int(vis_slots.sum())
+    calib_n = int(calib_vis_count.sum())
     # delay 0 interferes a train with itself (r=0 is not a valid protocol
     # shift), so it is switched but excluded from the error-rate aggregate
-    rr_vis = sum(a.vis_sum for a in acc[1:])
-    rr_slots = sum(a.vis_slots for a in acc[1:])
+    rr_vis = sum(vis_sum[1:])
+    rr_slots = int(vis_slots[1:].sum())
     return ExperimentReport(
         seconds=config.seconds,
         mode=config.mode,
         seed=config.seed,
-        per_delay=tuple(per_delay),
-        global_mean_visibility=total_vis / total_slots if total_slots else math.nan,
-        mean_calib_visibility=sum(calib_vis) / calib_n if calib_n else math.nan,
+        per_delay=per_delay,
+        global_mean_visibility=sum(vis_sum) / total_slots if total_slots else math.nan,
+        mean_calib_visibility=sum(calib_vis_sum) / calib_n if calib_n else math.nan,
         e_bit_overall=(1.0 - rr_vis / rr_slots) / 2.0 if rr_slots else math.nan,
         simulated_us=plant.elapsed_us,
     )

@@ -117,4 +117,10 @@ def true_phase(state: DriftState, delay: DelaySelector, cfg: DriftConfig) -> flo
         * state.laser_eps
     )
     idx = delay.index
-    return canonical_phase(state.offsets[idx] + state.path_phases[idx] + laser)
+    phase = state.offsets[idx] + state.path_phases[idx] + laser
+    if not math.isfinite(phase):
+        raise ValueError(
+            f"true phase of delay {idx} ({delay.delay_ns} ns) is not finite; it scales "
+            "with drift.optical_freq_hz, drift.laser_ou_sigma and drift.path_walk_sigma"
+        )
+    return canonical_phase(phase)

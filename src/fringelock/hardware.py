@@ -137,8 +137,8 @@ class DetectorCounts:
 
 
 def dac_to_voltage(code: DacCode, cfg: PmConfig) -> float:
-    """Ideal DAC transfer: v_min at code 0, v_max at full scale."""
-    return cfg.v_min + code.code * (cfg.v_max - cfg.v_min) / code.max_code
+    """Ideal DAC transfer: v_min at code 0, v_max (never past it) at full scale."""
+    return min(cfg.v_max, cfg.v_min + code.code * (cfg.v_max - cfg.v_min) / code.max_code)
 
 
 def voltage_to_code(v: float, cfg: PmConfig) -> DacCode:

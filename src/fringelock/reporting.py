@@ -8,7 +8,9 @@ Column layouts are the stable external contract (schema v1):
                          e_bit_proxy, accepted_fraction
 
 Floats are written with fixed precision and a fixed line terminator so
-identical (config, seed) runs produce byte-identical files.
+identical (config, seed) runs produce byte-identical files; NaN is written
+as an empty field. Trace rows are built one per step record or per row of a
+second's ``QKD_SLOT`` array.
 """
 
 from __future__ import annotations
@@ -16,10 +18,10 @@ from __future__ import annotations
 import csv
 import math
 from pathlib import Path
-from typing import IO
+from typing import IO, Sequence
 
 from .calibration import CalibStepRecord
-from .controller import ExperimentReport, QkdSlotRecord
+from .controller import ExperimentReport
 from .hardware import PmConfig, dac_to_voltage
 
 CALIB_TRACE_HEADER = (
@@ -32,10 +34,8 @@ PER_DELAY_HEADER = (
 )
 
 
-def _fmt(value: float | None) -> str:
-    if value is None or (isinstance(value, float) and math.isnan(value)):
-        return ""
-    return f"{value:.6f}"
+def _fmt(value: float) -> str:
+    return "" if math.isnan(value) else f"{value:.6f}"
 
 
 def make_writer(handle: IO[str]):
@@ -58,15 +58,10 @@ def calib_trace_row(
     )
 
 
-def qkd_trace_row(record: QkdSlotRecord) -> tuple:
-    return (
-        record.second,
-        record.slot,
-        record.delay_index,
-        record.counts.c1,
-        record.counts.c2,
-        _fmt(record.visibility),
-    )
+def qkd_trace_row(second: int, slot: int, row: Sequence) -> tuple:
+    """One qkd_trace line from a ``QKD_SLOT`` row (or the same fields as a tuple)."""
+    delay_index, c1, c2, vis = row
+    return (second, slot, delay_index, c1, c2, _fmt(vis))
 
 
 def write_summary(report: ExperimentReport, path: str | Path) -> None:

@@ -159,15 +159,15 @@ def test_a6_timing_invariants():
     schedule = settings.schedule
     calib_steps: dict[tuple[int, int], list[int]] = {}
     slots_per_second: dict[int, int] = {}
-    report = run_experiment(
-        settings,
-        calib_sink=lambda second, delay, record: calib_steps.setdefault(
-            (second, delay), []
-        ).append(record.step_index),
-        qkd_sink=lambda record: slots_per_second.__setitem__(
-            record.second, slots_per_second.get(record.second, 0) + 1
-        ),
-    )
+
+    def sink(second, traces, slots):
+        for delay, trace in enumerate(traces):
+            calib_steps.setdefault((second, delay), []).extend(
+                record.step_index for record in trace
+            )
+        slots_per_second[second] = len(slots)
+
+    report = run_experiment(settings, sink)
     step_ok = len(calib_steps) == 3 * 128 and all(
         steps == list(range(1, 24)) for steps in calib_steps.values()
     )

@@ -81,6 +81,16 @@ class TestRunCommand:
         assert "[drift] laser_ou_sigma" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_non_finite_drift_phase_exits_2_naming_the_keys(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        code = main([
+            "run", "--seconds", "1", "--set", "drift.optical_freq_hz=1e308", "--out", str(out),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "true phase of delay 0 (0 ns) is not finite" in err
+        assert "drift.optical_freq_hz" in err
+
     def test_calib_trace_schema(self, tmp_path):
         out = tmp_path / "run"
         main(["run", "--seconds", "1", "--seed", "5", "--out", str(out), *ZERO_NOISE_OVERRIDES])
@@ -155,6 +165,23 @@ class TestSweepCommand:
         assert code == 0
         rows = {r["value"]: float(r["global_mean_visibility"]) for r in read_rows(out / "sweep.csv")}
         assert rows["closed-loop"] > rows["open-loop"]
+
+    def test_rejected_value_keeps_the_other_rows(self, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        code = main([
+            "sweep", "--param", "drift.path_walk_sigma", "--values", "0.02,-1,0",
+            "--seconds", "1", "--seed", "3", "--out", str(out),
+            *ZERO_NOISE_OVERRIDES,
+        ])
+        assert code == 2
+        rows = read_rows(out / "sweep.csv")
+        assert [r["value"] for r in rows] == ["0.02", "-1", "0"]
+        assert rows[0]["global_mean_visibility"] != ""
+        assert list(rows[1].values())[2:] == ["", "", "", ""]
+        assert rows[2]["global_mean_visibility"] == "1.000000"
+        captured = capsys.readouterr()
+        assert "drift.path_walk_sigma=-1: drift sigmas must be >= 0" in captured.err
+        assert "drift.path_walk_sigma=0.02: global mean visibility" in captured.out
 
     def test_unknown_parameter_exits_2(self, tmp_path, capsys):
         assert main([

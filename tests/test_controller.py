@@ -9,6 +9,7 @@ from fringelock.calibration import CalibrationConfig
 from fringelock.controller import (
     CLOSED_LOOP,
     OPEN_LOOP,
+    QKD_SLOT,
     FrameSchedule,
     RunSettings,
     bootstrap_table,
@@ -49,7 +50,7 @@ class TestStabilizationStage:
         # random static offsets: the search must still land every path at 1.0
         drift = replace(settings.plant.drift, static_offsets="random")
         plant = Plant(replace(settings.plant, drift=drift), entropy=21)
-        table, outcomes = run_stabilization_stage(
+        table, traces = run_stabilization_stage(
             0, plant, settings.calibration, settings.schedule, bootstrap_table(plant.config)
         )
         assert len(table.entries) == 128
@@ -57,7 +58,8 @@ class TestStabilizationStage:
         assert all(e.calib_visibility == 1.0 for e in table.entries)
         assert all(e.refreshed_at == 0 for e in table.entries)
         assert plant.elapsed_us == 340_000
-        assert all(len(trace) == 23 for _, _, trace in outcomes)
+        assert len(traces) == 128
+        assert all(len(trace) == 23 for trace in traces)
 
     def test_default_noise_acceptance_over_sixty_seconds(self):
         # frozen threshold: at least 120 of 128 refreshes accepted each second
@@ -77,7 +79,7 @@ class TestStabilizationStage:
         dead = replace(settings.plant.detector, input_rate=0.0, dark_rate=0.0)
         plant = Plant(replace(settings.plant, detector=dead), entropy=23)
         previous = bootstrap_table(plant.config)
-        table, outcomes = run_stabilization_stage(
+        table, _ = run_stabilization_stage(
             0, plant, settings.calibration, settings.schedule, previous
         )
         assert all(not e.accepted for e in table.entries)
@@ -114,11 +116,12 @@ class TestQkdStage:
             0, plant, settings.calibration, settings.schedule, bootstrap_table(plant.config)
         )
         plant.applied.clear()
-        records = run_qkd_stage(0, table, plant, settings.schedule, np.random.default_rng(25))
-        assert len(records) == 6600
+        slots = run_qkd_stage(table, plant, settings.schedule, np.random.default_rng(25))
+        assert slots.dtype == QKD_SLOT
+        assert len(slots) == 6600
         assert plant.elapsed_us == 1_000_000
-        for record, (index, code) in zip(records, plant.applied):
-            assert record.delay_index == index
+        assert slots["delay_index"].tolist() == [index for index, _ in plant.applied]
+        for index, code in plant.applied:
             assert code == table[index].code
 
     def test_zero_count_slots_retained_as_missing(self):
@@ -126,9 +129,10 @@ class TestQkdStage:
         dead = replace(settings.plant.detector, input_rate=0.0, dark_rate=0.0)
         plant = Plant(replace(settings.plant, detector=dead), entropy=26)
         table = bootstrap_table(plant.config)
-        records = run_qkd_stage(0, table, plant, settings.schedule, np.random.default_rng(27))
-        assert len(records) == 6600
-        assert all(r.visibility is None for r in records)
+        slots = run_qkd_stage(table, plant, settings.schedule, np.random.default_rng(27))
+        assert len(slots) == 6600
+        assert not slots["c1"].any() and not slots["c2"].any()
+        assert np.isnan(slots["visibility"]).all()
 
     def test_delay_draws_are_uniform_chi_square(self):
         # the exact stream run_experiment(seed=0) consumes; statistic frozen
@@ -157,13 +161,16 @@ class TestRunExperiment:
 
     def test_slot_records_and_calib_traces_via_sinks(self):
         settings = RunSettings(seconds=2, seed=32)
-        calib_rows, qkd_rows = [], []
-        run_experiment(
-            settings,
-            calib_sink=lambda second, delay, record: calib_rows.append((second, delay, record)),
-            qkd_sink=qkd_rows.append,
-        )
-        assert len(qkd_rows) == 2 * 6600
+        calls = []
+        run_experiment(settings, lambda *args: calls.append(args))
+        assert [second for second, _, _ in calls] == [0, 1]
+        assert sum(len(slots) for _, _, slots in calls) == 2 * 6600
+        calib_rows = [
+            (second, delay, record)
+            for second, traces, _ in calls
+            for delay, trace in enumerate(traces)
+            for record in trace
+        ]
         assert len(calib_rows) == 2 * 128 * 23
         seconds = {row[0] for row in calib_rows}
         assert seconds == {0, 1}
@@ -172,7 +179,10 @@ class TestRunExperiment:
         settings = RunSettings(seconds=3, seed=33, mode=OPEN_LOOP)
         calib_rows = []
         report = run_experiment(
-            settings, calib_sink=lambda second, delay, record: calib_rows.append(second)
+            settings,
+            lambda second, traces, slots: calib_rows.extend(
+                second for trace in traces for _ in trace
+            ),
         )
         assert set(calib_rows) == {0}
         assert report.mode == OPEN_LOOP
@@ -206,6 +216,6 @@ class TestTimingInvariants:
             run_experiment(zero_noise_settings())
 
     def test_clock_skew_raises(self, monkeypatch):
-        monkeypatch.setattr(controller, "run_qkd_stage", lambda *args: [])
+        monkeypatch.setattr(controller, "run_qkd_stage", lambda *args: np.zeros(0, QKD_SLOT))
         with pytest.raises(RuntimeError, match="clock skew: 340000 us after second 0"):
             run_experiment(zero_noise_settings())

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from fringelock.hardware import (
     DacCode,
@@ -18,6 +20,24 @@ from fringelock.hardware import (
 from fringelock.optics import PortIntensities, canonical_phase, visibility
 
 PM = PmConfig()
+
+
+@st.composite
+def pm_voltage_and_code(draw):
+    """A drive chain with span >= 2*v_pi and 1-24 bits, a voltage in its
+    span and one of its DAC codes."""
+    v_min = draw(st.floats(-100.0, 100.0))
+    v_max = v_min + draw(st.floats(0.01, 100.0))
+    half_span = (v_max - v_min) / 2.0
+    cfg = PmConfig(
+        v_min=v_min,
+        v_max=v_max,
+        v_pi=draw(st.floats(half_span / 100.0, half_span)),
+        dac_bits=draw(st.integers(1, 24)),
+    )
+    v = draw(st.floats(cfg.v_min, cfg.v_max))
+    code = draw(st.integers(0, (1 << cfg.dac_bits) - 1))
+    return cfg, v, code
 
 
 class TestDacChain:
@@ -39,12 +59,19 @@ class TestDacChain:
         with pytest.raises(ValueError):
             DacCode(-1)
 
-    def test_roundtrip_within_one_lsb(self):
-        lsb = PM.span / (2**PM.dac_bits - 1)
-        rng = np.random.default_rng(11)
-        for v in rng.uniform(PM.v_min, PM.v_max, size=300):
-            back = dac_to_voltage(voltage_to_code(float(v), PM), PM)
-            assert abs(back - v) <= lsb
+    @given(pm_voltage_and_code())
+    @example((PM, PM.v_min, 0))
+    @example((PM, PM.v_max, 2**PM.dac_bits - 1))
+    @example((PM, 0.1 * PM.span, 12345))
+    def test_roundtrip_within_one_lsb(self, case):
+        cfg, v, code = case
+        lsb = cfg.span / (2**cfg.dac_bits - 1)
+        # a few ulps of the largest magnitude in play cover the float rounding
+        rounding = 16 * math.ulp(max(abs(cfg.v_min), abs(cfg.v_max), cfg.span))
+        back = dac_to_voltage(voltage_to_code(v, cfg), cfg)
+        assert abs(back - v) <= lsb / 2 + rounding
+        word = DacCode(code, bits=cfg.dac_bits)
+        assert voltage_to_code(dac_to_voltage(word, cfg), cfg) == word
 
     def test_invalid_pm_config(self):
         with pytest.raises(ValueError):

@@ -1,20 +1,17 @@
 import math
 from dataclasses import replace
 
-from fringelock.controller import QkdSlotRecord, RunSettings, run_experiment
-from fringelock.hardware import DetectorCounts
+import numpy as np
+
+from fringelock.controller import QKD_SLOT, RunSettings, run_experiment
 from fringelock.reporting import qkd_trace_row, render_report, write_summary
 
 from conftest import zero_noise_settings
 
 
 def test_missing_visibility_serializes_empty():
-    record = QkdSlotRecord(
-        second=0, slot=3, delay_index=9,
-        counts=DetectorCounts(c1=0, c2=0, window=1e-4),
-        visibility=None,
-    )
-    row = qkd_trace_row(record)
+    slot = np.array([(9, 0, 0, math.nan)], dtype=QKD_SLOT)[0]
+    row = qkd_trace_row(0, 3, slot)
     assert row == (0, 3, 9, 0, 0, "")
 
 
