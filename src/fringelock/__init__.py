@@ -2,11 +2,11 @@
 phase stabilization and RRDPS key-rate math."""
 
 from .calibration import (
+    CALIB_STEP,
     AmbiguousPhaseError,
     CalibrationAborted,
     CalibrationConfig,
     CalibResult,
-    CalibStepRecord,
     InitialStepPlan,
     least_squares_phase,
     phase_to_compensation_code,
@@ -16,12 +16,11 @@ from .controller import (
     CLOSED_LOOP,
     OPEN_LOOP,
     QKD_SLOT,
-    CompensationTable,
+    TABLE_ENTRY,
     DelaySummary,
     ExperimentReport,
     FrameSchedule,
     RunSettings,
-    TableEntry,
     bootstrap_table,
     run_experiment,
     run_qkd_stage,
@@ -29,7 +28,6 @@ from .controller import (
 )
 from .drift import DriftConfig, DriftState, advance, initial_state, true_phase
 from .hardware import (
-    DacCode,
     DelaySelector,
     DetectorConfig,
     DetectorCounts,

@@ -10,6 +10,9 @@ fixed 23-step schedule:
               best (PT3),
 * step 23     re-apply the winner (PT5) to double-check its visibility.
 
+The steps of one search come back as one ``CALIB_STEP`` array, a row per
+step; DAC codes are plain ints.
+
 The estimator inverts the fringe model f_k = (1 + cos(alpha + ext_k)) / 2,
 i.e. the preset phases add to the path phase inside the cosine (the only
 form a two-port split can realize).
@@ -25,7 +28,6 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from .hardware import (
-    DacCode,
     DelaySelector,
     DetectorCounts,
     PmConfig,
@@ -43,6 +45,13 @@ GRID_POINTS = 4096
 
 QUADRATURE_PHASES = (0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi)
 
+#: One calibration step: the delay, the step number 1-23, the applied DAC
+#: code, the two port counts and their visibility (c1 - c2) / (c1 + c2).
+CALIB_STEP = np.dtype(
+    [("delay_index", np.int64), ("step_index", np.int64), ("dac_code", np.int64),
+     ("c1", np.int64), ("c2", np.int64), ("visibility", np.float64)]
+)
+
 
 class AmbiguousPhaseError(ValueError):
     """The four step measurements carry no phase information (flat residual)."""
@@ -51,16 +60,16 @@ class AmbiguousPhaseError(ValueError):
 class CalibrationAborted(RuntimeError):
     """A calibration step produced unusable data (e.g. zero total counts).
 
-    Carries the partial step trace recorded before the fault.
+    Carries the partial ``CALIB_STEP`` trace recorded before the fault.
     """
 
-    def __init__(self, message: str, trace: list["CalibStepRecord"]):
+    def __init__(self, message: str, trace: np.ndarray):
         super().__init__(message)
         self.trace = trace
 
 
 class Plantlike(Protocol):
-    def measure(self, delay: DelaySelector, code: DacCode, window_us: int) -> DetectorCounts: ...
+    def measure(self, delay: DelaySelector, code: int, window_us: int) -> DetectorCounts: ...
 
 
 @dataclass(frozen=True)
@@ -109,29 +118,16 @@ class CalibrationConfig:
 
 
 @dataclass(frozen=True)
-class CalibStepRecord:
-    step_index: int
-    dac_code: DacCode
-    counts: DetectorCounts
-    visibility: float
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.step_index <= TOTAL_STEPS:
-            raise ValueError(f"step index {self.step_index} outside 1..{TOTAL_STEPS}")
-
-
-@dataclass(frozen=True)
 class CalibResult:
-    delay_index: int
-    optimal_code: DacCode
+    optimal_code: int
     final_visibility: float
-    trace: tuple[CalibStepRecord, ...]
+    trace: np.ndarray  # CALIB_STEP rows, one per step
     accepted: bool
 
     def __post_init__(self) -> None:
         if len(self.trace) != TOTAL_STEPS:
             raise ValueError(f"complete calibration trace has {TOTAL_STEPS} steps")
-        if self.final_visibility != self.trace[-1].visibility:
+        if self.final_visibility != self.trace["visibility"][-1]:
             raise ValueError("final visibility must come from the last step")
 
 
@@ -164,7 +160,7 @@ def least_squares_phase(observed: Sequence[float], plan: InitialStepPlan) -> flo
     return float(grid[int(np.argmin(residual))])
 
 
-def phase_to_compensation_code(alpha_hat: float, cfg: PmConfig) -> DacCode:
+def phase_to_compensation_code(alpha_hat: float, cfg: PmConfig) -> int:
     """DAC code driving the modulator to cancel ``alpha_hat``.
 
     Targets total phase alpha + phi = 0 (mod 2*pi), i.e. +1 visibility at
@@ -207,64 +203,62 @@ def run_calibration(
     is centered on: a scan point can only replace PT3 by strictly beating
     it.
     """
-    trace: list[CalibStepRecord] = []
+    rows: list[tuple] = []
 
-    def step(index: int, code: DacCode) -> CalibStepRecord:
+    def step(index: int, code: int) -> float:
         counts = plant.measure(delay, code, cfg.step_window_us)
         if counts.total == 0:
             raise CalibrationAborted(
                 f"zero total counts at calibration step {index} of delay {delay.index}",
-                trace,
+                np.array(rows, dtype=CALIB_STEP),
             )
-        record = CalibStepRecord(index, code, counts, visibility(counts.c1, counts.c2))
-        trace.append(record)
-        return record
+        vis = visibility(counts.c1, counts.c2)
+        rows.append((delay.index, index, code, counts.c1, counts.c2, vis))
+        return vis
 
     # steps 1-4: preset phases for the least-squares estimate
     for k, ext in enumerate(cfg.plan.ext_phases):
         step(k + 1, voltage_to_code(voltage_for_phase(ext, pm), pm))
-    fractions = [r.counts.c1 / r.counts.total for r in trace]
+    fractions = [c1 / (c1 + c2) for *_, c1, c2, _ in rows]
     try:
         alpha_hat = least_squares_phase(fractions, cfg.plan)
     except AmbiguousPhaseError as exc:
         # no usable fringe information: treat like a plant fault
-        raise CalibrationAborted(str(exc), trace) from exc
+        raise CalibrationAborted(str(exc), np.array(rows, dtype=CALIB_STEP)) from exc
 
     # step 5: apply the estimate so PT1's visibility is itself observable
     pt1_code = phase_to_compensation_code(alpha_hat, pm)
-    pt1 = step(5, pt1_code)
-    pt1_voltage = dac_to_voltage(pt1_code, pm)
+    pt1_visibility = step(5, pt1_code)
 
     def scan(
-        first_step: int, center_v: float, offsets: Sequence[float], incumbent: CalibStepRecord
-    ) -> CalibStepRecord:
-        # a scan point replaces the incumbent only by strictly beating it,
-        # so ties resolve to the earliest measurement
-        best = incumbent
+        first_step: int, center_code: int, offsets: Sequence[float], incumbent: tuple[float, int]
+    ) -> tuple[float, int]:
+        # a (visibility, code) incumbent is replaced only by a strictly
+        # higher visibility, so ties resolve to the earliest measurement
+        best_visibility, best_code = incumbent
+        center_v = dac_to_voltage(center_code, pm)
         for j, off in enumerate(offsets):
-            v = _wrap_into_span(center_v + off, pm)
-            record = step(first_step + j, voltage_to_code(v, pm))
-            if record.visibility > best.visibility:
-                best = record
-        return best
+            code = voltage_to_code(_wrap_into_span(center_v + off, pm), pm)
+            vis = step(first_step + j, code)
+            if vis > best_visibility:
+                best_visibility, best_code = vis, code
+        return best_visibility, best_code
 
     # steps 6-14: coarse scan around PT2 (same voltage as PT1)
     coarse_offsets = [(j - COARSE_POINTS // 2) * cfg.coarse_interval for j in range(COARSE_POINTS)]
-    pt3 = scan(6, pt1_voltage, coarse_offsets, incumbent=pt1)
-    pt3_voltage = dac_to_voltage(pt3.dac_code, pm)
+    pt3 = scan(6, pt1_code, coarse_offsets, incumbent=(pt1_visibility, pt1_code))
 
     # steps 15-22: fine scan around PT4 (same voltage as PT3); PT3's own
     # point was already measured, so the scan covers its neighborhood only
     half = FINE_POINTS // 2
     fine_offsets = [j * cfg.fine_interval for j in range(-half, half + 1) if j != 0]
-    pt5 = scan(15, pt3_voltage, fine_offsets, incumbent=pt3)
+    _, pt5_code = scan(15, pt3[1], fine_offsets, incumbent=pt3)
 
     # step 23: PT6 re-applies PT5's voltage to double-check the result
-    final = step(23, pt5.dac_code)
+    final_visibility = step(23, pt5_code)
     return CalibResult(
-        delay_index=delay.index,
-        optimal_code=pt5.dac_code,
-        final_visibility=final.visibility,
-        trace=tuple(trace),
-        accepted=final.visibility >= cfg.accept_threshold,
+        optimal_code=pt5_code,
+        final_visibility=final_visibility,
+        trace=np.array(rows, dtype=CALIB_STEP),
+        accepted=final_visibility >= cfg.accept_threshold,
     )

@@ -2,18 +2,20 @@
 
 Batch only; runs write CSV traces plus a text report into the output
 directory and echo their effective configuration for reproducibility.
-Exit codes: 0 success, 1 runtime fault, 2 usage or configuration error (a
-sweep still runs and records its other values when one is rejected).
+Exit codes: 0 success, 1 runtime fault, 2 usage or configuration error,
+including a run in which no QKD slot counted a photon (its outputs are kept;
+a sweep still runs and records its other values when one is rejected).
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
 from .config import ConfigError, load_config, override_settings, write_config
-from .controller import RunSettings, run_experiment
+from .controller import ExperimentReport, RunSettings, run_experiment
 from .keyrate import KeyRateParams, error_threshold, key_rate
 from .reporting import (
     CALIB_TRACE_HEADER,
@@ -92,12 +94,8 @@ def _execute_run(settings: RunSettings, out_dir: Path):
         qkd_writer = make_writer(qkd_f)
         qkd_writer.writerow(QKD_TRACE_HEADER)
 
-        def write_second(second, traces, slots):
-            calib_writer.writerows(
-                calib_trace_row(second, index, record, pm)
-                for index, trace in enumerate(traces)
-                for record in trace
-            )
+        def write_second(second, steps, slots):
+            calib_writer.writerows(calib_trace_row(second, row, pm) for row in steps.tolist())
             qkd_writer.writerows(
                 qkd_trace_row(second, slot, row) for slot, row in enumerate(slots.tolist())
             )
@@ -108,9 +106,19 @@ def _execute_run(settings: RunSettings, out_dir: Path):
     return report
 
 
+def _require_counts(report: ExperimentReport) -> None:
+    """Reject a run whose every QKD slot was dark: its figures are all NaN."""
+    if math.isnan(report.global_mean_visibility):
+        raise ValueError(
+            "no QKD slot counted a photon, so every visibility is undefined; "
+            "check detector.input_rate and detector.dark_rate"
+        )
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     settings, out_dir = _settings_from_args(args)
     report = _execute_run(settings, out_dir)
+    _require_counts(report)
     sys.stdout.write(render_report(report))
     sys.stdout.write(f"outputs written to {out_dir}\n")
     return EXIT_OK
@@ -152,6 +160,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                     settings, seconds=args.seconds, mode=args.mode, seed=args.seed
                 )
                 report = run_experiment(settings)
+                _require_counts(report)
             except (ConfigError, ValueError) as exc:
                 # a rejected value keeps its row, with no seed or metrics
                 print(f"error: {args.param}={raw}: {exc}", file=sys.stderr)

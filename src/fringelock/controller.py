@@ -7,27 +7,28 @@ clock is integer microseconds throughout, so the timing arithmetic is exact
 and checkable from traces.
 
 Stage results are columnar: the stabilization stage returns the refreshed
-table plus the 128 step traces, and the QKD stage returns one ``QKD_SLOT``
-array with a row per switch slot.
+table as one ``TABLE_ENTRY`` array (a row per delay, its DAC code a plain
+int) plus one ``CALIB_STEP`` array of every step it ran, and the QKD stage
+returns one ``QKD_SLOT`` array with a row per switch slot.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .calibration import (
+    CALIB_STEP,
     CalibrationAborted,
     CalibrationConfig,
-    CalibStepRecord,
     TOTAL_STEPS,
     phase_to_compensation_code,
     run_calibration,
 )
-from .hardware import NUM_DELAYS, DacCode, select_delay
+from .hardware import NUM_DELAYS, select_delay
 from .keyrate import KeyRateParams, key_rate
 from .plant import Plant, PlantConfig
 
@@ -74,27 +75,13 @@ class FrameSchedule:
         return self.qkd_duration_us // self.qkd_slot_us
 
 
-@dataclass
-class TableEntry:
-    code: DacCode
-    calib_visibility: float
-    accepted: bool
-    refreshed_at: int
-
-
-@dataclass
-class CompensationTable:
-    """Per-delay optimal DAC codes measured during the stabilization stage."""
-
-    entries: list[TableEntry]
-
-    def __post_init__(self) -> None:
-        if len(self.entries) != NUM_DELAYS:
-            raise ValueError(f"compensation table needs exactly {NUM_DELAYS} entries")
-
-    def __getitem__(self, delay_index: int) -> TableEntry:
-        return self.entries[delay_index]
-
+#: One compensation-table row per delay: the optimal DAC code, the final
+#: calibration visibility (NaN if aborted), whether it passed the accept
+#: threshold, and the second it was refreshed (-1 before the first).
+TABLE_ENTRY = np.dtype(
+    [("code", np.int64), ("calib_visibility", np.float64), ("accepted", np.bool_),
+     ("refreshed_at", np.int64)]
+)
 
 #: One QKD switch slot: the drawn delay, its two port counts and the slot
 #: visibility (c1 - c2) / (c1 + c2), NaN when the slot saw no counts.
@@ -103,13 +90,10 @@ QKD_SLOT = np.dtype(
 )
 
 
-def bootstrap_table(plant_cfg: PlantConfig) -> CompensationTable:
+def bootstrap_table(plant_cfg: PlantConfig) -> np.ndarray:
     """Cold-start table: phase-0 compensation codes, nothing accepted yet."""
     code = phase_to_compensation_code(0.0, plant_cfg.pm)
-    return CompensationTable(
-        [TableEntry(code=code, calib_visibility=math.nan, accepted=False, refreshed_at=-1)
-         for _ in range(NUM_DELAYS)]
-    )
+    return np.array([(code, math.nan, False, -1)] * NUM_DELAYS, dtype=TABLE_ENTRY)
 
 
 def run_stabilization_stage(
@@ -117,13 +101,14 @@ def run_stabilization_stage(
     plant: Plant,
     calib_cfg: CalibrationConfig,
     schedule: FrameSchedule,
-    previous: CompensationTable,
-) -> tuple[CompensationTable, list[Sequence[CalibStepRecord]]]:
+    previous: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
     """Recalibrate all 128 delays in order, one permutation slot each.
 
-    Returns the refreshed table plus the 128 step traces in delay order. An
-    aborted calibration leaves a partial trace, and its entry keeps the
-    previous second's code with NaN visibility and is marked not accepted.
+    Returns the refreshed ``TABLE_ENTRY`` table plus the ``CALIB_STEP``
+    rows of all 128 searches in delay order. An aborted calibration leaves
+    a partial trace, and its entry keeps the previous second's code with
+    NaN visibility and is marked not accepted.
     """
     if TOTAL_STEPS * calib_cfg.step_window_us > schedule.perm_slot_us:
         raise ValueError(
@@ -131,28 +116,24 @@ def run_stabilization_stage(
             f"{schedule.perm_slot_us} us permutation slot"
         )
     start_us = plant.elapsed_us
-    entries: list[TableEntry] = []
-    traces: list[Sequence[CalibStepRecord]] = []
+    entries: list[tuple] = []
+    traces: list[np.ndarray] = []
     for index in range(NUM_DELAYS):
         slot_start = plant.elapsed_us
         try:
             result = run_calibration(DELAYS[index], plant, calib_cfg, plant.config.pm)
-            entries.append(
-                TableEntry(result.optimal_code, result.final_visibility, result.accepted, second)
-            )
+            entries.append((result.optimal_code, result.final_visibility, result.accepted, second))
             traces.append(result.trace)
         except CalibrationAborted as fault:
-            entries.append(
-                TableEntry(previous[index].code, math.nan, False, second)
-            )
+            entries.append((previous["code"][index], math.nan, False, second))
             traces.append(fault.trace)
         plant.idle(slot_start + schedule.perm_slot_us - plant.elapsed_us)
     plant.idle(start_us + schedule.stab_duration_us - plant.elapsed_us)
-    return CompensationTable(entries), traces
+    return np.array(entries, dtype=TABLE_ENTRY), np.concatenate(traces)
 
 
 def run_qkd_stage(
-    table: CompensationTable,
+    table: np.ndarray,
     plant: Plant,
     schedule: FrameSchedule,
     rng_delay: np.random.Generator,
@@ -164,10 +145,11 @@ def run_qkd_stage(
     ``QKD_SLOT`` row per slot in switching order; zero-count slots are
     retained with NaN visibility.
     """
+    codes = table["code"].tolist()
     rows = []
     for _ in range(schedule.qkd_slots):
         index = int(rng_delay.integers(0, NUM_DELAYS))
-        counts = plant.measure(DELAYS[index], table[index].code, schedule.qkd_slot_us)
+        counts = plant.measure(DELAYS[index], codes[index], schedule.qkd_slot_us)
         vis = (counts.c1 - counts.c2) / counts.total if counts.total > 0 else math.nan
         rows.append((index, counts.c1, counts.c2, vis))
     return np.array(rows, dtype=QKD_SLOT)
@@ -208,8 +190,9 @@ class ExperimentReport:
         return key_rate(KeyRateParams(L=L, v_th=v_th, Q=q, e_bit=e))
 
 
-#: Gets (second, its 128 step traces or none if it did not calibrate, its slots).
-SecondSink = Callable[[int, Sequence[Sequence[CalibStepRecord]], np.ndarray], None]
+#: Gets (second, its ``CALIB_STEP`` rows, empty if it did not calibrate,
+#: and its ``QKD_SLOT`` rows).
+SecondSink = Callable[[int, np.ndarray, np.ndarray], None]
 
 
 def run_experiment(config: "RunSettings", sink: SecondSink | None = None) -> ExperimentReport:
@@ -222,10 +205,6 @@ def run_experiment(config: "RunSettings", sink: SecondSink | None = None) -> Exp
     Per-delay statistics accumulate in arrays, one element per delay, and
     ``sink`` receives each second's stage results once.
     """
-    if config.seconds < 1:
-        raise ValueError(f"experiment needs at least one second, got {config.seconds}")
-    if config.mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {config.mode!r}")
     plant_ss, delay_ss = np.random.SeedSequence(config.seed).spawn(2)
     plant = Plant(config.plant, entropy=plant_ss)
     rng_delay = np.random.default_rng(delay_ss)
@@ -241,16 +220,16 @@ def run_experiment(config: "RunSettings", sink: SecondSink | None = None) -> Exp
     min_second_mean = np.full(NUM_DELAYS, math.nan)
 
     for second in range(config.seconds):
-        traces = ()
+        steps = np.zeros(0, dtype=CALIB_STEP)
         if config.mode == CLOSED_LOOP or second == 0:
-            table, traces = run_stabilization_stage(
+            table, steps = run_stabilization_stage(
                 second, plant, config.calibration, schedule, table
             )
-            if any(entry.refreshed_at != second for entry in table.entries):
+            if (table["refreshed_at"] != second).any():
                 raise RuntimeError("table must be refreshed this second")
             calibrated_seconds += 1
-            accepted += [entry.accepted for entry in table.entries]
-            calib_vis = np.array([entry.calib_visibility for entry in table.entries])
+            accepted += table["accepted"]
+            calib_vis = table["calib_visibility"]
             completed = ~np.isnan(calib_vis)
             calib_vis_sum[completed] += calib_vis[completed]
             calib_vis_count += completed
@@ -269,7 +248,7 @@ def run_experiment(config: "RunSettings", sink: SecondSink | None = None) -> Exp
         second_mean = np.divide(sums, counts, out=np.full(NUM_DELAYS, math.nan), where=counts > 0)
         min_second_mean = np.fmin(min_second_mean, second_mean)
         if sink is not None:
-            sink(second, traces, slots)
+            sink(second, steps, slots)
 
         if plant.elapsed_us != (second + 1) * US_PER_SECOND:
             raise RuntimeError(f"clock skew: {plant.elapsed_us} us after second {second}")

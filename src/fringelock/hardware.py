@@ -24,26 +24,6 @@ FIBER_DELAYS_NS = tuple(2 << i for i in range(GATE_COUNT))
 
 
 @dataclass(frozen=True)
-class DacCode:
-    """One DAC output word. ``code`` must fit in ``bits``."""
-
-    code: int
-    bits: int = 16
-
-    def __post_init__(self) -> None:
-        if self.bits <= 0:
-            raise ValueError(f"DAC resolution must be positive, got {self.bits} bits")
-        if not 0 <= self.code < (1 << self.bits):
-            raise ValueError(
-                f"DAC code {self.code} out of range for {self.bits}-bit converter"
-            )
-
-    @property
-    def max_code(self) -> int:
-        return (1 << self.bits) - 1
-
-
-@dataclass(frozen=True)
 class PmConfig:
     """Phase-modulator drive chain: DAC span and half-wave voltage.
 
@@ -73,6 +53,10 @@ class PmConfig:
     @property
     def span(self) -> float:
         return self.v_max - self.v_min
+
+    @property
+    def max_code(self) -> int:
+        return (1 << self.dac_bits) - 1
 
 
 @dataclass(frozen=True)
@@ -136,18 +120,21 @@ class DetectorCounts:
         return self.c1 + self.c2
 
 
-def dac_to_voltage(code: DacCode, cfg: PmConfig) -> float:
+def dac_to_voltage(code: int, cfg: PmConfig) -> float:
     """Ideal DAC transfer: v_min at code 0, v_max (never past it) at full scale."""
-    return min(cfg.v_max, cfg.v_min + code.code * (cfg.v_max - cfg.v_min) / code.max_code)
+    max_code = cfg.max_code
+    if not 0 <= code <= max_code:
+        raise ValueError(f"DAC code {code} out of range for {cfg.dac_bits}-bit converter")
+    return min(cfg.v_max, cfg.v_min + code * (cfg.v_max - cfg.v_min) / max_code)
 
 
-def voltage_to_code(v: float, cfg: PmConfig) -> DacCode:
+def voltage_to_code(v: float, cfg: PmConfig) -> int:
     """Nearest DAC code for a voltage in the span (round-trips within 1 LSB)."""
     if not cfg.v_min <= v <= cfg.v_max:
         raise ValueError(f"voltage {v} V outside DAC span [{cfg.v_min}, {cfg.v_max}]")
-    max_code = (1 << cfg.dac_bits) - 1
+    max_code = cfg.max_code
     code = round((v - cfg.v_min) / (cfg.v_max - cfg.v_min) * max_code)
-    return DacCode(code=min(max_code, max(0, code)), bits=cfg.dac_bits)
+    return min(max_code, max(0, code))
 
 
 def voltage_to_phase(v: float, cfg: PmConfig) -> float:

@@ -16,7 +16,6 @@ import numpy as np
 from . import drift as drift_mod
 from .drift import DriftConfig, DriftState
 from .hardware import (
-    DacCode,
     DelaySelector,
     DetectorConfig,
     DetectorCounts,
@@ -59,7 +58,7 @@ class Plant:
         )
         self.elapsed_us: int = 0
 
-    def measure(self, delay: DelaySelector, code: DacCode, window_us: int) -> DetectorCounts:
+    def measure(self, delay: DelaySelector, code: int, window_us: int) -> DetectorCounts:
         """Integrate one counting window, then advance drift by the window.
 
         The drift is piecewise-constant within a window (windows are short

@@ -9,8 +9,8 @@ Column layouts are the stable external contract (schema v1):
 
 Floats are written with fixed precision and a fixed line terminator so
 identical (config, seed) runs produce byte-identical files; NaN is written
-as an empty field. Trace rows are built one per step record or per row of a
-second's ``QKD_SLOT`` array.
+as an empty field. Trace rows are built one per row of a second's
+``CALIB_STEP`` and ``QKD_SLOT`` arrays.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import math
 from pathlib import Path
 from typing import IO, Sequence
 
-from .calibration import CalibStepRecord
 from .controller import ExperimentReport
 from .hardware import PmConfig, dac_to_voltage
 
@@ -43,19 +42,11 @@ def make_writer(handle: IO[str]):
     return csv.writer(handle, lineterminator="\n")
 
 
-def calib_trace_row(
-    second: int, delay_index: int, record: CalibStepRecord, pm: PmConfig
-) -> tuple:
-    return (
-        second,
-        delay_index,
-        record.step_index,
-        record.dac_code.code,
-        _fmt(dac_to_voltage(record.dac_code, pm)),
-        record.counts.c1,
-        record.counts.c2,
-        _fmt(record.visibility),
-    )
+def calib_trace_row(second: int, row: Sequence, pm: PmConfig) -> tuple:
+    """One calib_trace line from a ``CALIB_STEP`` row (or the same fields as a tuple)."""
+    delay_index, step_index, code, c1, c2, vis = row
+    voltage = _fmt(dac_to_voltage(code, pm))
+    return (second, delay_index, step_index, code, voltage, c1, c2, _fmt(vis))
 
 
 def qkd_trace_row(second: int, slot: int, row: Sequence) -> tuple:

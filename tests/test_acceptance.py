@@ -160,11 +160,9 @@ def test_a6_timing_invariants():
     calib_steps: dict[tuple[int, int], list[int]] = {}
     slots_per_second: dict[int, int] = {}
 
-    def sink(second, traces, slots):
-        for delay, trace in enumerate(traces):
-            calib_steps.setdefault((second, delay), []).extend(
-                record.step_index for record in trace
-            )
+    def sink(second, steps, slots):
+        for delay, step in zip(steps["delay_index"].tolist(), steps["step_index"].tolist()):
+            calib_steps.setdefault((second, delay), []).append(step)
         slots_per_second[second] = len(slots)
 
     report = run_experiment(settings, sink)

@@ -16,7 +16,6 @@ from fringelock.calibration import (
     run_calibration,
 )
 from fringelock.hardware import (
-    DacCode,
     DetectorCounts,
     PmConfig,
     dac_to_voltage,
@@ -91,7 +90,7 @@ class TestLeastSquaresPhase:
 
 class TestPhaseToCompensationCode:
     def test_zero_phase_maps_to_lower_rail(self):
-        assert phase_to_compensation_code(0.0, PM).code == 0
+        assert phase_to_compensation_code(0.0, PM) == 0
 
     def test_half_wave(self):
         v = dac_to_voltage(phase_to_compensation_code(math.pi, PM), PM)
@@ -130,12 +129,12 @@ class TestRunCalibration:
         assert result.final_visibility == 1.0
         assert result.accepted
         assert len(result.trace) == 23
-        assert [r.step_index for r in result.trace] == list(range(1, 24))
+        assert result.trace["step_index"].tolist() == list(range(1, 24))
         # steps 1-4 applied the plan phases as voltages
-        for record, ext in zip(result.trace[:4], PLAN.ext_phases):
-            applied = voltage_to_phase(dac_to_voltage(record.dac_code, PM), PM)
+        for code, ext in zip(result.trace["dac_code"][:4].tolist(), PLAN.ext_phases):
+            applied = voltage_to_phase(dac_to_voltage(code, PM), PM)
             assert abs(circular_diff(applied, ext)) < 1e-4
-        assert result.trace[-1].dac_code == result.optimal_code
+        assert result.trace["dac_code"][-1] == result.optimal_code
 
     def test_staged_search_tracks_exhaustive_optimum(self):
         cfg = CalibrationConfig()
@@ -156,7 +155,8 @@ class TestRunCalibration:
             offsets = tuple([float(alpha)] + [0.0] * 127)
             plant = noiseless_plant(offsets=offsets, input_rate=2.5e7)
             result = run_calibration(select_delay(0), plant, CalibrationConfig(), PM)
-            by_step = {r.step_index: r.visibility for r in result.trace}
+            by_step = dict(zip(result.trace["step_index"].tolist(),
+                               result.trace["visibility"].tolist()))
             candidates = [by_step[i] for i in range(5, 23)]
             # the double-check step re-measures the best candidate seen
             assert result.final_visibility == max(candidates)
@@ -201,7 +201,7 @@ class TestRunCalibration:
         schedule = [(900, 100), (500, 500), (100, 900), (500, 500)] + [(60, 40)] * 19
         plant = _ScriptedPlant(schedule)
         result = run_calibration(select_delay(3), plant, CalibrationConfig(), PM)
-        assert result.optimal_code.code == 0  # PT1's code for phase 0
+        assert result.optimal_code == 0  # PT1's code for phase 0
         assert result.final_visibility == pytest.approx(0.2)
         assert not result.accepted
         assert plant.calls == 23

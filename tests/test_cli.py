@@ -91,6 +91,18 @@ class TestRunCommand:
         assert "true phase of delay 0 (0 ns) is not finite" in err
         assert "drift.optical_freq_hz" in err
 
+    def test_dark_run_exits_2_and_keeps_outputs(self, tmp_path, capsys):
+        out = tmp_path / "dark"
+        code = main([
+            "run", "--seconds", "1", "--out", str(out),
+            "--set", "detector.input_rate=0", "--set", "detector.dark_rate=0",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "no QKD slot counted a photon" in err
+        assert "detector.input_rate" in err and "detector.dark_rate" in err
+        assert "global mean visibility: nan" in (out / "report.txt").read_text()
+
     def test_calib_trace_schema(self, tmp_path):
         out = tmp_path / "run"
         main(["run", "--seconds", "1", "--seed", "5", "--out", str(out), *ZERO_NOISE_OVERRIDES])
@@ -182,6 +194,21 @@ class TestSweepCommand:
         captured = capsys.readouterr()
         assert "drift.path_walk_sigma=-1: drift sigmas must be >= 0" in captured.err
         assert "drift.path_walk_sigma=0.02: global mean visibility" in captured.out
+
+    def test_dark_value_is_a_failed_row(self, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        code = main([
+            "sweep", "--param", "detector.input_rate", "--values", "0,2.5e7",
+            "--seconds", "1", "--seed", "3", "--out", str(out),
+            "--set", "detector.dark_rate=0",
+        ])
+        assert code == 2
+        rows = read_rows(out / "sweep.csv")
+        assert [r["value"] for r in rows] == ["0", "2.5e7"]
+        assert list(rows[0].values())[2:] == ["", "", "", ""]
+        assert rows[1]["global_mean_visibility"] != ""
+        err = capsys.readouterr().err
+        assert "detector.input_rate=0: no QKD slot counted a photon" in err
 
     def test_unknown_parameter_exits_2(self, tmp_path, capsys):
         assert main([

@@ -1,15 +1,15 @@
-import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from fringelock import controller
-from fringelock.calibration import CalibrationConfig
+from fringelock.calibration import CALIB_STEP, CalibrationConfig
 from fringelock.controller import (
     CLOSED_LOOP,
     OPEN_LOOP,
     QKD_SLOT,
+    TABLE_ENTRY,
     FrameSchedule,
     RunSettings,
     bootstrap_table,
@@ -50,16 +50,18 @@ class TestStabilizationStage:
         # random static offsets: the search must still land every path at 1.0
         drift = replace(settings.plant.drift, static_offsets="random")
         plant = Plant(replace(settings.plant, drift=drift), entropy=21)
-        table, traces = run_stabilization_stage(
+        table, steps = run_stabilization_stage(
             0, plant, settings.calibration, settings.schedule, bootstrap_table(plant.config)
         )
-        assert len(table.entries) == 128
-        assert all(e.accepted for e in table.entries)
-        assert all(e.calib_visibility == 1.0 for e in table.entries)
-        assert all(e.refreshed_at == 0 for e in table.entries)
+        assert table.dtype == TABLE_ENTRY
+        assert len(table) == 128
+        assert table["accepted"].all()
+        assert (table["calib_visibility"] == 1.0).all()
+        assert (table["refreshed_at"] == 0).all()
         assert plant.elapsed_us == 340_000
-        assert len(traces) == 128
-        assert all(len(trace) == 23 for trace in traces)
+        # 23 steps for each of the 128 delays, in delay order
+        assert steps.dtype == CALIB_STEP
+        assert steps["delay_index"].tolist() == [i for i in range(128) for _ in range(23)]
 
     def test_default_noise_acceptance_over_sixty_seconds(self):
         # frozen threshold: at least 120 of 128 refreshes accepted each second
@@ -70,7 +72,7 @@ class TestStabilizationStage:
         worst = 128
         for second in range(60):
             table, _ = run_stabilization_stage(second, plant, calib, schedule, table)
-            worst = min(worst, sum(e.accepted for e in table.entries))
+            worst = min(worst, int(table["accepted"].sum()))
             plant.idle(schedule.qkd_duration_us)  # stand in for the QKD stage
         assert worst >= 120
 
@@ -82,9 +84,9 @@ class TestStabilizationStage:
         table, _ = run_stabilization_stage(
             0, plant, settings.calibration, settings.schedule, previous
         )
-        assert all(not e.accepted for e in table.entries)
-        assert all(e.code == previous[i].code for i, e in enumerate(table.entries))
-        assert all(math.isnan(e.calib_visibility) for e in table.entries)
+        assert not table["accepted"].any()
+        assert (table["code"] == previous["code"]).all()
+        assert np.isnan(table["calib_visibility"]).all()
         # aborted slots still consume their full permutation slot
         assert plant.elapsed_us == 340_000
 
@@ -122,7 +124,7 @@ class TestQkdStage:
         assert plant.elapsed_us == 1_000_000
         assert slots["delay_index"].tolist() == [index for index, _ in plant.applied]
         for index, code in plant.applied:
-            assert code == table[index].code
+            assert type(code) is int and code == table["code"][index]
 
     def test_zero_count_slots_retained_as_missing(self):
         settings = zero_noise_settings()
@@ -165,12 +167,7 @@ class TestRunExperiment:
         run_experiment(settings, lambda *args: calls.append(args))
         assert [second for second, _, _ in calls] == [0, 1]
         assert sum(len(slots) for _, _, slots in calls) == 2 * 6600
-        calib_rows = [
-            (second, delay, record)
-            for second, traces, _ in calls
-            for delay, trace in enumerate(traces)
-            for record in trace
-        ]
+        calib_rows = [(second, row) for second, steps, _ in calls for row in steps]
         assert len(calib_rows) == 2 * 128 * 23
         seconds = {row[0] for row in calib_rows}
         assert seconds == {0, 1}
@@ -180,9 +177,7 @@ class TestRunExperiment:
         calib_rows = []
         report = run_experiment(
             settings,
-            lambda second, traces, slots: calib_rows.extend(
-                second for trace in traces for _ in trace
-            ),
+            lambda second, steps, slots: calib_rows.extend([second] * len(steps)),
         )
         assert set(calib_rows) == {0}
         assert report.mode == OPEN_LOOP

@@ -6,7 +6,6 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from fringelock.hardware import (
-    DacCode,
     DetectorConfig,
     DetectorCounts,
     PmConfig,
@@ -42,22 +41,26 @@ def pm_voltage_and_code(draw):
 
 class TestDacChain:
     def test_rails(self):
-        assert dac_to_voltage(DacCode(0), PM) == 0.0
-        assert dac_to_voltage(DacCode(65535), PM) == 10.0
+        assert dac_to_voltage(0, PM) == 0.0
+        assert dac_to_voltage(65535, PM) == 10.0
 
     def test_midscale(self):
         # 32768 * 10 / 65535
-        assert dac_to_voltage(DacCode(32768), PM) == pytest.approx(5.000076, abs=1e-6)
+        assert dac_to_voltage(32768, PM) == pytest.approx(5.000076, abs=1e-6)
 
     def test_monotone(self):
-        volts = [dac_to_voltage(DacCode(c), PM) for c in range(0, 65536, 911)]
+        volts = [dac_to_voltage(c, PM) for c in range(0, 65536, 911)]
         assert all(a < b for a, b in zip(volts, volts[1:]))
 
-    def test_code_out_of_range(self):
+    @pytest.mark.parametrize("bits", [1, 12, 16, 24])
+    def test_code_out_of_range(self, bits):
+        # the code range comes from the drive chain's dac_bits
+        cfg = PmConfig(dac_bits=bits)
         with pytest.raises(ValueError):
-            DacCode(65536)
+            dac_to_voltage(1 << bits, cfg)
         with pytest.raises(ValueError):
-            DacCode(-1)
+            dac_to_voltage(-1, cfg)
+        assert dac_to_voltage((1 << bits) - 1, cfg) == cfg.v_max
 
     @given(pm_voltage_and_code())
     @example((PM, PM.v_min, 0))
@@ -70,8 +73,7 @@ class TestDacChain:
         rounding = 16 * math.ulp(max(abs(cfg.v_min), abs(cfg.v_max), cfg.span))
         back = dac_to_voltage(voltage_to_code(v, cfg), cfg)
         assert abs(back - v) <= lsb / 2 + rounding
-        word = DacCode(code, bits=cfg.dac_bits)
-        assert voltage_to_code(dac_to_voltage(word, cfg), cfg) == word
+        assert voltage_to_code(dac_to_voltage(code, cfg), cfg) == code
 
     def test_invalid_pm_config(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import pytest
 
 from fringelock.calibration import phase_to_compensation_code
 from fringelock.drift import DriftConfig
-from fringelock.hardware import DacCode, DetectorConfig, select_delay
+from fringelock.hardware import DetectorConfig, select_delay
 from fringelock.plant import Plant, PlantConfig
 
 from conftest import ZERO_OFFSETS, noiseless_plant, quiet_drift
@@ -33,7 +33,7 @@ class TestMeasure:
             plant = default_plant(seed=77)
             seq = []
             for i in range(300):
-                counts = plant.measure(select_delay(i % 128), DacCode(i * 17 % 65536), 100)
+                counts = plant.measure(select_delay(i % 128), i * 17 % 65536, 100)
                 seq.append((counts.c1, counts.c2))
             runs.append(seq)
         assert runs[0] == runs[1]
@@ -43,7 +43,7 @@ class TestMeasure:
         plant = Plant(PlantConfig(drift=quiet_drift(offsets), contrast=1.0), entropy=5)
         c1 = c2 = 0
         for _ in range(2000):
-            counts = plant.measure(select_delay(0), DacCode(0), 100)
+            counts = plant.measure(select_delay(0), 0, 100)
             c1 += counts.c1
             c2 += counts.c2
         assert abs(c1 - c2) / (c1 + c2) < 0.02
@@ -53,18 +53,18 @@ class TestMeasure:
         for raw, canonical in ((7.0, 7.0 - 2.0 * math.pi), (-1.0, 2.0 * math.pi - 1.0)):
             a = noiseless_plant(offsets=tuple([raw] + [0.0] * 127))
             b = noiseless_plant(offsets=tuple([canonical] + [0.0] * 127))
-            ca = a.measure(select_delay(0), DacCode(4321), 100)
-            cb = b.measure(select_delay(0), DacCode(4321), 100)
+            ca = a.measure(select_delay(0), 4321, 100)
+            cb = b.measure(select_delay(0), 4321, 100)
             assert (ca.c1, ca.c2) == (cb.c1, cb.c2)
 
 
 class TestClock:
     def test_elapsed_is_sum_of_requested_windows(self):
         plant = default_plant(seed=3)
-        plant.measure(select_delay(0), DacCode(0), 100)
-        plant.measure(select_delay(1), DacCode(0), 250)
+        plant.measure(select_delay(0), 0, 100)
+        plant.measure(select_delay(1), 0, 250)
         plant.idle(650)
-        plant.measure(select_delay(2), DacCode(0), 1000)
+        plant.measure(select_delay(2), 0, 1000)
         assert plant.elapsed_us == 2000
 
     def test_zero_idle_is_free(self):
@@ -75,7 +75,7 @@ class TestClock:
     def test_invalid_windows(self):
         plant = default_plant(seed=6)
         with pytest.raises(ValueError):
-            plant.measure(select_delay(0), DacCode(0), 0)
+            plant.measure(select_delay(0), 0, 0)
         with pytest.raises(ValueError):
             plant.idle(-1)
 
@@ -90,5 +90,5 @@ class TestConfig:
         before = plant.elapsed_us
         _ = plant.state.laser_eps
         assert before == 0
-        plant.measure(select_delay(0), DacCode(0), 100)
+        plant.measure(select_delay(0), 0, 100)
         assert plant.elapsed_us > before
