@@ -69,6 +69,9 @@ class CalibrationAborted(RuntimeError):
 
 
 class Plantlike(Protocol):
+    """What a calibration needs of a plant: one window at a time, since each
+    step's code depends on the counts before it."""
+
     def measure(self, delay: DelaySelector, code: int, window_us: int) -> DetectorCounts: ...
 
 

@@ -141,18 +141,23 @@ def run_qkd_stage(
     """Switch delays at the configured rate, compensating from the table.
 
     Each slot draws a fresh 7-bit random delay, applies that entry's DAC
-    code immediately, and integrates counts for the slot. Returns one
-    ``QKD_SLOT`` row per slot in switching order; zero-count slots are
-    retained with NaN visibility.
+    code immediately, and integrates counts for the slot. The table is
+    fixed for the stage and no draw depends on a count, so the stage runs
+    in one pass: one draw of every slot's delay, then one
+    ``Plant.measure_slots`` call, with the numbers a slot-by-slot loop of
+    ``Plant.measure`` would give. Returns one ``QKD_SLOT`` row per slot in
+    switching order; zero-count slots are retained with NaN visibility.
     """
-    codes = table["code"].tolist()
-    rows = []
-    for _ in range(schedule.qkd_slots):
-        index = int(rng_delay.integers(0, NUM_DELAYS))
-        counts = plant.measure(DELAYS[index], codes[index], schedule.qkd_slot_us)
-        vis = (counts.c1 - counts.c2) / counts.total if counts.total > 0 else math.nan
-        rows.append((index, counts.c1, counts.c2, vis))
-    return np.array(rows, dtype=QKD_SLOT)
+    n = schedule.qkd_slots
+    index = rng_delay.integers(0, NUM_DELAYS, size=n)
+    c1, c2 = plant.measure_slots(index, table["code"].tolist(), schedule.qkd_slot_us)
+    slots = np.empty(n, dtype=QKD_SLOT)
+    slots["delay_index"] = index
+    slots["c1"] = c1
+    slots["c2"] = c2
+    total = c1 + c2
+    slots["visibility"] = np.divide(c1 - c2, total, out=np.full(n, math.nan), where=total > 0)
+    return slots
 
 
 @dataclass(frozen=True)

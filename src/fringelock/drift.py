@@ -21,11 +21,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hardware import NUM_DELAYS, DelaySelector
-from .optics import canonical_phase
+from .hardware import NUM_DELAYS, DelaySelector, select_delay
+from .optics import TWO_PI, canonical_phase
 
 #: Optical carrier frequency, telecom C band.
 DEFAULT_OPTICAL_FREQ_HZ = 193.4e12
+
+#: Most windows ``advance_windows`` draws at once: a block's normals and its
+#: path walk hold about 0.5 MB however many windows a call spans.
+BLOCK_WINDOWS = 128
+
+#: Path imbalance of each delay in seconds, as ``true_phase`` computes it.
+_DELAY_S = np.array([select_delay(i).delay_ns * 1e-9 for i in range(NUM_DELAYS)])
 
 
 @dataclass(frozen=True)
@@ -93,7 +100,8 @@ def advance(
 
     The OU step uses the exact discretization, so chunking a span into
     several calls changes the realization but not the law. Draw order is
-    fixed: one laser normal, then 128 path normals.
+    fixed: one laser normal, then 128 path normals. ``advance_windows``
+    consumes the stream in the same order and must change with this.
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -119,8 +127,69 @@ def true_phase(state: DriftState, delay: DelaySelector, cfg: DriftConfig) -> flo
     idx = delay.index
     phase = state.offsets[idx] + state.path_phases[idx] + laser
     if not math.isfinite(phase):
-        raise ValueError(
-            f"true phase of delay {idx} ({delay.delay_ns} ns) is not finite; it scales "
-            "with drift.optical_freq_hz, drift.laser_ou_sigma and drift.path_walk_sigma"
-        )
+        raise _non_finite_phase(delay)
     return canonical_phase(phase)
+
+
+def advance_windows(
+    state: DriftState,
+    index: np.ndarray,
+    dt: float,
+    cfg: DriftConfig,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Advance the state over ``len(index)`` windows of ``dt`` seconds each.
+
+    Returns the canonical true phase of delay ``index[k]`` at the start of
+    window ``k``. Phases, final state and stream position are bit-identical
+    to calling ``true_phase`` and then ``advance`` once per window: the
+    normals come in ``(windows, 129)`` blocks in ``advance``'s draw order,
+    the OU recursion runs on Python floats in ``advance``'s operation order,
+    and the path walk is a ``cumsum``, which adds row by row like repeated
+    ``+=``. The first non-finite phase raises ``true_phase``'s error.
+    """
+    if dt <= 0.0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    decay = math.exp(-dt / cfg.laser_ou_tau)
+    shock = math.sqrt(1.0 - decay * decay)
+    laser_step = cfg.laser_ou_sigma * shock
+    walk_step = cfg.path_walk_sigma * math.sqrt(dt)
+    eps = state.laser_eps
+    walk = state.path_phases
+    phases = np.empty(len(index))
+    # a non-finite phase raises below, naming its delay, instead of warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        laser_gain = 2.0 * math.pi * cfg.optical_freq_hz * _DELAY_S
+        for start in range(0, len(index), BLOCK_WINDOWS):
+            block = index[start:start + BLOCK_WINDOWS]
+            normals = rng.standard_normal((len(block), NUM_DELAYS + 1))
+            eps_at_start = []
+            for z in normals[:, 0].tolist():
+                eps_at_start.append(eps)
+                eps = eps * decay + laser_step * z
+            # row k is the walk at the start of window k; the last row is the end
+            walks = np.cumsum(np.vstack([walk, walk_step * normals[:, 1:]]), axis=0)
+            raw = (
+                state.offsets[block]
+                + walks[np.arange(len(block)), block]
+                + laser_gain[block] * np.array(eps_at_start)
+            )
+            finite = np.isfinite(raw)
+            if not finite.all():
+                raise _non_finite_phase(select_delay(int(block[finite.argmin()])))
+            phases[start:start + len(block)] = raw
+            walk = walks[-1]
+    state.laser_eps = eps
+    state.path_phases[:] = walk
+    # canonical_phase, element by element
+    phases = np.fmod(phases, TWO_PI)
+    phases[phases < 0.0] += TWO_PI
+    phases[phases >= TWO_PI] = 0.0
+    return phases
+
+
+def _non_finite_phase(delay: DelaySelector) -> ValueError:
+    return ValueError(
+        f"true phase of delay {delay.index} ({delay.delay_ns} ns) is not finite; it scales "
+        "with drift.optical_freq_hz, drift.laser_ou_sigma and drift.path_walk_sigma"
+    )

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -101,19 +102,15 @@ class DetectorConfig:
             raise ValueError(f"input rate must be >= 0, got {self.input_rate}")
 
 
-@dataclass(frozen=True)
-class DetectorCounts:
-    """Photon counts from the two ports over one integration window."""
+class DetectorCounts(NamedTuple):
+    """Photon counts from the two ports over one integration window.
+
+    Not validated: the plant's counts come from ``sample_counts``, which
+    rejects a window <= 0 and never yields a negative count.
+    """
 
     c1: int
     c2: int
-    window: float
-
-    def __post_init__(self) -> None:
-        if self.c1 < 0 or self.c2 < 0:
-            raise ValueError("counts must be non-negative")
-        if self.window <= 0.0:
-            raise ValueError(f"window must be positive, got {self.window}")
 
     @property
     def total(self) -> int:
@@ -196,4 +193,4 @@ def sample_counts(
     else:
         c1 = int(round(lam1))
         c2 = int(round(lam2))
-    return DetectorCounts(c1=c1, c2=c2, window=window)
+    return DetectorCounts(c1, c2)

@@ -1,15 +1,24 @@
 """The simulated plant: what the control firmware sees through its counters.
 
 Composes the drift engine, the modulator chain and the detectors into one
-object with a single measurement primitive: select a delay, apply a DAC
-code, integrate counts for a window. The plant owns the simulation clock
-(integer microseconds) and is the only place drift time advances, so elapsed
-simulated time always equals the sum of requested windows.
+object with two measurement entry points. ``measure`` selects a delay,
+applies a DAC code and integrates counts for one window; the calibration
+search calls it step by step, because each step depends on the last.
+``measure_slots`` integrates a whole run of equal windows whose delays and
+codes are known in advance (the QKD stage) from one draw per stream, with
+the same numbers as one ``measure`` call per window. The per-window physics
+therefore exists twice, and an equivalence test keeps the two aligned.
+
+The plant owns the simulation clock (integer microseconds) and is the only
+place drift time advances, so elapsed simulated time always equals the sum
+of requested windows.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -74,6 +83,38 @@ class Plant:
         counts = sample_counts(intensities, self.config.detector, window_s, self._rng_detector)
         self._advance(window_us)
         return counts
+
+    def measure_slots(
+        self, index: np.ndarray, codes: Sequence[int], window_us: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Integrate one window per slot: slot ``k`` on delay ``index[k]`` at
+        DAC code ``codes[index[k]]``, drift advancing by a window after each.
+
+        Returns the port counts ``(c1, c2)``, one element per slot. Counts,
+        drift state and stream positions are bit-identical to one
+        ``measure`` call per slot: the phase and port arithmetic follow
+        ``port_intensities`` and ``sample_counts`` operation by operation.
+        """
+        if window_us <= 0:
+            raise ValueError(f"window must be positive, got {window_us} us")
+        cfg = self.config
+        phi = np.array([voltage_to_phase(dac_to_voltage(code, cfg.pm), cfg.pm) for code in codes])
+        window_s = window_us * 1e-6
+        alpha = drift_mod.advance_windows(self.state, index, window_s, cfg.drift, self._rng_drift)
+        self.elapsed_us += len(index) * window_us
+        # math.cos as in port_intensities: np.cos may take another SIMD path
+        contrast = cfg.contrast
+        x = np.array([contrast * math.cos(p) for p in (alpha + phi[index]).tolist()])
+        ports = np.stack([0.5 * (1.0 + x), 0.5 * (1.0 - x)], axis=1)
+        # unit input power: the port total is never 0
+        fractions = ports / (ports[:, 0] + ports[:, 1])[:, None]
+        det = cfg.detector
+        lam = fractions * (det.input_rate * det.efficiency * window_s) + det.dark_rate * window_s
+        if det.shot_noise:
+            counts = self._rng_detector.poisson(lam)
+        else:
+            counts = np.rint(lam).astype(np.int64)
+        return counts[:, 0], counts[:, 1]
 
     def idle(self, duration_us: int) -> None:
         """Let simulated time pass without measuring (slot padding, open loop)."""

@@ -119,7 +119,7 @@ class _ScriptedPlant:
     def measure(self, delay, code, window_us):
         counts = self.schedule[min(self.calls, len(self.schedule) - 1)]
         self.calls += 1
-        return DetectorCounts(c1=counts[0], c2=counts[1], window=window_us * 1e-6)
+        return DetectorCounts(*counts)
 
 
 class TestRunCalibration:

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -7,9 +8,11 @@ from fringelock import controller
 from fringelock.calibration import CALIB_STEP, CalibrationConfig
 from fringelock.controller import (
     CLOSED_LOOP,
+    DELAYS,
     OPEN_LOOP,
     QKD_SLOT,
     TABLE_ENTRY,
+    US_PER_SECOND,
     FrameSchedule,
     RunSettings,
     bootstrap_table,
@@ -18,7 +21,7 @@ from fringelock.controller import (
     run_stabilization_stage,
 )
 from fringelock.drift import DriftConfig
-from fringelock.hardware import DetectorConfig, select_delay
+from fringelock.hardware import NUM_DELAYS, DetectorConfig, select_delay
 from fringelock.plant import Plant, PlantConfig
 
 from conftest import zero_noise_settings
@@ -99,15 +102,28 @@ class TestStabilizationStage:
 
 
 class _SpyPlant(Plant):
-    """Records every (delay index, code) the controller applies."""
+    """Records the (delay indices, codes) of every batched measurement."""
 
     def __init__(self, config, entropy=0):
         super().__init__(config, entropy)
         self.applied = []
 
-    def measure(self, delay, code, window_us):
-        self.applied.append((delay.index, code))
-        return super().measure(delay, code, window_us)
+    def measure_slots(self, index, codes, window_us):
+        self.applied.append((index.copy(), codes))
+        return super().measure_slots(index, codes, window_us)
+
+
+def _reference_qkd_stage(table, plant, schedule, rng_delay):
+    """The QKD stage as one ``Plant.measure`` per slot: the algorithm the
+    batched ``run_qkd_stage`` must reproduce bit for bit."""
+    codes = table["code"].tolist()
+    rows = []
+    for _ in range(schedule.qkd_slots):
+        index = int(rng_delay.integers(0, NUM_DELAYS))
+        counts = plant.measure(DELAYS[index], codes[index], schedule.qkd_slot_us)
+        vis = (counts.c1 - counts.c2) / counts.total if counts.total > 0 else math.nan
+        rows.append((index, counts.c1, counts.c2, vis))
+    return np.array(rows, dtype=QKD_SLOT)
 
 
 class TestQkdStage:
@@ -117,14 +133,14 @@ class TestQkdStage:
         table, _ = run_stabilization_stage(
             0, plant, settings.calibration, settings.schedule, bootstrap_table(plant.config)
         )
-        plant.applied.clear()
         slots = run_qkd_stage(table, plant, settings.schedule, np.random.default_rng(25))
         assert slots.dtype == QKD_SLOT
         assert len(slots) == 6600
         assert plant.elapsed_us == 1_000_000
-        assert slots["delay_index"].tolist() == [index for index, _ in plant.applied]
-        for index, code in plant.applied:
-            assert type(code) is int and code == table["code"][index]
+        [(index, codes)] = plant.applied
+        assert slots["delay_index"].tolist() == index.tolist()
+        for i in index.tolist():
+            assert type(codes[i]) is int and codes[i] == table["code"][i]
 
     def test_zero_count_slots_retained_as_missing(self):
         settings = zero_noise_settings()
@@ -145,6 +161,65 @@ class TestQkdStage:
         stat = float(((counts - expected) ** 2 / expected).sum())
         assert stat == pytest.approx(125.926, abs=1e-3)
         assert stat < 181.993  # chi-square critical value, p=0.001, 127 dof
+
+
+class TestBatchedQkdStage:
+    """``run_qkd_stage`` against the slot-by-slot loop, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "plant_cfg, schedule, seed",
+        [
+            (PlantConfig(), FrameSchedule(), 40),
+            (PlantConfig(), FrameSchedule(), 41),
+            (PlantConfig(detector=DetectorConfig(shot_noise=False)), FrameSchedule(), 42),
+            # dark counts alone: every expectation is 2.5, a rounding tie
+            (PlantConfig(detector=DetectorConfig(input_rate=0.0, dark_rate=25_000.0,
+                                                 shot_noise=False)), FrameSchedule(), 48),
+            # 66 and 660 slots: a short stage and one that ends mid-block
+            (PlantConfig(), FrameSchedule(switch_rate_hz=100), 43),
+            (PlantConfig(), FrameSchedule(switch_rate_hz=1000), 44),
+            (PlantConfig(detector=DetectorConfig(input_rate=0.0, dark_rate=0.0)),
+             FrameSchedule(), 45),
+        ],
+        ids=["seed-40", "seed-41", "no-shot-noise", "rounding-ties", "100-hz", "1000-hz",
+             "dark"],
+    )
+    def test_matches_slot_by_slot_loop(self, plant_cfg, schedule, seed):
+        table = bootstrap_table(plant_cfg)
+        table["code"] = np.random.default_rng(seed).integers(0, plant_cfg.pm.max_code + 1, 128)
+        reference_plant, plant = Plant(plant_cfg, seed), Plant(plant_cfg, seed)
+        reference_rng, rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+        for p in (reference_plant, plant):
+            p.idle(schedule.stab_duration_us)  # start from a drifted state
+        expected = _reference_qkd_stage(table, reference_plant, schedule, reference_rng)
+        slots = run_qkd_stage(table, plant, schedule, rng)
+        for name in QKD_SLOT.names:
+            assert slots[name].tobytes() == expected[name].tobytes(), name
+        assert plant.state.laser_eps.hex() == reference_plant.state.laser_eps.hex()
+        assert plant.state.path_phases.tobytes() == reference_plant.state.path_phases.tobytes()
+        assert plant.elapsed_us == reference_plant.elapsed_us == US_PER_SECOND
+        # every stream stands where the loop left it, so later stages agree too
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+        for stream in ("_rng_drift", "_rng_detector"):
+            state = getattr(plant, stream).bit_generator.state
+            assert state == getattr(reference_plant, stream).bit_generator.state, stream
+
+    def test_non_finite_phase_names_the_drift_keys(self):
+        # eps is 0 in the first slot; the first OU step then pushes the laser
+        # term of every delay but 0 past the float range
+        plant_cfg = PlantConfig(drift=DriftConfig(laser_ou_sigma=1e20, optical_freq_hz=1e300))
+        table, schedule = bootstrap_table(plant_cfg), FrameSchedule()
+        reference_plant, plant = Plant(plant_cfg, 46), Plant(plant_cfg, 46)
+        with pytest.raises(ValueError) as expected:
+            _reference_qkd_stage(table, reference_plant, schedule, np.random.default_rng(47))
+        assert reference_plant.elapsed_us > 0  # the phase turned non-finite mid-stage
+        with pytest.raises(ValueError, match="^true phase of delay") as raised:
+            run_qkd_stage(table, plant, schedule, np.random.default_rng(47))
+        assert str(raised.value) == str(expected.value)
+        assert (
+            "drift.optical_freq_hz, drift.laser_ou_sigma and drift.path_walk_sigma"
+            in str(raised.value)
+        )
 
 
 class TestRunExperiment:

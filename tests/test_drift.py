@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fringelock.drift import DriftConfig, advance, initial_state, true_phase
+from fringelock.drift import DriftConfig, advance, advance_windows, initial_state, true_phase
 from fringelock.hardware import select_delay
 
 from conftest import ZERO_OFFSETS
@@ -107,3 +107,36 @@ class TestTruePhase:
     def test_offsets_require_full_table(self):
         with pytest.raises(ValueError):
             DriftConfig(static_offsets=(0.0, 1.0))
+
+
+class TestAdvanceWindows:
+    def test_matches_true_phase_then_advance_per_window(self):
+        # 300 windows: two full blocks and a partial one
+        cfg = DriftConfig()
+        reference, state = make_state(cfg, seed=7), make_state(cfg, seed=7)
+        reference_rng, rng = np.random.default_rng(8), np.random.default_rng(8)
+        index = np.random.default_rng(9).integers(0, 128, size=300)
+        expected = []
+        for i in index.tolist():
+            expected.append(true_phase(reference, select_delay(i), cfg))
+            advance(reference, 1e-4, cfg, reference_rng)
+        phases = advance_windows(state, index, 1e-4, cfg, rng)
+        assert phases.tolist() == expected
+        assert state.laser_eps == reference.laser_eps
+        assert state.path_phases.tobytes() == reference.path_phases.tobytes()
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+    def test_no_windows_leave_the_state(self):
+        cfg = DriftConfig()
+        state = make_state(cfg)
+        rng = np.random.default_rng(10)
+        before = rng.bit_generator.state
+        assert advance_windows(state, np.zeros(0, dtype=np.int64), 1e-4, cfg, rng).size == 0
+        assert state.laser_eps == 0.0 and not state.path_phases.any()
+        assert rng.bit_generator.state == before
+
+    def test_invalid_dt(self):
+        cfg = DriftConfig(static_offsets=ZERO_OFFSETS)
+        with pytest.raises(ValueError):
+            advance_windows(make_state(cfg), np.zeros(3, dtype=np.int64), 0.0, cfg,
+                            np.random.default_rng(11))

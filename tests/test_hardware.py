@@ -189,8 +189,27 @@ class TestSampleCounts:
         counts = sample_counts(PortIntensities(0.75, 0.25), det, 1e-4, rng)
         assert (counts.c1, counts.c2) == (750, 250)
 
-    def test_counts_validation(self):
+    @pytest.mark.parametrize("window", [0.0, -1e-4])
+    def test_window_must_be_positive(self, window):
+        rng = np.random.default_rng(18)
         with pytest.raises(ValueError):
-            DetectorCounts(c1=-1, c2=0, window=1e-4)
-        with pytest.raises(ValueError):
-            DetectorCounts(c1=0, c2=0, window=0.0)
+            sample_counts(PortIntensities(0.5, 0.5), DetectorConfig(), window, rng)
+
+    @given(
+        intensities=st.builds(PortIntensities, st.floats(0.0, 10.0), st.floats(0.0, 10.0)),
+        det=st.builds(
+            DetectorConfig,
+            efficiency=st.floats(0.0, 1.0, exclude_min=True),
+            dark_rate=st.floats(0.0, 1e6),
+            input_rate=st.floats(0.0, 1e9),
+            shot_noise=st.booleans(),
+        ),
+        window=st.floats(1e-7, 1e-2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_counts_are_non_negative_ints(self, intensities, det, window, seed):
+        counts = sample_counts(intensities, det, window, np.random.default_rng(seed))
+        assert isinstance(counts, DetectorCounts)
+        assert type(counts.c1) is int and type(counts.c2) is int
+        assert counts.c1 >= 0 and counts.c2 >= 0
+        assert counts.total == counts.c1 + counts.c2

@@ -79,6 +79,14 @@ class TestClock:
         with pytest.raises(ValueError):
             plant.idle(-1)
 
+    def test_batched_slots_advance_the_clock(self):
+        plant = default_plant(seed=7)
+        c1, c2 = plant.measure_slots(np.array([0, 5, 127]), [0] * 128, 250)
+        assert len(c1) == len(c2) == 3
+        assert plant.elapsed_us == 750
+        with pytest.raises(ValueError):
+            plant.measure_slots(np.array([0]), [0] * 128, 0)
+
 
 class TestConfig:
     def test_contrast_validation(self):
