@@ -28,9 +28,7 @@ from .controller import (
 )
 from .drift import DriftConfig, DriftState, advance, initial_state, true_phase
 from .hardware import (
-    DelaySelector,
     DetectorConfig,
-    DetectorCounts,
     PmConfig,
     dac_to_voltage,
     sample_counts,
@@ -41,7 +39,6 @@ from .hardware import (
 )
 from .keyrate import KeyRateParams, binary_entropy, error_threshold, key_rate
 from .optics import (
-    PortIntensities,
     UndefinedVisibilityError,
     canonical_phase,
     port_intensities,

@@ -10,8 +10,10 @@ fixed 23-step schedule:
               best (PT3),
 * step 23     re-apply the winner (PT5) to double-check its visibility.
 
-The steps of one search come back as one ``CALIB_STEP`` array, a row per
-step; DAC codes are plain ints.
+``run_calibration(delay_index, plant, cfg, pm)`` drives the search through
+``plant.measure(delay_index, code, window_us) -> (c1, c2)``. The steps of
+one search come back as one ``CALIB_STEP`` array, a row per step; DAC codes
+are plain ints.
 
 The estimator inverts the fringe model f_k = (1 + cos(alpha + ext_k)) / 2,
 i.e. the preset phases add to the path phase inside the cosine (the only
@@ -28,8 +30,6 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from .hardware import (
-    DelaySelector,
-    DetectorCounts,
     PmConfig,
     dac_to_voltage,
     voltage_for_phase,
@@ -72,7 +72,7 @@ class Plantlike(Protocol):
     """What a calibration needs of a plant: one window at a time, since each
     step's code depends on the counts before it."""
 
-    def measure(self, delay: DelaySelector, code: int, window_us: int) -> DetectorCounts: ...
+    def measure(self, delay_index: int, code: int, window_us: int) -> tuple[int, int]: ...
 
 
 @dataclass(frozen=True)
@@ -194,7 +194,7 @@ def _wrap_into_span(v: float, cfg: PmConfig) -> float:
 
 
 def run_calibration(
-    delay: DelaySelector,
+    delay_index: int,
     plant: Plantlike,
     cfg: CalibrationConfig,
     pm: PmConfig,
@@ -209,14 +209,14 @@ def run_calibration(
     rows: list[tuple] = []
 
     def step(index: int, code: int) -> float:
-        counts = plant.measure(delay, code, cfg.step_window_us)
-        if counts.total == 0:
+        c1, c2 = plant.measure(delay_index, code, cfg.step_window_us)
+        if c1 + c2 == 0:
             raise CalibrationAborted(
-                f"zero total counts at calibration step {index} of delay {delay.index}",
+                f"zero total counts at calibration step {index} of delay {delay_index}",
                 np.array(rows, dtype=CALIB_STEP),
             )
-        vis = visibility(counts.c1, counts.c2)
-        rows.append((delay.index, index, code, counts.c1, counts.c2, vis))
+        vis = visibility(c1, c2)
+        rows.append((delay_index, index, code, c1, c2, vis))
         return vis
 
     # steps 1-4: preset phases for the least-squares estimate

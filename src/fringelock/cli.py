@@ -82,7 +82,8 @@ def _settings_from_args(args: argparse.Namespace) -> tuple[RunSettings, Path]:
     return settings, Path(output_dir)
 
 
-def _execute_run(settings: RunSettings, out_dir: Path):
+def _execute_run(settings: RunSettings, out_dir: Path) -> tuple[ExperimentReport, str]:
+    """Run with every output written; returns the report and its text."""
     out_dir.mkdir(parents=True, exist_ok=True)
     write_config(settings, str(out_dir), out_dir / "effective_config.ini")
     pm = settings.plant.pm
@@ -102,8 +103,9 @@ def _execute_run(settings: RunSettings, out_dir: Path):
 
         report = run_experiment(settings, write_second)
     write_summary(report, out_dir / "per_delay_summary.csv")
-    (out_dir / "report.txt").write_text(render_report(report), encoding="utf-8")
-    return report
+    text = render_report(report)
+    (out_dir / "report.txt").write_text(text, encoding="utf-8")
+    return report, text
 
 
 def _require_counts(report: ExperimentReport) -> None:
@@ -117,9 +119,9 @@ def _require_counts(report: ExperimentReport) -> None:
 
 def cmd_run(args: argparse.Namespace) -> int:
     settings, out_dir = _settings_from_args(args)
-    report = _execute_run(settings, out_dir)
+    report, text = _execute_run(settings, out_dir)
     _require_counts(report)
-    sys.stdout.write(render_report(report))
+    sys.stdout.write(text)
     sys.stdout.write(f"outputs written to {out_dir}\n")
     return EXIT_OK
 

@@ -28,14 +28,12 @@ from .calibration import (
     phase_to_compensation_code,
     run_calibration,
 )
-from .hardware import NUM_DELAYS, select_delay
+from .hardware import DELAY_NS, NUM_DELAYS
+from .hardware import select_delay  # unused here; perfbench/child.py --trace 1 wraps this name
 from .keyrate import KeyRateParams, key_rate
 from .plant import Plant, PlantConfig
 
 US_PER_SECOND = 1_000_000
-
-#: The 128 gate patterns, decoded once; both stages index this table.
-DELAYS = tuple(select_delay(i) for i in range(NUM_DELAYS))
 
 CLOSED_LOOP = "closed-loop"
 OPEN_LOOP = "open-loop"
@@ -121,7 +119,7 @@ def run_stabilization_stage(
     for index in range(NUM_DELAYS):
         slot_start = plant.elapsed_us
         try:
-            result = run_calibration(DELAYS[index], plant, calib_cfg, plant.config.pm)
+            result = run_calibration(index, plant, calib_cfg, plant.config.pm)
             entries.append((result.optimal_code, result.final_visibility, result.accepted, second))
             traces.append(result.trace)
         except CalibrationAborted as fault:
@@ -267,7 +265,7 @@ def run_experiment(config: "RunSettings", sink: SecondSink | None = None) -> Exp
         (accepted / calibrated_seconds).tolist(),
         vis_slots.tolist(),
     )
-    per_delay = tuple(DelaySummary(i, 2 * i, *row) for i, row in enumerate(columns))
+    per_delay = tuple(DelaySummary(i, DELAY_NS[i], *row) for i, row in enumerate(columns))
     # sum() adds the np.float64 elements one by one in delay order, as the
     # pinned outputs need; np.sum's pairwise order would change the bits
     total_slots = int(vis_slots.sum())

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hardware import NUM_DELAYS, DelaySelector, select_delay
+from .hardware import DELAY_NS, NUM_DELAYS
 from .optics import TWO_PI, canonical_phase
 
 #: Optical carrier frequency, telecom C band.
@@ -31,8 +31,9 @@ DEFAULT_OPTICAL_FREQ_HZ = 193.4e12
 #: path walk hold about 0.5 MB however many windows a call spans.
 BLOCK_WINDOWS = 128
 
-#: Path imbalance of each delay in seconds, as ``true_phase`` computes it.
-_DELAY_S = np.array([select_delay(i).delay_ns * 1e-9 for i in range(NUM_DELAYS)])
+#: Path imbalance of each delay in seconds, as Python floats: ``true_phase``
+#: then overflows to inf silently, as the rest of its float arithmetic does.
+_DELAY_S = tuple(ns * 1e-9 for ns in DELAY_NS)
 
 
 @dataclass(frozen=True)
@@ -112,22 +113,16 @@ def advance(
     return state
 
 
-def true_phase(state: DriftState, delay: DelaySelector, cfg: DriftConfig) -> float:
-    """Current relative phase of the selected path, canonical in [0, 2*pi).
+def true_phase(state: DriftState, index: int, cfg: DriftConfig) -> float:
+    """Current relative phase of delay path ``index``, canonical in [0, 2*pi).
 
     The laser term scales with the path imbalance: 2*pi * nu0 * delay * eps.
     Path 0 (balanced arms) is immune to common-mode detuning by construction.
     """
-    laser = (
-        2.0 * math.pi
-        * cfg.optical_freq_hz
-        * (delay.delay_ns * 1e-9)
-        * state.laser_eps
-    )
-    idx = delay.index
-    phase = state.offsets[idx] + state.path_phases[idx] + laser
+    laser = 2.0 * math.pi * cfg.optical_freq_hz * _DELAY_S[index] * state.laser_eps
+    phase = state.offsets[index] + state.path_phases[index] + laser
     if not math.isfinite(phase):
-        raise _non_finite_phase(delay)
+        raise _non_finite_phase(index)
     return canonical_phase(phase)
 
 
@@ -159,7 +154,7 @@ def advance_windows(
     phases = np.empty(len(index))
     # a non-finite phase raises below, naming its delay, instead of warning
     with np.errstate(over="ignore", invalid="ignore"):
-        laser_gain = 2.0 * math.pi * cfg.optical_freq_hz * _DELAY_S
+        laser_gain = 2.0 * math.pi * cfg.optical_freq_hz * np.array(_DELAY_S)
         for start in range(0, len(index), BLOCK_WINDOWS):
             block = index[start:start + BLOCK_WINDOWS]
             normals = rng.standard_normal((len(block), NUM_DELAYS + 1))
@@ -176,7 +171,7 @@ def advance_windows(
             )
             finite = np.isfinite(raw)
             if not finite.all():
-                raise _non_finite_phase(select_delay(int(block[finite.argmin()])))
+                raise _non_finite_phase(int(block[finite.argmin()]))
             phases[start:start + len(block)] = raw
             walk = walks[-1]
     state.laser_eps = eps
@@ -188,8 +183,8 @@ def advance_windows(
     return phases
 
 
-def _non_finite_phase(delay: DelaySelector) -> ValueError:
+def _non_finite_phase(index: int) -> ValueError:
     return ValueError(
-        f"true phase of delay {delay.index} ({delay.delay_ns} ns) is not finite; it scales "
+        f"true phase of delay {index} ({DELAY_NS[index]} ns) is not finite; it scales "
         "with drift.optical_freq_hz, drift.laser_ou_sigma and drift.path_walk_sigma"
     )

@@ -5,17 +5,20 @@ modulator voltage, the voltage becomes a phase, a 7-bit random number selects
 one of 128 binary-weighted fiber delays, and two Poisson photon counters read
 out the interferometer ports. Gate switching and modulator settling are
 instantaneous; the high-voltage driver electronics are out of scope.
+
+A delay is an index 0..127 everywhere: ``select_delay(index) -> delay_ns``
+decodes its gates, and ``DELAY_NS`` holds the result for every index.
+``sample_counts((i1, i2), det, window, rng) -> (c1, c2)`` counts one window.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .optics import PortIntensities, canonical_phase
+from .optics import canonical_phase
 
 NUM_DELAYS = 128
 GATE_COUNT = 7
@@ -41,6 +44,11 @@ class PmConfig:
     def __post_init__(self) -> None:
         if self.v_max <= self.v_min:
             raise ValueError(f"v_max {self.v_max} must exceed v_min {self.v_min}")
+        if not math.isfinite(self.v_max - self.v_min):
+            raise ValueError(
+                f"DAC span from pm.v_min = {self.v_min} V to pm.v_max = {self.v_max} V "
+                "is not finite"
+            )
         if self.v_pi <= 0:
             raise ValueError(f"v_pi must be positive, got {self.v_pi}")
         if (self.v_max - self.v_min) < 2.0 * self.v_pi:
@@ -50,6 +58,8 @@ class PmConfig:
             )
         if self.dac_bits <= 0:
             raise ValueError(f"dac_bits must be positive, got {self.dac_bits}")
+        if self.dac_bits > 63:
+            raise ValueError(f"pm.dac_bits must be at most 63 (int64 codes), got {self.dac_bits}")
 
     @property
     def span(self) -> float:
@@ -58,25 +68,6 @@ class PmConfig:
     @property
     def max_code(self) -> int:
         return (1 << self.dac_bits) - 1
-
-
-@dataclass(frozen=True)
-class DelaySelector:
-    """7-gate pattern <-> delay index 0..127 <-> delay in ns (a bijection)."""
-
-    index: int
-    gate_bits: tuple[bool, ...]
-    delay_ns: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.index < NUM_DELAYS:
-            raise ValueError(f"delay index {self.index} out of range 0..127")
-        if len(self.gate_bits) != GATE_COUNT:
-            raise ValueError("expected exactly 7 gate bits")
-        if sum(b << i for i, b in enumerate(self.gate_bits)) != self.index:
-            raise ValueError("gate bits do not encode the delay index")
-        if self.delay_ns != 2 * self.index:
-            raise ValueError("delay_ns must equal 2 * index")
 
 
 @dataclass(frozen=True)
@@ -100,21 +91,6 @@ class DetectorConfig:
             raise ValueError(f"dark rate must be >= 0, got {self.dark_rate}")
         if self.input_rate < 0.0:
             raise ValueError(f"input rate must be >= 0, got {self.input_rate}")
-
-
-class DetectorCounts(NamedTuple):
-    """Photon counts from the two ports over one integration window.
-
-    Not validated: the plant's counts come from ``sample_counts``, which
-    rejects a window <= 0 and never yields a negative count.
-    """
-
-    c1: int
-    c2: int
-
-    @property
-    def total(self) -> int:
-        return self.c1 + self.c2
 
 
 def dac_to_voltage(code: int, cfg: PmConfig) -> float:
@@ -150,37 +126,41 @@ def voltage_for_phase(phase: float, cfg: PmConfig) -> float:
     return v
 
 
-def select_delay(random7: int) -> DelaySelector:
-    """Decode a 7-bit random number into a gate pattern and its delay.
+def select_delay(random7: int) -> int:
+    """Decode a 7-bit random number into its gate pattern's delay in ns.
 
     Bit i set routes light through fiber i, adding its length to the path;
     with binary-weighted fibers index r maps to exactly 2*r ns.
     """
     if not 0 <= random7 < NUM_DELAYS:
         raise ValueError(f"delay selector {random7} out of range 0..127")
-    bits = tuple(bool((random7 >> i) & 1) for i in range(GATE_COUNT))
-    delay_ns = sum(length for length, on in zip(FIBER_DELAYS_NS, bits) if on)
-    return DelaySelector(index=random7, gate_bits=bits, delay_ns=delay_ns)
+    return sum(length for i, length in enumerate(FIBER_DELAYS_NS) if (random7 >> i) & 1)
+
+
+#: Delay in ns of each of the 128 delay indices, the one delay table.
+DELAY_NS = tuple(select_delay(i) for i in range(NUM_DELAYS))
 
 
 def sample_counts(
-    intensities: PortIntensities,
+    intensities: tuple[float, float],
     det: DetectorConfig,
     window: float,
     rng: np.random.Generator,
-) -> DetectorCounts:
-    """Draw one counting window from the two ports.
+) -> tuple[int, int]:
+    """Draw one counting window from the two ports' intensities ``(i1, i2)``.
 
-    Expected counts per port are the port's share of the input photon rate
-    times efficiency and window, plus dark counts. Draw order is fixed
-    (port 1 then port 2) so a seeded generator reproduces runs bit for bit.
+    Returns the port counts ``(c1, c2)``. Expected counts per port are the
+    port's share of the input photon rate times efficiency and window, plus
+    dark counts. Draw order is fixed (port 1 then port 2) so a seeded
+    generator reproduces runs bit for bit.
     """
     if window <= 0.0:
         raise ValueError(f"window must be positive, got {window}")
-    total = intensities.total
+    i1, i2 = intensities
+    total = i1 + i2
     if total > 0.0:
-        f1 = intensities.i1 / total
-        f2 = intensities.i2 / total
+        f1 = i1 / total
+        f2 = i2 / total
     else:
         f1 = f2 = 0.0
     signal = det.input_rate * det.efficiency * window
@@ -193,4 +173,4 @@ def sample_counts(
     else:
         c1 = int(round(lam1))
         c2 = int(round(lam2))
-    return DetectorCounts(c1, c2)
+    return c1, c2

@@ -8,24 +8,12 @@ behaviour lives in the hardware and drift modules.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 TWO_PI = 2.0 * math.pi
 
 
 class UndefinedVisibilityError(ValueError):
     """Raised when visibility is requested for a window with zero total counts."""
-
-
-class PortIntensities(NamedTuple):
-    """Optical power at the interferometer's two output ports."""
-
-    i1: float
-    i2: float
-
-    @property
-    def total(self) -> float:
-        return self.i1 + self.i2
 
 
 def canonical_phase(value: float) -> float:
@@ -44,13 +32,13 @@ def canonical_phase(value: float) -> float:
 
 def port_intensities(
     input_power: float, total_phase: float, contrast: float = 1.0
-) -> PortIntensities:
+) -> tuple[float, float]:
     """Split input power over the two output ports at the given relative phase.
 
-    Port 1 carries I/2 * (1 + v0*cos(phase)), port 2 the complement, so the
-    two ports always sum to the input power (lossless split; detection losses
-    are modelled downstream). ``contrast`` is the intrinsic fringe contrast
-    v0 in [0, 1]; 1 is the ideal interferometer.
+    Returns ``(i1, i2)``: port 1 carries I/2 * (1 + v0*cos(phase)), port 2
+    the complement, so the two ports always sum to the input power (lossless
+    split; detection losses are modelled downstream). ``contrast`` is the
+    intrinsic fringe contrast v0 in [0, 1]; 1 is the ideal interferometer.
     """
     if input_power < 0.0:
         raise ValueError(f"input power must be >= 0, got {input_power}")
@@ -58,7 +46,7 @@ def port_intensities(
         raise ValueError(f"contrast must lie in [0, 1], got {contrast}")
     x = contrast * math.cos(total_phase)
     half = 0.5 * input_power
-    return PortIntensities(half * (1.0 + x), half * (1.0 - x))
+    return half * (1.0 + x), half * (1.0 - x)
 
 
 def visibility(c1: float, c2: float) -> float:

@@ -1,13 +1,15 @@
 """The simulated plant: what the control firmware sees through its counters.
 
 Composes the drift engine, the modulator chain and the detectors into one
-object with two measurement entry points. ``measure`` selects a delay,
-applies a DAC code and integrates counts for one window; the calibration
-search calls it step by step, because each step depends on the last.
-``measure_slots`` integrates a whole run of equal windows whose delays and
-codes are known in advance (the QKD stage) from one draw per stream, with
-the same numbers as one ``measure`` call per window. The per-window physics
-therefore exists twice, and an equivalence test keeps the two aligned.
+object with two measurement entry points. Both take delays as indices
+0..127 and return the two port counts. ``measure(delay_index, code,
+window_us) -> (c1, c2)`` integrates one window; the calibration search
+calls it step by step, because each step depends on the last.
+``measure_slots(index, codes, window_us) -> (c1, c2)`` integrates a whole
+run of equal windows whose delays and codes are known in advance (the QKD
+stage) from one draw per stream; its count arrays hold the same numbers as
+one ``measure`` call per window. The per-window physics therefore exists
+twice, and an equivalence test keeps the two aligned.
 
 The plant owns the simulation clock (integer microseconds) and is the only
 place drift time advances, so elapsed simulated time always equals the sum
@@ -25,9 +27,7 @@ import numpy as np
 from . import drift as drift_mod
 from .drift import DriftConfig, DriftState
 from .hardware import (
-    DelaySelector,
     DetectorConfig,
-    DetectorCounts,
     PmConfig,
     dac_to_voltage,
     sample_counts,
@@ -67,16 +67,16 @@ class Plant:
         )
         self.elapsed_us: int = 0
 
-    def measure(self, delay: DelaySelector, code: int, window_us: int) -> DetectorCounts:
+    def measure(self, delay_index: int, code: int, window_us: int) -> tuple[int, int]:
         """Integrate one counting window, then advance drift by the window.
 
-        The drift is piecewise-constant within a window (windows are short
-        against the drift timescales): the phase is evaluated at the window
-        start.
+        Returns the port counts ``(c1, c2)``. The drift is piecewise-constant
+        within a window (windows are short against the drift timescales):
+        the phase is evaluated at the window start.
         """
         if window_us <= 0:
             raise ValueError(f"window must be positive, got {window_us} us")
-        alpha = drift_mod.true_phase(self.state, delay, self.config.drift)
+        alpha = drift_mod.true_phase(self.state, delay_index, self.config.drift)
         phi = voltage_to_phase(dac_to_voltage(code, self.config.pm), self.config.pm)
         intensities = port_intensities(1.0, alpha + phi, self.config.contrast)
         window_s = window_us * 1e-6

@@ -16,10 +16,8 @@ from fringelock.calibration import (
     run_calibration,
 )
 from fringelock.hardware import (
-    DetectorCounts,
     PmConfig,
     dac_to_voltage,
-    select_delay,
     voltage_to_phase,
 )
 from fringelock.optics import canonical_phase
@@ -116,16 +114,16 @@ class _ScriptedPlant:
         self.schedule = schedule
         self.calls = 0
 
-    def measure(self, delay, code, window_us):
+    def measure(self, delay_index, code, window_us):
         counts = self.schedule[min(self.calls, len(self.schedule) - 1)]
         self.calls += 1
-        return DetectorCounts(*counts)
+        return counts
 
 
 class TestRunCalibration:
     def test_noiseless_zero_phase(self):
         plant = noiseless_plant(input_rate=2.5e7)
-        result = run_calibration(select_delay(0), plant, CalibrationConfig(), PM)
+        result = run_calibration(0, plant, CalibrationConfig(), PM)
         assert result.final_visibility == 1.0
         assert result.accepted
         assert len(result.trace) == 23
@@ -144,7 +142,7 @@ class TestRunCalibration:
         for alpha in rng.uniform(0.0, TWO_PI, size=16):
             offsets = tuple([float(alpha)] + [0.0] * 127)
             plant = noiseless_plant(offsets=offsets)
-            result = run_calibration(select_delay(0), plant, cfg, PM)
+            result = run_calibration(0, plant, cfg, PM)
             phi = voltage_to_phase(dac_to_voltage(result.optimal_code, PM), PM)
             residual = abs(circular_diff(alpha + phi, 0.0))
             assert residual <= bound
@@ -154,7 +152,7 @@ class TestRunCalibration:
         for alpha in rng.uniform(0.0, TWO_PI, size=8):
             offsets = tuple([float(alpha)] + [0.0] * 127)
             plant = noiseless_plant(offsets=offsets, input_rate=2.5e7)
-            result = run_calibration(select_delay(0), plant, CalibrationConfig(), PM)
+            result = run_calibration(0, plant, CalibrationConfig(), PM)
             by_step = dict(zip(result.trace["step_index"].tolist(),
                                result.trace["visibility"].tolist()))
             candidates = [by_step[i] for i in range(5, 23)]
@@ -165,7 +163,7 @@ class TestRunCalibration:
     def test_default_noise_final_visibility_quantile(self):
         # frozen Monte Carlo outcome: 976/1000 seeded trials reach 0.98
         cfg = CalibrationConfig()
-        delay = select_delay(0)
+        delay = 0
         offsets = tuple([math.pi / 3] + [0.0] * 127)
         from fringelock.drift import DriftConfig
         from fringelock.plant import Plant, PlantConfig
@@ -187,20 +185,20 @@ class TestRunCalibration:
     def test_abort_on_dark_plant(self):
         plant = _ScriptedPlant([(900, 100), (500, 500), (100, 900), (500, 500), (0, 0)])
         with pytest.raises(CalibrationAborted) as excinfo:
-            run_calibration(select_delay(3), plant, CalibrationConfig(), PM)
+            run_calibration(3, plant, CalibrationConfig(), PM)
         assert len(excinfo.value.trace) == 4  # steps before the fault are kept
 
     def test_ambiguous_initial_steps_abort(self):
         plant = _ScriptedPlant([(500, 500)])
         with pytest.raises(CalibrationAborted):
-            run_calibration(select_delay(3), plant, CalibrationConfig(), PM)
+            run_calibration(3, plant, CalibrationConfig(), PM)
 
     def test_tie_break_earliest_measurement(self):
         # distinct first four steps pin the estimate at 0, then every
         # candidate measures the same visibility: PT1 (step 5) must win
         schedule = [(900, 100), (500, 500), (100, 900), (500, 500)] + [(60, 40)] * 19
         plant = _ScriptedPlant(schedule)
-        result = run_calibration(select_delay(3), plant, CalibrationConfig(), PM)
+        result = run_calibration(3, plant, CalibrationConfig(), PM)
         assert result.optimal_code == 0  # PT1's code for phase 0
         assert result.final_visibility == pytest.approx(0.2)
         assert not result.accepted
@@ -252,7 +250,7 @@ class TestWrapIntoSpan:
 
     def test_huge_scan_interval_completes(self):
         cfg = CalibrationConfig(coarse_interval=1e9, fine_interval=1e9)
-        result = run_calibration(select_delay(0), noiseless_plant(), cfg, PM)
+        result = run_calibration(0, noiseless_plant(), cfg, PM)
         assert len(result.trace) == 23
 
     @given(st.floats(allow_nan=False, allow_infinity=False))

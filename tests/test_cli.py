@@ -1,5 +1,9 @@
 import csv
 import hashlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -50,7 +54,10 @@ class TestRunCommand:
         assert all(r["mean_visibility"] == "1.000000" for r in rows)
         report = (out / "report.txt").read_text()
         assert "delays with mean visibility >= 0.96: 128/128 (100.0%)" in report
-        assert "run" in capsys.readouterr().out
+        stdout = capsys.readouterr().out
+        assert "run" in stdout
+        # stdout carries report.txt's exact text
+        assert stdout == report + f"outputs written to {out}\n"
 
     def test_identical_seed_gives_identical_bytes(self, tmp_path):
         outs = [tmp_path / "a", tmp_path / "b"]
@@ -90,6 +97,29 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "true phase of delay 0 (0 ns) is not finite" in err
         assert "drift.optical_freq_hz" in err
+
+    @pytest.mark.parametrize("bits", ["64", "2000"])
+    def test_dac_wider_than_int64_codes_exits_2_naming_the_key(self, tmp_path, capsys, bits):
+        out = tmp_path / "x"
+        code = main(["run", "--seconds", "1", "--set", f"pm.dac_bits={bits}", "--out", str(out)])
+        assert code == 2
+        assert "pm.dac_bits" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_dac_span_exits_2_naming_the_keys(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        code = main([
+            "run", "--seconds", "1", "--out", str(out),
+            "--set", "pm.v_max=1e308", "--set", "pm.v_min=-1e308",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "pm.v_min" in err and "pm.v_max" in err
+        # the widest finite span still runs
+        assert main([
+            "run", "--seconds", "1", "--out", str(out),
+            "--set", "pm.v_max=8e307", "--set", "pm.v_min=-8e307",
+        ]) == 0
 
     def test_dark_run_exits_2_and_keeps_outputs(self, tmp_path, capsys):
         out = tmp_path / "dark"
@@ -216,3 +246,24 @@ class TestSweepCommand:
             "--out", str(tmp_path / "s"),
         ]) == 2
         assert "error" in capsys.readouterr().err
+
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+
+
+class TestBenchmarkHooks:
+    def test_traced_benchmark_child_runs(self, tmp_path):
+        # perfbench/child.py --trace 1 rebinds module-level names of the
+        # package; a rename must fail here, not silently in the benchmark
+        result = tmp_path / "r.json"
+        env = dict(os.environ, PYTHONPATH="src")
+        proc = subprocess.run(
+            [sys.executable, "perfbench/child.py", str(result), "1", "--",
+             "run", "--seconds", "1", "--out", str(tmp_path / "o")],
+            cwd=REPO_ROOT, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        data = json.loads(result.read_text())
+        assert data["exit_code"] == 0
+        calls, _, _ = data["trace"]["spans"]["plant.measure"]
+        assert calls > 0

@@ -8,7 +8,6 @@ from fringelock import controller
 from fringelock.calibration import CALIB_STEP, CalibrationConfig
 from fringelock.controller import (
     CLOSED_LOOP,
-    DELAYS,
     OPEN_LOOP,
     QKD_SLOT,
     TABLE_ENTRY,
@@ -21,7 +20,7 @@ from fringelock.controller import (
     run_stabilization_stage,
 )
 from fringelock.drift import DriftConfig
-from fringelock.hardware import NUM_DELAYS, DetectorConfig, select_delay
+from fringelock.hardware import NUM_DELAYS, DetectorConfig
 from fringelock.plant import Plant, PlantConfig
 
 from conftest import zero_noise_settings
@@ -120,9 +119,9 @@ def _reference_qkd_stage(table, plant, schedule, rng_delay):
     rows = []
     for _ in range(schedule.qkd_slots):
         index = int(rng_delay.integers(0, NUM_DELAYS))
-        counts = plant.measure(DELAYS[index], codes[index], schedule.qkd_slot_us)
-        vis = (counts.c1 - counts.c2) / counts.total if counts.total > 0 else math.nan
-        rows.append((index, counts.c1, counts.c2, vis))
+        c1, c2 = plant.measure(index, codes[index], schedule.qkd_slot_us)
+        vis = (c1 - c2) / (c1 + c2) if c1 + c2 > 0 else math.nan
+        rows.append((index, c1, c2, vis))
     return np.array(rows, dtype=QKD_SLOT)
 
 

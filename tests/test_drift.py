@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from fringelock.drift import DriftConfig, advance, advance_windows, initial_state, true_phase
-from fringelock.hardware import select_delay
 
 from conftest import ZERO_OFFSETS
 
@@ -76,7 +75,7 @@ class TestTruePhase:
         cfg = DriftConfig(path_walk_sigma=0.0, static_offsets=ZERO_OFFSETS)
         state = make_state(cfg)
         state.laser_eps = 1e-6  # huge detuning
-        assert true_phase(state, select_delay(0), cfg) == 0.0
+        assert true_phase(state, 0, cfg) == 0.0
 
     def test_longest_path_sensitivity(self):
         # 2*pi * 193.4 THz * 254 ns * 1e-9 detuning
@@ -85,14 +84,14 @@ class TestTruePhase:
         state.laser_eps = 1e-9
         expected = 2.0 * math.pi * 193.4e12 * 254e-9 * 1e-9
         assert expected == pytest.approx(0.3086, abs=2e-4)
-        assert true_phase(state, select_delay(127), cfg) == pytest.approx(expected, rel=1e-12)
+        assert true_phase(state, 127, cfg) == pytest.approx(expected, rel=1e-12)
 
     def test_decoupling_without_detuning(self):
         offsets = tuple(np.linspace(0.0, 6.0, 128))
         cfg = DriftConfig(path_walk_sigma=0.0, static_offsets=offsets)
         state = make_state(cfg)
         for idx in (0, 5, 64, 127):
-            assert true_phase(state, select_delay(idx), cfg) == pytest.approx(
+            assert true_phase(state, idx, cfg) == pytest.approx(
                 offsets[idx], abs=1e-12
             )
 
@@ -100,7 +99,7 @@ class TestTruePhase:
         cfg = DriftConfig(path_walk_sigma=0.0, static_offsets=ZERO_OFFSETS)
         state = make_state(cfg)
         state.laser_eps = 1e-10  # small enough that no path wraps past pi
-        phases = [true_phase(state, select_delay(i), cfg) for i in range(128)]
+        phases = [true_phase(state, i, cfg) for i in range(128)]
         shifts = [abs(p - phases[0]) for p in phases]
         assert all(b >= a for a, b in zip(shifts, shifts[1:]))
 
@@ -118,7 +117,7 @@ class TestAdvanceWindows:
         index = np.random.default_rng(9).integers(0, 128, size=300)
         expected = []
         for i in index.tolist():
-            expected.append(true_phase(reference, select_delay(i), cfg))
+            expected.append(true_phase(reference, i, cfg))
             advance(reference, 1e-4, cfg, reference_rng)
         phases = advance_windows(state, index, 1e-4, cfg, rng)
         assert phases.tolist() == expected

@@ -5,7 +5,7 @@ import pytest
 
 from fringelock.calibration import phase_to_compensation_code
 from fringelock.drift import DriftConfig
-from fringelock.hardware import DetectorConfig, select_delay
+from fringelock.hardware import DetectorConfig
 from fringelock.plant import Plant, PlantConfig
 
 from conftest import ZERO_OFFSETS, noiseless_plant, quiet_drift
@@ -22,10 +22,10 @@ class TestMeasure:
         offsets = tuple([alpha] + [0.0] * 127)
         plant = noiseless_plant(offsets=offsets)
         code = phase_to_compensation_code(alpha, plant.config.pm)
-        counts = plant.measure(select_delay(0), code, 100)
+        c1, c2 = plant.measure(0, code, 100)
         # residual is DAC quantization only; at 2e5 counts that rounds to zero
-        assert counts.c2 == 0
-        assert counts.c1 > 0
+        assert c2 == 0
+        assert c1 > 0
 
     def test_seeded_determinism(self):
         runs = []
@@ -33,8 +33,8 @@ class TestMeasure:
             plant = default_plant(seed=77)
             seq = []
             for i in range(300):
-                counts = plant.measure(select_delay(i % 128), i * 17 % 65536, 100)
-                seq.append((counts.c1, counts.c2))
+                c1, c2 = plant.measure(i % 128, i * 17 % 65536, 100)
+                seq.append((c1, c2))
             runs.append(seq)
         assert runs[0] == runs[1]
 
@@ -43,9 +43,9 @@ class TestMeasure:
         plant = Plant(PlantConfig(drift=quiet_drift(offsets), contrast=1.0), entropy=5)
         c1 = c2 = 0
         for _ in range(2000):
-            counts = plant.measure(select_delay(0), 0, 100)
-            c1 += counts.c1
-            c2 += counts.c2
+            n1, n2 = plant.measure(0, 0, 100)
+            c1 += n1
+            c2 += n2
         assert abs(c1 - c2) / (c1 + c2) < 0.02
 
     def test_phase_composition_wraps(self):
@@ -53,18 +53,16 @@ class TestMeasure:
         for raw, canonical in ((7.0, 7.0 - 2.0 * math.pi), (-1.0, 2.0 * math.pi - 1.0)):
             a = noiseless_plant(offsets=tuple([raw] + [0.0] * 127))
             b = noiseless_plant(offsets=tuple([canonical] + [0.0] * 127))
-            ca = a.measure(select_delay(0), 4321, 100)
-            cb = b.measure(select_delay(0), 4321, 100)
-            assert (ca.c1, ca.c2) == (cb.c1, cb.c2)
+            assert a.measure(0, 4321, 100) == b.measure(0, 4321, 100)
 
 
 class TestClock:
     def test_elapsed_is_sum_of_requested_windows(self):
         plant = default_plant(seed=3)
-        plant.measure(select_delay(0), 0, 100)
-        plant.measure(select_delay(1), 0, 250)
+        plant.measure(0, 0, 100)
+        plant.measure(1, 0, 250)
         plant.idle(650)
-        plant.measure(select_delay(2), 0, 1000)
+        plant.measure(2, 0, 1000)
         assert plant.elapsed_us == 2000
 
     def test_zero_idle_is_free(self):
@@ -75,7 +73,7 @@ class TestClock:
     def test_invalid_windows(self):
         plant = default_plant(seed=6)
         with pytest.raises(ValueError):
-            plant.measure(select_delay(0), 0, 0)
+            plant.measure(0, 0, 0)
         with pytest.raises(ValueError):
             plant.idle(-1)
 
@@ -98,5 +96,5 @@ class TestConfig:
         before = plant.elapsed_us
         _ = plant.state.laser_eps
         assert before == 0
-        plant.measure(select_delay(0), 0, 100)
+        plant.measure(0, 0, 100)
         assert plant.elapsed_us > before
