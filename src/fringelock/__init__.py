@@ -14,10 +14,10 @@ from .calibration import (
 )
 from .controller import (
     CLOSED_LOOP,
+    DELAY_SUMMARY,
     OPEN_LOOP,
     QKD_SLOT,
     TABLE_ENTRY,
-    DelaySummary,
     ExperimentReport,
     FrameSchedule,
     RunSettings,

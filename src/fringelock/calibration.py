@@ -10,10 +10,10 @@ fixed 23-step schedule:
               best (PT3),
 * step 23     re-apply the winner (PT5) to double-check its visibility.
 
-``run_calibration(delay_index, plant, cfg, pm)`` drives the search through
-``plant.measure(delay_index, code, window_us) -> (c1, c2)``. The steps of
-one search come back as one ``CALIB_STEP`` array, a row per step; DAC codes
-are plain ints.
+``run_calibration(delay_index, plant, cfg, pm, rows)`` drives the search
+through ``plant.measure(delay_index, code, window_us) -> (c1, c2)`` and
+appends one ``CALIB_STEP`` tuple per measured step to the caller's ``rows``,
+so the steps before an abort are kept there too; DAC codes are plain ints.
 
 The estimator inverts the fringe model f_k = (1 + cos(alpha + ext_k)) / 2,
 i.e. the preset phases add to the path phase inside the cosine (the only
@@ -60,12 +60,8 @@ class AmbiguousPhaseError(ValueError):
 class CalibrationAborted(RuntimeError):
     """A calibration step produced unusable data (e.g. zero total counts).
 
-    Carries the partial ``CALIB_STEP`` trace recorded before the fault.
+    The steps measured before the fault are already in the caller's rows.
     """
-
-    def __init__(self, message: str, trace: np.ndarray):
-        super().__init__(message)
-        self.trace = trace
 
 
 class Plantlike(Protocol):
@@ -123,15 +119,8 @@ class CalibrationConfig:
 @dataclass(frozen=True)
 class CalibResult:
     optimal_code: int
-    final_visibility: float
-    trace: np.ndarray  # CALIB_STEP rows, one per step
+    final_visibility: float  # measured at step 23
     accepted: bool
-
-    def __post_init__(self) -> None:
-        if len(self.trace) != TOTAL_STEPS:
-            raise ValueError(f"complete calibration trace has {TOTAL_STEPS} steps")
-        if self.final_visibility != self.trace["visibility"][-1]:
-            raise ValueError("final visibility must come from the last step")
 
 
 def least_squares_phase(observed: Sequence[float], plan: InitialStepPlan) -> float:
@@ -198,22 +187,21 @@ def run_calibration(
     plant: Plantlike,
     cfg: CalibrationConfig,
     pm: PmConfig,
+    rows: list[tuple],
 ) -> CalibResult:
     """Execute the fixed 23-step search for one delay path.
 
-    Ties on visibility resolve to the earliest step, so traces are
-    reproducible. The fine-scan winner competes against the coarse best it
-    is centered on: a scan point can only replace PT3 by strictly beating
-    it.
+    Appends one ``CALIB_STEP`` tuple per measured step to ``rows``. Ties on
+    visibility resolve to the earliest step, so traces are reproducible.
+    The fine-scan winner competes against the coarse best it is centered
+    on: a scan point can only replace PT3 by strictly beating it.
     """
-    rows: list[tuple] = []
 
     def step(index: int, code: int) -> float:
         c1, c2 = plant.measure(delay_index, code, cfg.step_window_us)
         if c1 + c2 == 0:
             raise CalibrationAborted(
-                f"zero total counts at calibration step {index} of delay {delay_index}",
-                np.array(rows, dtype=CALIB_STEP),
+                f"zero total counts at calibration step {index} of delay {delay_index}"
             )
         vis = visibility(c1, c2)
         rows.append((delay_index, index, code, c1, c2, vis))
@@ -222,12 +210,12 @@ def run_calibration(
     # steps 1-4: preset phases for the least-squares estimate
     for k, ext in enumerate(cfg.plan.ext_phases):
         step(k + 1, voltage_to_code(voltage_for_phase(ext, pm), pm))
-    fractions = [c1 / (c1 + c2) for *_, c1, c2, _ in rows]
+    fractions = [c1 / (c1 + c2) for *_, c1, c2, _ in rows[-4:]]
     try:
         alpha_hat = least_squares_phase(fractions, cfg.plan)
     except AmbiguousPhaseError as exc:
         # no usable fringe information: treat like a plant fault
-        raise CalibrationAborted(str(exc), np.array(rows, dtype=CALIB_STEP)) from exc
+        raise CalibrationAborted(str(exc)) from exc
 
     # step 5: apply the estimate so PT1's visibility is itself observable
     pt1_code = phase_to_compensation_code(alpha_hat, pm)
@@ -262,6 +250,5 @@ def run_calibration(
     return CalibResult(
         optimal_code=pt5_code,
         final_visibility=final_visibility,
-        trace=np.array(rows, dtype=CALIB_STEP),
         accepted=final_visibility >= cfg.accept_threshold,
     )

@@ -14,7 +14,7 @@ import math
 import sys
 from pathlib import Path
 
-from .config import ConfigError, load_config, override_settings, write_config
+from .config import ConfigError, load_config, write_config
 from .controller import ExperimentReport, RunSettings, run_experiment
 from .keyrate import KeyRateParams, error_threshold, key_rate
 from .reporting import (
@@ -72,11 +72,12 @@ def _add_run_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _settings_from_args(args: argparse.Namespace) -> tuple[RunSettings, Path]:
-    settings, output_dir = load_config(args.config, args.overrides)
-    settings = override_settings(
-        settings, seconds=args.seconds, mode=args.mode, seed=args.seed
-    )
+def _settings_from_args(args: argparse.Namespace, *swept: str) -> tuple[RunSettings, Path]:
+    """Defaults, --config, --set, then --seconds, --seed and --mode as run.*
+    keys, then any swept key: each source beats those before it."""
+    shorthands = {"seconds": args.seconds, "seed": args.seed, "mode": args.mode}
+    run_keys = [f"run.{k}={v}" for k, v in shorthands.items() if v is not None]
+    settings, output_dir = load_config(args.config, [*args.overrides, *run_keys, *swept])
     if args.out:
         output_dir = args.out
     return settings, Path(output_dir)
@@ -141,7 +142,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     raw_values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not raw_values:
         raise ConfigError("sweep needs at least one value")
-    base_overrides = list(args.overrides)
     _, out_default = _settings_from_args(args)  # validate base config early
     out_dir = Path(args.out) if args.out else out_default
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -155,12 +155,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         )
         for raw in raw_values:
             try:
-                settings, _ = load_config(args.config, base_overrides + [f"{args.param}={raw}"])
-                # every value runs at the same base seed so value-to-value
-                # comparisons are paired
-                settings = override_settings(
-                    settings, seconds=args.seconds, mode=args.mode, seed=args.seed
-                )
+                # unless the seed is swept, every value runs at the same base
+                # seed, so value-to-value comparisons are paired
+                settings, _ = _settings_from_args(args, f"{args.param}={raw}")
                 report = run_experiment(settings)
                 _require_counts(report)
             except (ConfigError, ValueError) as exc:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import fields, is_dataclass, replace
+from dataclasses import fields, is_dataclass
 from operator import attrgetter
 from pathlib import Path
 from typing import get_type_hints
@@ -168,9 +168,3 @@ def write_config(settings: RunSettings, output_dir: str, path: str | Path) -> No
         parser.set(section, key, _format_value(values[attr]))
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         parser.write(handle)
-
-
-def override_settings(settings: RunSettings, **kwargs) -> RunSettings:
-    """Apply run-level overrides (seconds, mode, seed) preserving validation."""
-    updates = {k: v for k, v in kwargs.items() if v is not None}
-    return replace(settings, **updates) if updates else settings

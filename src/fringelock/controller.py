@@ -8,8 +8,9 @@ and checkable from traces.
 
 Stage results are columnar: the stabilization stage returns the refreshed
 table as one ``TABLE_ENTRY`` array (a row per delay, its DAC code a plain
-int) plus one ``CALIB_STEP`` array of every step it ran, and the QKD stage
-returns one ``QKD_SLOT`` array with a row per switch slot.
+int) plus one ``CALIB_STEP`` array built once from the rows its 128
+calibrations append, and the QKD stage returns one ``QKD_SLOT`` array with
+a row per switch slot. A run's per-delay results are one ``DELAY_SUMMARY``.
 """
 
 from __future__ import annotations
@@ -115,19 +116,17 @@ def run_stabilization_stage(
         )
     start_us = plant.elapsed_us
     entries: list[tuple] = []
-    traces: list[np.ndarray] = []
+    rows: list[tuple] = []
     for index in range(NUM_DELAYS):
         slot_start = plant.elapsed_us
         try:
-            result = run_calibration(index, plant, calib_cfg, plant.config.pm)
+            result = run_calibration(index, plant, calib_cfg, plant.config.pm, rows)
             entries.append((result.optimal_code, result.final_visibility, result.accepted, second))
-            traces.append(result.trace)
-        except CalibrationAborted as fault:
+        except CalibrationAborted:
             entries.append((previous["code"][index], math.nan, False, second))
-            traces.append(fault.trace)
         plant.idle(slot_start + schedule.perm_slot_us - plant.elapsed_us)
     plant.idle(start_us + schedule.stab_duration_us - plant.elapsed_us)
-    return np.array(entries, dtype=TABLE_ENTRY), np.concatenate(traces)
+    return np.array(entries, dtype=TABLE_ENTRY), np.array(rows, dtype=CALIB_STEP)
 
 
 def run_qkd_stage(
@@ -158,33 +157,28 @@ def run_qkd_stage(
     return slots
 
 
-@dataclass(frozen=True)
-class DelaySummary:
-    """Per-delay aggregate over a run; min_visibility is the worst
-    per-second mean, not the worst single slot."""
-
-    delay_index: int
-    delay_ns: int
-    mean_visibility: float
-    min_visibility: float
-    e_bit_proxy: float
-    accepted_fraction: float
-    slots: int
+#: One delay's aggregate over a run, NaN where no slot counted; min_visibility
+#: is the worst per-second mean, not the worst single slot.
+DELAY_SUMMARY = np.dtype(
+    [("delay_index", np.int64), ("delay_ns", np.int64), ("mean_visibility", np.float64),
+     ("min_visibility", np.float64), ("e_bit_proxy", np.float64),
+     ("accepted_fraction", np.float64), ("slots", np.int64)]
+)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExperimentReport:
     seconds: int
     mode: str
     seed: int
-    per_delay: tuple[DelaySummary, ...]
+    per_delay: np.ndarray  # DELAY_SUMMARY, a row per delay
     global_mean_visibility: float
     mean_calib_visibility: float
     e_bit_overall: float
     simulated_us: int
 
     def fraction_delays_at_least(self, threshold: float) -> float:
-        ok = sum(1 for d in self.per_delay if d.mean_visibility >= threshold)
+        ok = int(np.count_nonzero(self.per_delay["mean_visibility"] >= threshold))
         return ok / len(self.per_delay)
 
     def key_rate_per_train(self, L: int = 128, v_th: float = 1.0, q: float = 1.0) -> float:
@@ -256,16 +250,15 @@ def run_experiment(config: "RunSettings", sink: SecondSink | None = None) -> Exp
         if plant.elapsed_us != (second + 1) * US_PER_SECOND:
             raise RuntimeError(f"clock skew: {plant.elapsed_us} us after second {second}")
 
+    per_delay = np.empty(NUM_DELAYS, dtype=DELAY_SUMMARY)
+    per_delay["delay_index"] = np.arange(NUM_DELAYS)
+    per_delay["delay_ns"] = DELAY_NS
     mean_vis = np.divide(vis_sum, vis_slots, out=np.full(NUM_DELAYS, math.nan), where=vis_slots > 0)
-    # columns in DelaySummary field order, after delay_index and delay_ns
-    columns = zip(
-        mean_vis.tolist(),
-        min_second_mean.tolist(),
-        ((1.0 - mean_vis) / 2.0).tolist(),
-        (accepted / calibrated_seconds).tolist(),
-        vis_slots.tolist(),
-    )
-    per_delay = tuple(DelaySummary(i, DELAY_NS[i], *row) for i, row in enumerate(columns))
+    per_delay["mean_visibility"] = mean_vis
+    per_delay["min_visibility"] = min_second_mean
+    per_delay["e_bit_proxy"] = (1.0 - mean_vis) / 2.0
+    per_delay["accepted_fraction"] = accepted / calibrated_seconds
+    per_delay["slots"] = vis_slots
     # sum() adds the np.float64 elements one by one in delay order, as the
     # pinned outputs need; np.sum's pairwise order would change the bits
     total_slots = int(vis_slots.sum())
@@ -304,3 +297,12 @@ class RunSettings:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if TOTAL_STEPS * self.calibration.step_window_us > self.schedule.perm_slot_us:
             raise ValueError("calibration steps do not fit the permutation slot")
+        # both ports' counts and their sum must fit the int64 count columns
+        det = self.plant.detector
+        window_us = max(self.calibration.step_window_us, self.schedule.qkd_slot_us)
+        expected = (det.input_rate * det.efficiency + 2 * det.dark_rate) * window_us * 1e-6
+        if expected > 2**62:
+            raise ValueError(
+                f"{expected:.3g} expected counts per {window_us} us window exceed 2**62; "
+                "lower detector.input_rate, detector.efficiency or detector.dark_rate"
+            )

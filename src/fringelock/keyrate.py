@@ -34,8 +34,8 @@ class KeyRateParams:
             raise ValueError(
                 f"v_th must lie in (0, (L-1)/2] = (0, {(self.L - 1) / 2}], got {self.v_th}"
             )
-        if self.Q < 0.0:
-            raise ValueError(f"Q must be >= 0, got {self.Q}")
+        if not 0.0 <= self.Q < math.inf:
+            raise ValueError(f"Q must be finite and >= 0, got {self.Q}")
         if not 0.0 <= self.e_bit <= 0.5:
             raise ValueError(f"e_bit must lie in [0, 0.5], got {self.e_bit}")
 

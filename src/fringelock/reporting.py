@@ -10,7 +10,8 @@ Column layouts are the stable external contract (schema v1):
 Floats are written with fixed precision and a fixed line terminator so
 identical (config, seed) runs produce byte-identical files; NaN is written
 as an empty field. Trace rows are built one per row of a second's
-``CALIB_STEP`` and ``QKD_SLOT`` arrays.
+``CALIB_STEP`` and ``QKD_SLOT`` arrays; the summary file and the report
+read the columns of the run's ``DELAY_SUMMARY`` array.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ import csv
 import math
 from pathlib import Path
 from typing import IO, Sequence
+
+import numpy as np
 
 from .controller import ExperimentReport
 from .hardware import PmConfig, dac_to_voltage
@@ -56,46 +59,37 @@ def qkd_trace_row(second: int, slot: int, row: Sequence) -> tuple:
 
 
 def write_summary(report: ExperimentReport, path: str | Path) -> None:
+    # the header names DELAY_SUMMARY columns; those after the two ints are floats
+    columns = [report.per_delay[name].tolist() for name in PER_DELAY_HEADER]
+    columns[2:] = [[_fmt(v) for v in column] for column in columns[2:]]
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = make_writer(handle)
         writer.writerow(PER_DELAY_HEADER)
-        for d in report.per_delay:
-            writer.writerow(
-                (
-                    d.delay_index,
-                    d.delay_ns,
-                    _fmt(d.mean_visibility),
-                    _fmt(d.min_visibility),
-                    _fmt(d.e_bit_proxy),
-                    _fmt(d.accepted_fraction),
-                )
-            )
+        writer.writerows(zip(*columns))
 
 
 def render_report(report: ExperimentReport, threshold: float = 0.96) -> str:
     """Plain-text summary; the fraction of delays holding the visibility
     target is the headline number."""
-    frac = report.fraction_delays_at_least(threshold)
-    count = sum(1 for d in report.per_delay if d.mean_visibility >= threshold)
-    worst = min(
-        (d for d in report.per_delay if not math.isnan(d.mean_visibility)),
-        key=lambda d: d.mean_visibility,
-        default=None,
-    )
-    accepted = [d.accepted_fraction for d in report.per_delay]
+    mean_vis = report.per_delay["mean_visibility"]
+    count = int(np.count_nonzero(mean_vis >= threshold))
+    accepted = report.per_delay["accepted_fraction"]
     lines = [
         f"run: {report.seconds} s, mode={report.mode}, seed={report.seed}",
         f"global mean visibility: {report.global_mean_visibility:.6f}",
         f"delays with mean visibility >= {threshold:.2f}: {count}/{len(report.per_delay)}"
-        f" ({100.0 * frac:.1f}%)",
+        f" ({100.0 * count / len(report.per_delay):.1f}%)",
     ]
-    if worst is not None:
+    if not np.isnan(mean_vis).all():
+        # the first of equal minima, as a scan in delay order finds it
+        worst = report.per_delay[np.nanargmin(mean_vis)]
         lines.append(
-            f"lowest per-delay mean visibility: {worst.mean_visibility:.6f}"
-            f" (delay index {worst.delay_index}, {worst.delay_ns} ns)"
+            f"lowest per-delay mean visibility: {worst['mean_visibility']:.6f}"
+            f" (delay index {worst['delay_index']}, {worst['delay_ns']} ns)"
         )
     if not math.isnan(report.mean_calib_visibility):
         lines.append(f"mean calibration visibility: {report.mean_calib_visibility:.6f}")
+    # sum() adds in delay order, one element at a time, as the pinned report needs
     lines.append(
         f"calibration acceptance: {100.0 * sum(accepted) / len(accepted):.1f}% of refreshes"
     )

@@ -67,7 +67,7 @@ def open_loop_run():
 
 def test_a1_visibility_stability(closed_loop_run):
     report, wall = closed_loop_run
-    vis = np.array([d.mean_visibility for d in report.per_delay])
+    vis = report.per_delay["mean_visibility"]
     frac = report.fraction_delays_at_least(0.96)
     ok = frac >= 0.90 and vis.min() >= 0.90 and wall < 60.0
     check(
@@ -81,8 +81,8 @@ def test_a1_visibility_stability(closed_loop_run):
 def test_a2_downward_trend_with_delay(laser_only_run):
     report = laser_only_run
     rho, _ = spearmanr(
-        [d.delay_ns for d in report.per_delay],
-        [d.mean_visibility for d in report.per_delay],
+        report.per_delay["delay_ns"],
+        report.per_delay["mean_visibility"],
     )
     check("A2", rho < 0.0, f"spearman(delay_ns, mean visibility) = {rho:.3f} (< 0)")
 
@@ -113,7 +113,7 @@ def test_a4_staged_search_matches_exhaustive_oracle():
     worst_est = 0.0
     for alpha in np.arange(256) * (2.0 * math.pi / 256):
         offsets = tuple([float(alpha)] + [0.0] * 127)
-        result = run_calibration(0, noiseless_plant(offsets=offsets), calib, pm)
+        result = run_calibration(0, noiseless_plant(offsets=offsets), calib, pm, [])
         phi = voltage_to_phase(dac_to_voltage(result.optimal_code, pm), pm)
         staged = math.cos(alpha + phi)
         oracle = float(np.max(np.cos(alpha + phases)))

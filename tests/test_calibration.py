@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fringelock.calibration import (
+    CALIB_STEP,
     AmbiguousPhaseError,
     CalibrationAborted,
     CalibrationConfig,
@@ -123,16 +124,29 @@ class _ScriptedPlant:
 class TestRunCalibration:
     def test_noiseless_zero_phase(self):
         plant = noiseless_plant(input_rate=2.5e7)
-        result = run_calibration(0, plant, CalibrationConfig(), PM)
+        rows = []
+        result = run_calibration(0, plant, CalibrationConfig(), PM, rows)
+        trace = np.array(rows, dtype=CALIB_STEP)
         assert result.final_visibility == 1.0
         assert result.accepted
-        assert len(result.trace) == 23
-        assert result.trace["step_index"].tolist() == list(range(1, 24))
+        assert len(trace) == 23
+        assert trace["step_index"].tolist() == list(range(1, 24))
         # steps 1-4 applied the plan phases as voltages
-        for code, ext in zip(result.trace["dac_code"][:4].tolist(), PLAN.ext_phases):
+        for code, ext in zip(trace["dac_code"][:4].tolist(), PLAN.ext_phases):
             applied = voltage_to_phase(dac_to_voltage(code, PM), PM)
             assert abs(circular_diff(applied, ext)) < 1e-4
-        assert result.trace["dac_code"][-1] == result.optimal_code
+        assert trace["dac_code"][-1] == result.optimal_code
+        assert trace["visibility"][-1] == result.final_visibility
+
+    def test_appends_after_the_callers_rows(self):
+        # the stage shares one list across delays: earlier rows stay as they
+        # are, and the estimate reads only this search's steps 1-4
+        plant_a, plant_b = noiseless_plant(input_rate=2.5e7), noiseless_plant(input_rate=2.5e7)
+        fresh, shared = [], [(9, 1, 0, 1, 0, 1.0)] * 5
+        expected = run_calibration(4, plant_a, CalibrationConfig(), PM, fresh)
+        assert run_calibration(4, plant_b, CalibrationConfig(), PM, shared) == expected
+        assert shared[:5] == [(9, 1, 0, 1, 0, 1.0)] * 5
+        assert shared[5:] == fresh
 
     def test_staged_search_tracks_exhaustive_optimum(self):
         cfg = CalibrationConfig()
@@ -142,7 +156,7 @@ class TestRunCalibration:
         for alpha in rng.uniform(0.0, TWO_PI, size=16):
             offsets = tuple([float(alpha)] + [0.0] * 127)
             plant = noiseless_plant(offsets=offsets)
-            result = run_calibration(0, plant, cfg, PM)
+            result = run_calibration(0, plant, cfg, PM, [])
             phi = voltage_to_phase(dac_to_voltage(result.optimal_code, PM), PM)
             residual = abs(circular_diff(alpha + phi, 0.0))
             assert residual <= bound
@@ -152,9 +166,9 @@ class TestRunCalibration:
         for alpha in rng.uniform(0.0, TWO_PI, size=8):
             offsets = tuple([float(alpha)] + [0.0] * 127)
             plant = noiseless_plant(offsets=offsets, input_rate=2.5e7)
-            result = run_calibration(0, plant, CalibrationConfig(), PM)
-            by_step = dict(zip(result.trace["step_index"].tolist(),
-                               result.trace["visibility"].tolist()))
+            rows = []
+            result = run_calibration(0, plant, CalibrationConfig(), PM, rows)
+            by_step = {step: vis for _, step, *_, vis in rows}
             candidates = [by_step[i] for i in range(5, 23)]
             # the double-check step re-measures the best candidate seen
             assert result.final_visibility == max(candidates)
@@ -178,27 +192,30 @@ class TestRunCalibration:
                 ),
                 entropy=10_000 + trial,
             )
-            result = run_calibration(delay, plant, cfg, plant.config.pm)
+            result = run_calibration(delay, plant, cfg, plant.config.pm, [])
             hits += result.final_visibility >= 0.98
         assert hits >= 950
 
     def test_abort_on_dark_plant(self):
         plant = _ScriptedPlant([(900, 100), (500, 500), (100, 900), (500, 500), (0, 0)])
-        with pytest.raises(CalibrationAborted) as excinfo:
-            run_calibration(3, plant, CalibrationConfig(), PM)
-        assert len(excinfo.value.trace) == 4  # steps before the fault are kept
+        rows = []
+        with pytest.raises(CalibrationAborted):
+            run_calibration(3, plant, CalibrationConfig(), PM, rows)
+        assert len(rows) == 4  # steps before the fault are kept
 
     def test_ambiguous_initial_steps_abort(self):
         plant = _ScriptedPlant([(500, 500)])
+        rows = []
         with pytest.raises(CalibrationAborted):
-            run_calibration(3, plant, CalibrationConfig(), PM)
+            run_calibration(3, plant, CalibrationConfig(), PM, rows)
+        assert len(rows) == 4  # the four flat steps are kept
 
     def test_tie_break_earliest_measurement(self):
         # distinct first four steps pin the estimate at 0, then every
         # candidate measures the same visibility: PT1 (step 5) must win
         schedule = [(900, 100), (500, 500), (100, 900), (500, 500)] + [(60, 40)] * 19
         plant = _ScriptedPlant(schedule)
-        result = run_calibration(3, plant, CalibrationConfig(), PM)
+        result = run_calibration(3, plant, CalibrationConfig(), PM, [])
         assert result.optimal_code == 0  # PT1's code for phase 0
         assert result.final_visibility == pytest.approx(0.2)
         assert not result.accepted
@@ -250,8 +267,9 @@ class TestWrapIntoSpan:
 
     def test_huge_scan_interval_completes(self):
         cfg = CalibrationConfig(coarse_interval=1e9, fine_interval=1e9)
-        result = run_calibration(0, noiseless_plant(), cfg, PM)
-        assert len(result.trace) == 23
+        rows = []
+        run_calibration(0, noiseless_plant(), cfg, PM, rows)
+        assert len(rows) == 23
 
     @given(st.floats(allow_nan=False, allow_infinity=False))
     def test_any_finite_voltage_lands_in_span_with_its_phase(self, v):

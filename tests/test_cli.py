@@ -34,16 +34,35 @@ PINNED_DIGESTS = {
     "report.txt": "350111bd8402a7d4be9434186dd1853487a37c119435f045377ca936d2cd9963",
 }
 
+#: SHA-256 of `run --seconds 1 --seed 0` at 1e5 photons/s with no dark
+#: counts, taken as above: 122 of its 128 calibrations abort, keeping
+#: partial step traces of 0 to 21 rows, so the abort path is pinned too.
+LOW_LIGHT_ARGS = ["--set", "detector.input_rate=100000", "--set", "detector.dark_rate=0"]
+LOW_LIGHT_DIGESTS = {
+    "calib_trace.csv": "e66101aa3b77f864a5223a355f0ebe80e1bdb3b3162181c516b236c7e0ececbc",
+    "qkd_trace.csv": "9fa539ce6502516a7452a84c203f1768748b89cbec63a24fb8dac1ccdd36f721",
+    "per_delay_summary.csv": "bf5fc2e03e9445e63f372ef7bcb5f48bdc4b4f46d968cc083aecd73aa5f0ef95",
+    "report.txt": "971e15f99477b2696ab36e0be60c453c9f765f04ef5c0752c8b7dfdf789fd42d",
+}
+
 
 class TestRunCommand:
-    def test_outputs_match_pinned_digests(self, tmp_path):
+    @pytest.mark.parametrize(
+        "argv, pinned",
+        [
+            (["run", "--seconds", "2", "--seed", "0"], PINNED_DIGESTS),
+            (["run", "--seconds", "1", "--seed", "0", *LOW_LIGHT_ARGS], LOW_LIGHT_DIGESTS),
+        ],
+        ids=["default", "low-light-aborts"],
+    )
+    def test_outputs_match_pinned_digests(self, tmp_path, argv, pinned):
         out = tmp_path / "run"
-        assert main(["run", "--seconds", "2", "--seed", "0", "--out", str(out)]) == 0
+        assert main([*argv, "--out", str(out)]) == 0
         digests = {
             name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-            for name in PINNED_DIGESTS
+            for name in pinned
         }
-        assert digests == PINNED_DIGESTS
+        assert digests == pinned
 
     def test_zero_noise_summary(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -121,6 +140,33 @@ class TestRunCommand:
             "--set", "pm.v_max=8e307", "--set", "pm.v_min=-8e307",
         ]) == 0
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            ["detector.input_rate=1e300"],
+            ["detector.input_rate=1e300", "detector.shot_noise=false"],
+            ["detector.dark_rate=1e300"],
+            ["detector.input_rate=5e23", "detector.shot_noise=false"],
+        ],
+        ids=["input-rate", "input-rate-no-shot-noise", "dark-rate", "5e23-no-shot-noise"],
+    )
+    def test_counts_past_int64_exit_2_naming_the_keys(self, tmp_path, capsys, overrides):
+        out = tmp_path / "x"
+        sets = [arg for item in overrides for arg in ("--set", item)]
+        assert main(["run", "--seconds", "1", "--out", str(out), *sets]) == 2
+        err = capsys.readouterr().err
+        for key in ("detector.input_rate", "detector.efficiency", "detector.dark_rate"):
+            assert key in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("shot_noise", ["true", "false"])
+    def test_counts_within_int64_still_run(self, tmp_path, shot_noise):
+        # 2e18 expected counts per 100 us window, under the 2**62 limit
+        assert main([
+            "run", "--seconds", "1", "--out", str(tmp_path / "x"),
+            "--set", "detector.input_rate=1e23", "--set", f"detector.shot_noise={shot_noise}",
+        ]) == 0
+
     def test_dark_run_exits_2_and_keeps_outputs(self, tmp_path, capsys):
         out = tmp_path / "dark"
         code = main([
@@ -163,6 +209,13 @@ class TestKeyrateCommand:
     def test_domain_error_exits_2(self, capsys):
         assert main(["keyrate", "128", "1", "1.0", "0.7"]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("q", ["nan", "inf"])
+    def test_non_finite_q_exits_2(self, capsys, q):
+        assert main(["keyrate", "128", "1", q, "0"]) == 2
+        captured = capsys.readouterr()
+        assert "Q must be finite" in captured.err
+        assert "R =" not in captured.out
 
 
 class TestSweepCommand:
@@ -207,6 +260,23 @@ class TestSweepCommand:
         assert code == 0
         rows = {r["value"]: float(r["global_mean_visibility"]) for r in read_rows(out / "sweep.csv")}
         assert rows["closed-loop"] > rows["open-loop"]
+
+    def test_swept_run_key_beats_the_shorthand(self, tmp_path):
+        swept = tmp_path / "swept"
+        assert main([
+            "sweep", "--param", "run.seed", "--values", "1,2",
+            "--seconds", "1", "--seed", "5", "--out", str(swept),
+        ]) == 0
+        rows = read_rows(swept / "sweep.csv")
+        assert [r["seed"] for r in rows] == ["1", "2"]
+        assert rows[0]["global_mean_visibility"] != rows[1]["global_mean_visibility"]
+        # --seed alone still sets every row's seed, over a --set of run.seed
+        base = tmp_path / "base"
+        assert main([
+            "sweep", "--param", "drift.path_walk_sigma", "--values", "0.01,0.02",
+            "--seconds", "1", "--seed", "5", "--set", "run.seed=9", "--out", str(base),
+        ]) == 0
+        assert [r["seed"] for r in read_rows(base / "sweep.csv")] == ["5", "5"]
 
     def test_rejected_value_keeps_the_other_rows(self, tmp_path, capsys):
         out = tmp_path / "sweep"

@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fringelock.calibration import QUADRATURE_PHASES
-from fringelock.config import SCHEMA, ConfigError, load_config, override_settings, write_config
+from fringelock.config import SCHEMA, ConfigError, load_config, write_config
 from fringelock.controller import MODES, RunSettings
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -102,16 +102,6 @@ class TestRoundTrip:
         write_config(settings, "out", echo)
         reloaded, _ = load_config(echo)
         assert reloaded.plant.drift.static_offsets == settings.plant.drift.static_offsets
-
-
-class TestOverrideSettings:
-    def test_seed_reaches_the_plant(self):
-        settings = override_settings(RunSettings(), seed=555)
-        assert settings.seed == 555
-
-    def test_none_values_ignored(self):
-        base = RunSettings()
-        assert override_settings(base, seconds=None, mode=None, seed=None) == base
 
 
 class TestValueErrors:

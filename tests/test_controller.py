@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -8,6 +8,7 @@ from fringelock import controller
 from fringelock.calibration import CALIB_STEP, CalibrationConfig
 from fringelock.controller import (
     CLOSED_LOOP,
+    DELAY_SUMMARY,
     OPEN_LOOP,
     QKD_SLOT,
     TABLE_ENTRY,
@@ -224,16 +225,22 @@ class TestBatchedQkdStage:
 class TestRunExperiment:
     def test_zero_noise_single_second(self):
         report = run_experiment(zero_noise_settings())
+        assert report.per_delay.dtype == DELAY_SUMMARY
         assert len(report.per_delay) == 128
-        assert all(d.mean_visibility == 1.0 for d in report.per_delay)
-        assert all(d.e_bit_proxy == 0.0 for d in report.per_delay)
+        assert report.per_delay["delay_index"].tolist() == list(range(128))
+        assert report.per_delay["delay_ns"].tolist() == [2 * i for i in range(128)]
+        assert (report.per_delay["mean_visibility"] == 1.0).all()
+        assert (report.per_delay["e_bit_proxy"] == 0.0).all()
         assert report.global_mean_visibility == 1.0
         assert report.simulated_us == 1_000_000
 
     def test_deterministic_reports(self):
         settings = RunSettings(seconds=2, seed=31)
         a, b = run_experiment(settings), run_experiment(settings)
-        assert a == b
+        assert a.per_delay.tobytes() == b.per_delay.tobytes()
+        for f in fields(a):
+            if f.name != "per_delay":
+                assert getattr(a, f.name) == getattr(b, f.name)
 
     def test_slot_records_and_calib_traces_via_sinks(self):
         settings = RunSettings(seconds=2, seed=32)
@@ -257,12 +264,13 @@ class TestRunExperiment:
         assert report.mode == OPEN_LOOP
         assert report.simulated_us == 3_000_000
         # a single calibration means acceptance is counted against one refresh
-        assert all(d.accepted_fraction in (0.0, 1.0) for d in report.per_delay)
+        assert set(report.per_delay["accepted_fraction"].tolist()) <= {0.0, 1.0}
 
     def test_e_bit_excludes_balanced_delay(self):
         report = run_experiment(RunSettings(seconds=1, seed=34))
-        tail = [d for d in report.per_delay if d.delay_index > 0 and d.slots > 0]
-        weighted = sum(d.mean_visibility * d.slots for d in tail) / sum(d.slots for d in tail)
+        d = report.per_delay
+        tail = d[(d["delay_index"] > 0) & (d["slots"] > 0)]
+        weighted = (tail["mean_visibility"] * tail["slots"]).sum() / tail["slots"].sum()
         assert report.e_bit_overall == pytest.approx((1.0 - weighted) / 2.0, abs=1e-12)
 
     def test_mode_validation(self):

@@ -79,6 +79,11 @@ class TestKeyRate:
         with pytest.raises(ValueError):
             KeyRateParams(L=128, v_th=1, Q=1.0, e_bit=0.6)
 
+    @pytest.mark.parametrize("q", [math.nan, math.inf])
+    def test_non_finite_q_rejected(self, q):
+        with pytest.raises(ValueError, match="Q must be finite"):
+            KeyRateParams(L=128, v_th=1, Q=q, e_bit=0.0)
+
 
 class TestErrorThreshold:
     def test_long_train_threshold(self):

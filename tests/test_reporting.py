@@ -3,7 +3,13 @@ from dataclasses import replace
 
 import numpy as np
 
-from fringelock.controller import QKD_SLOT, RunSettings, run_experiment
+from fringelock.controller import (
+    DELAY_SUMMARY,
+    QKD_SLOT,
+    ExperimentReport,
+    RunSettings,
+    run_experiment,
+)
 from fringelock.reporting import qkd_trace_row, render_report, write_summary
 
 from conftest import zero_noise_settings
@@ -36,3 +42,19 @@ def test_report_mentions_headline_fraction():
     assert "delays with mean visibility >= 0.96" in text
     assert f"seed={report.seed}" in text
     assert "e_bit proxy" in text
+
+
+def test_worst_delay_is_the_first_of_equal_minima():
+    per_delay = np.zeros(128, dtype=DELAY_SUMMARY)
+    per_delay["delay_index"] = np.arange(128)
+    per_delay["delay_ns"] = 2 * np.arange(128)
+    per_delay["mean_visibility"] = 0.99
+    per_delay["mean_visibility"][[3, 40, 41]] = (math.nan, 0.5, 0.5)
+    report = ExperimentReport(
+        seconds=1, mode="closed-loop", seed=0, per_delay=per_delay,
+        global_mean_visibility=0.98, mean_calib_visibility=0.99,
+        e_bit_overall=0.01, simulated_us=1_000_000,
+    )
+    text = render_report(report)
+    assert "lowest per-delay mean visibility: 0.500000 (delay index 40, 80 ns)" in text
+    assert "delays with mean visibility >= 0.96: 125/128" in text
