@@ -14,6 +14,8 @@ fixed 23-step schedule:
 through ``plant.measure(delay_index, code, window_us) -> (c1, c2)`` and
 appends one ``CALIB_STEP`` tuple per measured step to the caller's ``rows``,
 so the steps before an abort are kept there too; DAC codes are plain ints.
+The step 1-4 codes depend only on the plan and the modulator, so a caller
+running many calibrations passes ``preset_codes(plan, pm)`` once.
 
 The estimator inverts the fringe model f_k = (1 + cos(alpha + ext_k)) / 2,
 i.e. the preset phases add to the path phase inside the cosine (the only
@@ -182,12 +184,18 @@ def _wrap_into_span(v: float, cfg: PmConfig) -> float:
     return float(exact)
 
 
+def preset_codes(plan: InitialStepPlan, pm: PmConfig) -> tuple[int, ...]:
+    """DAC codes of the four preset phases of steps 1-4."""
+    return tuple(voltage_to_code(voltage_for_phase(ext, pm), pm) for ext in plan.ext_phases)
+
+
 def run_calibration(
     delay_index: int,
     plant: Plantlike,
     cfg: CalibrationConfig,
     pm: PmConfig,
     rows: list[tuple],
+    presets: Sequence[int] | None = None,
 ) -> CalibResult:
     """Execute the fixed 23-step search for one delay path.
 
@@ -195,6 +203,7 @@ def run_calibration(
     visibility resolve to the earliest step, so traces are reproducible.
     The fine-scan winner competes against the coarse best it is centered
     on: a scan point can only replace PT3 by strictly beating it.
+    ``presets`` are ``preset_codes(cfg.plan, pm)``, computed here if None.
     """
 
     def step(index: int, code: int) -> float:
@@ -208,8 +217,10 @@ def run_calibration(
         return vis
 
     # steps 1-4: preset phases for the least-squares estimate
-    for k, ext in enumerate(cfg.plan.ext_phases):
-        step(k + 1, voltage_to_code(voltage_for_phase(ext, pm), pm))
+    if presets is None:
+        presets = preset_codes(cfg.plan, pm)
+    for k, code in enumerate(presets):
+        step(k + 1, code)
     fractions = [c1 / (c1 + c2) for *_, c1, c2, _ in rows[-4:]]
     try:
         alpha_hat = least_squares_phase(fractions, cfg.plan)

@@ -27,6 +27,7 @@ from .calibration import (
     CalibrationConfig,
     TOTAL_STEPS,
     phase_to_compensation_code,
+    preset_codes,
     run_calibration,
 )
 from .hardware import DELAY_NS, NUM_DELAYS
@@ -107,24 +108,23 @@ def run_stabilization_stage(
     Returns the refreshed ``TABLE_ENTRY`` table plus the ``CALIB_STEP``
     rows of all 128 searches in delay order. An aborted calibration leaves
     a partial trace, and its entry keeps the previous second's code with
-    NaN visibility and is marked not accepted.
+    NaN visibility and is marked not accepted. Each slot's drift is
+    prefetched in one draw (``Plant.open_slot``), with the numbers that
+    measuring step by step and idling to the slot end would give.
     """
-    if TOTAL_STEPS * calib_cfg.step_window_us > schedule.perm_slot_us:
-        raise ValueError(
-            f"{TOTAL_STEPS} steps of {calib_cfg.step_window_us} us exceed the "
-            f"{schedule.perm_slot_us} us permutation slot"
-        )
+    pm = plant.config.pm
+    presets = preset_codes(calib_cfg.plan, pm)
     start_us = plant.elapsed_us
     entries: list[tuple] = []
     rows: list[tuple] = []
     for index in range(NUM_DELAYS):
-        slot_start = plant.elapsed_us
+        plant.open_slot(index, calib_cfg.step_window_us, TOTAL_STEPS, schedule.perm_slot_us)
         try:
-            result = run_calibration(index, plant, calib_cfg, plant.config.pm, rows)
+            result = run_calibration(index, plant, calib_cfg, pm, rows, presets)
             entries.append((result.optimal_code, result.final_visibility, result.accepted, second))
         except CalibrationAborted:
             entries.append((previous["code"][index], math.nan, False, second))
-        plant.idle(slot_start + schedule.perm_slot_us - plant.elapsed_us)
+        plant.close_slot()
     plant.idle(start_us + schedule.stab_duration_us - plant.elapsed_us)
     return np.array(entries, dtype=TABLE_ENTRY), np.array(rows, dtype=CALIB_STEP)
 
@@ -295,6 +295,8 @@ class RunSettings:
             raise ValueError("seconds must be >= 1")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if self.seed < 0:
+            raise ValueError(f"run.seed must be a non-negative integer, got {self.seed}")
         if TOTAL_STEPS * self.calibration.step_window_us > self.schedule.perm_slot_us:
             raise ValueError("calibration steps do not fit the permutation slot")
         # both ports' counts and their sum must fit the int64 count columns

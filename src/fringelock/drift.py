@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -102,7 +103,9 @@ def advance(
     The OU step uses the exact discretization, so chunking a span into
     several calls changes the realization but not the law. Draw order is
     fixed: one laser normal, then 128 path normals. ``advance_windows``
-    consumes the stream in the same order and must change with this.
+    (the QKD stage) and ``advance_delay`` (each permutation slot of the
+    stabilisation stage) consume the stream in the same order and must
+    change with this.
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -122,7 +125,7 @@ def true_phase(state: DriftState, index: int, cfg: DriftConfig) -> float:
     laser = 2.0 * math.pi * cfg.optical_freq_hz * _DELAY_S[index] * state.laser_eps
     phase = state.offsets[index] + state.path_phases[index] + laser
     if not math.isfinite(phase):
-        raise _non_finite_phase(index)
+        raise non_finite_phase(index)
     return canonical_phase(phase)
 
 
@@ -171,7 +174,7 @@ def advance_windows(
             )
             finite = np.isfinite(raw)
             if not finite.all():
-                raise _non_finite_phase(int(block[finite.argmin()]))
+                raise non_finite_phase(int(block[finite.argmin()]))
             phases[start:start + len(block)] = raw
             walk = walks[-1]
     state.laser_eps = eps
@@ -183,7 +186,66 @@ def advance_windows(
     return phases
 
 
-def _non_finite_phase(index: int) -> ValueError:
+def advance_delay(
+    state: DriftState,
+    index: int,
+    dt: Sequence[float],
+    cfg: DriftConfig,
+    rng: np.random.Generator,
+) -> list[float]:
+    """Advance the state over ``len(dt)`` windows of ``dt[k]`` seconds, all
+    read on delay ``index`` (a calibration slot).
+
+    Returns the canonical true phase of delay ``index`` at the start of each
+    window, NaN where it is not finite; the reader raises
+    ``non_finite_phase``. Phases, final state and stream position are
+    bit-identical to calling ``true_phase`` and then ``advance`` once per
+    window: one ``(windows, 129)`` block of normals in ``advance``'s draw
+    order, the OU recursion and the delay's own walk on Python floats in
+    ``advance``'s and ``true_phase``'s operation order, and the other walks
+    summed down the block, which NumPy does row by row like repeated ``+=``.
+    For a few dozen windows this costs less than ``advance_windows``'
+    vectorised gather.
+    """
+    # (decay, laser step, walk step) per window length, as advance computes them
+    by_length: dict[float, tuple[float, float, float]] = {}
+    for d in dt:
+        if d not in by_length:
+            if not d > 0.0:
+                raise ValueError(f"dt must be positive, got {d}")
+            decay = math.exp(-d / cfg.laser_ou_tau)
+            by_length[d] = (
+                decay,
+                cfg.laser_ou_sigma * math.sqrt(1.0 - decay * decay),
+                cfg.path_walk_sigma * math.sqrt(d),
+            )
+    steps = [by_length[d] for d in dt]
+    normals = rng.standard_normal((len(steps), NUM_DELAYS + 1))
+    gain = 2.0 * math.pi * cfg.optical_freq_hz * _DELAY_S[index]
+    offset = float(state.offsets[index])
+    walk = float(state.path_phases[index])
+    eps = state.laser_eps
+    phases = []
+    for (decay, laser_step, walk_step), z, z_walk in zip(
+        steps, normals[:, 0].tolist(), normals[:, index + 1].tolist()
+    ):
+        phase = offset + walk + gain * eps
+        phases.append(canonical_phase(phase) if math.isfinite(phase) else math.nan)
+        eps = eps * decay + laser_step * z
+        walk = walk + walk_step * z_walk
+    walks = np.empty((len(steps) + 1, NUM_DELAYS))
+    walks[0] = state.path_phases
+    # a walk past the float range turns inf or NaN without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        walk_steps = np.array([walk_step for *_, walk_step in steps])
+        np.multiply(walk_steps[:, None], normals[:, 1:], out=walks[1:])
+        state.path_phases[:] = walks.sum(axis=0)
+    state.laser_eps = eps
+    return phases
+
+
+def non_finite_phase(index: int) -> ValueError:
+    """The error that reading delay ``index``'s non-finite true phase raises."""
     return ValueError(
         f"true phase of delay {index} ({DELAY_NS[index]} ns) is not finite; it scales "
         "with drift.optical_freq_hz, drift.laser_ou_sigma and drift.path_walk_sigma"

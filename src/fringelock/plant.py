@@ -11,6 +11,17 @@ stage) from one draw per stream; its count arrays hold the same numbers as
 one ``measure`` call per window. The per-window physics therefore exists
 twice, and an equivalence test keeps the two aligned.
 
+Outside a slot, ``measure`` reads the true phase from the drift state and
+then advances the drift by its window. ``open_slot`` prefetches the drift
+of one permutation slot of a single delay from one draw: its measurement
+windows, then the pad that fills the slot. Until ``close_slot``, each
+``measure`` reads the next prefetched phase and only the clock moves; the
+drift state stays at the slot start. Closing commits the prefetched end
+state, or, when fewer windows were measured (an aborted calibration),
+rewinds the drift stream and redraws the measured windows plus the longer
+pad, as measuring and then idling to the slot end would have. Counts, drift
+state and stream positions are bit-identical either way.
+
 The plant owns the simulation clock (integer microseconds) and is the only
 place drift time advances, so elapsed simulated time always equals the sum
 of requested windows.
@@ -66,22 +77,32 @@ class Plant:
             config.drift, np.random.default_rng(offsets_ss)
         )
         self.elapsed_us: int = 0
+        self._slot: _Slot | None = None
 
     def measure(self, delay_index: int, code: int, window_us: int) -> tuple[int, int]:
         """Integrate one counting window, then advance drift by the window.
 
         Returns the port counts ``(c1, c2)``. The drift is piecewise-constant
         within a window (windows are short against the drift timescales):
-        the phase is evaluated at the window start.
+        the phase is evaluated at the window start. Inside an open slot the
+        phase is the slot's next prefetched one, and only the clock moves.
         """
         if window_us <= 0:
             raise ValueError(f"window must be positive, got {window_us} us")
-        alpha = drift_mod.true_phase(self.state, delay_index, self.config.drift)
+        slot = self._slot
+        if slot is None:
+            alpha = drift_mod.true_phase(self.state, delay_index, self.config.drift)
+        else:
+            alpha = slot.next_phase(delay_index, window_us)
         phi = voltage_to_phase(dac_to_voltage(code, self.config.pm), self.config.pm)
         intensities = port_intensities(1.0, alpha + phi, self.config.contrast)
         window_s = window_us * 1e-6
         counts = sample_counts(intensities, self.config.detector, window_s, self._rng_detector)
-        self._advance(window_us)
+        if slot is None:
+            self._advance(window_us)
+        else:
+            slot.used += 1
+            self.elapsed_us += window_us
         return counts
 
     def measure_slots(
@@ -97,6 +118,7 @@ class Plant:
         """
         if window_us <= 0:
             raise ValueError(f"window must be positive, got {window_us} us")
+        self._require_no_slot()
         cfg = self.config
         phi = np.array([voltage_to_phase(dac_to_voltage(code, cfg.pm), cfg.pm) for code in codes])
         window_s = window_us * 1e-6
@@ -116,13 +138,89 @@ class Plant:
             counts = np.rint(lam).astype(np.int64)
         return counts[:, 0], counts[:, 1]
 
+    def open_slot(self, delay_index: int, window_us: int, windows: int, slot_us: int) -> None:
+        """Prefetch the drift of a ``slot_us`` slot on delay ``delay_index``:
+        ``windows`` measurement windows of ``window_us``, then the pad.
+
+        Draws the slot's normals in one block; the drift state is untouched
+        until ``close_slot``.
+        """
+        self._require_no_slot()
+        pad_us = slot_us - windows * window_us
+        if window_us <= 0 or windows < 0 or pad_us < 0:
+            raise ValueError(
+                f"{windows} windows of {window_us} us do not fit a {slot_us} us slot"
+            )
+        windows_s = [window_us * 1e-6] * windows + ([pad_us * 1e-6] if pad_us else [])
+        rewind = self._rng_drift.bit_generator.state
+        end = DriftState(self.state.laser_eps, self.state.path_phases.copy(), self.state.offsets)
+        phases = drift_mod.advance_delay(end, delay_index, windows_s, self.config.drift, self._rng_drift)
+        self._slot = _Slot(
+            delay_index, window_us, phases[:windows], self.elapsed_us + slot_us, end, rewind
+        )
+
+    def close_slot(self) -> None:
+        """Idle to the end of the open slot and commit its drift."""
+        slot = self._slot
+        if slot is None:
+            raise ValueError("no slot is open")
+        self._slot = None
+        if slot.used == len(slot.phases):
+            self.state.laser_eps = slot.end.laser_eps
+            self.state.path_phases[:] = slot.end.path_phases
+        else:
+            # redraw the measured windows, then one pad to the slot end
+            self._rng_drift.bit_generator.state = slot.rewind
+            windows_s = [slot.window_us * 1e-6] * slot.used + [
+                (slot.end_us - self.elapsed_us) * 1e-6
+            ]
+            drift_mod.advance_delay(
+                self.state, slot.delay_index, windows_s, self.config.drift, self._rng_drift
+            )
+        self.elapsed_us = slot.end_us
+
     def idle(self, duration_us: int) -> None:
         """Let simulated time pass without measuring (slot padding, open loop)."""
         if duration_us < 0:
             raise ValueError(f"idle duration must be >= 0, got {duration_us} us")
+        self._require_no_slot()
         if duration_us:
             self._advance(duration_us)
 
     def _advance(self, duration_us: int) -> None:
         drift_mod.advance(self.state, duration_us * 1e-6, self.config.drift, self._rng_drift)
         self.elapsed_us += duration_us
+
+    def _require_no_slot(self) -> None:
+        if self._slot is not None:
+            raise ValueError(f"the slot of delay {self._slot.delay_index} is still open")
+
+
+@dataclass
+class _Slot:
+    """An open permutation slot: its prefetched phases, how many of them
+    were measured, and what closing it commits or rewinds to."""
+
+    delay_index: int
+    window_us: int
+    phases: list[float]
+    end_us: int
+    end: DriftState
+    rewind: dict
+    used: int = 0
+
+    def next_phase(self, delay_index: int, window_us: int) -> float:
+        if (
+            delay_index != self.delay_index
+            or window_us != self.window_us
+            or self.used == len(self.phases)
+        ):
+            raise ValueError(
+                f"the open slot holds {len(self.phases)} windows of {self.window_us} us on "
+                f"delay {self.delay_index}; cannot measure delay {delay_index} for "
+                f"{window_us} us after {self.used}"
+            )
+        alpha = self.phases[self.used]
+        if math.isnan(alpha):
+            raise drift_mod.non_finite_phase(delay_index)
+        return alpha

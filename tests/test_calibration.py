@@ -14,14 +14,18 @@ from fringelock.calibration import (
     _wrap_into_span,
     least_squares_phase,
     phase_to_compensation_code,
+    preset_codes,
     run_calibration,
 )
 from fringelock.hardware import (
     PmConfig,
     dac_to_voltage,
+    voltage_for_phase,
+    voltage_to_code,
     voltage_to_phase,
 )
 from fringelock.optics import canonical_phase
+from fringelock.plant import Plant, PlantConfig
 
 from conftest import circular_diff, noiseless_plant
 
@@ -138,6 +142,17 @@ class TestRunCalibration:
         assert trace["dac_code"][-1] == result.optimal_code
         assert trace["visibility"][-1] == result.final_visibility
 
+    def test_preset_codes_passed_in_change_nothing(self):
+        plan = InitialStepPlan(ext_phases=(0.3, 1.9, 3.4, 5.0))
+        cfg = CalibrationConfig(plan=plan)
+        presets = preset_codes(plan, PM)
+        assert presets == tuple(voltage_to_code(voltage_for_phase(p, PM), PM) for p in plan.ext_phases)
+        computed, passed = [], []
+        expected = run_calibration(7, Plant(PlantConfig(), 70), cfg, PM, computed)
+        assert run_calibration(7, Plant(PlantConfig(), 70), cfg, PM, passed, presets) == expected
+        assert passed == computed
+        assert [row[2] for row in passed[:4]] == list(presets)
+
     def test_appends_after_the_callers_rows(self):
         # the stage shares one list across delays: earlier rows stay as they
         # are, and the estimate reads only this search's steps 1-4
@@ -180,7 +195,6 @@ class TestRunCalibration:
         delay = 0
         offsets = tuple([math.pi / 3] + [0.0] * 127)
         from fringelock.drift import DriftConfig
-        from fringelock.plant import Plant, PlantConfig
 
         hits = 0
         for trial in range(1000):

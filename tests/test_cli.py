@@ -46,14 +46,37 @@ LOW_LIGHT_DIGESTS = {
 }
 
 
+#: SHA-256 of `run --seconds 1 --seed 0` with 2300 us permutation slots,
+#: taken as above: 23 steps of 100 us fill each slot, so no pad is drawn.
+NO_PAD_ARGS = ["--set", "schedule.perm_slot_us=2300"]
+NO_PAD_DIGESTS = {
+    "calib_trace.csv": "253f928d2038269be4c1578da8786ad7002a40c283c415873b7067e18639897a",
+    "qkd_trace.csv": "a5985fd6df29af569569aa4e6929b04f001a989986d15a5edb80abd5b35347cb",
+    "per_delay_summary.csv": "a8b6743c791810fa2d2d2ce10db53ed3f6343895917d8197398820fc87e51a52",
+    "report.txt": "dab317e19350ee645539b3f559d04450439d68532532e9fa993bb674aed55bef",
+}
+
+#: SHA-256 of `run --seconds 1 --seed 0` with 108 us calibration steps,
+#: taken as above: each 2500 us slot ends in a 16 us pad.
+ODD_WINDOW_ARGS = ["--set", "calibration.step_window_us=108"]
+ODD_WINDOW_DIGESTS = {
+    "calib_trace.csv": "78b632db4724c35dc456ba164f704fcf417b30ea58b3ccb3ee3b4b70035a0137",
+    "qkd_trace.csv": "d18a38f5fdefabbe75fde8876c2436b5f1cfbd821755e5f2ac94909cb8bfd619",
+    "per_delay_summary.csv": "8ffdb6447a2fdb23fe36176c13f3ef214977202f9d9a19517527cb800cede502",
+    "report.txt": "4f0d09b99bc98555c9354c63ad70fd68c1f474748af256a2b438c9fe16b51ad2",
+}
+
+
 class TestRunCommand:
     @pytest.mark.parametrize(
         "argv, pinned",
         [
             (["run", "--seconds", "2", "--seed", "0"], PINNED_DIGESTS),
             (["run", "--seconds", "1", "--seed", "0", *LOW_LIGHT_ARGS], LOW_LIGHT_DIGESTS),
+            (["run", "--seconds", "1", "--seed", "0", *NO_PAD_ARGS], NO_PAD_DIGESTS),
+            (["run", "--seconds", "1", "--seed", "0", *ODD_WINDOW_ARGS], ODD_WINDOW_DIGESTS),
         ],
-        ids=["default", "low-light-aborts"],
+        ids=["default", "low-light-aborts", "no-pad", "odd-window"],
     )
     def test_outputs_match_pinned_digests(self, tmp_path, argv, pinned):
         out = tmp_path / "run"
@@ -116,6 +139,12 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "true phase of delay 0 (0 ns) is not finite" in err
         assert "drift.optical_freq_hz" in err
+
+    def test_negative_seed_exits_2_naming_the_key(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert main(["run", "--seconds", "1", "--seed", "-1", "--out", str(out)]) == 2
+        assert "run.seed must be a non-negative integer, got -1" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("bits", ["64", "2000"])
     def test_dac_wider_than_int64_codes_exits_2_naming_the_key(self, tmp_path, capsys, bits):
@@ -294,6 +323,20 @@ class TestSweepCommand:
         captured = capsys.readouterr()
         assert "drift.path_walk_sigma=-1: drift sigmas must be >= 0" in captured.err
         assert "drift.path_walk_sigma=0.02: global mean visibility" in captured.out
+
+    def test_negative_seed_is_a_failed_row(self, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        code = main([
+            "sweep", "--param", "run.seed", "--values", "1,-1",
+            "--seconds", "1", "--out", str(out),
+        ])
+        assert code == 2
+        rows = read_rows(out / "sweep.csv")
+        assert [r["value"] for r in rows] == ["1", "-1"]
+        assert rows[0]["seed"] == "1" and rows[0]["global_mean_visibility"] != ""
+        assert list(rows[1].values())[2:] == ["", "", "", ""]
+        err = capsys.readouterr().err
+        assert "run.seed=-1: run.seed must be a non-negative integer, got -1" in err
 
     def test_dark_value_is_a_failed_row(self, tmp_path, capsys):
         out = tmp_path / "sweep"

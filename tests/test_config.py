@@ -3,10 +3,11 @@ import re
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, given, reject, settings
 from hypothesis import strategies as st
 
 from fringelock.calibration import QUADRATURE_PHASES
+from fringelock.cli import main
 from fringelock.config import SCHEMA, ConfigError, load_config, write_config
 from fringelock.controller import MODES, RunSettings
 
@@ -193,9 +194,9 @@ def _raw(value: object) -> str:
 
 
 @st.composite
-def schema_overrides(draw) -> list[str]:
-    keys = draw(st.lists(st.sampled_from(list(ROUND_TRIP_VALUES)), unique=True))
-    chosen = {key: draw(ROUND_TRIP_VALUES[key]) for key in keys}
+def schema_overrides(draw, values=ROUND_TRIP_VALUES) -> list[str]:
+    keys = draw(st.lists(st.sampled_from(list(values)), unique=True))
+    chosen = {key: draw(values[key]) for key in keys}
     if ("schedule", "stab_duration_us") in chosen:
         stab = chosen[("schedule", "stab_duration_us")]
         chosen[("schedule", "qkd_duration_us")] = 1_000_000 - stab
@@ -216,3 +217,35 @@ class TestRoundTripProperty:
         assert reloaded == loaded
         write_config(*reloaded, second)
         assert second.read_bytes() == first.read_bytes()
+
+
+# the round-trip values, bounded so that one second runs in well under a
+# second, plus drift magnitudes up to the float range, where the true phase
+# overflows and the run must end with exit 2
+RUN_VALUES = {
+    **ROUND_TRIP_VALUES,
+    ("schedule", "switch_rate_hz"): st.sampled_from([100, 1_000, 10_000, 20_000]),
+    ("detector", "dark_rate"): _floats(0.0, 1e7),
+    ("detector", "input_rate"): _floats(0.0, 1e10),
+    ("drift", "laser_ou_sigma"): st.one_of(_floats(0.0, 1e-3), _floats(0.0, 1e300)),
+    ("drift", "path_walk_sigma"): st.one_of(_floats(0.0, 10.0), _floats(0.0, 1e300)),
+    ("drift", "optical_freq_hz"): st.one_of(_floats(1e12, 1e16), _floats(1e16, 1.7e308)),
+}
+
+
+class TestAcceptedConfigsRun:
+    def test_strategies_cover_the_schema(self):
+        assert set(RUN_VALUES) == set(SCHEMA)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(overrides=schema_overrides(RUN_VALUES))
+    def test_one_second_exits_0_or_2(self, tmp_path_factory, overrides):
+        # exit 1 is a runtime fault: an accepted config must run or be
+        # rejected with a message, never crash
+        try:
+            load_config(None, overrides)
+        except ConfigError:
+            reject()
+        out = tmp_path_factory.mktemp("run")
+        sets = [arg for item in overrides for arg in ("--set", item)]
+        assert main(["run", "--seconds", "1", "--out", str(out), *sets]) in (0, 2)

@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 
 from fringelock import controller
-from fringelock.calibration import CALIB_STEP, CalibrationConfig
+from fringelock.calibration import (
+    CALIB_STEP,
+    CalibrationAborted,
+    CalibrationConfig,
+    run_calibration,
+)
 from fringelock.controller import (
     CLOSED_LOOP,
     DELAY_SUMMARY,
@@ -99,6 +104,99 @@ class TestStabilizationStage:
         calib = replace(settings.calibration, step_window_us=200)
         with pytest.raises(ValueError):
             run_stabilization_stage(0, plant, calib, settings.schedule, bootstrap_table(plant.config))
+
+
+def _reference_stabilization_stage(second, plant, calib_cfg, schedule, previous, aborts):
+    """The stabilisation stage as ``Plant.measure`` step by step and
+    ``Plant.idle`` to each slot's end: the algorithm the prefetching
+    ``run_stabilization_stage`` must reproduce bit for bit. Appends each
+    abort's message to ``aborts``."""
+    start_us = plant.elapsed_us
+    entries, rows = [], []
+    for index in range(NUM_DELAYS):
+        slot_start = plant.elapsed_us
+        try:
+            result = run_calibration(index, plant, calib_cfg, plant.config.pm, rows)
+            entries.append((result.optimal_code, result.final_visibility, result.accepted, second))
+        except CalibrationAborted as exc:
+            aborts.append(str(exc))
+            entries.append((previous["code"][index], math.nan, False, second))
+        plant.idle(slot_start + schedule.perm_slot_us - plant.elapsed_us)
+    plant.idle(start_us + schedule.stab_duration_us - plant.elapsed_us)
+    return np.array(entries, dtype=TABLE_ENTRY), np.array(rows, dtype=CALIB_STEP)
+
+
+def _assert_same_plant(plant, reference):
+    assert plant.state.laser_eps.hex() == reference.state.laser_eps.hex()
+    assert plant.state.path_phases.tobytes() == reference.state.path_phases.tobytes()
+    assert plant.elapsed_us == reference.elapsed_us
+    for stream in ("_rng_drift", "_rng_detector"):
+        state = getattr(plant, stream).bit_generator.state
+        assert state == getattr(reference, stream).bit_generator.state, stream
+
+
+_NOISELESS = zero_noise_settings().plant
+_LOW_LIGHT = PlantConfig(detector=DetectorConfig(input_rate=100_000.0, dark_rate=0.0))
+
+
+class TestPrefetchedStabilizationStage:
+    """``run_stabilization_stage`` against the step-by-step stage, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "plant_cfg, calib_cfg, schedule, seed",
+        [
+            (PlantConfig(), CalibrationConfig(), FrameSchedule(), 60),
+            (PlantConfig(), CalibrationConfig(), FrameSchedule(), 61),
+            (_NOISELESS, CalibrationConfig(), FrameSchedule(), 62),
+            # about 2 counts per step: zero-count and ambiguous-phase aborts
+            (_LOW_LIGHT, CalibrationConfig(), FrameSchedule(), 64),
+            # 23 steps of 100 us fill a 2300 us slot: no pad window
+            (PlantConfig(), CalibrationConfig(), FrameSchedule(perm_slot_us=2_300), 66),
+            # 23 steps of 108 us leave a 16 us pad
+            (PlantConfig(), CalibrationConfig(step_window_us=108), FrameSchedule(), 65),
+        ],
+        ids=["seed-60", "seed-61", "noiseless", "low-light-aborts", "no-pad", "108-us-windows"],
+    )
+    def test_matches_step_by_step_stage(self, plant_cfg, calib_cfg, schedule, seed):
+        reference, plant = Plant(plant_cfg, seed), Plant(plant_cfg, seed)
+        expected_table = table = bootstrap_table(plant_cfg)
+        aborts = []
+        for second in range(2):
+            expected_table, expected_steps = _reference_stabilization_stage(
+                second, reference, calib_cfg, schedule, expected_table, aborts
+            )
+            table, steps = run_stabilization_stage(second, plant, calib_cfg, schedule, table)
+            assert table.tobytes() == expected_table.tobytes()
+            assert steps.tobytes() == expected_steps.tobytes()
+            _assert_same_plant(plant, reference)
+            for p in (reference, plant):
+                p.idle(schedule.qkd_duration_us)  # stand in for the QKD stage
+        if plant_cfg is _LOW_LIGHT:
+            assert any(a.startswith("zero total counts") for a in aborts)
+            assert any("coincide" in a for a in aborts)
+        else:
+            assert len(steps) == NUM_DELAYS * 23
+
+    def test_non_finite_phase_raises_at_the_same_step(self):
+        # a fast OU detuning near the float range: the laser term of delay 4
+        # overflows at its 20th step
+        plant_cfg = PlantConfig(
+            drift=DriftConfig(laser_ou_sigma=1e8, laser_ou_tau=1e-4, optical_freq_hz=2e307)
+        )
+        calib_cfg, schedule = CalibrationConfig(), FrameSchedule()
+        reference, plant = Plant(plant_cfg, 51), Plant(plant_cfg, 51)
+        with pytest.raises(ValueError) as expected:
+            _reference_stabilization_stage(
+                0, reference, calib_cfg, schedule, bootstrap_table(plant_cfg), []
+            )
+        assert reference.elapsed_us == 4 * 2_500 + 19 * 100
+        with pytest.raises(ValueError, match="^true phase of delay 4 ") as raised:
+            run_stabilization_stage(0, plant, calib_cfg, schedule, bootstrap_table(plant_cfg))
+        assert str(raised.value) == str(expected.value)
+        # the same windows were measured, so the detector stream agrees too
+        assert plant.elapsed_us == reference.elapsed_us
+        state = plant._rng_detector.bit_generator.state
+        assert state == reference._rng_detector.bit_generator.state
 
 
 class _SpyPlant(Plant):

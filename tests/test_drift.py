@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from fringelock.drift import DriftConfig, advance, advance_windows, initial_state, true_phase
+from fringelock.drift import (
+    DriftConfig,
+    advance,
+    advance_delay,
+    advance_windows,
+    initial_state,
+    true_phase,
+)
 
 from conftest import ZERO_OFFSETS
 
@@ -139,3 +146,54 @@ class TestAdvanceWindows:
         with pytest.raises(ValueError):
             advance_windows(make_state(cfg), np.zeros(3, dtype=np.int64), 0.0, cfg,
                             np.random.default_rng(11))
+
+
+class TestAdvanceDelay:
+    @pytest.mark.parametrize(
+        "delay, dt",
+        [
+            (9, [1e-4] * 23 + [2e-4]),  # a calibration slot
+            (127, [1.08e-4] * 23 + [1.6e-5]),  # 108 us steps, a 16 us pad
+            (0, [1e-4] * 23),  # no pad
+            (64, [1e-4] * 3 + [2.2e-3]),  # an aborted slot's redraw
+            (31, (np.random.default_rng(12).integers(1, 2_500, size=200) * 1e-6).tolist()),
+        ],
+        ids=["slot", "108-us", "no-pad", "abort-redraw", "200-random"],
+    )
+    def test_matches_true_phase_then_advance_per_window(self, delay, dt):
+        cfg = DriftConfig()
+        reference, state = make_state(cfg, seed=13), make_state(cfg, seed=13)
+        reference_rng, rng = np.random.default_rng(14), np.random.default_rng(14)
+        for p in (reference, state):  # start from a drifted state
+            p.laser_eps = 3e-9
+            p.path_phases[:] = np.linspace(-2.0, 2.0, 128)
+        expected = []
+        for d in dt:
+            expected.append(true_phase(reference, delay, cfg))
+            advance(reference, d, cfg, reference_rng)
+        assert advance_delay(state, delay, dt, cfg, rng) == expected
+        assert state.laser_eps.hex() == reference.laser_eps.hex()
+        assert state.path_phases.tobytes() == reference.path_phases.tobytes()
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+    def test_non_finite_phase_comes_back_nan(self):
+        # eps is 0 in the first window; the first OU step then pushes the
+        # laser term of every delay but 0 past the float range
+        cfg = DriftConfig(laser_ou_sigma=1e20, optical_freq_hz=1e300, static_offsets=ZERO_OFFSETS)
+        phases = advance_delay(make_state(cfg), 5, [1e-4] * 3, cfg, np.random.default_rng(15))
+        assert phases[0] == 0.0
+        assert math.isnan(phases[1]) and math.isnan(phases[2])
+
+    def test_no_windows_leave_the_state(self):
+        cfg = DriftConfig()
+        state = make_state(cfg)
+        rng = np.random.default_rng(16)
+        before = rng.bit_generator.state
+        assert advance_delay(state, 3, [], cfg, rng) == []
+        assert state.laser_eps == 0.0 and not state.path_phases.any()
+        assert rng.bit_generator.state == before
+
+    def test_invalid_dt(self):
+        cfg = DriftConfig(static_offsets=ZERO_OFFSETS)
+        with pytest.raises(ValueError):
+            advance_delay(make_state(cfg), 0, [1e-4, 0.0], cfg, np.random.default_rng(17))
