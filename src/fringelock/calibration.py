@@ -14,8 +14,6 @@ fixed 23-step schedule:
 through ``plant.measure(delay_index, code, window_us) -> (c1, c2)`` and
 appends one ``CALIB_STEP`` tuple per measured step to the caller's ``rows``,
 so the steps before an abort are kept there too; DAC codes are plain ints.
-The step 1-4 codes depend only on the plan and the modulator, so a caller
-running many calibrations passes ``preset_codes(plan, pm)`` once.
 
 The estimator inverts the fringe model f_k = (1 + cos(alpha + ext_k)) / 2,
 i.e. the preset phases add to the path phase inside the cosine (the only
@@ -24,6 +22,7 @@ form a two-port split can realize).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -184,8 +183,10 @@ def _wrap_into_span(v: float, cfg: PmConfig) -> float:
     return float(exact)
 
 
+@functools.cache
 def preset_codes(plan: InitialStepPlan, pm: PmConfig) -> tuple[int, ...]:
-    """DAC codes of the four preset phases of steps 1-4."""
+    """DAC codes of the four preset phases of steps 1-4, memoised per
+    (plan, modulator): both are frozen, and every calibration reuses them."""
     return tuple(voltage_to_code(voltage_for_phase(ext, pm), pm) for ext in plan.ext_phases)
 
 
@@ -195,7 +196,6 @@ def run_calibration(
     cfg: CalibrationConfig,
     pm: PmConfig,
     rows: list[tuple],
-    presets: Sequence[int] | None = None,
 ) -> CalibResult:
     """Execute the fixed 23-step search for one delay path.
 
@@ -203,7 +203,6 @@ def run_calibration(
     visibility resolve to the earliest step, so traces are reproducible.
     The fine-scan winner competes against the coarse best it is centered
     on: a scan point can only replace PT3 by strictly beating it.
-    ``presets`` are ``preset_codes(cfg.plan, pm)``, computed here if None.
     """
 
     def step(index: int, code: int) -> float:
@@ -217,9 +216,7 @@ def run_calibration(
         return vis
 
     # steps 1-4: preset phases for the least-squares estimate
-    if presets is None:
-        presets = preset_codes(cfg.plan, pm)
-    for k, code in enumerate(presets):
+    for k, code in enumerate(preset_codes(cfg.plan, pm)):
         step(k + 1, code)
     fractions = [c1 / (c1 + c2) for *_, c1, c2, _ in rows[-4:]]
     try:

@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, load_config, write_config
-from .controller import ExperimentReport, RunSettings, run_experiment
+from .controller import MODES, VISIBILITY_TARGET, ExperimentReport, RunSettings, run_experiment
 from .keyrate import KeyRateParams, error_threshold, key_rate
 from .reporting import (
     CALIB_TRACE_HEADER,
@@ -60,7 +60,7 @@ def _add_run_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="configuration file (INI sections of key = value)")
     parser.add_argument("--seed", type=int, help="override the run seed")
     parser.add_argument("--seconds", type=int, help="override the simulated duration")
-    parser.add_argument("--mode", choices=("closed-loop", "open-loop"), help="override the mode")
+    parser.add_argument("--mode", choices=MODES, help="override the mode")
     parser.add_argument("--out", help="output directory")
     parser.add_argument(
         "--set",
@@ -151,7 +151,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         writer = make_writer(handle)
         writer.writerow(
             ("parameter", "value", "seed", "global_mean_visibility",
-             "mean_calib_visibility", "fraction_delays_ge_0.96")
+             "mean_calib_visibility", f"fraction_delays_ge_{VISIBILITY_TARGET}")
         )
         for raw in raw_values:
             try:
@@ -170,7 +170,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 writer.writerow((
                     args.param, raw, settings.seed, vis,
                     f"{report.mean_calib_visibility:.6f}",
-                    f"{report.fraction_delays_at_least(0.96):.6f}",
+                    f"{report.fraction_delays_at_least(VISIBILITY_TARGET):.6f}",
                 ))
                 print(f"{args.param}={raw}: global mean visibility {vis}")
             handle.flush()

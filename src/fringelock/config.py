@@ -116,7 +116,10 @@ def load_config(
     values = _values_from(RunSettings(), "out")
     if path is not None:
         parser = configparser.ConfigParser(interpolation=None)
-        read = parser.read(str(path))
+        try:
+            read = parser.read(str(path))
+        except (configparser.Error, UnicodeDecodeError) as exc:
+            raise ConfigError(f"malformed config file {path}: {exc}") from exc
         if not read:
             raise ConfigError(f"cannot read config file {path}")
         for section in parser.sections():

@@ -27,12 +27,10 @@ from .calibration import (
     CalibrationConfig,
     TOTAL_STEPS,
     phase_to_compensation_code,
-    preset_codes,
     run_calibration,
 )
 from .hardware import DELAY_NS, NUM_DELAYS
 from .hardware import select_delay  # unused here; perfbench/child.py --trace 1 wraps this name
-from .keyrate import KeyRateParams, key_rate
 from .plant import Plant, PlantConfig
 
 US_PER_SECOND = 1_000_000
@@ -40,6 +38,9 @@ US_PER_SECOND = 1_000_000
 CLOSED_LOOP = "closed-loop"
 OPEN_LOOP = "open-loop"
 MODES = (CLOSED_LOOP, OPEN_LOOP)
+
+#: Mean visibility a delay must hold, the paper's 96% headline figure.
+VISIBILITY_TARGET = 0.96
 
 
 @dataclass(frozen=True)
@@ -110,17 +111,17 @@ def run_stabilization_stage(
     a partial trace, and its entry keeps the previous second's code with
     NaN visibility and is marked not accepted. Each slot's drift is
     prefetched in one draw (``Plant.open_slot``), with the numbers that
-    measuring step by step and idling to the slot end would give.
+    measuring step by step and idling to the slot end would give. Every
+    search reads its step 1-4 codes from the memoised ``preset_codes``.
     """
     pm = plant.config.pm
-    presets = preset_codes(calib_cfg.plan, pm)
     start_us = plant.elapsed_us
     entries: list[tuple] = []
     rows: list[tuple] = []
     for index in range(NUM_DELAYS):
         plant.open_slot(index, calib_cfg.step_window_us, TOTAL_STEPS, schedule.perm_slot_us)
         try:
-            result = run_calibration(index, plant, calib_cfg, pm, rows, presets)
+            result = run_calibration(index, plant, calib_cfg, pm, rows)
             entries.append((result.optimal_code, result.final_visibility, result.accepted, second))
         except CalibrationAborted:
             entries.append((previous["code"][index], math.nan, False, second))
@@ -180,11 +181,6 @@ class ExperimentReport:
     def fraction_delays_at_least(self, threshold: float) -> float:
         ok = int(np.count_nonzero(self.per_delay["mean_visibility"] >= threshold))
         return ok / len(self.per_delay)
-
-    def key_rate_per_train(self, L: int = 128, v_th: float = 1.0, q: float = 1.0) -> float:
-        """Key rate from the run's aggregate error rate at a given Q."""
-        e = min(0.5, max(0.0, self.e_bit_overall))
-        return key_rate(KeyRateParams(L=L, v_th=v_th, Q=q, e_bit=e))
 
 
 #: Gets (second, its ``CALIB_STEP`` rows, empty if it did not calibrate,

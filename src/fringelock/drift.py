@@ -95,6 +95,16 @@ def initial_state(cfg: DriftConfig, rng: np.random.Generator) -> DriftState:
     )
 
 
+def _window_law(dt: float, cfg: DriftConfig) -> tuple[float, float, float]:
+    """(OU decay, laser step, walk step) of one ``dt``-second window, the one
+    statement of the law that every advance below applies, bit for bit."""
+    if not dt > 0.0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    decay = math.exp(-dt / cfg.laser_ou_tau)
+    shock = math.sqrt(1.0 - decay * decay)
+    return decay, cfg.laser_ou_sigma * shock, cfg.path_walk_sigma * math.sqrt(dt)
+
+
 def advance(
     state: DriftState, dt: float, cfg: DriftConfig, rng: np.random.Generator
 ) -> DriftState:
@@ -107,12 +117,9 @@ def advance(
     stabilisation stage) consume the stream in the same order and must
     change with this.
     """
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    decay = math.exp(-dt / cfg.laser_ou_tau)
-    shock = math.sqrt(1.0 - decay * decay)
-    state.laser_eps = state.laser_eps * decay + cfg.laser_ou_sigma * shock * rng.standard_normal()
-    state.path_phases += cfg.path_walk_sigma * math.sqrt(dt) * rng.standard_normal(NUM_DELAYS)
+    decay, laser_step, walk_step = _window_law(dt, cfg)
+    state.laser_eps = state.laser_eps * decay + laser_step * rng.standard_normal()
+    state.path_phases += walk_step * rng.standard_normal(NUM_DELAYS)
     return state
 
 
@@ -146,12 +153,7 @@ def advance_windows(
     and the path walk is a ``cumsum``, which adds row by row like repeated
     ``+=``. The first non-finite phase raises ``true_phase``'s error.
     """
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    decay = math.exp(-dt / cfg.laser_ou_tau)
-    shock = math.sqrt(1.0 - decay * decay)
-    laser_step = cfg.laser_ou_sigma * shock
-    walk_step = cfg.path_walk_sigma * math.sqrt(dt)
+    decay, laser_step, walk_step = _window_law(dt, cfg)
     eps = state.laser_eps
     walk = state.path_phases
     phases = np.empty(len(index))
@@ -207,18 +209,8 @@ def advance_delay(
     For a few dozen windows this costs less than ``advance_windows``'
     vectorised gather.
     """
-    # (decay, laser step, walk step) per window length, as advance computes them
-    by_length: dict[float, tuple[float, float, float]] = {}
-    for d in dt:
-        if d not in by_length:
-            if not d > 0.0:
-                raise ValueError(f"dt must be positive, got {d}")
-            decay = math.exp(-d / cfg.laser_ou_tau)
-            by_length[d] = (
-                decay,
-                cfg.laser_ou_sigma * math.sqrt(1.0 - decay * decay),
-                cfg.path_walk_sigma * math.sqrt(d),
-            )
+    # the law once per distinct window length, not once per window
+    by_length = {d: _window_law(d, cfg) for d in dict.fromkeys(dt)}
     steps = [by_length[d] for d in dt]
     normals = rng.standard_normal((len(steps), NUM_DELAYS + 1))
     gain = 2.0 * math.pi * cfg.optical_freq_hz * _DELAY_S[index]

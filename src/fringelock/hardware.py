@@ -20,8 +20,8 @@ import numpy as np
 
 from .optics import canonical_phase
 
-NUM_DELAYS = 128
 GATE_COUNT = 7
+NUM_DELAYS = 1 << GATE_COUNT
 # Fiber delay per gate, ns. Powers of two are the only on/off assignment that
 # yields the arithmetic delay set {0, 2, 4, ..., 254} ns.
 FIBER_DELAYS_NS = tuple(2 << i for i in range(GATE_COUNT))

@@ -23,8 +23,9 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .controller import ExperimentReport
-from .hardware import PmConfig, dac_to_voltage
+from .controller import VISIBILITY_TARGET, ExperimentReport
+from .hardware import NUM_DELAYS, PmConfig, dac_to_voltage
+from .keyrate import KeyRateParams, key_rate
 
 CALIB_TRACE_HEADER = (
     "second", "delay_index", "step_index", "dac_code", "voltage", "c1", "c2", "visibility",
@@ -68,16 +69,16 @@ def write_summary(report: ExperimentReport, path: str | Path) -> None:
         writer.writerows(zip(*columns))
 
 
-def render_report(report: ExperimentReport, threshold: float = 0.96) -> str:
+def render_report(report: ExperimentReport) -> str:
     """Plain-text summary; the fraction of delays holding the visibility
     target is the headline number."""
     mean_vis = report.per_delay["mean_visibility"]
-    count = int(np.count_nonzero(mean_vis >= threshold))
+    count = int(np.count_nonzero(mean_vis >= VISIBILITY_TARGET))
     accepted = report.per_delay["accepted_fraction"]
     lines = [
         f"run: {report.seconds} s, mode={report.mode}, seed={report.seed}",
         f"global mean visibility: {report.global_mean_visibility:.6f}",
-        f"delays with mean visibility >= {threshold:.2f}: {count}/{len(report.per_delay)}"
+        f"delays with mean visibility >= {VISIBILITY_TARGET:.2f}: {count}/{len(report.per_delay)}"
         f" ({100.0 * count / len(report.per_delay):.1f}%)",
     ]
     if not np.isnan(mean_vis).all():
@@ -95,9 +96,8 @@ def render_report(report: ExperimentReport, threshold: float = 0.96) -> str:
     )
     if not math.isnan(report.e_bit_overall):
         lines.append(f"e_bit proxy (delays r > 0): {report.e_bit_overall:.6f}")
-        lines.append(
-            "key rate per 128-pulse train at Q=1, v_th=1: "
-            f"{report.key_rate_per_train():.6f}"
-        )
+        e_bit = min(0.5, max(0.0, report.e_bit_overall))
+        rate = key_rate(KeyRateParams(L=NUM_DELAYS, v_th=1.0, Q=1.0, e_bit=e_bit))
+        lines.append(f"key rate per {NUM_DELAYS}-pulse train at Q=1, v_th=1: {rate:.6f}")
     lines.append(f"simulated time: {report.simulated_us} us")
     return "\n".join(lines) + "\n"

@@ -142,16 +142,13 @@ class TestRunCalibration:
         assert trace["dac_code"][-1] == result.optimal_code
         assert trace["visibility"][-1] == result.final_visibility
 
-    def test_preset_codes_passed_in_change_nothing(self):
+    def test_first_four_steps_apply_the_preset_codes(self):
         plan = InitialStepPlan(ext_phases=(0.3, 1.9, 3.4, 5.0))
-        cfg = CalibrationConfig(plan=plan)
         presets = preset_codes(plan, PM)
         assert presets == tuple(voltage_to_code(voltage_for_phase(p, PM), PM) for p in plan.ext_phases)
-        computed, passed = [], []
-        expected = run_calibration(7, Plant(PlantConfig(), 70), cfg, PM, computed)
-        assert run_calibration(7, Plant(PlantConfig(), 70), cfg, PM, passed, presets) == expected
-        assert passed == computed
-        assert [row[2] for row in passed[:4]] == list(presets)
+        rows = []
+        run_calibration(7, Plant(PlantConfig(), 70), CalibrationConfig(plan=plan), PM, rows)
+        assert [row[2] for row in rows[:4]] == list(presets)
 
     def test_appends_after_the_callers_rows(self):
         # the stage shares one list across delays: earlier rows stay as they

@@ -124,6 +124,27 @@ class TestRunCommand:
         assert main(["run", "--set", "run.bogus=1", "--out", str(tmp_path / "x")]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"[run]\nseconds = 1\nseconds = 2\n",
+            b"[run]\nseconds = 1\n[run]\nseed = 2\n",
+            b"seconds = 1\n",
+            b"[run]\nseconds\n",
+            b"[run]\nseconds = 1\n# \xff\xfe\n",
+        ],
+        ids=["duplicate-key", "duplicate-section", "no-section-header", "key-without-value",
+             "not-utf-8"],
+    )
+    def test_malformed_config_file_exits_2_naming_the_file(self, tmp_path, capsys, data):
+        path = tmp_path / "broken.ini"
+        path.write_bytes(data)
+        out = tmp_path / "x"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
+        assert not out.exists()
+
     def test_non_finite_value_exits_2_naming_the_key(self, tmp_path, capsys):
         out = tmp_path / "x"
         assert main(["run", "--set", "drift.laser_ou_sigma=nan", "--out", str(out)]) == 2
