@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from itertools import count, repeat
 from pathlib import Path
 
 from .config import ConfigError, load_config, write_config
@@ -20,8 +21,11 @@ from .keyrate import KeyRateParams, error_threshold, key_rate
 from .reporting import (
     CALIB_TRACE_HEADER,
     QKD_TRACE_HEADER,
+    calib_trace_columns,
     calib_trace_row,
+    csv_line,
     make_writer,
+    qkd_trace_columns,
     qkd_trace_row,
     render_report,
     write_summary,
@@ -91,16 +95,18 @@ def _execute_run(settings: RunSettings, out_dir: Path) -> tuple[ExperimentReport
     with open(out_dir / "calib_trace.csv", "w", encoding="utf-8", newline="") as calib_f, open(
         out_dir / "qkd_trace.csv", "w", encoding="utf-8", newline=""
     ) as qkd_f:
-        calib_writer = make_writer(calib_f)
-        calib_writer.writerow(CALIB_TRACE_HEADER)
-        qkd_writer = make_writer(qkd_f)
-        qkd_writer.writerow(QKD_TRACE_HEADER)
+        calib_f.write(csv_line(CALIB_TRACE_HEADER))
+        qkd_f.write(csv_line(QKD_TRACE_HEADER))
 
         def write_second(second, steps, slots):
-            calib_writer.writerows(calib_trace_row(second, row, pm) for row in steps.tolist())
-            qkd_writer.writerows(
-                qkd_trace_row(second, slot, row) for slot, row in enumerate(slots.tolist())
-            )
+            # one formatter call per row, read from this module's globals:
+            # perfbench/child.py --trace 1 rebinds both to time each row
+            calib_f.write("".join(map(
+                calib_trace_row, repeat(second), *calib_trace_columns(steps, pm)
+            )))
+            qkd_f.write("".join(map(
+                qkd_trace_row, repeat(second), count(), *qkd_trace_columns(slots)
+            )))
 
         report = run_experiment(settings, write_second)
     write_summary(report, out_dir / "per_delay_summary.csv")

@@ -11,7 +11,19 @@ with h the binary entropy. R may be negative; callers interpret that as
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+
+
+def _check_train(L: int, v_th: float) -> None:
+    """Reject an L or v_th outside the protocol's range, or an L past the float range."""
+    if L < 2:
+        raise ValueError(f"train length L must be >= 2, got {L}")
+    # (L - 1) / 2 would raise OverflowError, a runtime fault, not a usage error
+    if L - 1 > sys.float_info.max:
+        raise ValueError(f"train length L must be at most {sys.float_info.max:.6g} (a float)")
+    if not 0.0 < v_th <= (L - 1) / 2.0:
+        raise ValueError(f"v_th must lie in (0, (L-1)/2] = (0, {(L - 1) / 2}], got {v_th}")
 
 
 @dataclass(frozen=True)
@@ -28,12 +40,7 @@ class KeyRateParams:
     e_bit: float
 
     def __post_init__(self) -> None:
-        if self.L < 2:
-            raise ValueError(f"train length L must be >= 2, got {self.L}")
-        if not 0.0 < self.v_th <= (self.L - 1) / 2.0:
-            raise ValueError(
-                f"v_th must lie in (0, (L-1)/2] = (0, {(self.L - 1) / 2}], got {self.v_th}"
-            )
+        _check_train(self.L, self.v_th)
         if not 0.0 <= self.Q < math.inf:
             raise ValueError(f"Q must be finite and >= 0, got {self.Q}")
         if not 0.0 <= self.e_bit <= 0.5:
@@ -61,10 +68,7 @@ def error_threshold(L: int, v_th: float = 1.0) -> float:
     consumes the whole bit (h(v_th/(L-1)) >= 1, e.g. L=2 with v_th at its
     bound).
     """
-    if L < 2:
-        raise ValueError(f"train length L must be >= 2, got {L}")
-    if not 0.0 < v_th <= (L - 1) / 2.0:
-        raise ValueError(f"v_th must lie in (0, {(L - 1) / 2}], got {v_th}")
+    _check_train(L, v_th)
     budget = 1.0 - binary_entropy(v_th / (L - 1))
     if budget <= 0.0:
         return 0.0

@@ -7,11 +7,15 @@ Column layouts are the stable external contract (schema v1):
 * per_delay_summary.csv: delay_index, delay_ns, mean_visibility, min_visibility,
                          e_bit_proxy, accepted_fraction
 
-Floats are written with fixed precision and a fixed line terminator so
-identical (config, seed) runs produce byte-identical files; NaN is written
-as an empty field. Trace rows are built one per row of a second's
-``CALIB_STEP`` and ``QKD_SLOT`` arrays; the summary file and the report
-read the columns of the run's ``DELAY_SUMMARY`` array.
+Each trace line is one f-string over the ``tolist()`` columns of a second's
+``CALIB_STEP`` or ``QKD_SLOT`` array, and each file gets one ``write`` per
+second; a summary line is the run's ``DELAY_SUMMARY`` columns joined with
+commas. Every field is numeric, so CSV quoting never applies and
+plain formatting gives the bytes ``csv.writer`` would. Floats are written
+with six decimals and NaN as an empty field; each float column is formatted
+once, and each distinct DAC code's voltage once per second. The line
+terminator is fixed, so identical (config, seed) runs produce
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from __future__ import annotations
 import csv
 import math
 from pathlib import Path
-from typing import IO, Sequence
+from typing import IO, Iterable
 
 import numpy as np
 
@@ -37,8 +41,14 @@ PER_DELAY_HEADER = (
 )
 
 
-def _fmt(value: float) -> str:
-    return "" if math.isnan(value) else f"{value:.6f}"
+def float_fields(column: np.ndarray) -> list[str]:
+    """A float column's fields: six decimals, NaN as an empty field."""
+    return ["" if v != v else f"{v:.6f}" for v in column.tolist()]
+
+
+def csv_line(fields: Iterable) -> str:
+    """One line of plain fields (a header, a summary row)."""
+    return ",".join(map(str, fields)) + "\n"
 
 
 def make_writer(handle: IO[str]):
@@ -46,27 +56,50 @@ def make_writer(handle: IO[str]):
     return csv.writer(handle, lineterminator="\n")
 
 
-def calib_trace_row(second: int, row: Sequence, pm: PmConfig) -> tuple:
-    """One calib_trace line from a ``CALIB_STEP`` row (or the same fields as a tuple)."""
-    delay_index, step_index, code, c1, c2, vis = row
-    voltage = _fmt(dac_to_voltage(code, pm))
-    return (second, delay_index, step_index, code, voltage, c1, c2, _fmt(vis))
+def calib_trace_columns(steps: np.ndarray, pm: PmConfig) -> list[list]:
+    """The calib_trace fields after ``second`` of a second's ``CALIB_STEP`` rows, by column."""
+    codes = steps["dac_code"].tolist()
+    # one string per distinct code of the second, about two thirds of its codes;
+    # few recur the next second, so a run-wide memo would grow and rarely hit.
+    # A code in range has a finite voltage, so no field is empty.
+    voltage = {code: f"{dac_to_voltage(code, pm):.6f}" for code in set(codes)}
+    return [
+        steps["delay_index"].tolist(), steps["step_index"].tolist(), codes,
+        list(map(voltage.__getitem__, codes)), steps["c1"].tolist(), steps["c2"].tolist(),
+        float_fields(steps["visibility"]),
+    ]
 
 
-def qkd_trace_row(second: int, slot: int, row: Sequence) -> tuple:
-    """One qkd_trace line from a ``QKD_SLOT`` row (or the same fields as a tuple)."""
-    delay_index, c1, c2, vis = row
-    return (second, slot, delay_index, c1, c2, _fmt(vis))
+def qkd_trace_columns(slots: np.ndarray) -> list[list]:
+    """The qkd_trace fields after ``second`` and ``slot`` of a ``QKD_SLOT`` array, by column."""
+    return [
+        slots["delay_index"].tolist(), slots["c1"].tolist(), slots["c2"].tolist(),
+        float_fields(slots["visibility"]),
+    ]
+
+
+def calib_trace_row(
+    second: int, delay_index: int, step_index: int, dac_code: int, voltage: str,
+    c1: int, c2: int, visibility: str,
+) -> str:
+    """One calib_trace line; ``voltage`` and ``visibility`` come as formatted fields."""
+    return f"{second},{delay_index},{step_index},{dac_code},{voltage},{c1},{c2},{visibility}\n"
+
+
+def qkd_trace_row(
+    second: int, slot: int, delay_index: int, c1: int, c2: int, visibility: str
+) -> str:
+    """One qkd_trace line; ``visibility`` comes as a formatted field."""
+    return f"{second},{slot},{delay_index},{c1},{c2},{visibility}\n"
 
 
 def write_summary(report: ExperimentReport, path: str | Path) -> None:
     # the header names DELAY_SUMMARY columns; those after the two ints are floats
-    columns = [report.per_delay[name].tolist() for name in PER_DELAY_HEADER]
-    columns[2:] = [[_fmt(v) for v in column] for column in columns[2:]]
+    per_delay = report.per_delay
+    columns = [per_delay[name].tolist() for name in PER_DELAY_HEADER[:2]]
+    columns += [float_fields(per_delay[name]) for name in PER_DELAY_HEADER[2:]]
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = make_writer(handle)
-        writer.writerow(PER_DELAY_HEADER)
-        writer.writerows(zip(*columns))
+        handle.write(csv_line(PER_DELAY_HEADER) + "".join(map(csv_line, zip(*columns))))
 
 
 def render_report(report: ExperimentReport) -> str:

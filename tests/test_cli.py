@@ -260,6 +260,12 @@ class TestKeyrateCommand:
         assert main(["keyrate", "128", "1", "1.0", "0.7"]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_train_past_the_float_range_exits_2(self, capsys):
+        assert main(["keyrate", "1" * 401, "1", "1", "0"]) == 2
+        captured = capsys.readouterr()
+        assert "error: train length L" in captured.err
+        assert "R =" not in captured.out
+
     @pytest.mark.parametrize("q", ["nan", "inf"])
     def test_non_finite_q_exits_2(self, capsys, q):
         assert main(["keyrate", "128", "1", q, "0"]) == 2

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -78,6 +79,14 @@ class TestKeyRate:
             KeyRateParams(L=128, v_th=1, Q=-1.0, e_bit=0.0)
         with pytest.raises(ValueError):
             KeyRateParams(L=128, v_th=1, Q=1.0, e_bit=0.6)
+
+    def test_train_past_the_float_range_rejected(self):
+        with pytest.raises(ValueError, match="train length L"):
+            KeyRateParams(L=10**400, v_th=1, Q=1.0, e_bit=0.0)
+        with pytest.raises(ValueError, match="train length L"):
+            error_threshold(10**400, 1)
+        # the largest L whose L - 1 is within the float range still runs
+        assert error_threshold(int(sys.float_info.max) + 1, 1) == pytest.approx(0.5, abs=1e-8)
 
     @pytest.mark.parametrize("q", [math.nan, math.inf])
     def test_non_finite_q_rejected(self, q):
