@@ -11,9 +11,14 @@ fixed 23-step schedule:
 * step 23     re-apply the winner (PT5) to double-check its visibility.
 
 ``run_calibration(delay_index, plant, cfg, pm, rows)`` drives the search
-through ``plant.measure(delay_index, code, window_us) -> (c1, c2)`` and
-appends one ``CALIB_STEP`` tuple per measured step to the caller's ``rows``,
-so the steps before an abort are kept there too; DAC codes are plain ints.
+through ``plant.measure(delay_index, code, window_us) -> (c1, c2)``, one
+call per step in step order, and appends one ``CALIB_STEP`` tuple per
+measured step to the caller's ``rows``, so the steps before an abort are
+kept there too; DAC codes are plain ints. The steps run in four batches,
+1-4, 5-14, 15-22 and 23. A batch's codes are all computed before it
+starts, because none of them depends on the batch's own counts: the presets
+are fixed, the coarse scan centers on PT1, the fine scan on PT3, and step
+23 re-applies PT5.
 
 The estimator inverts the fringe model f_k = (1 + cos(alpha + ext_k)) / 2,
 i.e. the preset phases add to the path phase inside the cosine (the only
@@ -36,7 +41,7 @@ from .hardware import (
     voltage_for_phase,
     voltage_to_code,
 )
-from .optics import canonical_phase, visibility
+from .optics import canonical_phase
 
 TOTAL_STEPS = 23
 COARSE_POINTS = 9
@@ -66,8 +71,8 @@ class CalibrationAborted(RuntimeError):
 
 
 class Plantlike(Protocol):
-    """What a calibration needs of a plant: one window at a time, since each
-    step's code depends on the counts before it."""
+    """What a calibration needs of a plant: one window at a time, since a
+    batch's codes depend on the counts of the batches before it."""
 
     def measure(self, delay_index: int, code: int, window_us: int) -> tuple[int, int]: ...
 
@@ -92,7 +97,7 @@ class InitialStepPlan:
         if max(canon) - min(canon) < math.pi:
             raise ValueError("step phases must span at least pi")
 
-    @property
+    @functools.cached_property
     def is_quadrature(self) -> bool:
         return all(
             abs(canonical_phase(p) - q) < 1e-12
@@ -183,6 +188,13 @@ def _wrap_into_span(v: float, cfg: PmConfig) -> float:
     return float(exact)
 
 
+def _scan_codes(center_code: int, offsets: Sequence[float], cfg: PmConfig) -> list[int]:
+    """DAC codes of the scan points ``offsets`` volts from a center code's
+    voltage, each wrapped into the span."""
+    center_v = dac_to_voltage(center_code, cfg)
+    return [voltage_to_code(_wrap_into_span(center_v + off, cfg), cfg) for off in offsets]
+
+
 @functools.cache
 def preset_codes(plan: InitialStepPlan, pm: PmConfig) -> tuple[int, ...]:
     """DAC codes of the four preset phases of steps 1-4, memoised per
@@ -204,20 +216,28 @@ def run_calibration(
     The fine-scan winner competes against the coarse best it is centered
     on: a scan point can only replace PT3 by strictly beating it.
     """
+    window_us = cfg.step_window_us
+    measure = plant.measure
+    append_row = rows.append
 
-    def step(index: int, code: int) -> float:
-        c1, c2 = plant.measure(delay_index, code, cfg.step_window_us)
-        if c1 + c2 == 0:
-            raise CalibrationAborted(
-                f"zero total counts at calibration step {index} of delay {delay_index}"
-            )
-        vis = visibility(c1, c2)
-        rows.append((delay_index, index, code, c1, c2, vis))
-        return vis
+    def measure_batch(first_step: int, codes: Sequence[int]) -> list[float]:
+        # one plant.measure per step, in step order; no code here depends on
+        # the batch's own counts
+        visibilities = []
+        for index, code in enumerate(codes, first_step):
+            c1, c2 = measure(delay_index, code, window_us)
+            total = c1 + c2
+            if total == 0:
+                raise CalibrationAborted(
+                    f"zero total counts at calibration step {index} of delay {delay_index}"
+                )
+            vis = (c1 - c2) / total
+            append_row((delay_index, index, code, c1, c2, vis))
+            visibilities.append(vis)
+        return visibilities
 
     # steps 1-4: preset phases for the least-squares estimate
-    for k, code in enumerate(preset_codes(cfg.plan, pm)):
-        step(k + 1, code)
+    measure_batch(1, preset_codes(cfg.plan, pm))
     fractions = [c1 / (c1 + c2) for *_, c1, c2, _ in rows[-4:]]
     try:
         alpha_hat = least_squares_phase(fractions, cfg.plan)
@@ -225,36 +245,28 @@ def run_calibration(
         # no usable fringe information: treat like a plant fault
         raise CalibrationAborted(str(exc)) from exc
 
-    # step 5: apply the estimate so PT1's visibility is itself observable
+    # step 5 applies the estimate so PT1's visibility is itself observable;
+    # steps 6-14 scan coarsely around PT2 (same voltage as PT1) for PT3
     pt1_code = phase_to_compensation_code(alpha_hat, pm)
-    pt1_visibility = step(5, pt1_code)
-
-    def scan(
-        first_step: int, center_code: int, offsets: Sequence[float], incumbent: tuple[float, int]
-    ) -> tuple[float, int]:
-        # a (visibility, code) incumbent is replaced only by a strictly
-        # higher visibility, so ties resolve to the earliest measurement
-        best_visibility, best_code = incumbent
-        center_v = dac_to_voltage(center_code, pm)
-        for j, off in enumerate(offsets):
-            code = voltage_to_code(_wrap_into_span(center_v + off, pm), pm)
-            vis = step(first_step + j, code)
-            if vis > best_visibility:
-                best_visibility, best_code = vis, code
-        return best_visibility, best_code
-
-    # steps 6-14: coarse scan around PT2 (same voltage as PT1)
     coarse_offsets = [(j - COARSE_POINTS // 2) * cfg.coarse_interval for j in range(COARSE_POINTS)]
-    pt3 = scan(6, pt1_code, coarse_offsets, incumbent=(pt1_visibility, pt1_code))
+    coarse = [pt1_code, *_scan_codes(pt1_code, coarse_offsets, pm)]
+    coarse_visibilities = measure_batch(5, coarse)
+    # ties resolve to the earliest step: index finds the first of the best
+    pt3_visibility = max(coarse_visibilities)
+    pt3_code = coarse[coarse_visibilities.index(pt3_visibility)]
 
     # steps 15-22: fine scan around PT4 (same voltage as PT3); PT3's own
-    # point was already measured, so the scan covers its neighborhood only
+    # point was already measured, so the scan covers its neighborhood only,
+    # and a scan point replaces PT3 only by strictly beating it
     half = FINE_POINTS // 2
     fine_offsets = [j * cfg.fine_interval for j in range(-half, half + 1) if j != 0]
-    _, pt5_code = scan(15, pt3[1], fine_offsets, incumbent=pt3)
+    fine = _scan_codes(pt3_code, fine_offsets, pm)
+    fine_visibilities = measure_batch(15, fine)
+    fine_best = max(fine_visibilities)
+    pt5_code = fine[fine_visibilities.index(fine_best)] if fine_best > pt3_visibility else pt3_code
 
     # step 23: PT6 re-applies PT5's voltage to double-check the result
-    final_visibility = step(23, pt5_code)
+    [final_visibility] = measure_batch(23, [pt5_code])
     return CalibResult(
         optimal_code=pt5_code,
         final_visibility=final_visibility,

@@ -23,6 +23,8 @@ import numpy as np
 
 from .calibration import (
     CALIB_STEP,
+    COARSE_POINTS,
+    FINE_POINTS,
     CalibrationAborted,
     CalibrationConfig,
     TOTAL_STEPS,
@@ -295,6 +297,18 @@ class RunSettings:
             raise ValueError(f"run.seed must be a non-negative integer, got {self.seed}")
         if TOTAL_STEPS * self.calibration.step_window_us > self.schedule.perm_slot_us:
             raise ValueError("calibration steps do not fit the permutation slot")
+        # a scan point lies up to points // 2 intervals from an in-span voltage
+        pm, calib = self.plant.pm, self.calibration
+        rail = max(abs(pm.v_min), abs(pm.v_max))
+        for key, interval, points in (
+            ("coarse_interval", calib.coarse_interval, COARSE_POINTS),
+            ("fine_interval", calib.fine_interval, FINE_POINTS),
+        ):
+            if not math.isfinite(rail + (points // 2) * interval):
+                raise ValueError(
+                    f"calibration.{key} = {interval} V puts scan points past the float "
+                    f"range around the DAC span [{pm.v_min}, {pm.v_max}] V"
+                )
         # both ports' counts and their sum must fit the int64 count columns
         det = self.plant.detector
         window_us = max(self.calibration.step_window_us, self.schedule.qkd_slot_us)

@@ -113,7 +113,7 @@ def advance(
     The OU step uses the exact discretization, so chunking a span into
     several calls changes the realization but not the law. Draw order is
     fixed: one laser normal, then 128 path normals. ``advance_windows``
-    (the QKD stage) and ``advance_delay`` (each permutation slot of the
+    (the QKD stage) and ``delay_drift`` (each permutation slot of the
     stabilisation stage) consume the stream in the same order and must
     change with this.
     """
@@ -188,30 +188,42 @@ def advance_windows(
     return phases
 
 
-def advance_delay(
+def window_laws(
+    dt: Sequence[float], cfg: DriftConfig
+) -> tuple[list[tuple[float, float, float]], np.ndarray]:
+    """``_window_law`` of each window of ``dt`` seconds, computed once per
+    distinct length, and the walk steps again as a column: what
+    ``delay_drift`` reads. A plant computes this once per slot shape."""
+    by_length = {d: _window_law(d, cfg) for d in dict.fromkeys(dt)}
+    laws = [by_length[d] for d in dt]
+    return laws, np.array([walk_step for *_, walk_step in laws])[:, None]
+
+
+def delay_drift(
     state: DriftState,
     index: int,
-    dt: Sequence[float],
+    laws: tuple[list[tuple[float, float, float]], np.ndarray],
     cfg: DriftConfig,
     rng: np.random.Generator,
-) -> list[float]:
-    """Advance the state over ``len(dt)`` windows of ``dt[k]`` seconds, all
-    read on delay ``index`` (a calibration slot).
+) -> tuple[list[float], float, np.ndarray]:
+    """The drift over the windows of ``laws`` (from ``window_laws``), all
+    read on delay ``index`` (a calibration slot), leaving ``state`` as it is.
 
     Returns the canonical true phase of delay ``index`` at the start of each
-    window, NaN where it is not finite; the reader raises
-    ``non_finite_phase``. Phases, final state and stream position are
-    bit-identical to calling ``true_phase`` and then ``advance`` once per
-    window: one ``(windows, 129)`` block of normals in ``advance``'s draw
-    order, the OU recursion and the delay's own walk on Python floats in
-    ``advance``'s and ``true_phase``'s operation order, and the other walks
-    summed down the block, which NumPy does row by row like repeated ``+=``.
-    For a few dozen windows this costs less than ``advance_windows``'
-    vectorised gather.
+    window, NaN where it is not finite (the reader raises
+    ``non_finite_phase``), and the end state's ``laser_eps`` and
+    ``path_phases``. These and the stream position are bit-identical to
+    calling ``true_phase`` and then ``advance`` once per window: one
+    ``(windows, 129)`` block of normals in ``advance``'s draw order, the OU
+    recursion and the delay's own walk on Python floats in ``advance``'s and
+    ``true_phase``'s operation order, and the walks summed down the block
+    from the state, which NumPy does row by row like repeated ``+=``. For a
+    few dozen windows this costs less than ``advance_windows``' vectorised
+    gather.
     """
-    # the law once per distinct window length, not once per window
-    by_length = {d: _window_law(d, cfg) for d in dict.fromkeys(dt)}
-    steps = [by_length[d] for d in dt]
+    steps, walk_steps = laws
+    if not steps:
+        return [], state.laser_eps, state.path_phases.copy()
     normals = rng.standard_normal((len(steps), NUM_DELAYS + 1))
     gain = 2.0 * math.pi * cfg.optical_freq_hz * _DELAY_S[index]
     offset = float(state.offsets[index])
@@ -225,15 +237,14 @@ def advance_delay(
         phases.append(canonical_phase(phase) if math.isfinite(phase) else math.nan)
         eps = eps * decay + laser_step * z
         walk = walk + walk_step * z_walk
-    walks = np.empty((len(steps) + 1, NUM_DELAYS))
-    walks[0] = state.path_phases
     # a walk past the float range turns inf or NaN without a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        walk_steps = np.array([walk_step for *_, walk_step in steps])
-        np.multiply(walk_steps[:, None], normals[:, 1:], out=walks[1:])
-        state.path_phases[:] = walks.sum(axis=0)
-    state.laser_eps = eps
-    return phases
+        # every row scaled in place (the laser column is read already), the
+        # state folded into the first walk row, then one sum down the block
+        np.multiply(walk_steps, normals, out=normals)
+        walks = normals[:, 1:]
+        np.add(state.path_phases, walks[0], out=walks[0])
+        return phases, eps, walks.sum(axis=0)
 
 
 def non_finite_phase(index: int) -> ValueError:

@@ -8,17 +8,19 @@ instantaneous; the high-voltage driver electronics are out of scope.
 
 A delay is an index 0..127 everywhere: ``select_delay(index) -> delay_ns``
 decodes its gates, and ``DELAY_NS`` holds the result for every index.
+``dac_to_phase(code, pm)`` takes a DAC code straight to its modulator phase.
 ``sample_counts((i1, i2), det, window, rng) -> (c1, c2)`` counts one window.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .optics import canonical_phase
+from .optics import TWO_PI, canonical_phase
 
 GATE_COUNT = 7
 NUM_DELAYS = 1 << GATE_COUNT
@@ -60,12 +62,23 @@ class PmConfig:
             raise ValueError(f"dac_bits must be positive, got {self.dac_bits}")
         if self.dac_bits > 63:
             raise ValueError(f"pm.dac_bits must be at most 63 (int64 codes), got {self.dac_bits}")
+        # the transfer's products at full scale: code * span, pi * span / v_pi
+        if not (
+            math.isfinite(self.span * self.max_code)
+            and math.isfinite(math.pi * self.span / self.v_pi)
+        ):
+            raise ValueError(
+                f"DAC transfer overflows: the span from pm.v_min = {self.v_min} V to "
+                f"pm.v_max = {self.v_max} V times {self.max_code} codes "
+                f"(pm.dac_bits = {self.dac_bits}), or times pi over pm.v_pi = "
+                f"{self.v_pi} V, is not finite"
+            )
 
     @property
     def span(self) -> float:
         return self.v_max - self.v_min
 
-    @property
+    @functools.cached_property
     def max_code(self) -> int:
         return (1 << self.dac_bits) - 1
 
@@ -99,6 +112,18 @@ def dac_to_voltage(code: int, cfg: PmConfig) -> float:
     if not 0 <= code <= max_code:
         raise ValueError(f"DAC code {code} out of range for {cfg.dac_bits}-bit converter")
     return min(cfg.v_max, cfg.v_min + code * (cfg.v_max - cfg.v_min) / max_code)
+
+
+def dac_to_phase(code: int, cfg: PmConfig) -> float:
+    """Modulator phase of a DAC code: ``voltage_to_phase(dac_to_voltage(code))``
+    in one call, with the same arithmetic. The clamp keeps the voltage in the
+    span, so the span check is not repeated."""
+    max_code = cfg.max_code
+    if not 0 <= code <= max_code:
+        raise ValueError(f"DAC code {code} out of range for {cfg.dac_bits}-bit converter")
+    v = min(cfg.v_max, cfg.v_min + code * (cfg.v_max - cfg.v_min) / max_code)
+    # the phase is >= 0, where canonical_phase is math.fmod alone
+    return math.fmod(math.pi * (v - cfg.v_min) / cfg.v_pi, TWO_PI)
 
 
 def voltage_to_code(v: float, cfg: PmConfig) -> int:
@@ -167,10 +192,7 @@ def sample_counts(
     dark = det.dark_rate * window
     lam1 = f1 * signal + dark
     lam2 = f2 * signal + dark
+    # a scalar draw and round() both give Python ints
     if det.shot_noise:
-        c1 = int(rng.poisson(lam1))
-        c2 = int(rng.poisson(lam2))
-    else:
-        c1 = int(round(lam1))
-        c2 = int(round(lam2))
-    return c1, c2
+        return rng.poisson(lam1), rng.poisson(lam2)
+    return round(lam1), round(lam2)

@@ -4,23 +4,28 @@ Composes the drift engine, the modulator chain and the detectors into one
 object with two measurement entry points. Both take delays as indices
 0..127 and return the two port counts. ``measure(delay_index, code,
 window_us) -> (c1, c2)`` integrates one window; the calibration search
-calls it step by step, because each step depends on the last.
-``measure_slots(index, codes, window_us) -> (c1, c2)`` integrates a whole
-run of equal windows whose delays and codes are known in advance (the QKD
-stage) from one draw per stream; its count arrays hold the same numbers as
-one ``measure`` call per window. The per-window physics therefore exists
-twice, and an equivalence test keeps the two aligned.
+calls it once per step, because a step's code can depend on the counts of
+the steps before it. ``measure_slots(index, codes, window_us) -> (c1,
+c2)`` integrates a whole run of equal windows whose delays and codes are
+known in advance (the QKD stage) from one draw per stream; its count
+arrays hold the same numbers as one ``measure`` call per window. The
+per-window physics therefore exists twice, and an equivalence test keeps
+the two aligned.
 
 Outside a slot, ``measure`` reads the true phase from the drift state and
 then advances the drift by its window. ``open_slot`` prefetches the drift
-of one permutation slot of a single delay from one draw: its measurement
-windows, then the pad that fills the slot. Until ``close_slot``, each
-``measure`` reads the next prefetched phase and only the clock moves; the
-drift state stays at the slot start. Closing commits the prefetched end
-state, or, when fewer windows were measured (an aborted calibration),
-rewinds the drift stream and redraws the measured windows plus the longer
-pad, as measuring and then idling to the slot end would have. Counts, drift
-state and stream positions are bit-identical either way.
+of one permutation slot of a single delay from one draw
+(``drift.delay_drift``): its measurement windows, then the pad that fills
+the slot, with the window law computed once per slot shape. Until
+``close_slot``, each ``measure`` reads the next prefetched phase straight
+from the slot and only the clock moves; the drift state stays at the slot
+start. In or out of a slot, a measured window goes through
+``hardware.dac_to_phase``, ``port_intensities`` and ``sample_counts``.
+Closing commits the prefetched end state, or, when fewer windows were
+measured (an aborted calibration), rewinds the drift stream and redraws
+the measured windows plus the longer pad, as measuring and then idling to
+the slot end would have. Counts, drift state and stream positions are
+bit-identical either way.
 
 The plant owns the simulation clock (integer microseconds) and is the only
 place drift time advances, so elapsed simulated time always equals the sum
@@ -37,13 +42,7 @@ import numpy as np
 
 from . import drift as drift_mod
 from .drift import DriftConfig, DriftState
-from .hardware import (
-    DetectorConfig,
-    PmConfig,
-    dac_to_voltage,
-    sample_counts,
-    voltage_to_phase,
-)
+from .hardware import DetectorConfig, PmConfig, dac_to_phase, sample_counts
 from .optics import port_intensities
 
 
@@ -78,6 +77,8 @@ class Plant:
         )
         self.elapsed_us: int = 0
         self._slot: _Slot | None = None
+        # drift.window_laws of each slot shape (window_us, windows, pad_us)
+        self._slot_laws: dict[tuple[int, int, int], tuple] = {}
 
     def measure(self, delay_index: int, code: int, window_us: int) -> tuple[int, int]:
         """Integrate one counting window, then advance drift by the window.
@@ -85,23 +86,32 @@ class Plant:
         Returns the port counts ``(c1, c2)``. The drift is piecewise-constant
         within a window (windows are short against the drift timescales):
         the phase is evaluated at the window start. Inside an open slot the
-        phase is the slot's next prefetched one, and only the clock moves.
+        delay and window must be the slot's, the phase is the slot's next
+        prefetched one, and only the clock moves.
         """
-        if window_us <= 0:
-            raise ValueError(f"window must be positive, got {window_us} us")
+        cfg = self.config
         slot = self._slot
         if slot is None:
-            alpha = drift_mod.true_phase(self.state, delay_index, self.config.drift)
+            if window_us <= 0:
+                raise ValueError(f"window must be positive, got {window_us} us")
+            alpha = drift_mod.true_phase(self.state, delay_index, cfg.drift)
         else:
-            alpha = slot.next_phase(delay_index, window_us)
-        phi = voltage_to_phase(dac_to_voltage(code, self.config.pm), self.config.pm)
-        intensities = port_intensities(1.0, alpha + phi, self.config.contrast)
-        window_s = window_us * 1e-6
-        counts = sample_counts(intensities, self.config.detector, window_s, self._rng_detector)
+            used = slot.used
+            if (
+                delay_index != slot.delay_index
+                or window_us != slot.window_us
+                or used == slot.windows
+            ):
+                raise slot.mismatch(delay_index, window_us)
+            alpha = slot.phases[used]
+            if math.isnan(alpha):
+                raise drift_mod.non_finite_phase(delay_index)
+        intensities = port_intensities(1.0, alpha + dac_to_phase(code, cfg.pm), cfg.contrast)
+        counts = sample_counts(intensities, cfg.detector, window_us * 1e-6, self._rng_detector)
         if slot is None:
             self._advance(window_us)
         else:
-            slot.used += 1
+            slot.used = used + 1
             self.elapsed_us += window_us
         return counts
 
@@ -120,7 +130,7 @@ class Plant:
             raise ValueError(f"window must be positive, got {window_us} us")
         self._require_no_slot()
         cfg = self.config
-        phi = np.array([voltage_to_phase(dac_to_voltage(code, cfg.pm), cfg.pm) for code in codes])
+        phi = np.array([dac_to_phase(code, cfg.pm) for code in codes])
         window_s = window_us * 1e-6
         alpha = drift_mod.advance_windows(self.state, index, window_s, cfg.drift, self._rng_drift)
         self.elapsed_us += len(index) * window_us
@@ -151,12 +161,18 @@ class Plant:
             raise ValueError(
                 f"{windows} windows of {window_us} us do not fit a {slot_us} us slot"
             )
-        windows_s = [window_us * 1e-6] * windows + ([pad_us * 1e-6] if pad_us else [])
+        shape = (window_us, windows, pad_us)
+        laws = self._slot_laws.get(shape)
+        if laws is None:
+            windows_s = [window_us * 1e-6] * windows + ([pad_us * 1e-6] if pad_us else [])
+            laws = self._slot_laws[shape] = drift_mod.window_laws(windows_s, self.config.drift)
         rewind = self._rng_drift.bit_generator.state
-        end = DriftState(self.state.laser_eps, self.state.path_phases.copy(), self.state.offsets)
-        phases = drift_mod.advance_delay(end, delay_index, windows_s, self.config.drift, self._rng_drift)
+        phases, end_eps, end_walk = drift_mod.delay_drift(
+            self.state, delay_index, laws, self.config.drift, self._rng_drift
+        )
         self._slot = _Slot(
-            delay_index, window_us, phases[:windows], self.elapsed_us + slot_us, end, rewind
+            delay_index, window_us, windows, phases, self.elapsed_us + slot_us,
+            end_eps, end_walk, rewind,
         )
 
     def close_slot(self) -> None:
@@ -165,18 +181,19 @@ class Plant:
         if slot is None:
             raise ValueError("no slot is open")
         self._slot = None
-        if slot.used == len(slot.phases):
-            self.state.laser_eps = slot.end.laser_eps
-            self.state.path_phases[:] = slot.end.path_phases
-        else:
+        end_eps, end_walk = slot.end_eps, slot.end_walk
+        if slot.used < slot.windows:
             # redraw the measured windows, then one pad to the slot end
             self._rng_drift.bit_generator.state = slot.rewind
             windows_s = [slot.window_us * 1e-6] * slot.used + [
                 (slot.end_us - self.elapsed_us) * 1e-6
             ]
-            drift_mod.advance_delay(
-                self.state, slot.delay_index, windows_s, self.config.drift, self._rng_drift
+            laws = drift_mod.window_laws(windows_s, self.config.drift)
+            _, end_eps, end_walk = drift_mod.delay_drift(
+                self.state, slot.delay_index, laws, self.config.drift, self._rng_drift
             )
+        self.state.laser_eps = end_eps
+        self.state.path_phases[:] = end_walk
         self.elapsed_us = slot.end_us
 
     def idle(self, duration_us: int) -> None:
@@ -203,24 +220,18 @@ class _Slot:
 
     delay_index: int
     window_us: int
-    phases: list[float]
+    windows: int
+    phases: list[float]  # a phase per window, then the pad's
     end_us: int
-    end: DriftState
+    end_eps: float
+    end_walk: np.ndarray
     rewind: dict
     used: int = 0
 
-    def next_phase(self, delay_index: int, window_us: int) -> float:
-        if (
-            delay_index != self.delay_index
-            or window_us != self.window_us
-            or self.used == len(self.phases)
-        ):
-            raise ValueError(
-                f"the open slot holds {len(self.phases)} windows of {self.window_us} us on "
-                f"delay {self.delay_index}; cannot measure delay {delay_index} for "
-                f"{window_us} us after {self.used}"
-            )
-        alpha = self.phases[self.used]
-        if math.isnan(alpha):
-            raise drift_mod.non_finite_phase(delay_index)
-        return alpha
+    def mismatch(self, delay_index: int, window_us: int) -> ValueError:
+        """The error for a measurement that does not follow the slot."""
+        return ValueError(
+            f"the open slot holds {self.windows} windows of {self.window_us} us on "
+            f"delay {self.delay_index}; cannot measure delay {delay_index} for "
+            f"{window_us} us after {self.used}"
+        )

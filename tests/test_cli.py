@@ -184,11 +184,38 @@ class TestRunCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert "pm.v_min" in err and "pm.v_max" in err
-        # the widest finite span still runs
+        # the widest span whose 16-bit transfer stays finite still runs
         assert main([
             "run", "--seconds", "1", "--out", str(out),
-            "--set", "pm.v_max=8e307", "--set", "pm.v_min=-8e307",
+            "--set", "pm.v_max=1e303", "--set", "pm.v_min=-1e303",
         ]) == 0
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [["pm.v_max=1e308", "pm.v_pi=1e307"], ["pm.v_min=-1e308"]],
+        ids=["pi-times-span", "code-times-span"],
+    )
+    def test_overflowing_dac_transfer_exits_2_naming_the_keys(self, tmp_path, capsys, overrides):
+        # the first was a bare math domain error; the second ran to exit 0
+        # with every code from 2 up at v_max
+        out = tmp_path / "x"
+        sets = [arg for item in overrides for arg in ("--set", item)]
+        assert main(["run", "--seconds", "1", "--out", str(out), *sets]) == 2
+        err = capsys.readouterr().err
+        assert "DAC transfer overflows" in err
+        for key in ("pm.v_min", "pm.v_max", "pm.dac_bits"):
+            assert key in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["coarse_interval", "fine_interval"])
+    def test_overflowing_scan_interval_exits_2_naming_the_key(self, tmp_path, capsys, key):
+        out = tmp_path / "x"
+        code = main(["run", "--seconds", "1", "--out", str(out), "--set", f"calibration.{key}=1e308"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"calibration.{key} = 1e+308 V puts scan points past the float range" in err
+        assert "cannot wrap" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "overrides",
@@ -405,5 +432,11 @@ class TestBenchmarkHooks:
         assert proc.returncode == 0, proc.stderr
         data = json.loads(result.read_text())
         assert data["exit_code"] == 0
-        calls, _, _ = data["trace"]["spans"]["plant.measure"]
-        assert calls > 0
+        # one call per calibration and one per measured step: a path round
+        # these names would leave their spans short or empty
+        trace = data["trace"]
+        spans = trace["spans"]
+        assert trace["calibrations_aborted"] == 0
+        assert spans["calibration"][0] == 128
+        for name in ("plant.measure", "hardware.sample_counts", "optics.port_intensities"):
+            assert spans[name][0] == 128 * 23, name

@@ -7,9 +7,13 @@ import pytest
 from fringelock import controller
 from fringelock.calibration import (
     CALIB_STEP,
+    AmbiguousPhaseError,
     CalibrationAborted,
     CalibrationConfig,
-    run_calibration,
+    InitialStepPlan,
+    _wrap_into_span,
+    least_squares_phase,
+    phase_to_compensation_code,
 )
 from fringelock.controller import (
     CLOSED_LOOP,
@@ -26,7 +30,14 @@ from fringelock.controller import (
     run_stabilization_stage,
 )
 from fringelock.drift import DriftConfig
-from fringelock.hardware import NUM_DELAYS, DetectorConfig
+from fringelock.hardware import (
+    NUM_DELAYS,
+    DetectorConfig,
+    PmConfig,
+    dac_to_voltage,
+    voltage_for_phase,
+    voltage_to_code,
+)
 from fringelock.plant import Plant, PlantConfig
 
 from conftest import zero_noise_settings
@@ -106,20 +117,67 @@ class TestStabilizationStage:
             run_stabilization_stage(0, plant, calib, settings.schedule, bootstrap_table(plant.config))
 
 
-def _reference_stabilization_stage(second, plant, calib_cfg, schedule, previous, aborts):
-    """The stabilisation stage as ``Plant.measure`` step by step and
-    ``Plant.idle`` to each slot's end: the algorithm the prefetching
-    ``run_stabilization_stage`` must reproduce bit for bit. Appends each
-    abort's message to ``aborts``."""
+def _reference_calibration(delay_index, plant, cfg, pm, rows, events):
+    """The 23-step search one step at a time: each step's code is chosen
+    just before it is measured, and an incumbent is replaced only by a
+    strictly higher visibility. Appends "wrap" to ``events`` for each scan
+    point that falls off a rail."""
+
+    def step(index, code):
+        c1, c2 = plant.measure(delay_index, code, cfg.step_window_us)
+        if c1 + c2 == 0:
+            raise CalibrationAborted(
+                f"zero total counts at calibration step {index} of delay {delay_index}"
+            )
+        vis = (c1 - c2) / (c1 + c2)
+        rows.append((delay_index, index, code, c1, c2, vis))
+        return vis
+
+    def scan(first_step, center_code, offsets, best_visibility, best_code):
+        center_v = dac_to_voltage(center_code, pm)
+        for j, off in enumerate(offsets):
+            v = center_v + off
+            if not pm.v_min <= v <= pm.v_max:
+                events.append("wrap")
+            code = voltage_to_code(_wrap_into_span(v, pm), pm)
+            vis = step(first_step + j, code)
+            if vis > best_visibility:
+                best_visibility, best_code = vis, code
+        return best_visibility, best_code
+
+    for k, ext in enumerate(cfg.plan.ext_phases):
+        step(k + 1, voltage_to_code(voltage_for_phase(ext, pm), pm))
+    fractions = [c1 / (c1 + c2) for *_, c1, c2, _ in rows[-4:]]
+    try:
+        alpha_hat = least_squares_phase(fractions, cfg.plan)
+    except AmbiguousPhaseError as exc:
+        raise CalibrationAborted(str(exc)) from exc
+    pt1_code = phase_to_compensation_code(alpha_hat, pm)
+    pt1_visibility = step(5, pt1_code)
+    coarse = [(j - 4) * cfg.coarse_interval for j in range(9)]
+    pt3 = scan(6, pt1_code, coarse, pt1_visibility, pt1_code)
+    fine = [j * cfg.fine_interval for j in (-4, -3, -2, -1, 1, 2, 3, 4)]
+    _, pt5_code = scan(15, pt3[1], fine, *pt3)
+    final_visibility = step(23, pt5_code)
+    return pt5_code, final_visibility, final_visibility >= cfg.accept_threshold
+
+
+def _reference_stabilization_stage(second, plant, calib_cfg, schedule, previous, events):
+    """The stabilisation stage step by step: each window measured with
+    ``Plant.measure`` outside any slot, then ``Plant.idle`` to the slot end.
+    The batched, prefetching ``run_stabilization_stage`` must reproduce it
+    bit for bit. Appends each abort's message to ``events``."""
     start_us = plant.elapsed_us
     entries, rows = [], []
     for index in range(NUM_DELAYS):
         slot_start = plant.elapsed_us
         try:
-            result = run_calibration(index, plant, calib_cfg, plant.config.pm, rows)
-            entries.append((result.optimal_code, result.final_visibility, result.accepted, second))
+            result = _reference_calibration(
+                index, plant, calib_cfg, plant.config.pm, rows, events
+            )
+            entries.append((*result, second))
         except CalibrationAborted as exc:
-            aborts.append(str(exc))
+            events.append(str(exc))
             entries.append((previous["code"][index], math.nan, False, second))
         plant.idle(slot_start + schedule.perm_slot_us - plant.elapsed_us)
     plant.idle(start_us + schedule.stab_duration_us - plant.elapsed_us)
@@ -137,33 +195,49 @@ def _assert_same_plant(plant, reference):
 
 _NOISELESS = zero_noise_settings().plant
 _LOW_LIGHT = PlantConfig(detector=DetectorConfig(input_rate=100_000.0, dark_rate=0.0))
+_DARK = PlantConfig(detector=DetectorConfig(input_rate=0.0, dark_rate=0.0))
+_FLAT = PlantConfig(detector=DetectorConfig(shot_noise=False), contrast=0.0)
+_NO_SHOT_NOISE = PlantConfig(detector=DetectorConfig(shot_noise=False))
+_RAILS = PlantConfig(pm=PmConfig(v_max=8.0, v_pi=4.0))
+_GRID_PLAN = CalibrationConfig(
+    plan=InitialStepPlan(ext_phases=(0.0, 2.0 * math.pi / 3, math.pi, 5.0 * math.pi / 3))
+)
 
 
 class TestPrefetchedStabilizationStage:
     """``run_stabilization_stage`` against the step-by-step stage, bit for bit."""
 
     @pytest.mark.parametrize(
-        "plant_cfg, calib_cfg, schedule, seed",
+        "plant_cfg, calib_cfg, schedule, seed, expect",
         [
-            (PlantConfig(), CalibrationConfig(), FrameSchedule(), 60),
-            (PlantConfig(), CalibrationConfig(), FrameSchedule(), 61),
-            (_NOISELESS, CalibrationConfig(), FrameSchedule(), 62),
+            (PlantConfig(), CalibrationConfig(), FrameSchedule(), 60, "complete"),
+            (PlantConfig(), CalibrationConfig(), FrameSchedule(), 61, "complete"),
+            (_NOISELESS, CalibrationConfig(), FrameSchedule(), 62, "complete"),
             # about 2 counts per step: zero-count and ambiguous-phase aborts
-            (_LOW_LIGHT, CalibrationConfig(), FrameSchedule(), 64),
+            (_LOW_LIGHT, CalibrationConfig(), FrameSchedule(), 64, "low-light"),
             # 23 steps of 100 us fill a 2300 us slot: no pad window
-            (PlantConfig(), CalibrationConfig(), FrameSchedule(perm_slot_us=2_300), 66),
+            (PlantConfig(), CalibrationConfig(), FrameSchedule(perm_slot_us=2_300), 66, "complete"),
             # 23 steps of 108 us leave a 16 us pad
-            (PlantConfig(), CalibrationConfig(step_window_us=108), FrameSchedule(), 65),
+            (PlantConfig(), CalibrationConfig(step_window_us=108), FrameSchedule(), 65, "complete"),
+            # no light at all: every search aborts at step 1
+            (_DARK, CalibrationConfig(), FrameSchedule(), 67, "dark"),
+            # no fringe and no shot noise: four equal fractions, no phase
+            (_FLAT, CalibrationConfig(), FrameSchedule(), 68, "flat"),
+            (PlantConfig(), _GRID_PLAN, FrameSchedule(), 69, "complete"),
+            # a span of exactly 2*v_pi: scan points wrap off a rail
+            (_RAILS, CalibrationConfig(), FrameSchedule(), 70, "wraps"),
+            (_NO_SHOT_NOISE, CalibrationConfig(), FrameSchedule(), 71, "complete"),
         ],
-        ids=["seed-60", "seed-61", "noiseless", "low-light-aborts", "no-pad", "108-us-windows"],
+        ids=["seed-60", "seed-61", "noiseless", "low-light-aborts", "no-pad", "108-us-windows",
+             "dark", "flat-fringe", "grid-plan", "rail-wraps", "no-shot-noise"],
     )
-    def test_matches_step_by_step_stage(self, plant_cfg, calib_cfg, schedule, seed):
+    def test_matches_step_by_step_stage(self, plant_cfg, calib_cfg, schedule, seed, expect):
         reference, plant = Plant(plant_cfg, seed), Plant(plant_cfg, seed)
         expected_table = table = bootstrap_table(plant_cfg)
-        aborts = []
+        events = []
         for second in range(2):
             expected_table, expected_steps = _reference_stabilization_stage(
-                second, reference, calib_cfg, schedule, expected_table, aborts
+                second, reference, calib_cfg, schedule, expected_table, events
             )
             table, steps = run_stabilization_stage(second, plant, calib_cfg, schedule, table)
             assert table.tobytes() == expected_table.tobytes()
@@ -171,11 +245,23 @@ class TestPrefetchedStabilizationStage:
             _assert_same_plant(plant, reference)
             for p in (reference, plant):
                 p.idle(schedule.qkd_duration_us)  # stand in for the QKD stage
-        if plant_cfg is _LOW_LIGHT:
+        aborts = [e for e in events if e != "wrap"]
+        if expect == "low-light":
             assert any(a.startswith("zero total counts") for a in aborts)
             assert any("coincide" in a for a in aborts)
+        elif expect == "dark":
+            assert len(steps) == 0
+            assert aborts == [
+                f"zero total counts at calibration step 1 of delay {i}" for i in range(128)
+            ] * 2
+        elif expect == "flat":
+            assert len(steps) == NUM_DELAYS * 4
+            assert len(aborts) == 2 * NUM_DELAYS and all("coincide" in a for a in aborts)
         else:
+            assert not aborts
             assert len(steps) == NUM_DELAYS * 23
+            if expect == "wraps":
+                assert "wrap" in events
 
     def test_non_finite_phase_raises_at_the_same_step(self):
         # a fast OU detuning near the float range: the laser term of delay 4
@@ -370,6 +456,13 @@ class TestRunExperiment:
         tail = d[(d["delay_index"] > 0) & (d["slots"] > 0)]
         weighted = (tail["mean_visibility"] * tail["slots"]).sum() / tail["slots"].sum()
         assert report.e_bit_overall == pytest.approx((1.0 - weighted) / 2.0, abs=1e-12)
+
+    @pytest.mark.parametrize("key", ["coarse_interval", "fine_interval"])
+    def test_scan_points_must_stay_finite(self, key):
+        # a scan point lies up to 4 intervals from a rail of the 0-10 V span
+        RunSettings(calibration=CalibrationConfig(**{key: 4e307}))
+        with pytest.raises(ValueError, match=rf"^calibration\.{key} = 5e\+307 V puts scan"):
+            RunSettings(calibration=CalibrationConfig(**{key: 5e307}))
 
     def test_mode_validation(self):
         with pytest.raises(ValueError):

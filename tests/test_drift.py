@@ -6,10 +6,11 @@ import pytest
 from fringelock.drift import (
     DriftConfig,
     advance,
-    advance_delay,
     advance_windows,
+    delay_drift,
     initial_state,
     true_phase,
+    window_laws,
 )
 
 from conftest import ZERO_OFFSETS
@@ -148,7 +149,7 @@ class TestAdvanceWindows:
                             np.random.default_rng(11))
 
 
-class TestAdvanceDelay:
+class TestDelayDrift:
     @pytest.mark.parametrize(
         "delay, dt",
         [
@@ -171,16 +172,21 @@ class TestAdvanceDelay:
         for d in dt:
             expected.append(true_phase(reference, delay, cfg))
             advance(reference, d, cfg, reference_rng)
-        assert advance_delay(state, delay, dt, cfg, rng) == expected
-        assert state.laser_eps.hex() == reference.laser_eps.hex()
-        assert state.path_phases.tobytes() == reference.path_phases.tobytes()
+        phases, eps, walk = delay_drift(state, delay, window_laws(dt, cfg), cfg, rng)
+        assert phases == expected
+        assert eps.hex() == reference.laser_eps.hex()
+        assert walk.tobytes() == reference.path_phases.tobytes()
         assert rng.bit_generator.state == reference_rng.bit_generator.state
+        # the state itself waits for the caller to commit the end state
+        assert state.laser_eps == 3e-9
+        assert state.path_phases.tobytes() == np.linspace(-2.0, 2.0, 128).tobytes()
 
     def test_non_finite_phase_comes_back_nan(self):
         # eps is 0 in the first window; the first OU step then pushes the
         # laser term of every delay but 0 past the float range
         cfg = DriftConfig(laser_ou_sigma=1e20, optical_freq_hz=1e300, static_offsets=ZERO_OFFSETS)
-        phases = advance_delay(make_state(cfg), 5, [1e-4] * 3, cfg, np.random.default_rng(15))
+        laws = window_laws([1e-4] * 3, cfg)
+        phases, _, _ = delay_drift(make_state(cfg), 5, laws, cfg, np.random.default_rng(15))
         assert phases[0] == 0.0
         assert math.isnan(phases[1]) and math.isnan(phases[2])
 
@@ -189,11 +195,12 @@ class TestAdvanceDelay:
         state = make_state(cfg)
         rng = np.random.default_rng(16)
         before = rng.bit_generator.state
-        assert advance_delay(state, 3, [], cfg, rng) == []
-        assert state.laser_eps == 0.0 and not state.path_phases.any()
+        phases, eps, walk = delay_drift(state, 3, window_laws([], cfg), cfg, rng)
+        assert phases == [] and eps == 0.0 and not walk.any()
+        assert walk is not state.path_phases
         assert rng.bit_generator.state == before
 
     def test_invalid_dt(self):
         cfg = DriftConfig(static_offsets=ZERO_OFFSETS)
         with pytest.raises(ValueError):
-            advance_delay(make_state(cfg), 0, [1e-4, 0.0], cfg, np.random.default_rng(17))
+            window_laws([1e-4, 0.0], cfg)

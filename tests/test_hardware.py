@@ -10,6 +10,7 @@ from fringelock.hardware import (
     FIBER_DELAYS_NS,
     DetectorConfig,
     PmConfig,
+    dac_to_phase,
     dac_to_voltage,
     sample_counts,
     select_delay,
@@ -98,8 +99,48 @@ class TestDacChain:
         with pytest.raises(ValueError, match="not finite") as info:
             PmConfig(v_min=-1e308, v_max=1e308)
         assert "pm.v_min" in str(info.value) and "pm.v_max" in str(info.value)
-        # the widest finite spans stay valid
-        assert PmConfig(v_min=-8e307, v_max=8e307).span == 1.6e308
+        # the widest spans whose transfer stays finite are valid: span times
+        # the full-scale code for 16 bits, pi times the span for 1 bit
+        assert PmConfig(v_min=-1e303, v_max=1e303).span == 2e303
+        assert PmConfig(v_min=-2.5e307, v_max=2.5e307, dac_bits=1).span == 5e307
+
+    @pytest.mark.parametrize(
+        "v_min, v_max, v_pi, bits",
+        [
+            (0.0, 1e308, 1e307, 16),  # pi * span overflows
+            (-1e308, 10.0, 4.0, 16),  # code * span overflows from code 2 on
+            (-1e303, 2e303, 4.0, 16),  # code * span overflows near full scale
+            (-4e307, 4e307, 4.0, 1),  # pi * span overflows at 1 bit
+            (0.0, 10.0, 1e-308, 16),  # pi * span / v_pi overflows
+        ],
+    )
+    def test_overflowing_transfer_rejected(self, v_min, v_max, v_pi, bits):
+        with pytest.raises(ValueError, match="DAC transfer overflows") as info:
+            PmConfig(v_min=v_min, v_max=v_max, v_pi=v_pi, dac_bits=bits)
+        for key in ("pm.v_min", "pm.v_max", "pm.dac_bits", "pm.v_pi"):
+            assert key in str(info.value)
+
+
+class TestDacToPhase:
+    @given(pm_voltage_and_code())
+    @example((PM, PM.v_min, 0))
+    @example((PM, PM.v_max, PM.max_code))
+    @example((PmConfig(dac_bits=63), 0.0, 2**63 - 1))
+    @example((PmConfig(dac_bits=63), 0.0, 2**62 + 12345))
+    @example((PmConfig(v_min=-7.5, v_max=12.25, v_pi=3.0, dac_bits=63), 0.0, 2**63 - 1))
+    @example((PmConfig(v_min=-1e303, v_max=1e303, dac_bits=16), 0.0, 65535))
+    # full scale, where the unclamped voltage rounds past v_max
+    @example((PmConfig(v_min=-17.0, v_max=1.8, dac_bits=12), 0.0, 4095))
+    @example((PmConfig(v_min=-43.168, v_max=41.453, dac_bits=63), 0.0, 2**63 - 1))
+    def test_equals_voltage_then_phase(self, case):
+        cfg, _, code = case
+        expected = voltage_to_phase(dac_to_voltage(code, cfg), cfg)
+        assert dac_to_phase(code, cfg).hex() == expected.hex()
+
+    @pytest.mark.parametrize("code", [-1, 1 << 16])
+    def test_code_out_of_range(self, code):
+        with pytest.raises(ValueError, match="out of range for 16-bit"):
+            dac_to_phase(code, PM)
 
 
 class TestVoltageToPhase:
