@@ -87,9 +87,21 @@ def _settings_from_args(args: argparse.Namespace, *swept: str) -> tuple[RunSetti
     return settings, Path(output_dir)
 
 
+def _make_output_dir(args: argparse.Namespace, out_dir: Path) -> None:
+    """Create the output directory; a file where it or a parent should be
+    is a usage error, named by the option or key that gave the path."""
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        source = "--out" if args.out else "run.output_dir"
+        raise ConfigError(
+            f"{source} {out_dir} cannot be an output directory: {exc.strerror}"
+        ) from exc
+
+
 def _execute_run(settings: RunSettings, out_dir: Path) -> tuple[ExperimentReport, str]:
-    """Run with every output written; returns the report and its text."""
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """Run with every output written into the existing ``out_dir``; returns
+    the report and its text."""
     write_config(settings, str(out_dir), out_dir / "effective_config.ini")
     pm = settings.plant.pm
     with open(out_dir / "calib_trace.csv", "w", encoding="utf-8", newline="") as calib_f, open(
@@ -126,6 +138,7 @@ def _require_counts(report: ExperimentReport) -> None:
 
 def cmd_run(args: argparse.Namespace) -> int:
     settings, out_dir = _settings_from_args(args)
+    _make_output_dir(args, out_dir)
     report, text = _execute_run(settings, out_dir)
     _require_counts(report)
     sys.stdout.write(text)
@@ -148,9 +161,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     raw_values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not raw_values:
         raise ConfigError("sweep needs at least one value")
-    _, out_default = _settings_from_args(args)  # validate base config early
-    out_dir = Path(args.out) if args.out else out_default
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _, out_dir = _settings_from_args(args)  # validate base config early
+    _make_output_dir(args, out_dir)
 
     failed = 0
     with open(out_dir / "sweep.csv", "w", encoding="utf-8", newline="") as handle:

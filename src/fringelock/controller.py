@@ -2,9 +2,11 @@
 
 Every second splits into a 340 ms stabilization stage (all 128 delays
 recalibrated, one 2.5 ms permutation slot each, 20 ms slack) and a 660 ms
-QKD stage (delay switching at 10 kHz with table-lookup compensation). The
-clock is integer microseconds throughout, so the timing arithmetic is exact
-and checkable from traces.
+QKD stage (delay switching at 10 kHz with table-lookup compensation). A
+permutation slot is one delay's 23 calibration windows, then an idle to the
+slot end, so the plant never sees the slot length. The clock is integer
+microseconds throughout, so the timing arithmetic is exact and checkable
+from traces.
 
 Stage results are columnar: the stabilization stage returns the refreshed
 table as one ``TABLE_ENTRY`` array (a row per delay, its DAC code a plain
@@ -111,23 +113,25 @@ def run_stabilization_stage(
     Returns the refreshed ``TABLE_ENTRY`` table plus the ``CALIB_STEP``
     rows of all 128 searches in delay order. An aborted calibration leaves
     a partial trace, and its entry keeps the previous second's code with
-    NaN visibility and is marked not accepted. Each slot's drift is
-    prefetched in one draw (``Plant.open_slot``), with the numbers that
-    measuring step by step and idling to the slot end would give. Every
-    search reads its step 1-4 codes from the memoised ``preset_codes``.
+    NaN visibility and is marked not accepted. Each slot's measurement
+    windows are prefetched in one draw (``Plant.open_slot``), with the
+    numbers that measuring step by step would give, and the stage then
+    idles to the slot end. Every search reads its step 1-4 codes from the
+    memoised ``preset_codes``.
     """
     pm = plant.config.pm
     start_us = plant.elapsed_us
     entries: list[tuple] = []
     rows: list[tuple] = []
     for index in range(NUM_DELAYS):
-        plant.open_slot(index, calib_cfg.step_window_us, TOTAL_STEPS, schedule.perm_slot_us)
+        plant.open_slot(index, calib_cfg.step_window_us, TOTAL_STEPS)
         try:
             result = run_calibration(index, plant, calib_cfg, pm, rows)
             entries.append((result.optimal_code, result.final_visibility, result.accepted, second))
         except CalibrationAborted:
             entries.append((previous["code"][index], math.nan, False, second))
         plant.close_slot()
+        plant.idle(start_us + (index + 1) * schedule.perm_slot_us - plant.elapsed_us)
     plant.idle(start_us + schedule.stab_duration_us - plant.elapsed_us)
     return np.array(entries, dtype=TABLE_ENTRY), np.array(rows, dtype=CALIB_STEP)
 
@@ -295,8 +299,13 @@ class RunSettings:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.seed < 0:
             raise ValueError(f"run.seed must be a non-negative integer, got {self.seed}")
-        if TOTAL_STEPS * self.calibration.step_window_us > self.schedule.perm_slot_us:
-            raise ValueError("calibration steps do not fit the permutation slot")
+        steps_us = TOTAL_STEPS * self.calibration.step_window_us
+        if steps_us > self.schedule.perm_slot_us:
+            raise ValueError(
+                f"{TOTAL_STEPS} calibration steps of calibration.step_window_us = "
+                f"{self.calibration.step_window_us} us take {steps_us} us, more than the "
+                f"schedule.perm_slot_us = {self.schedule.perm_slot_us} us permutation slot"
+            )
         # a scan point lies up to points // 2 intervals from an in-span voltage
         pm, calib = self.plant.pm, self.calibration
         rail = max(abs(pm.v_min), abs(pm.v_max))

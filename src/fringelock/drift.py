@@ -12,13 +12,18 @@ Magnitudes are not given by the source system description; the defaults here
 were tuned so that an uncompensated path degrades visibly within one second
 while the 1 Hz recalibration holds the long-run visibility target (see
 README, "Drift defaults").
+
+Every draw takes one laser normal, then 128 path normals, per window.
+``advance`` moves the state over one span of any length (idle time, the
+pad of a permutation slot); ``advance_windows`` over the QKD stage's equal
+windows on varying delays; ``delay_drift`` computes a calibration slot's
+equal windows on one delay without committing them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -118,8 +123,9 @@ def advance(
     change with this.
     """
     decay, laser_step, walk_step = _window_law(dt, cfg)
-    state.laser_eps = state.laser_eps * decay + laser_step * rng.standard_normal()
-    state.path_phases += walk_step * rng.standard_normal(NUM_DELAYS)
+    normals = rng.standard_normal(NUM_DELAYS + 1)
+    state.laser_eps = state.laser_eps * decay + laser_step * float(normals[0])
+    state.path_phases += walk_step * normals[1:]
     return state
 
 
@@ -188,26 +194,16 @@ def advance_windows(
     return phases
 
 
-def window_laws(
-    dt: Sequence[float], cfg: DriftConfig
-) -> tuple[list[tuple[float, float, float]], np.ndarray]:
-    """``_window_law`` of each window of ``dt`` seconds, computed once per
-    distinct length, and the walk steps again as a column: what
-    ``delay_drift`` reads. A plant computes this once per slot shape."""
-    by_length = {d: _window_law(d, cfg) for d in dict.fromkeys(dt)}
-    laws = [by_length[d] for d in dt]
-    return laws, np.array([walk_step for *_, walk_step in laws])[:, None]
-
-
 def delay_drift(
     state: DriftState,
     index: int,
-    laws: tuple[list[tuple[float, float, float]], np.ndarray],
+    windows: int,
+    dt: float,
     cfg: DriftConfig,
     rng: np.random.Generator,
 ) -> tuple[list[float], float, np.ndarray]:
-    """The drift over the windows of ``laws`` (from ``window_laws``), all
-    read on delay ``index`` (a calibration slot), leaving ``state`` as it is.
+    """The drift over ``windows`` windows of ``dt`` seconds, all read on
+    delay ``index`` (a calibration slot), leaving ``state`` as it is.
 
     Returns the canonical true phase of delay ``index`` at the start of each
     window, NaN where it is not finite (the reader raises
@@ -221,18 +217,16 @@ def delay_drift(
     few dozen windows this costs less than ``advance_windows``' vectorised
     gather.
     """
-    steps, walk_steps = laws
-    if not steps:
+    decay, laser_step, walk_step = _window_law(dt, cfg)
+    if not windows:
         return [], state.laser_eps, state.path_phases.copy()
-    normals = rng.standard_normal((len(steps), NUM_DELAYS + 1))
+    normals = rng.standard_normal((windows, NUM_DELAYS + 1))
     gain = 2.0 * math.pi * cfg.optical_freq_hz * _DELAY_S[index]
     offset = float(state.offsets[index])
     walk = float(state.path_phases[index])
     eps = state.laser_eps
     phases = []
-    for (decay, laser_step, walk_step), z, z_walk in zip(
-        steps, normals[:, 0].tolist(), normals[:, index + 1].tolist()
-    ):
+    for z, z_walk in zip(normals[:, 0].tolist(), normals[:, index + 1].tolist()):
         phase = offset + walk + gain * eps
         phases.append(canonical_phase(phase) if math.isfinite(phase) else math.nan)
         eps = eps * decay + laser_step * z
@@ -241,7 +235,7 @@ def delay_drift(
     with np.errstate(over="ignore", invalid="ignore"):
         # every row scaled in place (the laser column is read already), the
         # state folded into the first walk row, then one sum down the block
-        np.multiply(walk_steps, normals, out=normals)
+        normals *= walk_step
         walks = normals[:, 1:]
         np.add(state.path_phases, walks[0], out=walks[0])
         return phases, eps, walks.sum(axis=0)

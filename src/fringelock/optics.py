@@ -1,8 +1,8 @@
 """Interference physics of the two-port variable-delay interferometer.
 
 Pure functions only: port intensities as a function of relative phase and
-fringe contrast, plus the count-based visibility estimator. All stochastic
-behaviour lives in the hardware and drift modules.
+fringe contrast, and canonical phases. All stochastic behaviour lives in
+the hardware and drift modules.
 """
 
 from __future__ import annotations
@@ -10,10 +10,6 @@ from __future__ import annotations
 import math
 
 TWO_PI = 2.0 * math.pi
-
-
-class UndefinedVisibilityError(ValueError):
-    """Raised when visibility is requested for a window with zero total counts."""
 
 
 def canonical_phase(value: float) -> float:
@@ -47,19 +43,3 @@ def port_intensities(
     x = contrast * math.cos(total_phase)
     half = 0.5 * input_power
     return half * (1.0 + x), half * (1.0 - x)
-
-
-def visibility(c1: float, c2: float) -> float:
-    """Signed visibility (c1 - c2) / (c1 + c2) of one counting window.
-
-    +1 means all counts at port 1; the sign is kept because the stabilization
-    search maximizes toward +1 at port 1 and transient working points can sit
-    on the negative side of the fringe.
-    """
-    total = c1 + c2
-    if total <= 0:
-        raise UndefinedVisibilityError(
-            "visibility undefined for zero total counts; caller decides whether "
-            "to skip the sample or flag a low-light fault"
-        )
-    return (c1 - c2) / total

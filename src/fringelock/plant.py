@@ -14,18 +14,17 @@ the two aligned.
 
 Outside a slot, ``measure`` reads the true phase from the drift state and
 then advances the drift by its window. ``open_slot`` prefetches the drift
-of one permutation slot of a single delay from one draw
-(``drift.delay_drift``): its measurement windows, then the pad that fills
-the slot, with the window law computed once per slot shape. Until
-``close_slot``, each ``measure`` reads the next prefetched phase straight
-from the slot and only the clock moves; the drift state stays at the slot
-start. In or out of a slot, a measured window goes through
-``hardware.dac_to_phase``, ``port_intensities`` and ``sample_counts``.
-Closing commits the prefetched end state, or, when fewer windows were
-measured (an aborted calibration), rewinds the drift stream and redraws
-the measured windows plus the longer pad, as measuring and then idling to
-the slot end would have. Counts, drift state and stream positions are
-bit-identical either way.
+of the measurement windows of one permutation slot of a single delay from
+one draw (``drift.delay_drift``). Until ``close_slot``, each ``measure``
+reads the next prefetched phase straight from the slot and only the clock
+moves; the drift state stays at the slot start. In or out of a slot, a
+measured window goes through ``hardware.dac_to_phase``,
+``port_intensities`` and ``sample_counts``. Closing commits the
+prefetched end state, or, when fewer windows were measured (an aborted
+calibration), rewinds the drift stream and redraws just the measured
+windows. Counts, drift state and stream positions are bit-identical to
+measuring window by window. The slot's pad is the caller's: it idles to
+the slot end after the close.
 
 The plant owns the simulation clock (integer microseconds) and is the only
 place drift time advances, so elapsed simulated time always equals the sum
@@ -77,8 +76,6 @@ class Plant:
         )
         self.elapsed_us: int = 0
         self._slot: _Slot | None = None
-        # drift.window_laws of each slot shape (window_us, windows, pad_us)
-        self._slot_laws: dict[tuple[int, int, int], tuple] = {}
 
     def measure(self, delay_index: int, code: int, window_us: int) -> tuple[int, int]:
         """Integrate one counting window, then advance drift by the window.
@@ -100,7 +97,7 @@ class Plant:
             if (
                 delay_index != slot.delay_index
                 or window_us != slot.window_us
-                or used == slot.windows
+                or used == len(slot.phases)
             ):
                 raise slot.mismatch(delay_index, window_us)
             alpha = slot.phases[used]
@@ -148,53 +145,38 @@ class Plant:
             counts = np.rint(lam).astype(np.int64)
         return counts[:, 0], counts[:, 1]
 
-    def open_slot(self, delay_index: int, window_us: int, windows: int, slot_us: int) -> None:
-        """Prefetch the drift of a ``slot_us`` slot on delay ``delay_index``:
-        ``windows`` measurement windows of ``window_us``, then the pad.
+    def open_slot(self, delay_index: int, window_us: int, windows: int) -> None:
+        """Prefetch the drift of ``windows`` measurement windows of
+        ``window_us`` on delay ``delay_index``.
 
         Draws the slot's normals in one block; the drift state is untouched
         until ``close_slot``.
         """
         self._require_no_slot()
-        pad_us = slot_us - windows * window_us
-        if window_us <= 0 or windows < 0 or pad_us < 0:
-            raise ValueError(
-                f"{windows} windows of {window_us} us do not fit a {slot_us} us slot"
-            )
-        shape = (window_us, windows, pad_us)
-        laws = self._slot_laws.get(shape)
-        if laws is None:
-            windows_s = [window_us * 1e-6] * windows + ([pad_us * 1e-6] if pad_us else [])
-            laws = self._slot_laws[shape] = drift_mod.window_laws(windows_s, self.config.drift)
+        if window_us <= 0:
+            raise ValueError(f"window must be positive, got {window_us} us")
         rewind = self._rng_drift.bit_generator.state
         phases, end_eps, end_walk = drift_mod.delay_drift(
-            self.state, delay_index, laws, self.config.drift, self._rng_drift
+            self.state, delay_index, windows, window_us * 1e-6, self.config.drift, self._rng_drift
         )
-        self._slot = _Slot(
-            delay_index, window_us, windows, phases, self.elapsed_us + slot_us,
-            end_eps, end_walk, rewind,
-        )
+        self._slot = _Slot(delay_index, window_us, phases, end_eps, end_walk, rewind)
 
     def close_slot(self) -> None:
-        """Idle to the end of the open slot and commit its drift."""
+        """Commit the drift of the open slot's measured windows."""
         slot = self._slot
         if slot is None:
             raise ValueError("no slot is open")
         self._slot = None
         end_eps, end_walk = slot.end_eps, slot.end_walk
-        if slot.used < slot.windows:
-            # redraw the measured windows, then one pad to the slot end
+        if slot.used < len(slot.phases):
+            # an aborted search: redraw only the windows it measured
             self._rng_drift.bit_generator.state = slot.rewind
-            windows_s = [slot.window_us * 1e-6] * slot.used + [
-                (slot.end_us - self.elapsed_us) * 1e-6
-            ]
-            laws = drift_mod.window_laws(windows_s, self.config.drift)
             _, end_eps, end_walk = drift_mod.delay_drift(
-                self.state, slot.delay_index, laws, self.config.drift, self._rng_drift
+                self.state, slot.delay_index, slot.used, slot.window_us * 1e-6,
+                self.config.drift, self._rng_drift,
             )
         self.state.laser_eps = end_eps
         self.state.path_phases[:] = end_walk
-        self.elapsed_us = slot.end_us
 
     def idle(self, duration_us: int) -> None:
         """Let simulated time pass without measuring (slot padding, open loop)."""
@@ -220,9 +202,7 @@ class _Slot:
 
     delay_index: int
     window_us: int
-    windows: int
-    phases: list[float]  # a phase per window, then the pad's
-    end_us: int
+    phases: list[float]  # a phase per measurement window
     end_eps: float
     end_walk: np.ndarray
     rewind: dict
@@ -231,7 +211,7 @@ class _Slot:
     def mismatch(self, delay_index: int, window_us: int) -> ValueError:
         """The error for a measurement that does not follow the slot."""
         return ValueError(
-            f"the open slot holds {self.windows} windows of {self.window_us} us on "
+            f"the open slot holds {len(self.phases)} windows of {self.window_us} us on "
             f"delay {self.delay_index}; cannot measure delay {delay_index} for "
             f"{window_us} us after {self.used}"
         )

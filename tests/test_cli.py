@@ -244,6 +244,33 @@ class TestRunCommand:
             "--set", "detector.input_rate=1e23", "--set", f"detector.shot_noise={shot_noise}",
         ]) == 0
 
+    def test_slot_overrun_exits_2_naming_both_keys(self, tmp_path, capsys):
+        # 23 steps of 109 us take 2507 us of the 2500 us permutation slot
+        out = tmp_path / "x"
+        code = main([
+            "run", "--seconds", "1", "--out", str(out), "--set", "calibration.step_window_us=109",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "calibration.step_window_us = 109 us take 2507 us" in err
+        assert "schedule.perm_slot_us = 2500 us" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+    @pytest.mark.parametrize("option", ["--out", "run.output_dir"])
+    def test_output_path_blocked_by_a_file_exits_2(self, tmp_path, capsys, option, under):
+        # a file where the output directory or its parent should be was a
+        # runtime fault (exit 1) from mkdir
+        blocker = tmp_path / "afile"
+        blocker.write_text("kept\n")
+        out = blocker / "sub" if under else blocker
+        args = ["--out", str(out)] if option == "--out" else ["--set", f"run.output_dir={out}"]
+        assert main(["run", "--seconds", "1", *args]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {option} {out} cannot be an output directory")
+        assert blocker.read_text() == "kept\n"
+        assert list(tmp_path.iterdir()) == [blocker]
+
     def test_dark_run_exits_2_and_keeps_outputs(self, tmp_path, capsys):
         out = tmp_path / "dark"
         code = main([
@@ -407,6 +434,19 @@ class TestSweepCommand:
         err = capsys.readouterr().err
         assert "detector.input_rate=0: no QKD slot counted a photon" in err
 
+    def test_output_path_blocked_by_a_file_exits_2(self, tmp_path, capsys):
+        blocker = tmp_path / "afile"
+        blocker.write_text("kept\n")
+        code = main([
+            "sweep", "--param", "drift.path_walk_sigma", "--values", "0.01",
+            "--seconds", "1", "--out", str(blocker),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --out {blocker} cannot be an output directory")
+        assert blocker.read_text() == "kept\n"
+        assert list(tmp_path.iterdir()) == [blocker]
+
     def test_unknown_parameter_exits_2(self, tmp_path, capsys):
         assert main([
             "sweep", "--param", "drift.warp_factor", "--values", "1",
@@ -440,3 +480,7 @@ class TestBenchmarkHooks:
         assert spans["calibration"][0] == 128
         for name in ("plant.measure", "hardware.sample_counts", "optics.port_intensities"):
             assert spans[name][0] == 128 * 23, name
+        # one idle to each of the 128 slot ends plus the stage-end idle, each
+        # one drift step: a path round Plant.idle would leave the pads unseen
+        for name in ("plant.idle", "drift.advance"):
+            assert spans[name][0] == 129, name

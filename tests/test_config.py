@@ -59,8 +59,12 @@ class TestLoadConfig:
             load_config(tmp_path / "absent.ini")
 
     def test_inconsistent_config_rejected(self):
-        # 30 steps of 100 us do not change this; shrinking the slot does
-        with pytest.raises(ConfigError):
+        # 23 steps of 200 us overrun the 2500 us permutation slot
+        message = (
+            "23 calibration steps of calibration.step_window_us = 200 us take 4600 us, "
+            "more than the schedule.perm_slot_us = 2500 us permutation slot"
+        )
+        with pytest.raises(ConfigError, match=re.escape(message)):
             load_config(None, overrides=["calibration.step_window_us=200"])
 
     def test_offsets_accept_random_or_list(self):

@@ -113,7 +113,8 @@ class TestStabilizationStage:
         settings = zero_noise_settings()
         plant = Plant(settings.plant)
         calib = replace(settings.calibration, step_window_us=200)
-        with pytest.raises(ValueError):
+        # 23 steps of 200 us overrun the 2500 us slot: no idle can reach its end
+        with pytest.raises(ValueError, match="idle duration must be >= 0"):
             run_stabilization_stage(0, plant, calib, settings.schedule, bootstrap_table(plant.config))
 
 

@@ -10,7 +10,6 @@ from fringelock.drift import (
     delay_drift,
     initial_state,
     true_phase,
-    window_laws,
 )
 
 from conftest import ZERO_OFFSETS
@@ -151,17 +150,16 @@ class TestAdvanceWindows:
 
 class TestDelayDrift:
     @pytest.mark.parametrize(
-        "delay, dt",
+        "delay, windows, dt",
         [
-            (9, [1e-4] * 23 + [2e-4]),  # a calibration slot
-            (127, [1.08e-4] * 23 + [1.6e-5]),  # 108 us steps, a 16 us pad
-            (0, [1e-4] * 23),  # no pad
-            (64, [1e-4] * 3 + [2.2e-3]),  # an aborted slot's redraw
-            (31, (np.random.default_rng(12).integers(1, 2_500, size=200) * 1e-6).tolist()),
+            (9, 23, 1e-4),  # a calibration slot
+            (127, 23, 1.08e-4),  # 108 us steps
+            (64, 3, 1e-4),  # an aborted slot's redraw
+            (0, 1, 1e-4),  # a search aborted at its first step
         ],
-        ids=["slot", "108-us", "no-pad", "abort-redraw", "200-random"],
+        ids=["slot", "108-us", "abort-redraw", "one-window"],
     )
-    def test_matches_true_phase_then_advance_per_window(self, delay, dt):
+    def test_matches_true_phase_then_advance_per_window(self, delay, windows, dt):
         cfg = DriftConfig()
         reference, state = make_state(cfg, seed=13), make_state(cfg, seed=13)
         reference_rng, rng = np.random.default_rng(14), np.random.default_rng(14)
@@ -169,10 +167,10 @@ class TestDelayDrift:
             p.laser_eps = 3e-9
             p.path_phases[:] = np.linspace(-2.0, 2.0, 128)
         expected = []
-        for d in dt:
+        for _ in range(windows):
             expected.append(true_phase(reference, delay, cfg))
-            advance(reference, d, cfg, reference_rng)
-        phases, eps, walk = delay_drift(state, delay, window_laws(dt, cfg), cfg, rng)
+            advance(reference, dt, cfg, reference_rng)
+        phases, eps, walk = delay_drift(state, delay, windows, dt, cfg, rng)
         assert phases == expected
         assert eps.hex() == reference.laser_eps.hex()
         assert walk.tobytes() == reference.path_phases.tobytes()
@@ -185,8 +183,7 @@ class TestDelayDrift:
         # eps is 0 in the first window; the first OU step then pushes the
         # laser term of every delay but 0 past the float range
         cfg = DriftConfig(laser_ou_sigma=1e20, optical_freq_hz=1e300, static_offsets=ZERO_OFFSETS)
-        laws = window_laws([1e-4] * 3, cfg)
-        phases, _, _ = delay_drift(make_state(cfg), 5, laws, cfg, np.random.default_rng(15))
+        phases, _, _ = delay_drift(make_state(cfg), 5, 3, 1e-4, cfg, np.random.default_rng(15))
         assert phases[0] == 0.0
         assert math.isnan(phases[1]) and math.isnan(phases[2])
 
@@ -195,12 +192,13 @@ class TestDelayDrift:
         state = make_state(cfg)
         rng = np.random.default_rng(16)
         before = rng.bit_generator.state
-        phases, eps, walk = delay_drift(state, 3, window_laws([], cfg), cfg, rng)
+        phases, eps, walk = delay_drift(state, 3, 0, 1e-4, cfg, rng)
         assert phases == [] and eps == 0.0 and not walk.any()
         assert walk is not state.path_phases
         assert rng.bit_generator.state == before
 
     def test_invalid_dt(self):
         cfg = DriftConfig(static_offsets=ZERO_OFFSETS)
-        with pytest.raises(ValueError):
-            window_laws([1e-4, 0.0], cfg)
+        for windows in (3, 0):
+            with pytest.raises(ValueError, match="dt must be positive"):
+                delay_drift(make_state(cfg), 0, windows, 0.0, cfg, np.random.default_rng(17))

@@ -18,7 +18,7 @@ from fringelock.hardware import (
     voltage_to_code,
     voltage_to_phase,
 )
-from fringelock.optics import canonical_phase, visibility
+from fringelock.optics import canonical_phase
 
 PM = PmConfig()
 
@@ -229,7 +229,7 @@ class TestSampleCounts:
         vis = []
         for _ in range(20_000):
             c1, c2 = sample_counts((0.98, 0.02), det, 1e-4, rng)
-            vis.append(visibility(c1, c2))
+            vis.append((c1 - c2) / (c1 + c2))
         assert np.mean(vis) == pytest.approx(0.96, abs=0.005)
 
     def test_seeded_reproducibility(self):

@@ -87,19 +87,25 @@ class TestClock:
 
 
 class TestSlot:
-    @pytest.mark.parametrize("measured", [23, 3, 0])
-    def test_matches_measure_then_idle(self, measured):
+    @pytest.mark.parametrize(
+        "window_us, slot_us", [(100, 2_500), (108, 2_500), (100, 2_300)],
+        ids=["pad", "108-us", "no-pad"],
+    )
+    @pytest.mark.parametrize("measured", [23, 22, 3, 1, 0])
+    def test_matches_measure_then_idle(self, measured, window_us, slot_us):
         # 23 measured windows commit the prefetch; fewer rewind and redraw
         reference, plant = default_plant(seed=30), default_plant(seed=30)
         codes = [(k * 2749) % 65536 for k in range(measured)]
-        expected = [reference.measure(9, code, 100) for code in codes]
-        reference.idle(2_500 - measured * 100)
-        plant.open_slot(9, 100, 23, 2_500)
-        assert [plant.measure(9, code, 100) for code in codes] == expected
+        expected = [reference.measure(9, code, window_us) for code in codes]
+        reference.idle(slot_us - measured * window_us)
+        plant.open_slot(9, window_us, 23)
+        assert [plant.measure(9, code, window_us) for code in codes] == expected
         assert plant.state.laser_eps == 0.0  # the drift waits for the close
         plant.close_slot()
-        assert plant.elapsed_us == reference.elapsed_us == 2_500
-        assert plant.state.laser_eps == reference.state.laser_eps
+        assert plant.elapsed_us == measured * window_us  # the pad is the caller's
+        plant.idle(slot_us - plant.elapsed_us)
+        assert plant.elapsed_us == reference.elapsed_us == slot_us
+        assert plant.state.laser_eps.hex() == reference.state.laser_eps.hex()
         assert plant.state.path_phases.tobytes() == reference.state.path_phases.tobytes()
         for stream in ("_rng_drift", "_rng_detector"):
             state = getattr(plant, stream).bit_generator.state
@@ -107,11 +113,11 @@ class TestSlot:
 
     def test_measurements_must_follow_the_slot(self):
         plant = default_plant(seed=31)
-        with pytest.raises(ValueError, match="do not fit"):
-            plant.open_slot(0, 100, 23, 2_200)
+        with pytest.raises(ValueError, match="window must be positive"):
+            plant.open_slot(0, 0, 23)
         with pytest.raises(ValueError, match="no slot is open"):
             plant.close_slot()
-        plant.open_slot(2, 100, 1, 250)
+        plant.open_slot(2, 100, 1)
         for args in ((3, 0, 100), (2, 0, 50)):
             with pytest.raises(ValueError, match="the open slot holds 1 windows"):
                 plant.measure(*args)
@@ -120,12 +126,12 @@ class TestSlot:
         with pytest.raises(ValueError, match="still open"):
             plant.measure_slots(np.array([0]), [0] * 128, 100)
         with pytest.raises(ValueError, match="still open"):
-            plant.open_slot(2, 100, 1, 250)
+            plant.open_slot(2, 100, 1)
         plant.measure(2, 0, 100)
         with pytest.raises(ValueError, match="after 1"):
             plant.measure(2, 0, 100)
         plant.close_slot()
-        assert plant.elapsed_us == 250
+        assert plant.elapsed_us == 100
 
 
 class TestConfig:
