@@ -8,8 +8,16 @@ instantaneous; the high-voltage driver electronics are out of scope.
 
 A delay is an index 0..127 everywhere: ``select_delay(index) -> delay_ns``
 decodes its gates, and ``DELAY_NS`` holds the result for every index.
-``dac_to_phase(code, pm)`` takes a DAC code straight to its modulator phase.
+``dac_to_phase(code, pm)`` takes a DAC code straight to its modulator phase,
+and ``dac_to_voltages(codes, pm)`` converts an array of codes at once.
 ``sample_counts((i1, i2), det, window, rng) -> (c1, c2)`` counts one window.
+
+The configs are frozen, so the terms every window reuses are derived once
+per config and cached: ``PmConfig.transfer`` holds the DAC transfer's
+constants and ``DetectorConfig.signal_rate`` the detected photon rate. They
+are properties, not fields, so the config schema does not see them. Each
+function combines them in the operation order of the same expression
+written over the config's fields, so the cache changes no bit.
 """
 
 from __future__ import annotations
@@ -82,6 +90,11 @@ class PmConfig:
     def max_code(self) -> int:
         return (1 << self.dac_bits) - 1
 
+    @functools.cached_property
+    def transfer(self) -> tuple[int, float, float, float, float]:
+        """``(max_code, v_min, v_max, span, v_pi)``, the DAC transfer's terms."""
+        return self.max_code, self.v_min, self.v_max, self.span, self.v_pi
+
 
 @dataclass(frozen=True)
 class DetectorConfig:
@@ -105,33 +118,52 @@ class DetectorConfig:
         if self.input_rate < 0.0:
             raise ValueError(f"input rate must be >= 0, got {self.input_rate}")
 
+    @functools.cached_property
+    def signal_rate(self) -> float:
+        """Detected photon rate before the port split, ``input_rate * efficiency``."""
+        return self.input_rate * self.efficiency
+
 
 def dac_to_voltage(code: int, cfg: PmConfig) -> float:
     """Ideal DAC transfer: v_min at code 0, v_max (never past it) at full scale."""
-    max_code = cfg.max_code
+    max_code, v_min, v_max, span, _ = cfg.transfer
     if not 0 <= code <= max_code:
         raise ValueError(f"DAC code {code} out of range for {cfg.dac_bits}-bit converter")
-    return min(cfg.v_max, cfg.v_min + code * (cfg.v_max - cfg.v_min) / max_code)
+    return min(v_max, v_min + code * span / max_code)
+
+
+def dac_to_voltages(codes: np.ndarray, cfg: PmConfig) -> np.ndarray:
+    """``dac_to_voltage`` of each code of an int64 array, as one array with
+    the same arithmetic and bits."""
+    max_code, v_min, v_max, span, _ = cfg.transfer
+    if codes.size and not 0 <= codes.min() <= codes.max() <= max_code:
+        raise ValueError(
+            f"DAC codes {codes.min()}..{codes.max()} out of range for "
+            f"{cfg.dac_bits}-bit converter"
+        )
+    v = v_min + codes * span / max_code
+    # min(v_max, v)'s rule: v only if below v_max (np.minimum may pick either zero)
+    return np.where(v < v_max, v, v_max)
 
 
 def dac_to_phase(code: int, cfg: PmConfig) -> float:
     """Modulator phase of a DAC code: ``voltage_to_phase(dac_to_voltage(code))``
     in one call, with the same arithmetic. The clamp keeps the voltage in the
     span, so the span check is not repeated."""
-    max_code = cfg.max_code
+    max_code, v_min, v_max, span, v_pi = cfg.transfer
     if not 0 <= code <= max_code:
         raise ValueError(f"DAC code {code} out of range for {cfg.dac_bits}-bit converter")
-    v = min(cfg.v_max, cfg.v_min + code * (cfg.v_max - cfg.v_min) / max_code)
+    v = min(v_max, v_min + code * span / max_code)
     # the phase is >= 0, where canonical_phase is math.fmod alone
-    return math.fmod(math.pi * (v - cfg.v_min) / cfg.v_pi, TWO_PI)
+    return math.fmod(math.pi * (v - v_min) / v_pi, TWO_PI)
 
 
 def voltage_to_code(v: float, cfg: PmConfig) -> int:
     """Nearest DAC code for a voltage in the span (round-trips within 1 LSB)."""
-    if not cfg.v_min <= v <= cfg.v_max:
-        raise ValueError(f"voltage {v} V outside DAC span [{cfg.v_min}, {cfg.v_max}]")
-    max_code = cfg.max_code
-    code = round((v - cfg.v_min) / (cfg.v_max - cfg.v_min) * max_code)
+    max_code, v_min, v_max, span, _ = cfg.transfer
+    if not v_min <= v <= v_max:
+        raise ValueError(f"voltage {v} V outside DAC span [{v_min}, {v_max}]")
+    code = round((v - v_min) / span * max_code)
     return min(max_code, max(0, code))
 
 
@@ -188,7 +220,7 @@ def sample_counts(
         f2 = i2 / total
     else:
         f1 = f2 = 0.0
-    signal = det.input_rate * det.efficiency * window
+    signal = det.signal_rate * window
     dark = det.dark_rate * window
     lam1 = f1 * signal + dark
     lam2 = f2 * signal + dark

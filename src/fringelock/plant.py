@@ -132,13 +132,13 @@ class Plant:
         alpha = drift_mod.advance_windows(self.state, index, window_s, cfg.drift, self._rng_drift)
         self.elapsed_us += len(index) * window_us
         # math.cos as in port_intensities: np.cos may take another SIMD path
-        contrast = cfg.contrast
-        x = np.array([contrast * math.cos(p) for p in (alpha + phi[index]).tolist()])
+        angles = (alpha + phi[index]).tolist()
+        x = cfg.contrast * np.fromiter(map(math.cos, angles), float, len(angles))
         ports = np.stack([0.5 * (1.0 + x), 0.5 * (1.0 - x)], axis=1)
         # unit input power: the port total is never 0
         fractions = ports / (ports[:, 0] + ports[:, 1])[:, None]
         det = cfg.detector
-        lam = fractions * (det.input_rate * det.efficiency * window_s) + det.dark_rate * window_s
+        lam = fractions * (det.signal_rate * window_s) + det.dark_rate * window_s
         if det.shot_noise:
             counts = self._rng_detector.poisson(lam)
         else:

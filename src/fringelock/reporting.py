@@ -12,8 +12,11 @@ Each trace line is one f-string over the ``tolist()`` columns of a second's
 second; a summary line is the run's ``DELAY_SUMMARY`` columns joined with
 commas. Every field is numeric, so CSV quoting never applies and
 plain formatting gives the bytes ``csv.writer`` would. Floats are written
-with six decimals and NaN as an empty field; each float column is formatted
-once, and each distinct DAC code's voltage once per second. The line
+with six decimals and NaN as an empty field. A float column formats each
+distinct bit pattern once and maps the strings back to its rows; bits, not
+values, key the strings, so ``-0.0`` keeps its sign. Each distinct DAC
+code's voltage is computed once per second, all of them as one
+``hardware.dac_to_voltages`` array, and formatted once. The line
 terminator is fixed, so identical (config, seed) runs produce
 byte-identical files.
 """
@@ -28,7 +31,7 @@ from typing import IO, Iterable
 import numpy as np
 
 from .controller import VISIBILITY_TARGET, ExperimentReport
-from .hardware import NUM_DELAYS, PmConfig, dac_to_voltage
+from .hardware import NUM_DELAYS, PmConfig, dac_to_voltages
 from .keyrate import KeyRateParams, key_rate
 
 CALIB_TRACE_HEADER = (
@@ -42,8 +45,23 @@ PER_DELAY_HEADER = (
 
 
 def float_fields(column: np.ndarray) -> list[str]:
-    """A float column's fields: six decimals, NaN as an empty field."""
-    return ["" if v != v else f"{v:.6f}" for v in column.tolist()]
+    """A float column's fields: six decimals, NaN as an empty field, each
+    distinct bit pattern formatted once."""
+    # a value key (np.unique on floats, a dict) would merge -0.0 into 0.0
+    bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
+    fields = ["" if v != v else f"{v:.6f}" for v in bits.view(np.float64).tolist()]
+    return np.array(fields, dtype=object)[inverse].tolist()
+
+
+def voltage_fields(codes: np.ndarray, pm: PmConfig) -> list[str]:
+    """The voltage fields of a DAC code column, each distinct code's voltage
+    converted and formatted once. A code in range has a finite voltage, so
+    no field is empty."""
+    # the distinct codes are about two thirds of a second's codes; few recur
+    # the next second, so a run-wide memo would grow and rarely hit
+    distinct, inverse = np.unique(codes, return_inverse=True)
+    fields = [f"{v:.6f}" for v in dac_to_voltages(distinct, pm).tolist()]
+    return np.array(fields, dtype=object)[inverse].tolist()
 
 
 def csv_line(fields: Iterable) -> str:
@@ -58,14 +76,10 @@ def make_writer(handle: IO[str]):
 
 def calib_trace_columns(steps: np.ndarray, pm: PmConfig) -> list[list]:
     """The calib_trace fields after ``second`` of a second's ``CALIB_STEP`` rows, by column."""
-    codes = steps["dac_code"].tolist()
-    # one string per distinct code of the second, about two thirds of its codes;
-    # few recur the next second, so a run-wide memo would grow and rarely hit.
-    # A code in range has a finite voltage, so no field is empty.
-    voltage = {code: f"{dac_to_voltage(code, pm):.6f}" for code in set(codes)}
+    codes = steps["dac_code"]
     return [
-        steps["delay_index"].tolist(), steps["step_index"].tolist(), codes,
-        list(map(voltage.__getitem__, codes)), steps["c1"].tolist(), steps["c2"].tolist(),
+        steps["delay_index"].tolist(), steps["step_index"].tolist(), codes.tolist(),
+        voltage_fields(codes, pm), steps["c1"].tolist(), steps["c2"].tolist(),
         float_fields(steps["visibility"]),
     ]
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from fringelock.hardware import (
     PmConfig,
     dac_to_phase,
     dac_to_voltage,
+    dac_to_voltages,
     sample_counts,
     select_delay,
     voltage_for_phase,
@@ -24,9 +26,9 @@ PM = PmConfig()
 
 
 @st.composite
-def pm_voltage_and_code(draw):
-    """A drive chain with span >= 2*v_pi and 1-24 bits, a voltage in its
-    span and one of its DAC codes."""
+def pm_voltage_and_code(draw, max_bits=24):
+    """A drive chain with span >= 2*v_pi and 1 to ``max_bits`` bits, a
+    voltage in its span and one of its DAC codes."""
     v_min = draw(st.floats(-100.0, 100.0))
     v_max = v_min + draw(st.floats(0.01, 100.0))
     half_span = (v_max - v_min) / 2.0
@@ -34,10 +36,11 @@ def pm_voltage_and_code(draw):
         v_min=v_min,
         v_max=v_max,
         v_pi=draw(st.floats(half_span / 100.0, half_span)),
-        dac_bits=draw(st.integers(1, 24)),
+        dac_bits=draw(st.integers(1, max_bits)),
     )
     v = draw(st.floats(cfg.v_min, cfg.v_max))
-    code = draw(st.integers(0, (1 << cfg.dac_bits) - 1))
+    max_code = (1 << cfg.dac_bits) - 1
+    code = draw(st.one_of(st.just(max_code), st.integers(0, max_code)))
     return cfg, v, code
 
 
@@ -141,6 +144,51 @@ class TestDacToPhase:
     def test_code_out_of_range(self, code):
         with pytest.raises(ValueError, match="out of range for 16-bit"):
             dac_to_phase(code, PM)
+
+
+class TestCachedTransfer:
+    """The transfer functions read the terms ``PmConfig.transfer`` caches; they
+    must give the bits of the expressions that read the config's fields."""
+
+    @given(pm_voltage_and_code(max_bits=63))
+    @example((PM, PM.v_max, PM.max_code))
+    @example((PmConfig(dac_bits=63), 0.0, 2**63 - 1))
+    @example((PmConfig(dac_bits=63), 10.0, 2**62 + 12345))
+    @example((PmConfig(v_min=-7.5, v_max=12.25, v_pi=3.0, dac_bits=63), 12.25, 2**63 - 1))
+    # full scale, where the unclamped voltage rounds past v_max
+    @example((PmConfig(v_min=-17.0, v_max=1.8, dac_bits=12), 1.8, 4095))
+    @example((PmConfig(v_min=-43.168, v_max=41.453, dac_bits=63), -43.168, 2**63 - 1))
+    # 52 and 53 bits: an odd full scale with codes past 2**51, where an ulp of
+    # (v - v_min) / span * max_code moves the nearest code
+    @example((PmConfig(dac_bits=52), 6.4183973689717, 2**52 - 1))
+    @example((PmConfig(v_min=-7.5, v_max=12.25, v_pi=3.0, dac_bits=53), -2.6263435664375345, 0))
+    def test_equals_the_inline_expressions(self, case):
+        cfg, v, code = case
+        max_code = (1 << cfg.dac_bits) - 1
+        volts = min(cfg.v_max, cfg.v_min + code * (cfg.v_max - cfg.v_min) / max_code)
+        phase = math.fmod(math.pi * (volts - cfg.v_min) / cfg.v_pi, 2.0 * math.pi)
+        nearest = round((v - cfg.v_min) / (cfg.v_max - cfg.v_min) * max_code)
+        assert dac_to_voltage(code, cfg).hex() == volts.hex()
+        assert dac_to_phase(code, cfg).hex() == phase.hex()
+        assert voltage_to_code(v, cfg) == min(max_code, max(0, nearest))
+        array = dac_to_voltages(np.array([code, 0, max_code, code], dtype=np.int64), cfg)
+        assert [x.hex() for x in array.tolist()] == [
+            dac_to_voltage(c, cfg).hex() for c in (code, 0, max_code, code)
+        ]
+
+    @pytest.mark.parametrize("code", [-1, 1 << 16])
+    def test_array_codes_out_of_range(self, code):
+        with pytest.raises(ValueError, match="out of range for 16-bit"):
+            dac_to_voltages(np.array([0, code], dtype=np.int64), PM)
+        assert dac_to_voltages(np.zeros(0, dtype=np.int64), PM).shape == (0,)
+
+    def test_terms_are_not_config_fields(self):
+        cfg = PmConfig(v_min=-1.5, v_max=9.0, v_pi=2.5, dac_bits=12)
+        assert cfg.transfer == (4095, -1.5, 9.0, 10.5, 2.5)
+        assert [f.name for f in fields(PmConfig)] == ["v_min", "v_max", "v_pi", "dac_bits"]
+        det = DetectorConfig(efficiency=0.3, input_rate=1e6)
+        assert det.signal_rate == 1e6 * 0.3
+        assert "signal_rate" not in [f.name for f in fields(DetectorConfig)]
 
 
 class TestVoltageToPhase:

@@ -23,6 +23,8 @@ from fringelock.reporting import (
     CALIB_TRACE_HEADER,
     PER_DELAY_HEADER,
     QKD_TRACE_HEADER,
+    calib_trace_columns,
+    float_fields,
     qkd_trace_columns,
     qkd_trace_row,
     render_report,
@@ -79,9 +81,23 @@ COUNTS = st.one_of(st.integers(2**62 - 4, 2**62 + 4), st.integers(0, 2**63 - 1))
 
 
 @st.composite
+def pm_configs(draw):
+    """A drive chain with 1-, 16- or 63-bit codes, on the default 0-10 V span
+    or on a drawn one with span >= 2*v_pi."""
+    dac_bits = draw(st.sampled_from([1, 16, 63]))
+    if draw(st.booleans()):
+        return PmConfig(dac_bits=dac_bits)
+    v_min = draw(st.floats(-100.0, 100.0))
+    v_max = v_min + draw(st.floats(0.01, 100.0))
+    half_span = (v_max - v_min) / 2.0
+    v_pi = draw(st.floats(half_span / 100.0, half_span))
+    return PmConfig(v_min=v_min, v_max=v_max, v_pi=v_pi, dac_bits=dac_bits)
+
+
+@st.composite
 def run_columns(draw):
-    """A pm with 1-, 16- or 63-bit codes, one to three seconds of trace arrays and a summary."""
-    pm = PmConfig(dac_bits=draw(st.sampled_from([1, 16, 63])))
+    """A pm, one to three seconds of trace arrays and a summary."""
+    pm = draw(pm_configs())
     codes = st.one_of(st.sampled_from([0, pm.max_code]), st.integers(0, pm.max_code))
     step = st.tuples(
         st.integers(0, NUM_DELAYS - 1), st.integers(1, 23), codes, COUNTS, COUNTS, VISIBILITIES
@@ -140,6 +156,32 @@ class TestLinesMatchCsvWriter:
         }
         for name, text in expected.items():
             assert (out / name).read_bytes() == text.encode("utf-8"), name
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [0.0, -0.0, 0.0, -0.0],
+        [-0.0, 0.0, -0.0],
+        [math.nan, 0.5, math.nan, -0.0, 0.5, 0.0, -0.5, 0.5],
+        [math.nan, -math.nan, math.nan],  # two NaN bit patterns, both empty
+        [],
+        [0.1234565, 1.0, 0.1234565, -1.0, 1e300, -math.inf, math.inf, -1e-7, 1e-7],
+    ],
+)
+def test_float_fields_formats_by_bit_pattern(values):
+    # the trace's visibility column is a strided view of a QKD_SLOT array
+    slots = np.zeros(len(values), dtype=QKD_SLOT)
+    slots["visibility"] = values
+    expected = [_reference_field(v) for v in values]
+    assert float_fields(slots["visibility"]) == expected
+    assert float_fields(np.array(values, dtype=np.float64)) == expected
+
+
+def test_idle_second_has_no_calib_fields():
+    # an open-loop second that did not calibrate hands the sink no CALIB_STEP rows
+    columns = calib_trace_columns(np.zeros(0, dtype=CALIB_STEP), PmConfig())
+    assert columns == [[]] * len(CALIB_TRACE_HEADER[1:])
 
 
 def test_summary_handles_dark_run(tmp_path):
