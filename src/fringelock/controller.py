@@ -114,7 +114,7 @@ def run_stabilization_stage(
     rows of all 128 searches in delay order. An aborted calibration leaves
     a partial trace, and its entry keeps the previous second's code with
     NaN visibility and is marked not accepted. Each slot's measurement
-    windows are prefetched in one draw (``Plant.open_slot``), with the
+    windows are prefetched in one draw (``Plant.prefetch``), with the
     numbers that measuring step by step would give, and the stage then
     idles to the slot end. Every search reads its step 1-4 codes from the
     memoised ``preset_codes``.
@@ -124,13 +124,12 @@ def run_stabilization_stage(
     entries: list[tuple] = []
     rows: list[tuple] = []
     for index in range(NUM_DELAYS):
-        plant.open_slot(index, calib_cfg.step_window_us, TOTAL_STEPS)
+        plant.prefetch(index, calib_cfg.step_window_us, TOTAL_STEPS)
         try:
             result = run_calibration(index, plant, calib_cfg, pm, rows)
             entries.append((result.optimal_code, result.final_visibility, result.accepted, second))
         except CalibrationAborted:
             entries.append((previous["code"][index], math.nan, False, second))
-        plant.close_slot()
         plant.idle(start_us + (index + 1) * schedule.perm_slot_us - plant.elapsed_us)
     plant.idle(start_us + schedule.stab_duration_us - plant.elapsed_us)
     return np.array(entries, dtype=TABLE_ENTRY), np.array(rows, dtype=CALIB_STEP)
@@ -321,7 +320,7 @@ class RunSettings:
         # both ports' counts and their sum must fit the int64 count columns
         det = self.plant.detector
         window_us = max(self.calibration.step_window_us, self.schedule.qkd_slot_us)
-        expected = (det.input_rate * det.efficiency + 2 * det.dark_rate) * window_us * 1e-6
+        expected = (det.signal_rate + 2 * det.dark_rate) * window_us * 1e-6
         if expected > 2**62:
             raise ValueError(
                 f"{expected:.3g} expected counts per {window_us} us window exceed 2**62; "

@@ -16,8 +16,8 @@ README, "Drift defaults").
 Every draw takes one laser normal, then 128 path normals, per window.
 ``advance`` moves the state over one span of any length (idle time, the
 pad of a permutation slot); ``advance_windows`` over the QKD stage's equal
-windows on varying delays; ``delay_drift`` computes a calibration slot's
-equal windows on one delay without committing them.
+windows on varying delays; ``delay_drift`` computes a run of equal
+windows on one delay (``Plant.measure`` reads them) without committing it.
 """
 
 from __future__ import annotations
@@ -118,9 +118,9 @@ def advance(
     The OU step uses the exact discretization, so chunking a span into
     several calls changes the realization but not the law. Draw order is
     fixed: one laser normal, then 128 path normals. ``advance_windows``
-    (the QKD stage) and ``delay_drift`` (each permutation slot of the
-    stabilisation stage) consume the stream in the same order and must
-    change with this.
+    (the QKD stage) and ``delay_drift`` (the runs ``Plant.measure``
+    reads) consume the stream in the same order and must change with
+    this.
     """
     decay, laser_step, walk_step = _window_law(dt, cfg)
     normals = rng.standard_normal(NUM_DELAYS + 1)
@@ -203,7 +203,8 @@ def delay_drift(
     rng: np.random.Generator,
 ) -> tuple[list[float], float, np.ndarray]:
     """The drift over ``windows`` windows of ``dt`` seconds, all read on
-    delay ``index`` (a calibration slot), leaving ``state`` as it is.
+    delay ``index`` (a calibration slot, or a single window), leaving
+    ``state`` as it is.
 
     Returns the canonical true phase of delay ``index`` at the start of each
     window, NaN where it is not finite (the reader raises
@@ -218,10 +219,11 @@ def delay_drift(
     gather.
     """
     decay, laser_step, walk_step = _window_law(dt, cfg)
+    # an index past the delays raises here, before any draw
+    gain = 2.0 * math.pi * cfg.optical_freq_hz * _DELAY_S[index]
     if not windows:
         return [], state.laser_eps, state.path_phases.copy()
     normals = rng.standard_normal((windows, NUM_DELAYS + 1))
-    gain = 2.0 * math.pi * cfg.optical_freq_hz * _DELAY_S[index]
     offset = float(state.offsets[index])
     walk = float(state.path_phases[index])
     eps = state.laser_eps

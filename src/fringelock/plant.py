@@ -12,19 +12,18 @@ arrays hold the same numbers as one ``measure`` call per window. The
 per-window physics therefore exists twice, and an equivalence test keeps
 the two aligned.
 
-Outside a slot, ``measure`` reads the true phase from the drift state and
-then advances the drift by its window. ``open_slot`` prefetches the drift
-of the measurement windows of one permutation slot of a single delay from
-one draw (``drift.delay_drift``). Until ``close_slot``, each ``measure``
-reads the next prefetched phase straight from the slot and only the clock
-moves; the drift state stays at the slot start. In or out of a slot, a
-measured window goes through ``hardware.dac_to_phase``,
-``port_intensities`` and ``sample_counts``. Closing commits the
-prefetched end state, or, when fewer windows were measured (an aborted
-calibration), rewinds the drift stream and redraws just the measured
-windows. Counts, drift state and stream positions are bit-identical to
-measuring window by window. The slot's pad is the caller's: it idles to
-the slot end after the close.
+``measure`` reads each window's true phase from a pending run: the drift
+of equal windows on one delay, drawn in one block (``drift.delay_drift``)
+while the drift state stays where the run started. ``prefetch`` draws a
+run of a calibration slot's windows; when no pending run fits the
+measurement, ``measure`` draws a one-window run itself. A measured window
+goes through ``hardware.dac_to_phase``, ``port_intensities`` and
+``sample_counts``, and only the clock moves. The run settles before
+anything else reads or moves the drift: it commits its end state, or, when
+fewer windows were measured (an aborted calibration), rewinds the drift
+stream and redraws just the measured windows. Any sequence of calls
+therefore gives the counts, drift state and stream positions of measuring
+window by window.
 
 The plant owns the simulation clock (integer microseconds) and is the only
 place drift time advances, so elapsed simulated time always equals the sum
@@ -71,45 +70,43 @@ class Plant:
         offsets_ss, drift_ss, detector_ss = ss.spawn(3)
         self._rng_drift = np.random.default_rng(drift_ss)
         self._rng_detector = np.random.default_rng(detector_ss)
-        self.state: DriftState = drift_mod.initial_state(
-            config.drift, np.random.default_rng(offsets_ss)
-        )
+        self._state = drift_mod.initial_state(config.drift, np.random.default_rng(offsets_ss))
         self.elapsed_us: int = 0
-        self._slot: _Slot | None = None
+        self._run: _Run | None = None
+
+    @property
+    def state(self) -> DriftState:
+        """The drift state after every window measured so far."""
+        self._settle()
+        return self._state
 
     def measure(self, delay_index: int, code: int, window_us: int) -> tuple[int, int]:
         """Integrate one counting window, then advance drift by the window.
 
         Returns the port counts ``(c1, c2)``. The drift is piecewise-constant
         within a window (windows are short against the drift timescales):
-        the phase is evaluated at the window start. Inside an open slot the
-        delay and window must be the slot's, the phase is the slot's next
-        prefetched one, and only the clock moves.
+        the phase is evaluated at the window start. The phase is the pending
+        run's next one; a one-window run is drawn first when the run is on
+        another delay or window, or used up.
         """
+        run = self._run
+        if (
+            run is None
+            or run.used == len(run.phases)
+            or delay_index != run.delay_index
+            or window_us != run.window_us
+        ):
+            self.prefetch(delay_index, window_us, 1)
+            run = self._run
+        used = run.used
+        alpha = run.phases[used]
+        if math.isnan(alpha):
+            raise drift_mod.non_finite_phase(delay_index)
         cfg = self.config
-        slot = self._slot
-        if slot is None:
-            if window_us <= 0:
-                raise ValueError(f"window must be positive, got {window_us} us")
-            alpha = drift_mod.true_phase(self.state, delay_index, cfg.drift)
-        else:
-            used = slot.used
-            if (
-                delay_index != slot.delay_index
-                or window_us != slot.window_us
-                or used == len(slot.phases)
-            ):
-                raise slot.mismatch(delay_index, window_us)
-            alpha = slot.phases[used]
-            if math.isnan(alpha):
-                raise drift_mod.non_finite_phase(delay_index)
         intensities = port_intensities(1.0, alpha + dac_to_phase(code, cfg.pm), cfg.contrast)
         counts = sample_counts(intensities, cfg.detector, window_us * 1e-6, self._rng_detector)
-        if slot is None:
-            self._advance(window_us)
-        else:
-            slot.used = used + 1
-            self.elapsed_us += window_us
+        run.used = used + 1
+        self.elapsed_us += window_us
         return counts
 
     def measure_slots(
@@ -125,11 +122,11 @@ class Plant:
         """
         if window_us <= 0:
             raise ValueError(f"window must be positive, got {window_us} us")
-        self._require_no_slot()
+        self._settle()
         cfg = self.config
         phi = np.array([dac_to_phase(code, cfg.pm) for code in codes])
         window_s = window_us * 1e-6
-        alpha = drift_mod.advance_windows(self.state, index, window_s, cfg.drift, self._rng_drift)
+        alpha = drift_mod.advance_windows(self._state, index, window_s, cfg.drift, self._rng_drift)
         self.elapsed_us += len(index) * window_us
         # math.cos as in port_intensities: np.cos may take another SIMD path
         angles = (alpha + phi[index]).tolist()
@@ -145,60 +142,52 @@ class Plant:
             counts = np.rint(lam).astype(np.int64)
         return counts[:, 0], counts[:, 1]
 
-    def open_slot(self, delay_index: int, window_us: int, windows: int) -> None:
-        """Prefetch the drift of ``windows`` measurement windows of
-        ``window_us`` on delay ``delay_index``.
+    def prefetch(self, delay_index: int, window_us: int, windows: int) -> None:
+        """Draw the drift of ``windows`` windows of ``window_us`` on delay
+        ``delay_index`` in one block, for the ``measure`` calls that follow.
 
-        Draws the slot's normals in one block; the drift state is untouched
-        until ``close_slot``.
+        A hint: measurements that do not follow it give the same numbers.
         """
-        self._require_no_slot()
         if window_us <= 0:
             raise ValueError(f"window must be positive, got {window_us} us")
+        self._settle()
         rewind = self._rng_drift.bit_generator.state
         phases, end_eps, end_walk = drift_mod.delay_drift(
-            self.state, delay_index, windows, window_us * 1e-6, self.config.drift, self._rng_drift
+            self._state, delay_index, windows, window_us * 1e-6, self.config.drift, self._rng_drift
         )
-        self._slot = _Slot(delay_index, window_us, phases, end_eps, end_walk, rewind)
-
-    def close_slot(self) -> None:
-        """Commit the drift of the open slot's measured windows."""
-        slot = self._slot
-        if slot is None:
-            raise ValueError("no slot is open")
-        self._slot = None
-        end_eps, end_walk = slot.end_eps, slot.end_walk
-        if slot.used < len(slot.phases):
-            # an aborted search: redraw only the windows it measured
-            self._rng_drift.bit_generator.state = slot.rewind
-            _, end_eps, end_walk = drift_mod.delay_drift(
-                self.state, slot.delay_index, slot.used, slot.window_us * 1e-6,
-                self.config.drift, self._rng_drift,
-            )
-        self.state.laser_eps = end_eps
-        self.state.path_phases[:] = end_walk
+        self._run = _Run(delay_index, window_us, phases, end_eps, end_walk, rewind)
 
     def idle(self, duration_us: int) -> None:
         """Let simulated time pass without measuring (slot padding, open loop)."""
         if duration_us < 0:
             raise ValueError(f"idle duration must be >= 0, got {duration_us} us")
-        self._require_no_slot()
+        self._settle()
         if duration_us:
-            self._advance(duration_us)
+            drift_mod.advance(self._state, duration_us * 1e-6, self.config.drift, self._rng_drift)
+            self.elapsed_us += duration_us
 
-    def _advance(self, duration_us: int) -> None:
-        drift_mod.advance(self.state, duration_us * 1e-6, self.config.drift, self._rng_drift)
-        self.elapsed_us += duration_us
-
-    def _require_no_slot(self) -> None:
-        if self._slot is not None:
-            raise ValueError(f"the slot of delay {self._slot.delay_index} is still open")
+    def _settle(self) -> None:
+        """Commit the drift of the pending run's measured windows."""
+        run = self._run
+        if run is None:
+            return
+        self._run = None
+        end_eps, end_walk = run.end_eps, run.end_walk
+        if run.used < len(run.phases):
+            # an aborted search: redraw only the windows it measured
+            self._rng_drift.bit_generator.state = run.rewind
+            _, end_eps, end_walk = drift_mod.delay_drift(
+                self._state, run.delay_index, run.used, run.window_us * 1e-6,
+                self.config.drift, self._rng_drift,
+            )
+        self._state.laser_eps = end_eps
+        self._state.path_phases[:] = end_walk
 
 
 @dataclass
-class _Slot:
-    """An open permutation slot: its prefetched phases, how many of them
-    were measured, and what closing it commits or rewinds to."""
+class _Run:
+    """A pending run: its prefetched phases, how many of them were
+    measured, and what settling it commits or rewinds to."""
 
     delay_index: int
     window_us: int
@@ -207,11 +196,3 @@ class _Slot:
     end_walk: np.ndarray
     rewind: dict
     used: int = 0
-
-    def mismatch(self, delay_index: int, window_us: int) -> ValueError:
-        """The error for a measurement that does not follow the slot."""
-        return ValueError(
-            f"the open slot holds {len(self.phases)} windows of {self.window_us} us on "
-            f"delay {self.delay_index}; cannot measure delay {delay_index} for "
-            f"{window_us} us after {self.used}"
-        )

@@ -14,11 +14,10 @@ commas. Every field is numeric, so CSV quoting never applies and
 plain formatting gives the bytes ``csv.writer`` would. Floats are written
 with six decimals and NaN as an empty field. A float column formats each
 distinct bit pattern once and maps the strings back to its rows; bits, not
-values, key the strings, so ``-0.0`` keeps its sign. Each distinct DAC
-code's voltage is computed once per second, all of them as one
-``hardware.dac_to_voltages`` array, and formatted once. The line
-terminator is fixed, so identical (config, seed) runs produce
-byte-identical files.
+values, key the strings, so ``-0.0`` keeps its sign. The voltage column
+is one ``hardware.dac_to_voltages`` array of the DAC codes, formatted as
+such a float column. The line terminator is fixed, so identical (config,
+seed) runs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -53,17 +52,6 @@ def float_fields(column: np.ndarray) -> list[str]:
     return np.array(fields, dtype=object)[inverse].tolist()
 
 
-def voltage_fields(codes: np.ndarray, pm: PmConfig) -> list[str]:
-    """The voltage fields of a DAC code column, each distinct code's voltage
-    converted and formatted once. A code in range has a finite voltage, so
-    no field is empty."""
-    # the distinct codes are about two thirds of a second's codes; few recur
-    # the next second, so a run-wide memo would grow and rarely hit
-    distinct, inverse = np.unique(codes, return_inverse=True)
-    fields = [f"{v:.6f}" for v in dac_to_voltages(distinct, pm).tolist()]
-    return np.array(fields, dtype=object)[inverse].tolist()
-
-
 def csv_line(fields: Iterable) -> str:
     """One line of plain fields (a header, a summary row)."""
     return ",".join(map(str, fields)) + "\n"
@@ -79,7 +67,7 @@ def calib_trace_columns(steps: np.ndarray, pm: PmConfig) -> list[list]:
     codes = steps["dac_code"]
     return [
         steps["delay_index"].tolist(), steps["step_index"].tolist(), codes.tolist(),
-        voltage_fields(codes, pm), steps["c1"].tolist(), steps["c2"].tolist(),
+        float_fields(dac_to_voltages(codes, pm)), steps["c1"].tolist(), steps["c2"].tolist(),
         float_fields(steps["visibility"]),
     ]
 

@@ -1,4 +1,5 @@
-"""Every name a package module imports at module level is read there."""
+"""Every name a package module imports at module level is read there, and
+no package module states an invariant with ``assert``."""
 
 import ast
 from pathlib import Path
@@ -44,3 +45,11 @@ def test_allowed_names_are_still_unread():
     for module, name in ALLOWED_UNREAD:
         tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
         assert name in _imported(tree) - _read(tree), f"{module}.{name} no longer needs its allowance"
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
+def test_module_has_no_assert_statement(path):
+    # python -O strips assert: an invariant must raise a real exception
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert not lines, f"{path.name} has assert statements at lines {lines}"

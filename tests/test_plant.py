@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fringelock.calibration import phase_to_compensation_code
-from fringelock.drift import DriftConfig
-from fringelock.hardware import DetectorConfig
+from fringelock.drift import advance, initial_state, true_phase
+from fringelock.hardware import DetectorConfig, dac_to_phase, sample_counts
+from fringelock.optics import port_intensities
 from fringelock.plant import Plant, PlantConfig
 
 from conftest import ZERO_OFFSETS, noiseless_plant, quiet_drift
@@ -76,6 +79,8 @@ class TestClock:
             plant.measure(0, 0, 0)
         with pytest.raises(ValueError):
             plant.idle(-1)
+        with pytest.raises(ValueError, match="window must be positive"):
+            plant.prefetch(0, 0, 23)
 
     def test_batched_slots_advance_the_clock(self):
         plant = default_plant(seed=7)
@@ -86,7 +91,60 @@ class TestClock:
             plant.measure_slots(np.array([0]), [0] * 128, 0)
 
 
-class TestSlot:
+class _Stepper:
+    """The plant window by window, from the drift and hardware functions:
+    the true phase at the window start, its counts, then one drift step.
+    The same stream recipe as ``Plant``: (offsets, drift, detector)."""
+
+    def __init__(self, config, seed):
+        offsets_ss, drift_ss, detector_ss = np.random.SeedSequence(seed).spawn(3)
+        self.config = config
+        self._rng_drift = np.random.default_rng(drift_ss)
+        self._rng_detector = np.random.default_rng(detector_ss)
+        self.state = initial_state(config.drift, np.random.default_rng(offsets_ss))
+        self.elapsed_us = 0
+
+    def measure(self, delay_index, code, window_us):
+        cfg = self.config
+        alpha = true_phase(self.state, delay_index, cfg.drift)
+        intensities = port_intensities(1.0, alpha + dac_to_phase(code, cfg.pm), cfg.contrast)
+        counts = sample_counts(intensities, cfg.detector, window_us * 1e-6, self._rng_detector)
+        self.idle(window_us)
+        return counts
+
+    def idle(self, duration_us):
+        if duration_us:
+            advance(self.state, duration_us * 1e-6, self.config.drift, self._rng_drift)
+            self.elapsed_us += duration_us
+
+
+def _assert_same_plant(plant, reference):
+    assert plant.elapsed_us == reference.elapsed_us
+    assert plant.state.laser_eps.hex() == reference.state.laser_eps.hex()
+    assert plant.state.path_phases.tobytes() == reference.state.path_phases.tobytes()
+    for stream in ("_rng_drift", "_rng_detector"):
+        state = getattr(plant, stream).bit_generator.state
+        assert state == getattr(reference, stream).bit_generator.state, stream
+
+
+_DELAYS = st.sampled_from([0, 9, 127])
+_WINDOWS = st.sampled_from([100, 108])
+_CALLS = st.one_of(
+    st.tuples(st.just("prefetch"), _DELAYS, _WINDOWS, st.integers(0, 23)),
+    # a prefetch, the measurements that follow it (all, some, none or more),
+    # then perhaps one on another delay or window
+    st.tuples(
+        st.just("slot"), _DELAYS, _WINDOWS, st.integers(0, 23), st.integers(0, 25),
+        st.none() | st.tuples(_DELAYS, _WINDOWS),
+    ),
+    st.tuples(st.just("measure"), _DELAYS, st.integers(0, 65535), _WINDOWS),
+    st.tuples(st.just("idle"), st.integers(0, 500)),
+    st.tuples(st.just("qkd"), st.lists(_DELAYS, max_size=5), _WINDOWS),
+    st.tuples(st.just("state")),
+)
+
+
+class TestPrefetch:
     @pytest.mark.parametrize(
         "window_us, slot_us", [(100, 2_500), (108, 2_500), (100, 2_300)],
         ids=["pad", "108-us", "no-pad"],
@@ -94,44 +152,52 @@ class TestSlot:
     @pytest.mark.parametrize("measured", [23, 22, 3, 1, 0])
     def test_matches_measure_then_idle(self, measured, window_us, slot_us):
         # 23 measured windows commit the prefetch; fewer rewind and redraw
-        reference, plant = default_plant(seed=30), default_plant(seed=30)
+        reference, plant = _Stepper(PlantConfig(), 30), default_plant(seed=30)
         codes = [(k * 2749) % 65536 for k in range(measured)]
         expected = [reference.measure(9, code, window_us) for code in codes]
         reference.idle(slot_us - measured * window_us)
-        plant.open_slot(9, window_us, 23)
+        plant.prefetch(9, window_us, 23)
         assert [plant.measure(9, code, window_us) for code in codes] == expected
-        assert plant.state.laser_eps == 0.0  # the drift waits for the close
-        plant.close_slot()
         assert plant.elapsed_us == measured * window_us  # the pad is the caller's
         plant.idle(slot_us - plant.elapsed_us)
-        assert plant.elapsed_us == reference.elapsed_us == slot_us
-        assert plant.state.laser_eps.hex() == reference.state.laser_eps.hex()
-        assert plant.state.path_phases.tobytes() == reference.state.path_phases.tobytes()
-        for stream in ("_rng_drift", "_rng_detector"):
-            state = getattr(plant, stream).bit_generator.state
-            assert state == getattr(reference, stream).bit_generator.state, stream
+        assert plant.elapsed_us == slot_us
+        _assert_same_plant(plant, reference)
 
-    def test_measurements_must_follow_the_slot(self):
-        plant = default_plant(seed=31)
-        with pytest.raises(ValueError, match="window must be positive"):
-            plant.open_slot(0, 0, 23)
-        with pytest.raises(ValueError, match="no slot is open"):
-            plant.close_slot()
-        plant.open_slot(2, 100, 1)
-        for args in ((3, 0, 100), (2, 0, 50)):
-            with pytest.raises(ValueError, match="the open slot holds 1 windows"):
-                plant.measure(*args)
-        with pytest.raises(ValueError, match="still open"):
-            plant.idle(100)
-        with pytest.raises(ValueError, match="still open"):
-            plant.measure_slots(np.array([0]), [0] * 128, 100)
-        with pytest.raises(ValueError, match="still open"):
-            plant.open_slot(2, 100, 1)
-        plant.measure(2, 0, 100)
-        with pytest.raises(ValueError, match="after 1"):
-            plant.measure(2, 0, 100)
-        plant.close_slot()
-        assert plant.elapsed_us == 100
+    def test_a_delay_past_the_range_draws_nothing(self):
+        reference, plant = _Stepper(PlantConfig(), 32), default_plant(seed=32)
+        with pytest.raises(IndexError):
+            plant.measure(128, 0, 100)
+        assert plant.measure(5, 0, 100) == reference.measure(5, 0, 100)
+        _assert_same_plant(plant, reference)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(calls=st.lists(_CALLS, max_size=12), seed=st.integers(0, 3))
+    def test_any_call_sequence_measures_window_by_window(self, calls, seed):
+        # prefetch is a hint: no order of calls changes a number
+        reference, plant = _Stepper(PlantConfig(), seed), default_plant(seed=seed)
+        codes = [(k * 509) % 65536 for k in range(128)]
+        for name, *args in calls:
+            if name == "prefetch":
+                plant.prefetch(*args)
+            elif name == "slot":
+                delay, window_us, windows, measured, then = args
+                plant.prefetch(delay, window_us, windows)
+                steps = [(delay, code, window_us) for code in codes[:measured]]
+                for step in steps + ([(then[0], 7, then[1])] if then else []):
+                    assert plant.measure(*step) == reference.measure(*step)
+            elif name == "measure":
+                assert plant.measure(*args) == reference.measure(*args)
+            elif name == "idle":
+                plant.idle(*args)
+                reference.idle(*args)
+            elif name == "qkd":
+                index, window_us = args
+                c1, c2 = plant.measure_slots(np.array(index, dtype=np.int64), codes, window_us)
+                expected = [reference.measure(i, codes[i], window_us) for i in index]
+                assert list(zip(c1.tolist(), c2.tolist())) == expected
+            else:
+                assert plant.state.laser_eps.hex() == reference.state.laser_eps.hex()
+        _assert_same_plant(plant, reference)
 
 
 class TestConfig:
