@@ -10,15 +10,15 @@ fixed 23-step schedule:
               best (PT3),
 * step 23     re-apply the winner (PT5) to double-check its visibility.
 
-``run_calibration(delay_index, plant, cfg, pm, rows)`` drives the search
-through ``plant.measure(delay_index, code, window_us) -> (c1, c2)``, one
-call per step in step order, and appends one ``CALIB_STEP`` tuple per
-measured step to the caller's ``rows``, so the steps before an abort are
-kept there too; DAC codes are plain ints. The steps run in four batches,
-1-4, 5-14, 15-22 and 23. A batch's codes are all computed before it
-starts, because none of them depends on the batch's own counts: the presets
-are fixed, the coarse scan centers on PT1, the fine scan on PT3, and step
-23 re-applies PT5.
+``run_calibration(delay_index, count, cfg, pm, rows)`` drives the search
+through ``count(code) -> (c1, c2)``, the delay's counting function
+(``Plant.counter``), one call per step in step order, and appends one
+``CALIB_STEP`` tuple per measured step to the caller's ``rows``, so the
+steps before an abort are kept there too; DAC codes are plain ints. The
+steps run in four batches, 1-4, 5-14, 15-22 and 23. A batch's codes are
+all computed before it starts, because none of them depends on the batch's
+own counts: the presets are fixed, the coarse scan centers on PT1, the
+fine scan on PT3, and step 23 re-applies PT5.
 
 The estimator inverts the fringe model f_k = (1 + cos(alpha + ext_k)) / 2,
 i.e. the preset phases add to the path phase inside the cosine (the only
@@ -31,7 +31,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Protocol, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -68,13 +68,6 @@ class CalibrationAborted(RuntimeError):
 
     The steps measured before the fault are already in the caller's rows.
     """
-
-
-class Plantlike(Protocol):
-    """What a calibration needs of a plant: one window at a time, since a
-    batch's codes depend on the counts of the batches before it."""
-
-    def measure(self, delay_index: int, code: int, window_us: int) -> tuple[int, int]: ...
 
 
 @dataclass(frozen=True)
@@ -120,6 +113,17 @@ class CalibrationConfig:
             raise ValueError("step window must be positive")
         if not -1.0 <= self.accept_threshold <= 1.0:
             raise ValueError("accept threshold must lie in [-1, 1]")
+
+    @functools.cached_property
+    def coarse_offsets(self) -> tuple[float, ...]:
+        """Volts from PT2 of the coarse scan's points, steps 6-14."""
+        return tuple((j - COARSE_POINTS // 2) * self.coarse_interval for j in range(COARSE_POINTS))
+
+    @functools.cached_property
+    def fine_offsets(self) -> tuple[float, ...]:
+        """Volts from PT4 of the fine scan's points, steps 15-22 (PT4's own is PT3's)."""
+        half = FINE_POINTS // 2
+        return tuple(j * self.fine_interval for j in range(-half, half + 1) if j != 0)
 
 
 @dataclass(frozen=True)
@@ -190,9 +194,16 @@ def _wrap_into_span(v: float, cfg: PmConfig) -> float:
 
 def _scan_codes(center_code: int, offsets: Sequence[float], cfg: PmConfig) -> list[int]:
     """DAC codes of the scan points ``offsets`` volts from a center code's
-    voltage, each wrapped into the span."""
+    voltage, each wrapped into the span and rounded as ``voltage_to_code``."""
+    max_code, v_min, v_max, span, _ = cfg.transfer
     center_v = dac_to_voltage(center_code, cfg)
-    return [voltage_to_code(_wrap_into_span(center_v + off, cfg), cfg) for off in offsets]
+    codes = []
+    for off in offsets:
+        v = center_v + off
+        if not v_min <= v <= v_max:
+            v = _wrap_into_span(v, cfg)
+        codes.append(min(max_code, max(0, round((v - v_min) / span * max_code))))
+    return codes
 
 
 @functools.cache
@@ -204,28 +215,27 @@ def preset_codes(plan: InitialStepPlan, pm: PmConfig) -> tuple[int, ...]:
 
 def run_calibration(
     delay_index: int,
-    plant: Plantlike,
+    count: Callable[[int], tuple[int, int]],
     cfg: CalibrationConfig,
     pm: PmConfig,
     rows: list[tuple],
 ) -> CalibResult:
     """Execute the fixed 23-step search for one delay path.
 
-    Appends one ``CALIB_STEP`` tuple per measured step to ``rows``. Ties on
+    ``count(code)`` integrates the delay's next window. Appends one
+    ``CALIB_STEP`` tuple per measured step to ``rows``. Ties on
     visibility resolve to the earliest step, so traces are reproducible.
     The fine-scan winner competes against the coarse best it is centered
     on: a scan point can only replace PT3 by strictly beating it.
     """
-    window_us = cfg.step_window_us
-    measure = plant.measure
     append_row = rows.append
 
     def measure_batch(first_step: int, codes: Sequence[int]) -> list[float]:
-        # one plant.measure per step, in step order; no code here depends on
-        # the batch's own counts
+        # one count per step, in step order; no code here depends on the
+        # batch's own counts
         visibilities = []
         for index, code in enumerate(codes, first_step):
-            c1, c2 = measure(delay_index, code, window_us)
+            c1, c2 = count(code)
             total = c1 + c2
             if total == 0:
                 raise CalibrationAborted(
@@ -248,19 +258,15 @@ def run_calibration(
     # step 5 applies the estimate so PT1's visibility is itself observable;
     # steps 6-14 scan coarsely around PT2 (same voltage as PT1) for PT3
     pt1_code = phase_to_compensation_code(alpha_hat, pm)
-    coarse_offsets = [(j - COARSE_POINTS // 2) * cfg.coarse_interval for j in range(COARSE_POINTS)]
-    coarse = [pt1_code, *_scan_codes(pt1_code, coarse_offsets, pm)]
+    coarse = [pt1_code, *_scan_codes(pt1_code, cfg.coarse_offsets, pm)]
     coarse_visibilities = measure_batch(5, coarse)
     # ties resolve to the earliest step: index finds the first of the best
     pt3_visibility = max(coarse_visibilities)
     pt3_code = coarse[coarse_visibilities.index(pt3_visibility)]
 
-    # steps 15-22: fine scan around PT4 (same voltage as PT3); PT3's own
-    # point was already measured, so the scan covers its neighborhood only,
-    # and a scan point replaces PT3 only by strictly beating it
-    half = FINE_POINTS // 2
-    fine_offsets = [j * cfg.fine_interval for j in range(-half, half + 1) if j != 0]
-    fine = _scan_codes(pt3_code, fine_offsets, pm)
+    # steps 15-22: fine scan around PT4 (same voltage as PT3), where a scan
+    # point replaces PT3 only by strictly beating it
+    fine = _scan_codes(pt3_code, cfg.fine_offsets, pm)
     fine_visibilities = measure_batch(15, fine)
     fine_best = max(fine_visibilities)
     pt5_code = fine[fine_visibilities.index(fine_best)] if fine_best > pt3_visibility else pt3_code

@@ -10,9 +10,9 @@ from traces.
 
 Stage results are columnar: the stabilization stage returns the refreshed
 table as one ``TABLE_ENTRY`` array (a row per delay, its DAC code a plain
-int) plus one ``CALIB_STEP`` array built once from the rows its 128
-calibrations append, and the QKD stage returns one ``QKD_SLOT`` array with
-a row per switch slot. A run's per-delay results are one ``DELAY_SUMMARY``.
+int) and appends its 128 calibrations' ``CALIB_STEP`` rows to the caller's
+list, and the QKD stage returns one ``QKD_SLOT`` array with a row per
+switch slot. A run's per-delay results are one ``DELAY_SUMMARY``.
 """
 
 from __future__ import annotations
@@ -107,32 +107,32 @@ def run_stabilization_stage(
     calib_cfg: CalibrationConfig,
     schedule: FrameSchedule,
     previous: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
+    rows: list[tuple],
+) -> np.ndarray:
     """Recalibrate all 128 delays in order, one permutation slot each.
 
-    Returns the refreshed ``TABLE_ENTRY`` table plus the ``CALIB_STEP``
-    rows of all 128 searches in delay order. An aborted calibration leaves
-    a partial trace, and its entry keeps the previous second's code with
-    NaN visibility and is marked not accepted. Each slot's measurement
-    windows are prefetched in one draw (``Plant.prefetch``), with the
-    numbers that measuring step by step would give, and the stage then
-    idles to the slot end. Every search reads its step 1-4 codes from the
-    memoised ``preset_codes``.
+    Returns the refreshed ``TABLE_ENTRY`` table, and appends the
+    ``CALIB_STEP`` tuples of all 128 searches in delay order to ``rows``.
+    An aborted calibration leaves a partial trace, and its entry keeps the
+    previous second's code with NaN visibility and is marked not accepted.
+    Each slot's search counts through one ``Plant.counter`` function, whose
+    windows are drawn in one block with the numbers that measuring step by
+    step would give, and the stage then idles to the slot end. Every search
+    reads its step 1-4 codes from the memoised ``preset_codes``.
     """
     pm = plant.config.pm
     start_us = plant.elapsed_us
     entries: list[tuple] = []
-    rows: list[tuple] = []
     for index in range(NUM_DELAYS):
-        plant.prefetch(index, calib_cfg.step_window_us, TOTAL_STEPS)
+        count = plant.counter(index, calib_cfg.step_window_us, TOTAL_STEPS)
         try:
-            result = run_calibration(index, plant, calib_cfg, pm, rows)
+            result = run_calibration(index, count, calib_cfg, pm, rows)
             entries.append((result.optimal_code, result.final_visibility, result.accepted, second))
         except CalibrationAborted:
             entries.append((previous["code"][index], math.nan, False, second))
         plant.idle(start_us + (index + 1) * schedule.perm_slot_us - plant.elapsed_us)
     plant.idle(start_us + schedule.stab_duration_us - plant.elapsed_us)
-    return np.array(entries, dtype=TABLE_ENTRY), np.array(rows, dtype=CALIB_STEP)
+    return np.array(entries, dtype=TABLE_ENTRY)
 
 
 def run_qkd_stage(
@@ -201,7 +201,8 @@ def run_experiment(config: "RunSettings", sink: SecondSink | None = None) -> Exp
     open-loop mode only the first second calibrates; later stabilization
     windows idle with the stale table, which is what the mode is for.
     Per-delay statistics accumulate in arrays, one element per delay, and
-    ``sink`` receives each second's stage results once.
+    ``sink`` receives each second's stage results once; without a sink the
+    calibration rows never become an array.
     """
     plant_ss, delay_ss = np.random.SeedSequence(config.seed).spawn(2)
     plant = Plant(config.plant, entropy=plant_ss)
@@ -218,10 +219,10 @@ def run_experiment(config: "RunSettings", sink: SecondSink | None = None) -> Exp
     min_second_mean = np.full(NUM_DELAYS, math.nan)
 
     for second in range(config.seconds):
-        steps = np.zeros(0, dtype=CALIB_STEP)
+        rows: list[tuple] = []
         if config.mode == CLOSED_LOOP or second == 0:
-            table, steps = run_stabilization_stage(
-                second, plant, config.calibration, schedule, table
+            table = run_stabilization_stage(
+                second, plant, config.calibration, schedule, table, rows
             )
             if (table["refreshed_at"] != second).any():
                 raise RuntimeError("table must be refreshed this second")
@@ -246,7 +247,7 @@ def run_experiment(config: "RunSettings", sink: SecondSink | None = None) -> Exp
         second_mean = np.divide(sums, counts, out=np.full(NUM_DELAYS, math.nan), where=counts > 0)
         min_second_mean = np.fmin(min_second_mean, second_mean)
         if sink is not None:
-            sink(second, steps, slots)
+            sink(second, np.array(rows, dtype=CALIB_STEP), slots)
 
         if plant.elapsed_us != (second + 1) * US_PER_SECOND:
             raise RuntimeError(f"clock skew: {plant.elapsed_us} us after second {second}")

@@ -17,7 +17,7 @@ Every draw takes one laser normal, then 128 path normals, per window.
 ``advance`` moves the state over one span of any length (idle time, the
 pad of a permutation slot); ``advance_windows`` over the QKD stage's equal
 windows on varying delays; ``delay_drift`` computes a run of equal
-windows on one delay (``Plant.measure`` reads them) without committing it.
+windows on one delay (``Plant.counter`` counts them) without committing it.
 """
 
 from __future__ import annotations
@@ -118,8 +118,8 @@ def advance(
     The OU step uses the exact discretization, so chunking a span into
     several calls changes the realization but not the law. Draw order is
     fixed: one laser normal, then 128 path normals. ``advance_windows``
-    (the QKD stage) and ``delay_drift`` (the runs ``Plant.measure``
-    reads) consume the stream in the same order and must change with
+    (the QKD stage) and ``delay_drift`` (the runs ``Plant.counter``
+    counts) consume the stream in the same order and must change with
     this.
     """
     decay, laser_step, walk_step = _window_law(dt, cfg)

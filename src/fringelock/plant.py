@@ -1,29 +1,26 @@
 """The simulated plant: what the control firmware sees through its counters.
 
 Composes the drift engine, the modulator chain and the detectors into one
-object with two measurement entry points. Both take delays as indices
-0..127 and return the two port counts. ``measure(delay_index, code,
-window_us) -> (c1, c2)`` integrates one window; the calibration search
-calls it once per step, because a step's code can depend on the counts of
-the steps before it. ``measure_slots(index, codes, window_us) -> (c1,
-c2)`` integrates a whole run of equal windows whose delays and codes are
-known in advance (the QKD stage) from one draw per stream; its count
-arrays hold the same numbers as one ``measure`` call per window. The
-per-window physics therefore exists twice, and an equivalence test keeps
-the two aligned.
+object. Delays are indices 0..127; any other index raises ``ValueError``
+before a draw. ``counter(delay_index, window_us, windows)`` draws the drift
+of a run of equal windows on one delay in one block (``drift.delay_drift``)
+and returns ``count(code) -> (c1, c2)``, which integrates the run's next
+window. The calibration search calls it once per step, because a step's
+code can depend on the counts of the steps before it. ``count`` binds the
+config's transfer, contrast and detector terms and computes a window with
+the arithmetic of ``hardware.dac_to_phase``, ``port_intensities`` and
+``sample_counts``, in their operation order; only the clock moves.
+``measure(delay_index, code, window_us)`` counts one window the same way.
+``measure_slots(index, codes, window_us) -> (c1, c2)`` integrates a whole
+run of equal windows whose delays and codes are known in advance (the QKD
+stage) from one draw per stream, as vectors. The per-window physics
+therefore exists twice, and an equivalence test keeps the two aligned.
 
-``measure`` reads each window's true phase from a pending run: the drift
-of equal windows on one delay, drawn in one block (``drift.delay_drift``)
-while the drift state stays where the run started. ``prefetch`` draws a
-run of a calibration slot's windows; when no pending run fits the
-measurement, ``measure`` draws a one-window run itself. A measured window
-goes through ``hardware.dac_to_phase``, ``port_intensities`` and
-``sample_counts``, and only the clock moves. The run settles before
-anything else reads or moves the drift: it commits its end state, or, when
-fewer windows were measured (an aborted calibration), rewinds the drift
-stream and redraws just the measured windows. Any sequence of calls
-therefore gives the counts, drift state and stream positions of measuring
-window by window.
+A run settles before anything else reads or moves the drift: it commits
+its end state, or, when fewer windows were counted (an aborted
+calibration), rewinds the drift stream and redraws just the counted
+windows. Any sequence of calls therefore gives the counts, drift state and
+stream positions of measuring window by window.
 
 The plant owns the simulation clock (integer microseconds) and is the only
 place drift time advances, so elapsed simulated time always equals the sum
@@ -34,14 +31,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import drift as drift_mod
 from .drift import DriftConfig, DriftState
-from .hardware import DetectorConfig, PmConfig, dac_to_phase, sample_counts
-from .optics import port_intensities
+# count() inlines sample_counts and port_intensities; perfbench/child.py --trace 1 wraps them
+from .hardware import NUM_DELAYS, DetectorConfig, PmConfig, dac_to_phase, sample_counts
+from .optics import TWO_PI, port_intensities
 
 
 @dataclass(frozen=True)
@@ -81,33 +79,9 @@ class Plant:
         return self._state
 
     def measure(self, delay_index: int, code: int, window_us: int) -> tuple[int, int]:
-        """Integrate one counting window, then advance drift by the window.
-
-        Returns the port counts ``(c1, c2)``. The drift is piecewise-constant
-        within a window (windows are short against the drift timescales):
-        the phase is evaluated at the window start. The phase is the pending
-        run's next one; a one-window run is drawn first when the run is on
-        another delay or window, or used up.
-        """
-        run = self._run
-        if (
-            run is None
-            or run.used == len(run.phases)
-            or delay_index != run.delay_index
-            or window_us != run.window_us
-        ):
-            self.prefetch(delay_index, window_us, 1)
-            run = self._run
-        used = run.used
-        alpha = run.phases[used]
-        if math.isnan(alpha):
-            raise drift_mod.non_finite_phase(delay_index)
-        cfg = self.config
-        intensities = port_intensities(1.0, alpha + dac_to_phase(code, cfg.pm), cfg.contrast)
-        counts = sample_counts(intensities, cfg.detector, window_us * 1e-6, self._rng_detector)
-        run.used = used + 1
-        self.elapsed_us += window_us
-        return counts
+        """Integrate one counting window, then advance drift by the window:
+        ``counter(delay_index, window_us, 1)(code)``."""
+        return self.counter(delay_index, window_us, 1)(code)
 
     def measure_slots(
         self, index: np.ndarray, codes: Sequence[int], window_us: int
@@ -122,6 +96,9 @@ class Plant:
         """
         if window_us <= 0:
             raise ValueError(f"window must be positive, got {window_us} us")
+        outside = (index < 0) | (index >= NUM_DELAYS)
+        if outside.any():
+            raise ValueError(f"delay index {index[outside.argmax()]} out of range 0..127")
         self._settle()
         cfg = self.config
         phi = np.array([dac_to_phase(code, cfg.pm) for code in codes])
@@ -142,20 +119,59 @@ class Plant:
             counts = np.rint(lam).astype(np.int64)
         return counts[:, 0], counts[:, 1]
 
-    def prefetch(self, delay_index: int, window_us: int, windows: int) -> None:
+    def counter(
+        self, delay_index: int, window_us: int, windows: int
+    ) -> Callable[[int], tuple[int, int]]:
         """Draw the drift of ``windows`` windows of ``window_us`` on delay
-        ``delay_index`` in one block, for the ``measure`` calls that follow.
+        ``delay_index`` in one block, and return ``count(code) -> (c1, c2)``,
+        which integrates the next of them at DAC code ``code``.
 
-        A hint: measurements that do not follow it give the same numbers.
+        The drift is piecewise-constant within a window (windows are short
+        against the drift timescales): the phase is evaluated at the window
+        start. A count past the last window, or after the run has settled,
+        raises ``ValueError``.
         """
         if window_us <= 0:
             raise ValueError(f"window must be positive, got {window_us} us")
+        if not 0 <= delay_index < NUM_DELAYS:
+            raise ValueError(f"delay index {delay_index} out of range 0..127")
         self._settle()
         rewind = self._rng_drift.bit_generator.state
+        window_s = window_us * 1e-6
         phases, end_eps, end_walk = drift_mod.delay_drift(
-            self._state, delay_index, windows, window_us * 1e-6, self.config.drift, self._rng_drift
+            self._state, delay_index, windows, window_s, self.config.drift, self._rng_drift
         )
-        self._run = _Run(delay_index, window_us, phases, end_eps, end_walk, rewind)
+        run = self._run = _Run(delay_index, window_us, phases, end_eps, end_walk, rewind)
+        pm, contrast, det = self.config.pm, self.config.contrast, self.config.detector
+        max_code, v_min, v_max, span, v_pi = pm.transfer
+        signal = det.signal_rate * window_s
+        dark = det.dark_rate * window_s
+        # a scalar draw and round() both give Python ints
+        draw = self._rng_detector.poisson if det.shot_noise else round
+        cos, fmod, pi = math.cos, math.fmod, math.pi
+
+        def count(code: int) -> tuple[int, int]:
+            used = run.used
+            if used == windows or self._run is not run:
+                raise ValueError(f"no window left in this run of delay {delay_index}")
+            alpha = phases[used]
+            if alpha != alpha:  # NaN: the true phase is not finite
+                raise drift_mod.non_finite_phase(delay_index)
+            if not 0 <= code <= max_code:
+                raise ValueError(f"DAC code {code} out of range for {pm.dac_bits}-bit converter")
+            # dac_to_phase, then port_intensities at unit input power, whose
+            # port total is never 0, then sample_counts, port 1 first
+            v = min(v_max, v_min + code * span / max_code)
+            x = contrast * cos(alpha + fmod(pi * (v - v_min) / v_pi, TWO_PI))
+            i1 = 0.5 * (1.0 + x)
+            i2 = 0.5 * (1.0 - x)
+            total = i1 + i2
+            counts = draw(i1 / total * signal + dark), draw(i2 / total * signal + dark)
+            run.used = used + 1
+            self.elapsed_us += window_us
+            return counts
+
+        return count
 
     def idle(self, duration_us: int) -> None:
         """Let simulated time pass without measuring (slot padding, open loop)."""
@@ -186,12 +202,12 @@ class Plant:
 
 @dataclass
 class _Run:
-    """A pending run: its prefetched phases, how many of them were
-    measured, and what settling it commits or rewinds to."""
+    """A pending run: its drawn phases, how many of them were counted,
+    and what settling it commits or rewinds to."""
 
     delay_index: int
     window_us: int
-    phases: list[float]  # a phase per measurement window
+    phases: list[float]  # a phase per window, NaN where not finite
     end_eps: float
     end_walk: np.ndarray
     rewind: dict

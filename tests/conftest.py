@@ -4,10 +4,11 @@ import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import strategies as st
 
 from fringelock.controller import RunSettings
 from fringelock.drift import DriftConfig
-from fringelock.hardware import DetectorConfig
+from fringelock.hardware import DetectorConfig, PmConfig
 from fringelock.plant import Plant, PlantConfig
 
 ZERO_OFFSETS = tuple([0.0] * 128)
@@ -60,6 +61,20 @@ def zero_noise_settings(**overrides) -> RunSettings:
         ),
     )
     return replace(base, **overrides) if overrides else base
+
+
+@st.composite
+def pm_configs(draw):
+    """A drive chain with 1-, 16- or 63-bit codes, on the default 0-10 V span
+    or on a drawn one with span >= 2*v_pi."""
+    dac_bits = draw(st.sampled_from([1, 16, 63]))
+    if draw(st.booleans()):
+        return PmConfig(dac_bits=dac_bits)
+    v_min = draw(st.floats(-100.0, 100.0))
+    v_max = v_min + draw(st.floats(0.01, 100.0))
+    half_span = (v_max - v_min) / 2.0
+    v_pi = draw(st.floats(half_span / 100.0, half_span))
+    return PmConfig(v_min=v_min, v_max=v_max, v_pi=v_pi, dac_bits=dac_bits)
 
 
 @pytest.fixture

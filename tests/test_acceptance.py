@@ -14,6 +14,7 @@ import pytest
 from scipy.stats import spearmanr
 
 from fringelock.calibration import (
+    TOTAL_STEPS,
     CalibrationConfig,
     InitialStepPlan,
     least_squares_phase,
@@ -113,7 +114,8 @@ def test_a4_staged_search_matches_exhaustive_oracle():
     worst_est = 0.0
     for alpha in np.arange(256) * (2.0 * math.pi / 256):
         offsets = tuple([float(alpha)] + [0.0] * 127)
-        result = run_calibration(0, noiseless_plant(offsets=offsets), calib, pm, [])
+        count = noiseless_plant(offsets=offsets).counter(0, calib.step_window_us, TOTAL_STEPS)
+        result = run_calibration(0, count, calib, pm, [])
         phi = voltage_to_phase(dac_to_voltage(result.optimal_code, pm), pm)
         staged = math.cos(alpha + phi)
         oracle = float(np.max(np.cos(alpha + phases)))

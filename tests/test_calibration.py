@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 
 from fringelock.calibration import (
     CALIB_STEP,
+    TOTAL_STEPS,
     AmbiguousPhaseError,
     CalibrationAborted,
     CalibrationConfig,
     InitialStepPlan,
+    _scan_codes,
     _wrap_into_span,
     least_squares_phase,
     phase_to_compensation_code,
@@ -27,7 +29,7 @@ from fringelock.hardware import (
 from fringelock.optics import canonical_phase
 from fringelock.plant import Plant, PlantConfig
 
-from conftest import circular_diff, noiseless_plant
+from conftest import circular_diff, noiseless_plant, pm_configs
 
 PM = PmConfig()
 PLAN = InitialStepPlan()
@@ -112,24 +114,29 @@ class TestPhaseToCompensationCode:
             assert abs(circular_diff(alpha + phi, 0.0)) < 1e-4  # within DAC quantization
 
 
-class _ScriptedPlant:
-    """Plant stub that replays a fixed counts schedule."""
+class _ScriptedCount:
+    """Count function stub that replays a fixed counts schedule."""
 
     def __init__(self, schedule):
         self.schedule = schedule
         self.calls = 0
 
-    def measure(self, delay_index, code, window_us):
+    def __call__(self, code):
         counts = self.schedule[min(self.calls, len(self.schedule) - 1)]
         self.calls += 1
         return counts
+
+
+def _count(plant, delay=0, cfg=CalibrationConfig()):
+    """The plant's counting function for one search on ``delay``."""
+    return plant.counter(delay, cfg.step_window_us, TOTAL_STEPS)
 
 
 class TestRunCalibration:
     def test_noiseless_zero_phase(self):
         plant = noiseless_plant(input_rate=2.5e7)
         rows = []
-        result = run_calibration(0, plant, CalibrationConfig(), PM, rows)
+        result = run_calibration(0, _count(plant), CalibrationConfig(), PM, rows)
         trace = np.array(rows, dtype=CALIB_STEP)
         assert result.final_visibility == 1.0
         assert result.accepted
@@ -147,7 +154,8 @@ class TestRunCalibration:
         presets = preset_codes(plan, PM)
         assert presets == tuple(voltage_to_code(voltage_for_phase(p, PM), PM) for p in plan.ext_phases)
         rows = []
-        run_calibration(7, Plant(PlantConfig(), 70), CalibrationConfig(plan=plan), PM, rows)
+        count = _count(Plant(PlantConfig(), 70), 7)
+        run_calibration(7, count, CalibrationConfig(plan=plan), PM, rows)
         assert [row[2] for row in rows[:4]] == list(presets)
 
     def test_appends_after_the_callers_rows(self):
@@ -155,8 +163,8 @@ class TestRunCalibration:
         # are, and the estimate reads only this search's steps 1-4
         plant_a, plant_b = noiseless_plant(input_rate=2.5e7), noiseless_plant(input_rate=2.5e7)
         fresh, shared = [], [(9, 1, 0, 1, 0, 1.0)] * 5
-        expected = run_calibration(4, plant_a, CalibrationConfig(), PM, fresh)
-        assert run_calibration(4, plant_b, CalibrationConfig(), PM, shared) == expected
+        expected = run_calibration(4, _count(plant_a, 4), CalibrationConfig(), PM, fresh)
+        assert run_calibration(4, _count(plant_b, 4), CalibrationConfig(), PM, shared) == expected
         assert shared[:5] == [(9, 1, 0, 1, 0, 1.0)] * 5
         assert shared[5:] == fresh
 
@@ -168,7 +176,7 @@ class TestRunCalibration:
         for alpha in rng.uniform(0.0, TWO_PI, size=16):
             offsets = tuple([float(alpha)] + [0.0] * 127)
             plant = noiseless_plant(offsets=offsets)
-            result = run_calibration(0, plant, cfg, PM, [])
+            result = run_calibration(0, _count(plant), cfg, PM, [])
             phi = voltage_to_phase(dac_to_voltage(result.optimal_code, PM), PM)
             residual = abs(circular_diff(alpha + phi, 0.0))
             assert residual <= bound
@@ -179,7 +187,7 @@ class TestRunCalibration:
             offsets = tuple([float(alpha)] + [0.0] * 127)
             plant = noiseless_plant(offsets=offsets, input_rate=2.5e7)
             rows = []
-            result = run_calibration(0, plant, CalibrationConfig(), PM, rows)
+            result = run_calibration(0, _count(plant), CalibrationConfig(), PM, rows)
             by_step = {step: vis for _, step, *_, vis in rows}
             candidates = [by_step[i] for i in range(5, 23)]
             # the double-check step re-measures the best candidate seen
@@ -203,34 +211,34 @@ class TestRunCalibration:
                 ),
                 entropy=10_000 + trial,
             )
-            result = run_calibration(delay, plant, cfg, plant.config.pm, [])
+            result = run_calibration(delay, _count(plant, delay), cfg, plant.config.pm, [])
             hits += result.final_visibility >= 0.98
         assert hits >= 950
 
     def test_abort_on_dark_plant(self):
-        plant = _ScriptedPlant([(900, 100), (500, 500), (100, 900), (500, 500), (0, 0)])
+        count = _ScriptedCount([(900, 100), (500, 500), (100, 900), (500, 500), (0, 0)])
         rows = []
         with pytest.raises(CalibrationAborted):
-            run_calibration(3, plant, CalibrationConfig(), PM, rows)
+            run_calibration(3, count, CalibrationConfig(), PM, rows)
         assert len(rows) == 4  # steps before the fault are kept
 
     def test_ambiguous_initial_steps_abort(self):
-        plant = _ScriptedPlant([(500, 500)])
+        count = _ScriptedCount([(500, 500)])
         rows = []
         with pytest.raises(CalibrationAborted):
-            run_calibration(3, plant, CalibrationConfig(), PM, rows)
+            run_calibration(3, count, CalibrationConfig(), PM, rows)
         assert len(rows) == 4  # the four flat steps are kept
 
     def test_tie_break_earliest_measurement(self):
         # distinct first four steps pin the estimate at 0, then every
         # candidate measures the same visibility: PT1 (step 5) must win
         schedule = [(900, 100), (500, 500), (100, 900), (500, 500)] + [(60, 40)] * 19
-        plant = _ScriptedPlant(schedule)
-        result = run_calibration(3, plant, CalibrationConfig(), PM, [])
+        count = _ScriptedCount(schedule)
+        result = run_calibration(3, count, CalibrationConfig(), PM, [])
         assert result.optimal_code == 0  # PT1's code for phase 0
         assert result.final_visibility == pytest.approx(0.2)
         assert not result.accepted
-        assert plant.calls == 23
+        assert count.calls == 23
 
     def test_estimator_consistency_with_counts(self):
         # errors shrink ~x10 when per-step counts scale x100
@@ -279,7 +287,7 @@ class TestWrapIntoSpan:
     def test_huge_scan_interval_completes(self):
         cfg = CalibrationConfig(coarse_interval=1e9, fine_interval=1e9)
         rows = []
-        run_calibration(0, noiseless_plant(), cfg, PM, rows)
+        run_calibration(0, _count(noiseless_plant(), cfg=cfg), cfg, PM, rows)
         assert len(rows) == 23
 
     @given(st.floats(allow_nan=False, allow_infinity=False))
@@ -287,3 +295,24 @@ class TestWrapIntoSpan:
         w = _wrap_into_span(v, PM)
         assert PM.v_min <= w <= PM.v_max
         assert abs(math.remainder(w - v, self.PERIOD)) <= 1e-9 * max(1.0, abs(v))
+
+
+class TestScanCodes:
+    def test_offsets_are_computed_once_per_config(self):
+        cfg = CalibrationConfig(coarse_interval=0.1, fine_interval=0.025)
+        assert cfg.coarse_offsets == tuple((j - 4) * 0.1 for j in range(9))
+        assert cfg.fine_offsets == tuple(j * 0.025 for j in (-4, -3, -2, -1, 1, 2, 3, 4))
+        assert cfg.coarse_offsets is cfg.coarse_offsets
+        assert cfg.fine_offsets is cfg.fine_offsets
+
+    @given(pm=pm_configs(), interval=st.floats(1e-9, 1e3), data=st.data())
+    def test_matches_voltage_to_code_per_point(self, pm, interval, data):
+        # rail centers and wide intervals put points off the span, to wrap
+        center = data.draw(st.sampled_from([0, pm.max_code]) | st.integers(0, pm.max_code))
+        center_v = dac_to_voltage(center, pm)
+        for offsets in (
+            CalibrationConfig(coarse_interval=interval).coarse_offsets,
+            CalibrationConfig(fine_interval=interval).fine_offsets,
+        ):
+            expected = [voltage_to_code(_wrap_into_span(center_v + off, pm), pm) for off in offsets]
+            assert _scan_codes(center, offsets, pm) == expected

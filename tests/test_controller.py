@@ -69,9 +69,11 @@ class TestStabilizationStage:
         # random static offsets: the search must still land every path at 1.0
         drift = replace(settings.plant.drift, static_offsets="random")
         plant = Plant(replace(settings.plant, drift=drift), entropy=21)
-        table, steps = run_stabilization_stage(
-            0, plant, settings.calibration, settings.schedule, bootstrap_table(plant.config)
+        rows = []
+        table = run_stabilization_stage(
+            0, plant, settings.calibration, settings.schedule, bootstrap_table(plant.config), rows
         )
+        steps = np.array(rows, dtype=CALIB_STEP)
         assert table.dtype == TABLE_ENTRY
         assert len(table) == 128
         assert table["accepted"].all()
@@ -90,7 +92,7 @@ class TestStabilizationStage:
         table = bootstrap_table(plant.config)
         worst = 128
         for second in range(60):
-            table, _ = run_stabilization_stage(second, plant, calib, schedule, table)
+            table = run_stabilization_stage(second, plant, calib, schedule, table, [])
             worst = min(worst, int(table["accepted"].sum()))
             plant.idle(schedule.qkd_duration_us)  # stand in for the QKD stage
         assert worst >= 120
@@ -100,8 +102,8 @@ class TestStabilizationStage:
         dead = replace(settings.plant.detector, input_rate=0.0, dark_rate=0.0)
         plant = Plant(replace(settings.plant, detector=dead), entropy=23)
         previous = bootstrap_table(plant.config)
-        table, _ = run_stabilization_stage(
-            0, plant, settings.calibration, settings.schedule, previous
+        table = run_stabilization_stage(
+            0, plant, settings.calibration, settings.schedule, previous, []
         )
         assert not table["accepted"].any()
         assert (table["code"] == previous["code"]).all()
@@ -109,13 +111,26 @@ class TestStabilizationStage:
         # aborted slots still consume their full permutation slot
         assert plant.elapsed_us == 340_000
 
+    def test_appends_after_the_callers_rows(self):
+        # earlier rows stay as they are, and each search reads only its own
+        settings = zero_noise_settings()
+        calib, schedule = settings.calibration, settings.schedule
+        previous = bootstrap_table(settings.plant)
+        fresh, shared = [], [(9, 1, 0, 1, 0, 1.0)] * 3
+        for rows in (fresh, shared):
+            run_stabilization_stage(0, Plant(settings.plant, 28), calib, schedule, previous, rows)
+        assert shared[:3] == [(9, 1, 0, 1, 0, 1.0)] * 3
+        assert shared[3:] == fresh and len(fresh) == 128 * 23
+
     def test_steps_must_fit_permutation_slot(self):
         settings = zero_noise_settings()
         plant = Plant(settings.plant)
         calib = replace(settings.calibration, step_window_us=200)
         # 23 steps of 200 us overrun the 2500 us slot: no idle can reach its end
         with pytest.raises(ValueError, match="idle duration must be >= 0"):
-            run_stabilization_stage(0, plant, calib, settings.schedule, bootstrap_table(plant.config))
+            run_stabilization_stage(
+                0, plant, calib, settings.schedule, bootstrap_table(plant.config), []
+            )
 
 
 def _reference_calibration(delay_index, plant, cfg, pm, rows, events):
@@ -166,7 +181,7 @@ def _reference_calibration(delay_index, plant, cfg, pm, rows, events):
 def _reference_stabilization_stage(second, plant, calib_cfg, schedule, previous, events):
     """The stabilisation stage step by step: each window measured with
     ``Plant.measure`` outside any slot, then ``Plant.idle`` to the slot end.
-    The batched, prefetching ``run_stabilization_stage`` must reproduce it
+    The batched, counting ``run_stabilization_stage`` must reproduce it
     bit for bit. Appends each abort's message to ``events``."""
     start_us = plant.elapsed_us
     entries, rows = [], []
@@ -240,7 +255,9 @@ class TestPrefetchedStabilizationStage:
             expected_table, expected_steps = _reference_stabilization_stage(
                 second, reference, calib_cfg, schedule, expected_table, events
             )
-            table, steps = run_stabilization_stage(second, plant, calib_cfg, schedule, table)
+            rows = []
+            table = run_stabilization_stage(second, plant, calib_cfg, schedule, table, rows)
+            steps = np.array(rows, dtype=CALIB_STEP)
             assert table.tobytes() == expected_table.tobytes()
             assert steps.tobytes() == expected_steps.tobytes()
             _assert_same_plant(plant, reference)
@@ -278,7 +295,7 @@ class TestPrefetchedStabilizationStage:
             )
         assert reference.elapsed_us == 4 * 2_500 + 19 * 100
         with pytest.raises(ValueError, match="^true phase of delay 4 ") as raised:
-            run_stabilization_stage(0, plant, calib_cfg, schedule, bootstrap_table(plant_cfg))
+            run_stabilization_stage(0, plant, calib_cfg, schedule, bootstrap_table(plant_cfg), [])
         assert str(raised.value) == str(expected.value)
         # the same windows were measured, so the detector stream agrees too
         assert plant.elapsed_us == reference.elapsed_us
@@ -315,8 +332,8 @@ class TestQkdStage:
     def test_slot_count_and_lookup_correctness(self):
         settings = zero_noise_settings()
         plant = _SpyPlant(settings.plant, entropy=24)
-        table, _ = run_stabilization_stage(
-            0, plant, settings.calibration, settings.schedule, bootstrap_table(plant.config)
+        table = run_stabilization_stage(
+            0, plant, settings.calibration, settings.schedule, bootstrap_table(plant.config), []
         )
         slots = run_qkd_stage(table, plant, settings.schedule, np.random.default_rng(25))
         assert slots.dtype == QKD_SLOT
@@ -441,11 +458,16 @@ class TestRunExperiment:
     def test_open_loop_calibrates_only_once(self):
         settings = RunSettings(seconds=3, seed=33, mode=OPEN_LOOP)
         calib_rows = []
+        dtypes = set()
         report = run_experiment(
             settings,
-            lambda second, steps, slots: calib_rows.extend([second] * len(steps)),
+            lambda second, steps, slots: (
+                calib_rows.extend([second] * len(steps)), dtypes.add(steps.dtype)
+            ),
         )
         assert set(calib_rows) == {0}
+        # the idle seconds pass empty CALIB_STEP arrays
+        assert dtypes == {CALIB_STEP}
         assert report.mode == OPEN_LOOP
         assert report.simulated_us == 3_000_000
         # a single calibration means acceptance is counted against one refresh
@@ -479,7 +501,7 @@ class TestTimingInvariants:
         monkeypatch.setattr(
             controller,
             "run_stabilization_stage",
-            lambda second, plant, calib, schedule, previous: (previous, []),
+            lambda second, plant, calib, schedule, previous, rows: previous,
         )
         with pytest.raises(RuntimeError, match="table must be refreshed this second"):
             run_experiment(zero_noise_settings())

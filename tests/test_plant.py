@@ -2,16 +2,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fringelock.calibration import phase_to_compensation_code
 from fringelock.drift import advance, initial_state, true_phase
-from fringelock.hardware import DetectorConfig, dac_to_phase, sample_counts
+from fringelock.hardware import DetectorConfig, PmConfig, dac_to_phase, sample_counts
 from fringelock.optics import port_intensities
 from fringelock.plant import Plant, PlantConfig
 
-from conftest import ZERO_OFFSETS, noiseless_plant, quiet_drift
+from conftest import ZERO_OFFSETS, noiseless_plant, pm_configs, quiet_drift
 
 
 def default_plant(seed=0, **det_overrides):
@@ -80,7 +80,7 @@ class TestClock:
         with pytest.raises(ValueError):
             plant.idle(-1)
         with pytest.raises(ValueError, match="window must be positive"):
-            plant.prefetch(0, 0, 23)
+            plant.counter(0, 0, 23)
 
     def test_batched_slots_advance_the_clock(self):
         plant = default_plant(seed=7)
@@ -130,63 +130,157 @@ def _assert_same_plant(plant, reference):
 _DELAYS = st.sampled_from([0, 9, 127])
 _WINDOWS = st.sampled_from([100, 108])
 _CALLS = st.one_of(
-    st.tuples(st.just("prefetch"), _DELAYS, _WINDOWS, st.integers(0, 23)),
-    # a prefetch, the measurements that follow it (all, some, none or more),
-    # then perhaps one on another delay or window
+    st.tuples(st.just("counter"), _DELAYS, _WINDOWS, st.integers(0, 23)),
+    # a counter, the counts that follow it (all, some, none or one too
+    # many), then perhaps a measurement on another delay or window
     st.tuples(
-        st.just("slot"), _DELAYS, _WINDOWS, st.integers(0, 23), st.integers(0, 25),
+        st.just("slot"), _DELAYS, _WINDOWS, st.integers(0, 23), st.integers(0, 24),
         st.none() | st.tuples(_DELAYS, _WINDOWS),
     ),
-    st.tuples(st.just("measure"), _DELAYS, st.integers(0, 65535), _WINDOWS),
+    st.tuples(st.just("measure"), _DELAYS, st.integers(0, 2**63 - 1), _WINDOWS),
     st.tuples(st.just("idle"), st.integers(0, 500)),
     st.tuples(st.just("qkd"), st.lists(_DELAYS, max_size=5), _WINDOWS),
     st.tuples(st.just("state")),
 )
 
 
-class TestPrefetch:
+#: Up to about 1e17 expected counts per window: past 2**53 a count is
+#: the expectation's float bits, so a reordered expression shows in it.
+_RATES = st.floats(0.0, 1e21)
+
+
+@st.composite
+def plant_configs(draw):
+    """A drive chain from ``pm_configs``, any contrast, drawn detector rates,
+    with or without shot noise."""
+    detector = DetectorConfig(
+        efficiency=draw(st.floats(0.0, 1.0, exclude_min=True)),
+        dark_rate=draw(_RATES),
+        input_rate=draw(_RATES),
+        shot_noise=draw(st.booleans()),
+    )
+    contrast = draw(st.floats(0.0, 1.0))
+    return PlantConfig(pm=draw(pm_configs()), detector=detector, contrast=contrast)
+
+
+def _wide_dac(bits):
+    # about 2e16 expected counts per window, rounded: every bit of it shows
+    return PlantConfig(
+        pm=PmConfig(dac_bits=bits), detector=DetectorConfig(input_rate=1e21, shot_noise=False)
+    )
+
+
+#: A full slot on each delay, then QKD windows on all three.
+_WIDE_DAC_CALLS = [
+    *(("slot", delay, 100, 23, 23, None) for delay in (0, 9, 127)), ("qkd", [0, 9, 127], 108)
+]
+
+
+def _snapshot(plant):
+    """Clock and stream positions, read without settling a pending run."""
+    streams = (plant._rng_drift.bit_generator.state, plant._rng_detector.bit_generator.state)
+    return plant.elapsed_us, streams
+
+
+class TestCounter:
     @pytest.mark.parametrize(
         "window_us, slot_us", [(100, 2_500), (108, 2_500), (100, 2_300)],
         ids=["pad", "108-us", "no-pad"],
     )
     @pytest.mark.parametrize("measured", [23, 22, 3, 1, 0])
     def test_matches_measure_then_idle(self, measured, window_us, slot_us):
-        # 23 measured windows commit the prefetch; fewer rewind and redraw
+        # 23 counted windows commit the run; fewer rewind and redraw
         reference, plant = _Stepper(PlantConfig(), 30), default_plant(seed=30)
         codes = [(k * 2749) % 65536 for k in range(measured)]
         expected = [reference.measure(9, code, window_us) for code in codes]
         reference.idle(slot_us - measured * window_us)
-        plant.prefetch(9, window_us, 23)
-        assert [plant.measure(9, code, window_us) for code in codes] == expected
+        count = plant.counter(9, window_us, 23)
+        assert [count(code) for code in codes] == expected
         assert plant.elapsed_us == measured * window_us  # the pad is the caller's
         plant.idle(slot_us - plant.elapsed_us)
         assert plant.elapsed_us == slot_us
         _assert_same_plant(plant, reference)
 
-    def test_a_delay_past_the_range_draws_nothing(self):
+    @pytest.mark.parametrize("delay", [-1, -128, 128])
+    @pytest.mark.parametrize("path", ["counter", "measure", "measure_slots"])
+    def test_a_delay_out_of_range_draws_nothing(self, path, delay):
         reference, plant = _Stepper(PlantConfig(), 32), default_plant(seed=32)
-        with pytest.raises(IndexError):
-            plant.measure(128, 0, 100)
+        # a pending run with one counted window, which the error must leave alone
+        assert plant.counter(5, 100, 23)(0) == reference.measure(5, 0, 100)
+        before = _snapshot(plant)
+        calls = {
+            "counter": lambda: plant.counter(delay, 100, 23),
+            "measure": lambda: plant.measure(delay, 0, 100),
+            "measure_slots": lambda: plant.measure_slots(np.array([5, delay]), [0] * 128, 100),
+        }
+        with pytest.raises(ValueError, match=rf"^delay index {delay} out of range 0\.\.127$"):
+            calls[path]()
+        assert _snapshot(plant) == before
         assert plant.measure(5, 0, 100) == reference.measure(5, 0, 100)
         _assert_same_plant(plant, reference)
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(calls=st.lists(_CALLS, max_size=12), seed=st.integers(0, 3))
-    def test_any_call_sequence_measures_window_by_window(self, calls, seed):
-        # prefetch is a hint: no order of calls changes a number
-        reference, plant = _Stepper(PlantConfig(), seed), default_plant(seed=seed)
-        codes = [(k * 509) % 65536 for k in range(128)]
+    def test_a_count_past_the_last_window_raises(self):
+        reference, plant = _Stepper(PlantConfig(), 33), default_plant(seed=33)
+        count = plant.counter(9, 100, 2)
+        assert [count(1), count(2)] == [reference.measure(9, code, 100) for code in (1, 2)]
+        before = _snapshot(plant)
+        with pytest.raises(ValueError, match="^no window left in this run of delay 9$"):
+            count(3)
+        assert _snapshot(plant) == before
+        _assert_same_plant(plant, reference)
+
+    def test_a_settled_counter_raises(self):
+        # once anything else reads or moves the drift, the run's windows are gone
+        reference, plant = _Stepper(PlantConfig(), 34), default_plant(seed=34)
+        count = plant.counter(9, 100, 23)
+        assert count(1) == reference.measure(9, 1, 100)
+        plant.idle(50)
+        reference.idle(50)
+        with pytest.raises(ValueError, match="^no window left"):
+            count(2)
+        assert plant.counter(9, 100, 23)(2) == reference.measure(9, 2, 100)
+        _assert_same_plant(plant, reference)
+
+    @pytest.mark.parametrize("code", [-1, 65536])
+    def test_a_code_out_of_range_counts_nothing(self, code):
+        reference, plant = _Stepper(PlantConfig(), 35), default_plant(seed=35)
+        count = plant.counter(9, 100, 23)
+        with pytest.raises(ValueError, match=f"^DAC code {code} out of range for 16-bit"):
+            count(code)
+        assert plant.elapsed_us == 0
+        assert count(4) == reference.measure(9, 4, 100)
+        _assert_same_plant(plant, reference)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(calls=st.lists(_CALLS, max_size=12), seed=st.integers(0, 3), config=plant_configs())
+    @example(calls=_WIDE_DAC_CALLS, seed=0, config=_wide_dac(52))
+    @example(calls=_WIDE_DAC_CALLS, seed=1, config=_wide_dac(53))
+    @example(calls=_WIDE_DAC_CALLS, seed=2, config=_wide_dac(63))
+    def test_any_call_sequence_measures_window_by_window(self, calls, seed, config):
+        # the counter is a hint: no order of calls changes a number, and its
+        # inlined physics is the hardware and optics functions' on any config
+        reference, plant = _Stepper(config, seed), Plant(config, seed)
+        top = config.pm.max_code
+        # 128 codes from 0 to the top code, spread over every prefix
+        codes = [(k * 37 % 128) * top // 127 for k in range(128)]
         for name, *args in calls:
-            if name == "prefetch":
-                plant.prefetch(*args)
+            if name == "counter":
+                plant.counter(*args)
             elif name == "slot":
                 delay, window_us, windows, measured, then = args
-                plant.prefetch(delay, window_us, windows)
-                steps = [(delay, code, window_us) for code in codes[:measured]]
-                for step in steps + ([(then[0], 7, then[1])] if then else []):
+                count = plant.counter(delay, window_us, windows)
+                for code in codes[:min(measured, windows)]:
+                    assert count(code) == reference.measure(delay, code, window_us)
+                if measured > windows:
+                    with pytest.raises(ValueError, match="no window left"):
+                        count(codes[0])
+                if then:
+                    step = (then[0], codes[7], then[1])
                     assert plant.measure(*step) == reference.measure(*step)
             elif name == "measure":
-                assert plant.measure(*args) == reference.measure(*args)
+                delay, code, window_us = args
+                step = (delay, code % (top + 1), window_us)
+                assert plant.measure(*step) == reference.measure(*step)
             elif name == "idle":
                 plant.idle(*args)
                 reference.idle(*args)

@@ -31,7 +31,7 @@ from fringelock.reporting import (
     write_summary,
 )
 
-from conftest import zero_noise_settings
+from conftest import pm_configs, zero_noise_settings
 
 
 # The row-tuple form the files were first written in, through csv.writer:
@@ -78,20 +78,6 @@ UNIT_FLOATS = st.one_of(st.sampled_from([math.nan, 1.0, -1.0, 0.0, -0.0]), st.fl
 VISIBILITIES = st.one_of(UNIT_FLOATS, st.floats())
 # counts up to the int64 limit, with the values near 2**62 drawn often
 COUNTS = st.one_of(st.integers(2**62 - 4, 2**62 + 4), st.integers(0, 2**63 - 1))
-
-
-@st.composite
-def pm_configs(draw):
-    """A drive chain with 1-, 16- or 63-bit codes, on the default 0-10 V span
-    or on a drawn one with span >= 2*v_pi."""
-    dac_bits = draw(st.sampled_from([1, 16, 63]))
-    if draw(st.booleans()):
-        return PmConfig(dac_bits=dac_bits)
-    v_min = draw(st.floats(-100.0, 100.0))
-    v_max = v_min + draw(st.floats(0.01, 100.0))
-    half_span = (v_max - v_min) / 2.0
-    v_pi = draw(st.floats(half_span / 100.0, half_span))
-    return PmConfig(v_min=v_min, v_max=v_max, v_pi=v_pi, dac_bits=dac_bits)
 
 
 @st.composite
