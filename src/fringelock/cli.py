@@ -15,7 +15,7 @@ import sys
 from itertools import count, repeat
 from pathlib import Path
 
-from .config import ConfigError, load_config, write_config
+from .config import ConfigError, load_config, schema_entry, write_config
 from .controller import MODES, VISIBILITY_TARGET, ExperimentReport, RunSettings, run_experiment
 from .keyrate import KeyRateParams, error_threshold, key_rate
 from .reporting import (
@@ -158,6 +158,7 @@ def cmd_keyrate(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     if "." not in args.param:
         raise ConfigError(f"sweep parameter must be section.key, got {args.param!r}")
+    schema_entry(*map(str.strip, args.param.split(".", 1)))  # an unknown key fails here
     raw_values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not raw_values:
         raise ConfigError("sweep needs at least one value")

@@ -140,11 +140,15 @@ def load_config(
     return settings, values["output_dir"]
 
 
-def _set_value(values: dict, section: str, key: str, raw: str) -> None:
-    entry = SCHEMA.get((section, key))
-    if entry is None:
+def schema_entry(section: str, key: str) -> tuple[str, object]:
+    """``SCHEMA``'s (attribute path, field type) of a key; an unknown key raises."""
+    if (section, key) not in SCHEMA:
         raise ConfigError(f"unknown configuration key [{section}] {key}")
-    path, kind = entry
+    return SCHEMA[(section, key)]
+
+
+def _set_value(values: dict, section: str, key: str, raw: str) -> None:
+    path, kind = schema_entry(section, key)
     try:
         values[path] = _PARSE_BY_TYPE[kind](raw)
     except ValueError as exc:

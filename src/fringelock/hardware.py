@@ -8,7 +8,8 @@ instantaneous; the high-voltage driver electronics are out of scope.
 
 A delay is an index 0..127 everywhere: ``select_delay(index) -> delay_ns``
 decodes its gates, and ``DELAY_NS`` holds the result for every index.
-``dac_to_phase(code, pm)`` takes a DAC code straight to its modulator phase,
+``dac_to_phase(code, pm)`` takes a DAC code straight to its modulator phase
+(``tests/reference_model.py`` keeps the voltage-to-phase step on its own),
 and ``dac_to_voltages(codes, pm)`` converts an array of codes at once.
 ``sample_counts((i1, i2), det, window, rng) -> (c1, c2)`` counts one window.
 
@@ -147,9 +148,9 @@ def dac_to_voltages(codes: np.ndarray, cfg: PmConfig) -> np.ndarray:
 
 
 def dac_to_phase(code: int, cfg: PmConfig) -> float:
-    """Modulator phase of a DAC code: ``voltage_to_phase(dac_to_voltage(code))``
-    in one call, with the same arithmetic. The clamp keeps the voltage in the
-    span, so the span check is not repeated."""
+    """Modulator phase of a DAC code: ``dac_to_voltage``, then the reference
+    model's ``voltage_to_phase`` (``tests/reference_model.py``), in one call with
+    their arithmetic. The clamp keeps the voltage in the span, so no span check."""
     max_code, v_min, v_max, span, v_pi = cfg.transfer
     if not 0 <= code <= max_code:
         raise ValueError(f"DAC code {code} out of range for {cfg.dac_bits}-bit converter")
@@ -165,13 +166,6 @@ def voltage_to_code(v: float, cfg: PmConfig) -> int:
         raise ValueError(f"voltage {v} V outside DAC span [{v_min}, {v_max}]")
     code = round((v - v_min) / span * max_code)
     return min(max_code, max(0, code))
-
-
-def voltage_to_phase(v: float, cfg: PmConfig) -> float:
-    """Modulator transfer: pi of phase per v_pi of drive, canonical [0, 2*pi)."""
-    if not cfg.v_min <= v <= cfg.v_max:
-        raise ValueError(f"voltage {v} V outside span [{cfg.v_min}, {cfg.v_max}]")
-    return canonical_phase(math.pi * (v - cfg.v_min) / cfg.v_pi)
 
 
 def voltage_for_phase(phase: float, cfg: PmConfig) -> float:

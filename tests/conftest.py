@@ -11,6 +11,9 @@ from fringelock.drift import DriftConfig
 from fringelock.hardware import DetectorConfig, PmConfig
 from fringelock.plant import Plant, PlantConfig
 
+# the shared v1 model's asserts report like a test's, and survive python -O
+pytest.register_assert_rewrite("reference_model")
+
 ZERO_OFFSETS = tuple([0.0] * 128)
 
 
@@ -75,8 +78,3 @@ def pm_configs(draw):
     half_span = (v_max - v_min) / 2.0
     v_pi = draw(st.floats(half_span / 100.0, half_span))
     return PmConfig(v_min=v_min, v_max=v_max, v_pi=v_pi, dac_bits=dac_bits)
-
-
-@pytest.fixture
-def quiet_offsets():
-    return ZERO_OFFSETS

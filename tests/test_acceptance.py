@@ -26,15 +26,13 @@ from fringelock.hardware import (
     DetectorConfig,
     PmConfig,
     dac_to_voltage,
-    sample_counts,
     voltage_for_phase,
     voltage_to_code,
-    voltage_to_phase,
 )
 from fringelock.keyrate import binary_entropy, error_threshold
-from fringelock.plant import Plant, PlantConfig
 
-from conftest import circular_diff, noiseless_plant, quiet_drift
+from conftest import circular_diff, noiseless_plant
+from reference_model import sample_counts, voltage_to_phase
 
 SEED = 1
 

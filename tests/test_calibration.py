@@ -19,17 +19,11 @@ from fringelock.calibration import (
     preset_codes,
     run_calibration,
 )
-from fringelock.hardware import (
-    PmConfig,
-    dac_to_voltage,
-    voltage_for_phase,
-    voltage_to_code,
-    voltage_to_phase,
-)
-from fringelock.optics import canonical_phase
+from fringelock.hardware import PmConfig, dac_to_voltage, voltage_for_phase, voltage_to_code
 from fringelock.plant import Plant, PlantConfig
 
 from conftest import circular_diff, noiseless_plant, pm_configs
+from reference_model import voltage_to_phase
 
 PM = PmConfig()
 PLAN = InitialStepPlan()

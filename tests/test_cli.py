@@ -448,11 +448,15 @@ class TestSweepCommand:
         assert list(tmp_path.iterdir()) == [blocker]
 
     def test_unknown_parameter_exits_2(self, tmp_path, capsys):
+        # one message for the key, not one per value, and no output directory
         assert main([
-            "sweep", "--param", "drift.warp_factor", "--values", "1",
+            "sweep", "--param", "drift.warp_factor", "--values", "1,2",
             "--out", str(tmp_path / "s"),
         ]) == 2
-        assert "error" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.err == "error: unknown configuration key [drift] warp_factor\n"
+        assert captured.out == ""
+        assert not (tmp_path / "s").exists()
 
 
 REPO_ROOT = Path(__file__).resolve().parents[1]

@@ -5,23 +5,12 @@ import numpy as np
 import pytest
 
 from fringelock import controller
-from fringelock.calibration import (
-    CALIB_STEP,
-    AmbiguousPhaseError,
-    CalibrationAborted,
-    CalibrationConfig,
-    InitialStepPlan,
-    _wrap_into_span,
-    least_squares_phase,
-    phase_to_compensation_code,
-)
+from fringelock.calibration import CALIB_STEP, CalibrationConfig, InitialStepPlan
 from fringelock.controller import (
-    CLOSED_LOOP,
     DELAY_SUMMARY,
     OPEN_LOOP,
     QKD_SLOT,
     TABLE_ENTRY,
-    US_PER_SECOND,
     FrameSchedule,
     RunSettings,
     bootstrap_table,
@@ -30,17 +19,11 @@ from fringelock.controller import (
     run_stabilization_stage,
 )
 from fringelock.drift import DriftConfig
-from fringelock.hardware import (
-    NUM_DELAYS,
-    DetectorConfig,
-    PmConfig,
-    dac_to_voltage,
-    voltage_for_phase,
-    voltage_to_code,
-)
+from fringelock.hardware import NUM_DELAYS, DetectorConfig, PmConfig
 from fringelock.plant import Plant, PlantConfig
 
 from conftest import zero_noise_settings
+from reference_model import Stepper, assert_same_plant, qkd_stage, stabilization_stage
 
 
 class TestFrameSchedule:
@@ -133,82 +116,6 @@ class TestStabilizationStage:
             )
 
 
-def _reference_calibration(delay_index, plant, cfg, pm, rows, events):
-    """The 23-step search one step at a time: each step's code is chosen
-    just before it is measured, and an incumbent is replaced only by a
-    strictly higher visibility. Appends "wrap" to ``events`` for each scan
-    point that falls off a rail."""
-
-    def step(index, code):
-        c1, c2 = plant.measure(delay_index, code, cfg.step_window_us)
-        if c1 + c2 == 0:
-            raise CalibrationAborted(
-                f"zero total counts at calibration step {index} of delay {delay_index}"
-            )
-        vis = (c1 - c2) / (c1 + c2)
-        rows.append((delay_index, index, code, c1, c2, vis))
-        return vis
-
-    def scan(first_step, center_code, offsets, best_visibility, best_code):
-        center_v = dac_to_voltage(center_code, pm)
-        for j, off in enumerate(offsets):
-            v = center_v + off
-            if not pm.v_min <= v <= pm.v_max:
-                events.append("wrap")
-            code = voltage_to_code(_wrap_into_span(v, pm), pm)
-            vis = step(first_step + j, code)
-            if vis > best_visibility:
-                best_visibility, best_code = vis, code
-        return best_visibility, best_code
-
-    for k, ext in enumerate(cfg.plan.ext_phases):
-        step(k + 1, voltage_to_code(voltage_for_phase(ext, pm), pm))
-    fractions = [c1 / (c1 + c2) for *_, c1, c2, _ in rows[-4:]]
-    try:
-        alpha_hat = least_squares_phase(fractions, cfg.plan)
-    except AmbiguousPhaseError as exc:
-        raise CalibrationAborted(str(exc)) from exc
-    pt1_code = phase_to_compensation_code(alpha_hat, pm)
-    pt1_visibility = step(5, pt1_code)
-    coarse = [(j - 4) * cfg.coarse_interval for j in range(9)]
-    pt3 = scan(6, pt1_code, coarse, pt1_visibility, pt1_code)
-    fine = [j * cfg.fine_interval for j in (-4, -3, -2, -1, 1, 2, 3, 4)]
-    _, pt5_code = scan(15, pt3[1], fine, *pt3)
-    final_visibility = step(23, pt5_code)
-    return pt5_code, final_visibility, final_visibility >= cfg.accept_threshold
-
-
-def _reference_stabilization_stage(second, plant, calib_cfg, schedule, previous, events):
-    """The stabilisation stage step by step: each window measured with
-    ``Plant.measure`` outside any slot, then ``Plant.idle`` to the slot end.
-    The batched, counting ``run_stabilization_stage`` must reproduce it
-    bit for bit. Appends each abort's message to ``events``."""
-    start_us = plant.elapsed_us
-    entries, rows = [], []
-    for index in range(NUM_DELAYS):
-        slot_start = plant.elapsed_us
-        try:
-            result = _reference_calibration(
-                index, plant, calib_cfg, plant.config.pm, rows, events
-            )
-            entries.append((*result, second))
-        except CalibrationAborted as exc:
-            events.append(str(exc))
-            entries.append((previous["code"][index], math.nan, False, second))
-        plant.idle(slot_start + schedule.perm_slot_us - plant.elapsed_us)
-    plant.idle(start_us + schedule.stab_duration_us - plant.elapsed_us)
-    return np.array(entries, dtype=TABLE_ENTRY), np.array(rows, dtype=CALIB_STEP)
-
-
-def _assert_same_plant(plant, reference):
-    assert plant.state.laser_eps.hex() == reference.state.laser_eps.hex()
-    assert plant.state.path_phases.tobytes() == reference.state.path_phases.tobytes()
-    assert plant.elapsed_us == reference.elapsed_us
-    for stream in ("_rng_drift", "_rng_detector"):
-        state = getattr(plant, stream).bit_generator.state
-        assert state == getattr(reference, stream).bit_generator.state, stream
-
-
 _NOISELESS = zero_noise_settings().plant
 _LOW_LIGHT = PlantConfig(detector=DetectorConfig(input_rate=100_000.0, dark_rate=0.0))
 _DARK = PlantConfig(detector=DetectorConfig(input_rate=0.0, dark_rate=0.0))
@@ -248,11 +155,11 @@ class TestPrefetchedStabilizationStage:
              "dark", "flat-fringe", "grid-plan", "rail-wraps", "no-shot-noise"],
     )
     def test_matches_step_by_step_stage(self, plant_cfg, calib_cfg, schedule, seed, expect):
-        reference, plant = Plant(plant_cfg, seed), Plant(plant_cfg, seed)
+        reference, plant = Stepper(plant_cfg, seed), Plant(plant_cfg, seed)
         expected_table = table = bootstrap_table(plant_cfg)
         events = []
         for second in range(2):
-            expected_table, expected_steps = _reference_stabilization_stage(
+            expected_table, expected_steps = stabilization_stage(
                 second, reference, calib_cfg, schedule, expected_table, events
             )
             rows = []
@@ -260,7 +167,7 @@ class TestPrefetchedStabilizationStage:
             steps = np.array(rows, dtype=CALIB_STEP)
             assert table.tobytes() == expected_table.tobytes()
             assert steps.tobytes() == expected_steps.tobytes()
-            _assert_same_plant(plant, reference)
+            assert_same_plant(plant, reference)
             for p in (reference, plant):
                 p.idle(schedule.qkd_duration_us)  # stand in for the QKD stage
         aborts = [e for e in events if e != "wrap"]
@@ -288,11 +195,9 @@ class TestPrefetchedStabilizationStage:
             drift=DriftConfig(laser_ou_sigma=1e8, laser_ou_tau=1e-4, optical_freq_hz=2e307)
         )
         calib_cfg, schedule = CalibrationConfig(), FrameSchedule()
-        reference, plant = Plant(plant_cfg, 51), Plant(plant_cfg, 51)
+        reference, plant = Stepper(plant_cfg, 51), Plant(plant_cfg, 51)
         with pytest.raises(ValueError) as expected:
-            _reference_stabilization_stage(
-                0, reference, calib_cfg, schedule, bootstrap_table(plant_cfg), []
-            )
+            stabilization_stage(0, reference, calib_cfg, schedule, bootstrap_table(plant_cfg), [])
         assert reference.elapsed_us == 4 * 2_500 + 19 * 100
         with pytest.raises(ValueError, match="^true phase of delay 4 ") as raised:
             run_stabilization_stage(0, plant, calib_cfg, schedule, bootstrap_table(plant_cfg), [])
@@ -313,19 +218,6 @@ class _SpyPlant(Plant):
     def measure_slots(self, index, codes, window_us):
         self.applied.append((index.copy(), codes))
         return super().measure_slots(index, codes, window_us)
-
-
-def _reference_qkd_stage(table, plant, schedule, rng_delay):
-    """The QKD stage as one ``Plant.measure`` per slot: the algorithm the
-    batched ``run_qkd_stage`` must reproduce bit for bit."""
-    codes = table["code"].tolist()
-    rows = []
-    for _ in range(schedule.qkd_slots):
-        index = int(rng_delay.integers(0, NUM_DELAYS))
-        c1, c2 = plant.measure(index, codes[index], schedule.qkd_slot_us)
-        vis = (c1 - c2) / (c1 + c2) if c1 + c2 > 0 else math.nan
-        rows.append((index, c1, c2, vis))
-    return np.array(rows, dtype=QKD_SLOT)
 
 
 class TestQkdStage:
@@ -389,32 +281,27 @@ class TestBatchedQkdStage:
     def test_matches_slot_by_slot_loop(self, plant_cfg, schedule, seed):
         table = bootstrap_table(plant_cfg)
         table["code"] = np.random.default_rng(seed).integers(0, plant_cfg.pm.max_code + 1, 128)
-        reference_plant, plant = Plant(plant_cfg, seed), Plant(plant_cfg, seed)
+        reference, plant = Stepper(plant_cfg, seed), Plant(plant_cfg, seed)
         reference_rng, rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
-        for p in (reference_plant, plant):
+        for p in (reference, plant):
             p.idle(schedule.stab_duration_us)  # start from a drifted state
-        expected = _reference_qkd_stage(table, reference_plant, schedule, reference_rng)
+        expected = qkd_stage(table, reference, schedule, reference_rng)
         slots = run_qkd_stage(table, plant, schedule, rng)
         for name in QKD_SLOT.names:
             assert slots[name].tobytes() == expected[name].tobytes(), name
-        assert plant.state.laser_eps.hex() == reference_plant.state.laser_eps.hex()
-        assert plant.state.path_phases.tobytes() == reference_plant.state.path_phases.tobytes()
-        assert plant.elapsed_us == reference_plant.elapsed_us == US_PER_SECOND
         # every stream stands where the loop left it, so later stages agree too
+        assert_same_plant(plant, reference)
         assert rng.bit_generator.state == reference_rng.bit_generator.state
-        for stream in ("_rng_drift", "_rng_detector"):
-            state = getattr(plant, stream).bit_generator.state
-            assert state == getattr(reference_plant, stream).bit_generator.state, stream
 
     def test_non_finite_phase_names_the_drift_keys(self):
         # eps is 0 in the first slot; the first OU step then pushes the laser
         # term of every delay but 0 past the float range
         plant_cfg = PlantConfig(drift=DriftConfig(laser_ou_sigma=1e20, optical_freq_hz=1e300))
         table, schedule = bootstrap_table(plant_cfg), FrameSchedule()
-        reference_plant, plant = Plant(plant_cfg, 46), Plant(plant_cfg, 46)
+        reference, plant = Stepper(plant_cfg, 46), Plant(plant_cfg, 46)
         with pytest.raises(ValueError) as expected:
-            _reference_qkd_stage(table, reference_plant, schedule, np.random.default_rng(47))
-        assert reference_plant.elapsed_us > 0  # the phase turned non-finite mid-stage
+            qkd_stage(table, reference, schedule, np.random.default_rng(47))
+        assert reference.elapsed_us > 0  # the phase turned non-finite mid-stage
         with pytest.raises(ValueError, match="^true phase of delay") as raised:
             run_qkd_stage(table, plant, schedule, np.random.default_rng(47))
         assert str(raised.value) == str(expected.value)

@@ -13,6 +13,7 @@ from fringelock.drift import (
 )
 
 from conftest import ZERO_OFFSETS
+from reference_model import drift_by_window
 
 
 def make_state(cfg, seed=0):
@@ -122,10 +123,7 @@ class TestAdvanceWindows:
         reference, state = make_state(cfg, seed=7), make_state(cfg, seed=7)
         reference_rng, rng = np.random.default_rng(8), np.random.default_rng(8)
         index = np.random.default_rng(9).integers(0, 128, size=300)
-        expected = []
-        for i in index.tolist():
-            expected.append(true_phase(reference, i, cfg))
-            advance(reference, 1e-4, cfg, reference_rng)
+        expected = drift_by_window(reference, index.tolist(), 1e-4, cfg, reference_rng)
         phases = advance_windows(state, index, 1e-4, cfg, rng)
         assert phases.tolist() == expected
         assert state.laser_eps == reference.laser_eps
@@ -166,10 +164,7 @@ class TestDelayDrift:
         for p in (reference, state):  # start from a drifted state
             p.laser_eps = 3e-9
             p.path_phases[:] = np.linspace(-2.0, 2.0, 128)
-        expected = []
-        for _ in range(windows):
-            expected.append(true_phase(reference, delay, cfg))
-            advance(reference, dt, cfg, reference_rng)
+        expected = drift_by_window(reference, [delay] * windows, dt, cfg, reference_rng)
         phases, eps, walk = delay_drift(state, delay, windows, dt, cfg, rng)
         assert phases == expected
         assert eps.hex() == reference.laser_eps.hex()

@@ -18,9 +18,10 @@ from fringelock.hardware import (
     select_delay,
     voltage_for_phase,
     voltage_to_code,
-    voltage_to_phase,
 )
 from fringelock.optics import canonical_phase
+
+from reference_model import voltage_to_phase
 
 PM = PmConfig()
 

@@ -1,17 +1,19 @@
-"""Every name a package module imports at module level is read there, and
-no package module states an invariant with ``assert``."""
+"""Every name a package or test module imports at module level is read
+there, and no package module states an invariant with ``assert``."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "fringelock"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "fringelock"
 
 #: (module, name) imported but never read. perfbench/child.py --trace 1
 #: rebinds these names to time them; each goes when its span is dropped from
 #: the benchmark. ``Plant.counter`` inlines ``sample_counts`` and
-#: ``port_intensities``, which stay the references the tests compare against.
+#: ``port_intensities``; the window-by-window model the tests compare against
+#: is ``tests/reference_model.py``.
 ALLOWED_UNREAD = {
     ("controller", "select_delay"),
     ("plant", "sample_counts"),
@@ -36,7 +38,9 @@ def _read(tree: ast.Module) -> set[str]:
     }
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
+@pytest.mark.parametrize(
+    "path", sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")), ids=lambda p: p.stem
+)
 def test_module_reads_every_name_it_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     unread = {

@@ -6,12 +6,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fringelock.calibration import phase_to_compensation_code
-from fringelock.drift import advance, initial_state, true_phase
-from fringelock.hardware import DetectorConfig, PmConfig, dac_to_phase, sample_counts
-from fringelock.optics import port_intensities
+from fringelock.hardware import DetectorConfig, PmConfig
 from fringelock.plant import Plant, PlantConfig
 
-from conftest import ZERO_OFFSETS, noiseless_plant, pm_configs, quiet_drift
+from conftest import noiseless_plant, pm_configs, quiet_drift
+from reference_model import Stepper, assert_same_plant
 
 
 def default_plant(seed=0, **det_overrides):
@@ -91,42 +90,6 @@ class TestClock:
             plant.measure_slots(np.array([0]), [0] * 128, 0)
 
 
-class _Stepper:
-    """The plant window by window, from the drift and hardware functions:
-    the true phase at the window start, its counts, then one drift step.
-    The same stream recipe as ``Plant``: (offsets, drift, detector)."""
-
-    def __init__(self, config, seed):
-        offsets_ss, drift_ss, detector_ss = np.random.SeedSequence(seed).spawn(3)
-        self.config = config
-        self._rng_drift = np.random.default_rng(drift_ss)
-        self._rng_detector = np.random.default_rng(detector_ss)
-        self.state = initial_state(config.drift, np.random.default_rng(offsets_ss))
-        self.elapsed_us = 0
-
-    def measure(self, delay_index, code, window_us):
-        cfg = self.config
-        alpha = true_phase(self.state, delay_index, cfg.drift)
-        intensities = port_intensities(1.0, alpha + dac_to_phase(code, cfg.pm), cfg.contrast)
-        counts = sample_counts(intensities, cfg.detector, window_us * 1e-6, self._rng_detector)
-        self.idle(window_us)
-        return counts
-
-    def idle(self, duration_us):
-        if duration_us:
-            advance(self.state, duration_us * 1e-6, self.config.drift, self._rng_drift)
-            self.elapsed_us += duration_us
-
-
-def _assert_same_plant(plant, reference):
-    assert plant.elapsed_us == reference.elapsed_us
-    assert plant.state.laser_eps.hex() == reference.state.laser_eps.hex()
-    assert plant.state.path_phases.tobytes() == reference.state.path_phases.tobytes()
-    for stream in ("_rng_drift", "_rng_detector"):
-        state = getattr(plant, stream).bit_generator.state
-        assert state == getattr(reference, stream).bit_generator.state, stream
-
-
 _DELAYS = st.sampled_from([0, 9, 127])
 _WINDOWS = st.sampled_from([100, 108])
 _CALLS = st.one_of(
@@ -190,7 +153,7 @@ class TestCounter:
     @pytest.mark.parametrize("measured", [23, 22, 3, 1, 0])
     def test_matches_measure_then_idle(self, measured, window_us, slot_us):
         # 23 counted windows commit the run; fewer rewind and redraw
-        reference, plant = _Stepper(PlantConfig(), 30), default_plant(seed=30)
+        reference, plant = Stepper(PlantConfig(), 30), default_plant(seed=30)
         codes = [(k * 2749) % 65536 for k in range(measured)]
         expected = [reference.measure(9, code, window_us) for code in codes]
         reference.idle(slot_us - measured * window_us)
@@ -199,12 +162,12 @@ class TestCounter:
         assert plant.elapsed_us == measured * window_us  # the pad is the caller's
         plant.idle(slot_us - plant.elapsed_us)
         assert plant.elapsed_us == slot_us
-        _assert_same_plant(plant, reference)
+        assert_same_plant(plant, reference)
 
     @pytest.mark.parametrize("delay", [-1, -128, 128])
     @pytest.mark.parametrize("path", ["counter", "measure", "measure_slots"])
     def test_a_delay_out_of_range_draws_nothing(self, path, delay):
-        reference, plant = _Stepper(PlantConfig(), 32), default_plant(seed=32)
+        reference, plant = Stepper(PlantConfig(), 32), default_plant(seed=32)
         # a pending run with one counted window, which the error must leave alone
         assert plant.counter(5, 100, 23)(0) == reference.measure(5, 0, 100)
         before = _snapshot(plant)
@@ -217,21 +180,21 @@ class TestCounter:
             calls[path]()
         assert _snapshot(plant) == before
         assert plant.measure(5, 0, 100) == reference.measure(5, 0, 100)
-        _assert_same_plant(plant, reference)
+        assert_same_plant(plant, reference)
 
     def test_a_count_past_the_last_window_raises(self):
-        reference, plant = _Stepper(PlantConfig(), 33), default_plant(seed=33)
+        reference, plant = Stepper(PlantConfig(), 33), default_plant(seed=33)
         count = plant.counter(9, 100, 2)
         assert [count(1), count(2)] == [reference.measure(9, code, 100) for code in (1, 2)]
         before = _snapshot(plant)
         with pytest.raises(ValueError, match="^no window left in this run of delay 9$"):
             count(3)
         assert _snapshot(plant) == before
-        _assert_same_plant(plant, reference)
+        assert_same_plant(plant, reference)
 
     def test_a_settled_counter_raises(self):
         # once anything else reads or moves the drift, the run's windows are gone
-        reference, plant = _Stepper(PlantConfig(), 34), default_plant(seed=34)
+        reference, plant = Stepper(PlantConfig(), 34), default_plant(seed=34)
         count = plant.counter(9, 100, 23)
         assert count(1) == reference.measure(9, 1, 100)
         plant.idle(50)
@@ -239,17 +202,17 @@ class TestCounter:
         with pytest.raises(ValueError, match="^no window left"):
             count(2)
         assert plant.counter(9, 100, 23)(2) == reference.measure(9, 2, 100)
-        _assert_same_plant(plant, reference)
+        assert_same_plant(plant, reference)
 
     @pytest.mark.parametrize("code", [-1, 65536])
     def test_a_code_out_of_range_counts_nothing(self, code):
-        reference, plant = _Stepper(PlantConfig(), 35), default_plant(seed=35)
+        reference, plant = Stepper(PlantConfig(), 35), default_plant(seed=35)
         count = plant.counter(9, 100, 23)
         with pytest.raises(ValueError, match=f"^DAC code {code} out of range for 16-bit"):
             count(code)
         assert plant.elapsed_us == 0
         assert count(4) == reference.measure(9, 4, 100)
-        _assert_same_plant(plant, reference)
+        assert_same_plant(plant, reference)
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(calls=st.lists(_CALLS, max_size=12), seed=st.integers(0, 3), config=plant_configs())
@@ -259,7 +222,7 @@ class TestCounter:
     def test_any_call_sequence_measures_window_by_window(self, calls, seed, config):
         # the counter is a hint: no order of calls changes a number, and its
         # inlined physics is the hardware and optics functions' on any config
-        reference, plant = _Stepper(config, seed), Plant(config, seed)
+        reference, plant = Stepper(config, seed), Plant(config, seed)
         top = config.pm.max_code
         # 128 codes from 0 to the top code, spread over every prefix
         codes = [(k * 37 % 128) * top // 127 for k in range(128)]
@@ -291,7 +254,7 @@ class TestCounter:
                 assert list(zip(c1.tolist(), c2.tolist())) == expected
             else:
                 assert plant.state.laser_eps.hex() == reference.state.laser_eps.hex()
-        _assert_same_plant(plant, reference)
+        assert_same_plant(plant, reference)
 
 
 class TestConfig:

@@ -1,5 +1,3 @@
-import csv
-import io
 import math
 from dataclasses import replace
 
@@ -17,7 +15,7 @@ from fringelock.controller import (
     RunSettings,
     run_experiment,
 )
-from fringelock.hardware import NUM_DELAYS, PmConfig, dac_to_voltage
+from fringelock.hardware import NUM_DELAYS, PmConfig
 from fringelock.plant import PlantConfig
 from fringelock.reporting import (
     CALIB_TRACE_HEADER,
@@ -32,37 +30,7 @@ from fringelock.reporting import (
 )
 
 from conftest import pm_configs, zero_noise_settings
-
-
-# The row-tuple form the files were first written in, through csv.writer:
-# the reference the f-string lines must match byte for byte.
-def _reference_field(value: float) -> str:
-    return "" if math.isnan(value) else f"{value:.6f}"
-
-
-def _reference_calib_row(second: int, row: tuple, pm: PmConfig) -> tuple:
-    delay_index, step_index, code, c1, c2, vis = row
-    voltage = _reference_field(dac_to_voltage(code, pm))
-    return (second, delay_index, step_index, code, voltage, c1, c2, _reference_field(vis))
-
-
-def _reference_qkd_row(second: int, slot: int, row: tuple) -> tuple:
-    delay_index, c1, c2, vis = row
-    return (second, slot, delay_index, c1, c2, _reference_field(vis))
-
-
-def _reference_summary_rows(per_delay: np.ndarray) -> list[tuple]:
-    columns = [per_delay[name].tolist() for name in PER_DELAY_HEADER]
-    columns[2:] = [[_reference_field(v) for v in column] for column in columns[2:]]
-    return list(zip(*columns))
-
-
-def _reference_csv(header: tuple, rows) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buffer.getvalue()
+from reference_model import calib_row, csv_field, csv_text, qkd_row, summary_rows
 
 
 def test_missing_visibility_serializes_empty():
@@ -125,20 +93,20 @@ class TestLinesMatchCsvWriter:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(cli, "run_experiment", fake_run)
             cli._execute_run(RunSettings(plant=PlantConfig(pm=pm)), out)
+        # the row-tuple form the files were first written in, through
+        # csv.writer: the lines must match it byte for byte
         calib_rows = [
-            _reference_calib_row(second, row, pm)
+            calib_row(second, row, pm)
             for second, (steps, _) in enumerate(seconds) for row in steps
         ]
         qkd_rows = [
-            _reference_qkd_row(second, slot, row)
+            qkd_row(second, slot, row)
             for second, (_, slots) in enumerate(seconds) for slot, row in enumerate(slots)
         ]
         expected = {
-            "calib_trace.csv": _reference_csv(CALIB_TRACE_HEADER, calib_rows),
-            "qkd_trace.csv": _reference_csv(QKD_TRACE_HEADER, qkd_rows),
-            "per_delay_summary.csv": _reference_csv(
-                PER_DELAY_HEADER, _reference_summary_rows(per_delay)
-            ),
+            "calib_trace.csv": csv_text(CALIB_TRACE_HEADER, calib_rows),
+            "qkd_trace.csv": csv_text(QKD_TRACE_HEADER, qkd_rows),
+            "per_delay_summary.csv": csv_text(PER_DELAY_HEADER, summary_rows(per_delay)),
         }
         for name, text in expected.items():
             assert (out / name).read_bytes() == text.encode("utf-8"), name
@@ -159,7 +127,7 @@ def test_float_fields_formats_by_bit_pattern(values):
     # the trace's visibility column is a strided view of a QKD_SLOT array
     slots = np.zeros(len(values), dtype=QKD_SLOT)
     slots["visibility"] = values
-    expected = [_reference_field(v) for v in values]
+    expected = [csv_field(v) for v in values]
     assert float_fields(slots["visibility"]) == expected
     assert float_fields(np.array(values, dtype=np.float64)) == expected
 
@@ -178,7 +146,7 @@ def test_summary_handles_dark_run(tmp_path):
     path = tmp_path / "summary.csv"
     write_summary(report, path)
     text = path.read_text()
-    assert text == _reference_csv(PER_DELAY_HEADER, _reference_summary_rows(report.per_delay))
+    assert text == csv_text(PER_DELAY_HEADER, summary_rows(report.per_delay))
     lines = text.splitlines()
     assert len(lines) == 129
     # all-dark run: means, minima and error proxies are all missing
