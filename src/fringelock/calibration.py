@@ -3,7 +3,7 @@
 Each delay path gets one 2.5 ms permutation slot per second, spent as a
 fixed 23-step schedule:
 
-* steps 1-4   measure at four preset modulator phases,
+* steps 1-4   measure at the four quadrature presets 0, pi/2, pi, 3pi/2,
 * step 5      apply the least-squares phase estimate (working point PT1),
 * steps 6-14  coarse scan, 9 voltages at 0.1 V spacing centered on PT1,
 * steps 15-22 fine scan, 8 voltages at a smaller spacing around the coarse
@@ -22,14 +22,15 @@ fine scan on PT3, and step 23 re-applies PT5.
 
 The estimator inverts the fringe model f_k = (1 + cos(alpha + ext_k)) / 2,
 i.e. the preset phases add to the path phase inside the cosine (the only
-form a two-port split can realize).
+form a two-port split can realize); at quadrature presets its least-squares
+solution is one closed-form ``atan2``.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -46,9 +47,8 @@ from .optics import canonical_phase
 TOTAL_STEPS = 23
 COARSE_POINTS = 9
 FINE_POINTS = 8
-#: Phase-estimate grid used when the step plan is not the quadrature set.
-GRID_POINTS = 4096
-
+#: The four preset modulator phases of steps 1-4; quadrature presets keep the
+#: least-squares problem well conditioned and give it a closed form.
 QUADRATURE_PHASES = (0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi)
 
 #: One calibration step: the delay, the step number 1-23, the applied DAC
@@ -60,7 +60,7 @@ CALIB_STEP = np.dtype(
 
 
 class AmbiguousPhaseError(ValueError):
-    """The four step measurements carry no phase information (flat residual)."""
+    """The four step measurements carry no phase information (equal fractions)."""
 
 
 class CalibrationAborted(RuntimeError):
@@ -71,36 +71,7 @@ class CalibrationAborted(RuntimeError):
 
 
 @dataclass(frozen=True)
-class InitialStepPlan:
-    """The four preset modulator phases applied in steps 1-4.
-
-    Quadrature presets {0, pi/2, pi, 3pi/2} keep the least-squares problem
-    well conditioned and admit a closed form; they are an assumption, not a
-    given.
-    """
-
-    ext_phases: tuple[float, ...] = QUADRATURE_PHASES
-
-    def __post_init__(self) -> None:
-        if len(self.ext_phases) != 4:
-            raise ValueError("the initial estimate uses exactly 4 step phases")
-        canon = [canonical_phase(p) for p in self.ext_phases]
-        if len({round(p, 12) for p in canon}) != 4:
-            raise ValueError("step phases must be pairwise distinct")
-        if max(canon) - min(canon) < math.pi:
-            raise ValueError("step phases must span at least pi")
-
-    @functools.cached_property
-    def is_quadrature(self) -> bool:
-        return all(
-            abs(canonical_phase(p) - q) < 1e-12
-            for p, q in zip(self.ext_phases, QUADRATURE_PHASES)
-        )
-
-
-@dataclass(frozen=True)
 class CalibrationConfig:
-    plan: InitialStepPlan = field(default_factory=InitialStepPlan)
     coarse_interval: float = 0.1
     fine_interval: float = 0.025
     step_window_us: int = 100
@@ -133,33 +104,21 @@ class CalibResult:
     accepted: bool
 
 
-def least_squares_phase(observed: Sequence[float], plan: InitialStepPlan) -> float:
+def least_squares_phase(observed: Sequence[float]) -> float:
     """Phase minimizing sum_k ((1 + cos(a + ext_k))/2 - f_k)^2 over a.
 
-    ``observed`` are the four normalized port-1 fractions c1/(c1+c2). For the
-    quadrature plan the minimizer is atan2(f3 - f1, f0 - f2) exactly; any
-    other plan falls back to a dense 4096-point grid. Both paths agree (to
-    grid resolution) where the closed form applies.
+    ``observed`` are the four normalized port-1 fractions c1/(c1+c2) at the
+    ``QUADRATURE_PHASES`` presets, where the minimizer is exactly
+    atan2(f3 - f1, f0 - f2).
     """
-    if len(observed) != len(plan.ext_phases):
-        raise ValueError("need one observation per planned step phase")
-    f = [float(x) for x in observed]
-    if plan.is_quadrature:
-        cos_term = f[0] - f[2]
-        sin_term = f[3] - f[1]
-        if math.hypot(cos_term, sin_term) < 1e-12:
-            raise AmbiguousPhaseError(
-                "all four step fractions coincide; the fringe phase is unconstrained"
-            )
-        return canonical_phase(math.atan2(sin_term, cos_term))
-    grid = np.arange(GRID_POINTS) * (2.0 * math.pi / GRID_POINTS)
-    residual = np.zeros(GRID_POINTS)
-    for fk, ext in zip(f, plan.ext_phases):
-        residual += (0.5 * (1.0 + np.cos(grid + ext)) - fk) ** 2
-    if float(residual.max() - residual.min()) < 1e-12:
-        raise AmbiguousPhaseError("residual landscape is flat; phase is unconstrained")
-    # ties resolve to the lowest grid index, keeping the estimate deterministic
-    return float(grid[int(np.argmin(residual))])
+    f0, f1, f2, f3 = observed  # any other length raises ValueError
+    cos_term = f0 - f2
+    sin_term = f3 - f1
+    if math.hypot(cos_term, sin_term) < 1e-12:
+        raise AmbiguousPhaseError(
+            "all four step fractions coincide; the fringe phase is unconstrained"
+        )
+    return canonical_phase(math.atan2(sin_term, cos_term))
 
 
 def phase_to_compensation_code(alpha_hat: float, cfg: PmConfig) -> int:
@@ -207,10 +166,10 @@ def _scan_codes(center_code: int, offsets: Sequence[float], cfg: PmConfig) -> li
 
 
 @functools.cache
-def preset_codes(plan: InitialStepPlan, pm: PmConfig) -> tuple[int, ...]:
+def preset_codes(pm: PmConfig) -> tuple[int, ...]:
     """DAC codes of the four preset phases of steps 1-4, memoised per
-    (plan, modulator): both are frozen, and every calibration reuses them."""
-    return tuple(voltage_to_code(voltage_for_phase(ext, pm), pm) for ext in plan.ext_phases)
+    modulator: it is frozen, and every calibration reuses them."""
+    return tuple(voltage_to_code(voltage_for_phase(ext, pm), pm) for ext in QUADRATURE_PHASES)
 
 
 def run_calibration(
@@ -247,10 +206,10 @@ def run_calibration(
         return visibilities
 
     # steps 1-4: preset phases for the least-squares estimate
-    measure_batch(1, preset_codes(cfg.plan, pm))
+    measure_batch(1, preset_codes(pm))
     fractions = [c1 / (c1 + c2) for *_, c1, c2, _ in rows[-4:]]
     try:
-        alpha_hat = least_squares_phase(fractions, cfg.plan)
+        alpha_hat = least_squares_phase(fractions)
     except AmbiguousPhaseError as exc:
         # no usable fringe information: treat like a plant fault
         raise CalibrationAborted(str(exc)) from exc

@@ -32,7 +32,7 @@ SECTIONS = (
     ("detector", ("plant.detector",)),
     ("optics", ("plant",)),
     ("drift", ("plant.drift",)),
-    ("calibration", ("calibration.plan", "calibration")),
+    ("calibration", ("calibration",)),
 )
 
 
@@ -52,14 +52,10 @@ def _parse_float(text: str) -> float:
     return value
 
 
-def _parse_float_list(text: str) -> tuple[float, ...]:
-    return tuple(_parse_float(part) for part in text.split(",") if part.strip())
-
-
 def _parse_offsets(text: str) -> str | tuple[float, ...]:
     if text.strip().lower() == "random":
         return "random"
-    return _parse_float_list(text)
+    return tuple(_parse_float(part) for part in text.split(",") if part.strip())
 
 
 _PARSE_BY_TYPE = {
@@ -67,7 +63,6 @@ _PARSE_BY_TYPE = {
     float: _parse_float,
     bool: _parse_bool,
     str: str,
-    tuple[float, ...]: _parse_float_list,
     str | tuple[float, ...]: _parse_offsets,
 }
 

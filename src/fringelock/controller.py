@@ -53,23 +53,30 @@ class FrameSchedule:
 
     stab_duration_us: int = 340_000
     perm_slot_us: int = 2_500
-    qkd_duration_us: int = 660_000
     switch_rate_hz: int = 10_000
 
     def __post_init__(self) -> None:
-        if min(self.stab_duration_us, self.perm_slot_us, self.qkd_duration_us) <= 0:
+        if min(self.stab_duration_us, self.perm_slot_us) <= 0:
             raise ValueError("schedule durations must be positive")
+        if self.stab_duration_us >= US_PER_SECOND:
+            raise ValueError(
+                f"schedule.stab_duration_us = {self.stab_duration_us} us leaves no QKD "
+                f"stage in the one-second ({US_PER_SECOND} us) frame"
+            )
         if NUM_DELAYS * self.perm_slot_us > self.stab_duration_us:
             raise ValueError(
                 f"{NUM_DELAYS} permutation slots of {self.perm_slot_us} us do not "
                 f"fit the {self.stab_duration_us} us stabilization stage"
             )
-        if self.stab_duration_us + self.qkd_duration_us != US_PER_SECOND:
-            raise ValueError("stabilization and QKD stages must sum to one second")
         if self.switch_rate_hz <= 0 or US_PER_SECOND % self.switch_rate_hz != 0:
             raise ValueError("switch rate must divide one second into whole-us slots")
         if (self.qkd_duration_us * self.switch_rate_hz) % US_PER_SECOND != 0:
             raise ValueError("QKD stage must hold an integer number of switch slots")
+
+    @property
+    def qkd_duration_us(self) -> int:
+        """The rest of the second after the stabilization stage."""
+        return US_PER_SECOND - self.stab_duration_us
 
     @property
     def qkd_slot_us(self) -> int:

@@ -8,9 +8,9 @@ instantaneous; the high-voltage driver electronics are out of scope.
 
 A delay is an index 0..127 everywhere: ``select_delay(index) -> delay_ns``
 decodes its gates, and ``DELAY_NS`` holds the result for every index.
-``dac_to_phase(code, pm)`` takes a DAC code straight to its modulator phase
-(``tests/reference_model.py`` keeps the voltage-to-phase step on its own),
-and ``dac_to_voltages(codes, pm)`` converts an array of codes at once.
+``dac_to_voltages(codes, pm)`` converts an array of DAC codes at once; the
+modulator's voltage-to-phase step is written inline where a window is
+counted (``plant.py``), and on its own in ``tests/reference_model.py``.
 ``sample_counts((i1, i2), det, window, rng) -> (c1, c2)`` counts one window.
 
 The configs are frozen, so the terms every window reuses are derived once
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .optics import TWO_PI, canonical_phase
+from .optics import canonical_phase
 
 GATE_COUNT = 7
 NUM_DELAYS = 1 << GATE_COUNT
@@ -145,18 +145,6 @@ def dac_to_voltages(codes: np.ndarray, cfg: PmConfig) -> np.ndarray:
     v = v_min + codes * span / max_code
     # min(v_max, v)'s rule: v only if below v_max (np.minimum may pick either zero)
     return np.where(v < v_max, v, v_max)
-
-
-def dac_to_phase(code: int, cfg: PmConfig) -> float:
-    """Modulator phase of a DAC code: ``dac_to_voltage``, then the reference
-    model's ``voltage_to_phase`` (``tests/reference_model.py``), in one call with
-    their arithmetic. The clamp keeps the voltage in the span, so no span check."""
-    max_code, v_min, v_max, span, v_pi = cfg.transfer
-    if not 0 <= code <= max_code:
-        raise ValueError(f"DAC code {code} out of range for {cfg.dac_bits}-bit converter")
-    v = min(v_max, v_min + code * span / max_code)
-    # the phase is >= 0, where canonical_phase is math.fmod alone
-    return math.fmod(math.pi * (v - v_min) / v_pi, TWO_PI)
 
 
 def voltage_to_code(v: float, cfg: PmConfig) -> int:

@@ -8,8 +8,9 @@ and returns ``count(code) -> (c1, c2)``, which integrates the run's next
 window. The calibration search calls it once per step, because a step's
 code can depend on the counts of the steps before it. ``count`` binds the
 config's transfer, contrast and detector terms and computes a window with
-the arithmetic of ``hardware.dac_to_phase``, ``port_intensities`` and
-``sample_counts``, in their operation order; only the clock moves.
+the arithmetic of ``voltage_to_phase(dac_to_voltage(code))`` (the
+reference model's), ``port_intensities`` and ``sample_counts``, in their
+operation order; only the clock moves.
 ``measure(delay_index, code, window_us)`` counts one window the same way.
 ``measure_slots(index, codes, window_us) -> (c1, c2)`` integrates a whole
 run of equal windows whose delays and codes are known in advance (the QKD
@@ -38,7 +39,7 @@ import numpy as np
 from . import drift as drift_mod
 from .drift import DriftConfig, DriftState
 # count() inlines sample_counts and port_intensities; perfbench/child.py --trace 1 wraps them
-from .hardware import NUM_DELAYS, DetectorConfig, PmConfig, dac_to_phase, sample_counts
+from .hardware import NUM_DELAYS, DetectorConfig, PmConfig, dac_to_voltages, sample_counts
 from .optics import TWO_PI, port_intensities
 
 
@@ -101,7 +102,9 @@ class Plant:
             raise ValueError(f"delay index {index[outside.argmax()]} out of range 0..127")
         self._settle()
         cfg = self.config
-        phi = np.array([dac_to_phase(code, cfg.pm) for code in codes])
+        volts = dac_to_voltages(np.asarray(codes, dtype=np.int64), cfg.pm)
+        # voltage_to_phase, whose canonical_phase is fmod alone on a phase >= 0
+        phi = np.fmod(math.pi * (volts - cfg.pm.v_min) / cfg.pm.v_pi, TWO_PI)
         window_s = window_us * 1e-6
         alpha = drift_mod.advance_windows(self._state, index, window_s, cfg.drift, self._rng_drift)
         self.elapsed_us += len(index) * window_us
@@ -159,8 +162,9 @@ class Plant:
                 raise drift_mod.non_finite_phase(delay_index)
             if not 0 <= code <= max_code:
                 raise ValueError(f"DAC code {code} out of range for {pm.dac_bits}-bit converter")
-            # dac_to_phase, then port_intensities at unit input power, whose
-            # port total is never 0, then sample_counts, port 1 first
+            # the reference model's voltage_to_phase(dac_to_voltage(code)),
+            # then port_intensities at unit input power, whose port total is
+            # never 0, then sample_counts, port 1 first
             v = min(v_max, v_min + code * span / max_code)
             x = contrast * cos(alpha + fmod(pi * (v - v_min) / v_pi, TWO_PI))
             i1 = 0.5 * (1.0 + x)

@@ -14,7 +14,8 @@ import math
 
 import numpy as np
 
-from fringelock.calibration import CALIB_STEP, AmbiguousPhaseError, CalibrationAborted
+from fringelock.calibration import CALIB_STEP, QUADRATURE_PHASES, AmbiguousPhaseError
+from fringelock.calibration import CalibrationAborted
 from fringelock.calibration import _wrap_into_span, least_squares_phase, phase_to_compensation_code
 from fringelock.controller import QKD_SLOT, TABLE_ENTRY
 from fringelock.drift import advance, initial_state, true_phase
@@ -106,11 +107,11 @@ def calibration(delay_index, stepper, cfg, pm, rows, events):
                 best_visibility, best_code = vis, code
         return best_visibility, best_code
 
-    for k, ext in enumerate(cfg.plan.ext_phases):
+    for k, ext in enumerate(QUADRATURE_PHASES):
         step(k + 1, voltage_to_code(voltage_for_phase(ext, pm), pm))
     fractions = [c1 / (c1 + c2) for *_, c1, c2, _ in rows[-4:]]
     try:
-        alpha_hat = least_squares_phase(fractions, cfg.plan)
+        alpha_hat = least_squares_phase(fractions)
     except AmbiguousPhaseError as exc:
         raise CalibrationAborted(str(exc)) from exc
     pt1_code = phase_to_compensation_code(alpha_hat, pm)

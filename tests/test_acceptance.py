@@ -14,9 +14,9 @@ import pytest
 from scipy.stats import spearmanr
 
 from fringelock.calibration import (
+    QUADRATURE_PHASES,
     TOTAL_STEPS,
     CalibrationConfig,
-    InitialStepPlan,
     least_squares_phase,
     run_calibration,
 )
@@ -100,7 +100,6 @@ def test_a3_closed_loop_beats_open_loop(closed_loop_run, open_loop_run):
 def test_a4_staged_search_matches_exhaustive_oracle():
     pm = PmConfig()
     calib = CalibrationConfig()
-    plan = InitialStepPlan()
     # exhaustive oracle: true visibility over the whole DAC code space
     codes = np.arange(2**pm.dac_bits)
     volts = pm.v_min + codes * (pm.span / (2**pm.dac_bits - 1))
@@ -121,12 +120,12 @@ def test_a4_staged_search_matches_exhaustive_oracle():
 
         estimator_plant = noiseless_plant(offsets=offsets)
         fractions = []
-        for ext in plan.ext_phases:
+        for ext in QUADRATURE_PHASES:
             c1, c2 = estimator_plant.measure(
                 0, voltage_to_code(voltage_for_phase(ext, pm), pm), 100
             )
             fractions.append(c1 / (c1 + c2))
-        alpha_hat = least_squares_phase(fractions, plan)
+        alpha_hat = least_squares_phase(fractions)
         worst_est = max(worst_est, abs(circular_diff(alpha_hat, alpha)))
 
     ok = worst_gap <= 1e-3 and worst_est <= estimator_bound

@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from fringelock.calibration import (
     CALIB_STEP,
+    QUADRATURE_PHASES,
     TOTAL_STEPS,
     AmbiguousPhaseError,
     CalibrationAborted,
     CalibrationConfig,
-    InitialStepPlan,
     _scan_codes,
     _wrap_into_span,
     least_squares_phase,
@@ -26,65 +26,35 @@ from conftest import circular_diff, noiseless_plant, pm_configs
 from reference_model import voltage_to_phase
 
 PM = PmConfig()
-PLAN = InitialStepPlan()
 TWO_PI = 2.0 * math.pi
-
-
-def exact_fractions(alpha, ext_phases):
-    return [0.5 * (1.0 + math.cos(alpha + e)) for e in ext_phases]
-
-
-def grid_oracle(fractions, ext_phases, points=4096):
-    """Independent dense-grid minimizer of the step-fit residual."""
-    grid = np.arange(points) * (TWO_PI / points)
-    s = np.zeros(points)
-    for f, e in zip(fractions, ext_phases):
-        s += (0.5 * (1.0 + np.cos(grid + e)) - f) ** 2
-    return float(grid[int(np.argmin(s))])
 
 
 class TestLeastSquaresPhase:
     def test_zero_phase_fringe(self):
-        assert least_squares_phase([1.0, 0.5, 0.0, 0.5], PLAN) == pytest.approx(0.0, abs=1e-12)
+        assert least_squares_phase([1.0, 0.5, 0.0, 0.5]) == pytest.approx(0.0, abs=1e-12)
 
     def test_half_fringe_shift(self):
-        assert least_squares_phase([0.0, 0.5, 1.0, 0.5], PLAN) == pytest.approx(
-            math.pi, abs=1e-12
-        )
+        assert least_squares_phase([0.0, 0.5, 1.0, 0.5]) == pytest.approx(math.pi, abs=1e-12)
 
     def test_third_fringe_inversion(self):
         # forward-evaluated fringe at pi/3, rounded to 6 decimals
-        est = least_squares_phase([0.75, 0.066987, 0.25, 0.933013], PLAN)
+        est = least_squares_phase([0.75, 0.066987, 0.25, 0.933013])
         assert abs(circular_diff(est, math.pi / 3)) <= TWO_PI / 4096
 
     def test_closed_form_matches_grid_oracle(self):
+        # an independent dense-grid minimizer of the step-fit residual
+        grid = np.arange(4096) * (TWO_PI / 4096)
         rng = np.random.default_rng(30)
         for alpha in rng.uniform(0.0, TWO_PI, size=100):
-            f = exact_fractions(alpha, PLAN.ext_phases)
-            closed = least_squares_phase(f, PLAN)
-            grid = grid_oracle(f, PLAN.ext_phases)
-            assert abs(circular_diff(closed, grid)) <= TWO_PI / 4096
-
-    def test_grid_fallback_for_general_plan(self):
-        plan = InitialStepPlan(ext_phases=(0.0, 2.0 * math.pi / 3, math.pi, 5.0 * math.pi / 3))
-        assert not plan.is_quadrature
-        rng = np.random.default_rng(31)
-        for alpha in rng.uniform(0.0, TWO_PI, size=50):
-            f = exact_fractions(alpha, plan.ext_phases)
-            est = least_squares_phase(f, plan)
-            assert abs(circular_diff(est, alpha)) <= 1.5 * TWO_PI / 4096
+            f = [0.5 * (1.0 + math.cos(alpha + e)) for e in QUADRATURE_PHASES]
+            residual = sum((0.5 * (1.0 + np.cos(grid + e)) - fk) ** 2
+                           for fk, e in zip(f, QUADRATURE_PHASES))
+            oracle = float(grid[int(np.argmin(residual))])
+            assert abs(circular_diff(least_squares_phase(f), oracle)) <= TWO_PI / 4096
 
     def test_ambiguous_measurements(self):
         with pytest.raises(AmbiguousPhaseError):
-            least_squares_phase([0.5, 0.5, 0.5, 0.5], PLAN)
-
-    def test_plan_validation(self):
-        with pytest.raises(ValueError):
-            InitialStepPlan(ext_phases=(0.0, 0.0, math.pi, 1.5 * math.pi))
-        with pytest.raises(ValueError):
-            InitialStepPlan(ext_phases=(0.0, 0.1, 0.2, 0.3))  # span below pi
-        with pytest.raises(ValueError):
-            InitialStepPlan(ext_phases=(0.0, math.pi))
+            least_squares_phase([0.5, 0.5, 0.5, 0.5])
 
 
 class TestPhaseToCompensationCode:
@@ -136,20 +106,21 @@ class TestRunCalibration:
         assert result.accepted
         assert len(trace) == 23
         assert trace["step_index"].tolist() == list(range(1, 24))
-        # steps 1-4 applied the plan phases as voltages
-        for code, ext in zip(trace["dac_code"][:4].tolist(), PLAN.ext_phases):
+        # steps 1-4 applied the preset phases as voltages
+        for code, ext in zip(trace["dac_code"][:4].tolist(), QUADRATURE_PHASES):
             applied = voltage_to_phase(dac_to_voltage(code, PM), PM)
             assert abs(circular_diff(applied, ext)) < 1e-4
         assert trace["dac_code"][-1] == result.optimal_code
         assert trace["visibility"][-1] == result.final_visibility
 
     def test_first_four_steps_apply_the_preset_codes(self):
-        plan = InitialStepPlan(ext_phases=(0.3, 1.9, 3.4, 5.0))
-        presets = preset_codes(plan, PM)
-        assert presets == tuple(voltage_to_code(voltage_for_phase(p, PM), PM) for p in plan.ext_phases)
+        presets = preset_codes(PM)
+        assert presets == tuple(
+            voltage_to_code(voltage_for_phase(p, PM), PM) for p in QUADRATURE_PHASES
+        )
         rows = []
         count = _count(Plant(PlantConfig(), 70), 7)
-        run_calibration(7, count, CalibrationConfig(plan=plan), PM, rows)
+        run_calibration(7, count, CalibrationConfig(), PM, rows)
         assert [row[2] for row in rows[:4]] == list(presets)
 
     def test_appends_after_the_callers_rows(self):
@@ -243,14 +214,14 @@ class TestRunCalibration:
             for _ in range(trials):
                 alpha = rng.uniform(0.0, TWO_PI)
                 f = []
-                for ext in PLAN.ext_phases:
+                for ext in QUADRATURE_PHASES:
                     lam1 = 0.5 * lam_total * (1.0 + math.cos(alpha + ext))
                     lam2 = lam_total - lam1
                     c1 = rng.poisson(lam1)
                     c2 = rng.poisson(lam2)
                     total = max(1, c1 + c2)
                     f.append(c1 / total)
-                est = least_squares_phase(f, PLAN)
+                est = least_squares_phase(f)
                 errs.append(circular_diff(est, alpha) ** 2)
             return math.sqrt(float(np.mean(errs)))
 

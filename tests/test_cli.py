@@ -121,8 +121,32 @@ class TestRunCommand:
         ).read_bytes()
 
     def test_bad_config_exits_2(self, tmp_path, capsys):
-        assert main(["run", "--set", "run.bogus=1", "--out", str(tmp_path / "x")]) == 2
-        assert "error" in capsys.readouterr().err
+        # calibration.ext_phases and schedule.qkd_duration_us are removed keys
+        for section, key in (
+            ("run", "bogus"), ("calibration", "ext_phases"), ("schedule", "qkd_duration_us")
+        ):
+            path = tmp_path / f"{key}.ini"
+            path.write_text(f"[{section}]\n{key} = 1\n")
+            for args in (["--set", f"{section}.{key}=1"], ["--config", str(path)]):
+                assert main(["run", *args, "--out", str(tmp_path / "x")]) == 2
+                err = capsys.readouterr().err
+                assert err == f"error: unknown configuration key [{section}] {key}\n"
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("stab_us, code", [(400_000, 0), (1_000_000, 2), (1_500_000, 2)])
+    def test_stabilization_stage_alone_sets_the_split(self, tmp_path, capsys, stab_us, code):
+        # the QKD stage is the rest of the second, and there must be one
+        out = tmp_path / "x"
+        argv = ["run", "--set", f"schedule.stab_duration_us={stab_us}", "--out", str(out)]
+        assert main(argv) == code
+        if code == 0:
+            assert len(read_rows(out / "qkd_trace.csv")) == (1_000_000 - stab_us) // 100
+            assert "qkd_duration_us" not in (out / "effective_config.ini").read_text()
+        else:
+            assert capsys.readouterr().err == (
+                f"error: schedule.stab_duration_us = {stab_us} us leaves no QKD stage in the "
+                "one-second (1000000 us) frame\n"
+            )
 
     @pytest.mark.parametrize(
         "data",

@@ -1,4 +1,3 @@
-import math
 import re
 from pathlib import Path
 
@@ -6,13 +5,12 @@ import pytest
 from hypothesis import HealthCheck, given, reject, settings
 from hypothesis import strategies as st
 
-from fringelock.calibration import QUADRATURE_PHASES
 from fringelock.cli import main
 from fringelock.config import SCHEMA, ConfigError, load_config, write_config
 from fringelock.controller import MODES, RunSettings
 
 README = Path(__file__).resolve().parent.parent / "README.md"
-FLOAT_TYPES = (float, tuple[float, ...], str | tuple[float, ...])
+FLOAT_TYPES = (float, str | tuple[float, ...])
 
 
 class TestLoadConfig:
@@ -74,13 +72,6 @@ class TestLoadConfig:
         settings, _ = load_config(None, overrides=[f"drift.static_offsets={explicit}"])
         assert settings.plant.drift.static_offsets == tuple([0.5] * 128)
 
-    def test_ext_phases_parse(self):
-        settings, _ = load_config(
-            None, overrides=["calibration.ext_phases=0.0, 1.0471975511965976, 3.141592653589793, 4.18879020478639"]
-        )
-        assert len(settings.calibration.plan.ext_phases) == 4
-        assert not settings.calibration.plan.is_quadrature
-
 
 class TestRoundTrip:
     def test_write_then_load_reproduces_settings(self, tmp_path):
@@ -122,7 +113,7 @@ class TestValueErrors:
 
     @pytest.mark.parametrize(
         "override",
-        ["detector.shot_noise=maybe", "calibration.ext_phases=0,x,1,2", "run.seconds=soon"],
+        ["detector.shot_noise=maybe", "drift.static_offsets=0,x,1,2", "run.seconds=soon"],
     )
     def test_parse_errors_name_the_key(self, override):
         section, key = override.split("=")[0].split(".")
@@ -161,7 +152,6 @@ ROUND_TRIP_VALUES = {
     ("run", "output_dir"): st.from_regex(r"[A-Za-z0-9_./-]{1,20}", fullmatch=True),
     ("schedule", "stab_duration_us"): st.sampled_from([340_000, 400_000]),
     ("schedule", "perm_slot_us"): st.sampled_from([2_500, 2_600]),
-    ("schedule", "qkd_duration_us"): st.just(660_000),  # follows stab_duration_us
     ("schedule", "switch_rate_hz"): st.sampled_from([100, 1_000, 10_000, 50_000]),
     ("pm", "v_min"): _floats(-5.0, 0.0),
     ("pm", "v_max"): _floats(10.0, 20.0),
@@ -178,9 +168,6 @@ ROUND_TRIP_VALUES = {
     ("drift", "optical_freq_hz"): _floats(1e12, 1e16),
     ("drift", "static_offsets"): st.one_of(
         st.just("random"), st.lists(_floats(-100.0, 100.0), min_size=128, max_size=128)
-    ),
-    ("calibration", "ext_phases"): _floats(0.0, 2.0 * math.pi).map(
-        lambda shift: [p + shift for p in QUADRATURE_PHASES]
     ),
     ("calibration", "coarse_interval"): _floats(1e-6, 10.0),
     ("calibration", "fine_interval"): _floats(1e-6, 10.0),
@@ -200,11 +187,7 @@ def _raw(value: object) -> str:
 @st.composite
 def schema_overrides(draw, values=ROUND_TRIP_VALUES) -> list[str]:
     keys = draw(st.lists(st.sampled_from(list(values)), unique=True))
-    chosen = {key: draw(values[key]) for key in keys}
-    if ("schedule", "stab_duration_us") in chosen:
-        stab = chosen[("schedule", "stab_duration_us")]
-        chosen[("schedule", "qkd_duration_us")] = 1_000_000 - stab
-    return [f"{section}.{key}={_raw(value)}" for (section, key), value in chosen.items()]
+    return [f"{section}.{key}={_raw(draw(values[(section, key)]))}" for section, key in keys]
 
 
 class TestRoundTripProperty:

@@ -1,11 +1,10 @@
-import math
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from fringelock import controller
-from fringelock.calibration import CALIB_STEP, CalibrationConfig, InitialStepPlan
+from fringelock.calibration import CALIB_STEP, CalibrationConfig
 from fringelock.controller import (
     DELAY_SUMMARY,
     OPEN_LOOP,
@@ -35,11 +34,13 @@ class TestFrameSchedule:
 
     def test_slots_must_fit(self):
         with pytest.raises(ValueError):
-            FrameSchedule(stab_duration_us=300_000, qkd_duration_us=700_000)
+            FrameSchedule(stab_duration_us=300_000)
 
-    def test_stages_must_fill_the_second(self):
-        with pytest.raises(ValueError):
-            FrameSchedule(stab_duration_us=340_000, qkd_duration_us=600_000)
+    def test_qkd_stage_fills_the_rest_of_the_second(self):
+        s = FrameSchedule(stab_duration_us=400_000)
+        assert (s.qkd_duration_us, s.qkd_slots) == (600_000, 6000)
+        with pytest.raises(ValueError, match=r"^schedule\.stab_duration_us = 1000000 us leaves no"):
+            FrameSchedule(stab_duration_us=1_000_000)
 
     def test_rate_must_divide_evenly(self):
         with pytest.raises(ValueError):
@@ -122,9 +123,6 @@ _DARK = PlantConfig(detector=DetectorConfig(input_rate=0.0, dark_rate=0.0))
 _FLAT = PlantConfig(detector=DetectorConfig(shot_noise=False), contrast=0.0)
 _NO_SHOT_NOISE = PlantConfig(detector=DetectorConfig(shot_noise=False))
 _RAILS = PlantConfig(pm=PmConfig(v_max=8.0, v_pi=4.0))
-_GRID_PLAN = CalibrationConfig(
-    plan=InitialStepPlan(ext_phases=(0.0, 2.0 * math.pi / 3, math.pi, 5.0 * math.pi / 3))
-)
 
 
 class TestPrefetchedStabilizationStage:
@@ -146,13 +144,12 @@ class TestPrefetchedStabilizationStage:
             (_DARK, CalibrationConfig(), FrameSchedule(), 67, "dark"),
             # no fringe and no shot noise: four equal fractions, no phase
             (_FLAT, CalibrationConfig(), FrameSchedule(), 68, "flat"),
-            (PlantConfig(), _GRID_PLAN, FrameSchedule(), 69, "complete"),
             # a span of exactly 2*v_pi: scan points wrap off a rail
             (_RAILS, CalibrationConfig(), FrameSchedule(), 70, "wraps"),
             (_NO_SHOT_NOISE, CalibrationConfig(), FrameSchedule(), 71, "complete"),
         ],
         ids=["seed-60", "seed-61", "noiseless", "low-light-aborts", "no-pad", "108-us-windows",
-             "dark", "flat-fringe", "grid-plan", "rail-wraps", "no-shot-noise"],
+             "dark", "flat-fringe", "rail-wraps", "no-shot-noise"],
     )
     def test_matches_step_by_step_stage(self, plant_cfg, calib_cfg, schedule, seed, expect):
         reference, plant = Stepper(plant_cfg, seed), Plant(plant_cfg, seed)

@@ -11,7 +11,6 @@ from fringelock.hardware import (
     FIBER_DELAYS_NS,
     DetectorConfig,
     PmConfig,
-    dac_to_phase,
     dac_to_voltage,
     dac_to_voltages,
     sample_counts,
@@ -125,28 +124,6 @@ class TestDacChain:
             assert key in str(info.value)
 
 
-class TestDacToPhase:
-    @given(pm_voltage_and_code())
-    @example((PM, PM.v_min, 0))
-    @example((PM, PM.v_max, PM.max_code))
-    @example((PmConfig(dac_bits=63), 0.0, 2**63 - 1))
-    @example((PmConfig(dac_bits=63), 0.0, 2**62 + 12345))
-    @example((PmConfig(v_min=-7.5, v_max=12.25, v_pi=3.0, dac_bits=63), 0.0, 2**63 - 1))
-    @example((PmConfig(v_min=-1e303, v_max=1e303, dac_bits=16), 0.0, 65535))
-    # full scale, where the unclamped voltage rounds past v_max
-    @example((PmConfig(v_min=-17.0, v_max=1.8, dac_bits=12), 0.0, 4095))
-    @example((PmConfig(v_min=-43.168, v_max=41.453, dac_bits=63), 0.0, 2**63 - 1))
-    def test_equals_voltage_then_phase(self, case):
-        cfg, _, code = case
-        expected = voltage_to_phase(dac_to_voltage(code, cfg), cfg)
-        assert dac_to_phase(code, cfg).hex() == expected.hex()
-
-    @pytest.mark.parametrize("code", [-1, 1 << 16])
-    def test_code_out_of_range(self, code):
-        with pytest.raises(ValueError, match="out of range for 16-bit"):
-            dac_to_phase(code, PM)
-
-
 class TestCachedTransfer:
     """The transfer functions read the terms ``PmConfig.transfer`` caches; they
     must give the bits of the expressions that read the config's fields."""
@@ -167,10 +144,8 @@ class TestCachedTransfer:
         cfg, v, code = case
         max_code = (1 << cfg.dac_bits) - 1
         volts = min(cfg.v_max, cfg.v_min + code * (cfg.v_max - cfg.v_min) / max_code)
-        phase = math.fmod(math.pi * (volts - cfg.v_min) / cfg.v_pi, 2.0 * math.pi)
         nearest = round((v - cfg.v_min) / (cfg.v_max - cfg.v_min) * max_code)
         assert dac_to_voltage(code, cfg).hex() == volts.hex()
-        assert dac_to_phase(code, cfg).hex() == phase.hex()
         assert voltage_to_code(v, cfg) == min(max_code, max(0, nearest))
         array = dac_to_voltages(np.array([code, 0, max_code, code], dtype=np.int64), cfg)
         assert [x.hex() for x in array.tolist()] == [

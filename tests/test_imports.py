@@ -1,5 +1,6 @@
 """Every name a package or test module imports at module level is read
-there, and no package module states an invariant with ``assert``."""
+there, every function and class the package defines is read in the
+package, and no package module states an invariant with ``assert``."""
 
 import ast
 from pathlib import Path
@@ -54,6 +55,38 @@ def test_allowed_names_are_still_unread():
     for module, name in ALLOWED_UNREAD:
         tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
         assert name in _imported(tree) - _read(tree), f"{module}.{name} no longer needs its allowance"
+
+
+#: (module, name) defined at module level but read nowhere in the package.
+#: perfbench/child.py --trace 1 rebinds these names to time them, and
+#: tests/reference_model.py builds its window-by-window plant on them.
+ALLOWED_DEAD = {
+    ("drift", "true_phase"), ("hardware", "sample_counts"), ("optics", "port_intensities")
+}
+
+PACKAGE = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")}
+DEFINED = {
+    (module, node.name) for module, tree in PACKAGE.items() for node in tree.body
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+}
+# a name counts as read when loaded bare or as an attribute (``drift_mod.advance``)
+READ_IN_PACKAGE = {
+    node.id if isinstance(node, ast.Name) else node.attr
+    for tree in PACKAGE.values() for node in ast.walk(tree)
+    if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+}
+
+
+def test_package_reads_every_function_and_class_it_defines():
+    dead = {(module, name) for module, name in DEFINED if name not in READ_IN_PACKAGE}
+    dead -= ALLOWED_DEAD
+    assert not dead, f"defined in src/fringelock, never read there: {sorted(dead)}"
+
+
+def test_allowed_definitions_are_still_unread():
+    # an allowance outlives its reason once the package reads the name again
+    for module, name in ALLOWED_DEAD:
+        assert (module, name) in DEFINED and name not in READ_IN_PACKAGE, f"{module}.{name}"
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
