@@ -100,11 +100,12 @@ class Plant:
         outside = (index < 0) | (index >= NUM_DELAYS)
         if outside.any():
             raise ValueError(f"delay index {index[outside.argmax()]} out of range 0..127")
-        self._settle()
         cfg = self.config
+        # before the pending run settles: a code out of range draws nothing
         volts = dac_to_voltages(np.asarray(codes, dtype=np.int64), cfg.pm)
         # voltage_to_phase, whose canonical_phase is fmod alone on a phase >= 0
         phi = np.fmod(math.pi * (volts - cfg.pm.v_min) / cfg.pm.v_pi, TWO_PI)
+        self._settle()
         window_s = window_us * 1e-6
         alpha = drift_mod.advance_windows(self._state, index, window_s, cfg.drift, self._rng_drift)
         self.elapsed_us += len(index) * window_us

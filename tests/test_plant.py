@@ -214,6 +214,18 @@ class TestCounter:
         assert count(4) == reference.measure(9, 4, 100)
         assert_same_plant(plant, reference)
 
+    @pytest.mark.parametrize("code", [-1, 65536])
+    def test_a_table_code_out_of_range_draws_nothing(self, code):
+        # the whole table converts before a pending run settles, also a code no slot reads
+        reference, plant = Stepper(PlantConfig(), 36), default_plant(seed=36)
+        assert plant.counter(5, 100, 23)(0) == reference.measure(5, 0, 100)
+        before = _snapshot(plant)
+        with pytest.raises(ValueError, match=f"^DAC codes {min(code, 0)}..{max(code, 0)} out of"):
+            plant.measure_slots(np.array([5, 9]), [0] * 127 + [code], 100)
+        assert _snapshot(plant) == before
+        assert plant.measure(5, 0, 100) == reference.measure(5, 0, 100)
+        assert_same_plant(plant, reference)
+
     # no shrink phase: a failing example here shrinks for minutes, past a GB
     @settings(
         max_examples=100, deadline=None, derandomize=True,
