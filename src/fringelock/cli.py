@@ -76,27 +76,31 @@ def _add_run_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _settings_from_args(args: argparse.Namespace, *swept: str) -> tuple[RunSettings, Path]:
+def _settings_from_args(args: argparse.Namespace, *swept: str) -> tuple[RunSettings, str]:
     """Defaults, --config, --set, then --seconds, --seed and --mode as run.*
-    keys, then any swept key: each source beats those before it."""
+    keys, then any swept key: each source beats those before it; --out
+    beats them all."""
     shorthands = {"seconds": args.seconds, "seed": args.seed, "mode": args.mode}
     run_keys = [f"run.{k}={v}" for k, v in shorthands.items() if v is not None]
     settings, output_dir = load_config(args.config, [*args.overrides, *run_keys, *swept])
-    if args.out:
-        output_dir = args.out
-    return settings, Path(output_dir)
+    return settings, output_dir if args.out is None else args.out
 
 
-def _make_output_dir(args: argparse.Namespace, out_dir: Path) -> None:
-    """Create the output directory; a file where it or a parent should be
-    is a usage error, named by the option or key that gave the path."""
+def _make_output_dir(args: argparse.Namespace, output_dir: str) -> Path:
+    """Create the output directory and return it; an empty name, or a file
+    where it or a parent should be, is a usage error, named by the option or
+    key that gave the path."""
+    source = "run.output_dir" if args.out is None else "--out"
+    if not output_dir.strip():
+        raise ConfigError(f"{source} is empty; name an output directory")
+    out_dir = Path(output_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except (FileExistsError, NotADirectoryError) as exc:
-        source = "--out" if args.out else "run.output_dir"
         raise ConfigError(
             f"{source} {out_dir} cannot be an output directory: {exc.strerror}"
         ) from exc
+    return out_dir
 
 
 def _execute_run(settings: RunSettings, out_dir: Path) -> tuple[ExperimentReport, str]:
@@ -137,8 +141,8 @@ def _require_counts(report: ExperimentReport) -> None:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    settings, out_dir = _settings_from_args(args)
-    _make_output_dir(args, out_dir)
+    settings, output_dir = _settings_from_args(args)
+    out_dir = _make_output_dir(args, output_dir)
     report, text = _execute_run(settings, out_dir)
     _require_counts(report)
     sys.stdout.write(text)
@@ -162,8 +166,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     raw_values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not raw_values:
         raise ConfigError("sweep needs at least one value")
-    _, out_dir = _settings_from_args(args)  # validate base config early
-    _make_output_dir(args, out_dir)
+    _, output_dir = _settings_from_args(args)  # validate base config early
+    out_dir = _make_output_dir(args, output_dir)
 
     failed = 0
     with open(out_dir / "sweep.csv", "w", encoding="utf-8", newline="") as handle:

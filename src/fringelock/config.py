@@ -2,8 +2,8 @@
 
 The on-disk format is a plain sections-of-key=value file (configparser
 syntax), one section per subsystem. The schema is derived from the config
-dataclasses: each section holds the scalar fields of the ``RunSettings``
-subtree named in ``SECTIONS``, and each field's type picks its parser and
+dataclasses: each section holds the scalar fields of the one ``RunSettings``
+subtree ``SECTIONS`` pairs it with, and each field's type picks its parser and
 its echo format. Every run echoes its effective configuration back into the
 output directory; reloading that echo reproduces the run byte for byte.
 """
@@ -24,15 +24,15 @@ class ConfigError(ValueError):
     """Unknown key, malformed value, or inconsistent configuration."""
 
 
-#: INI section -> attribute paths (in RunSettings) whose scalar fields it holds.
+#: (INI section, attribute path in RunSettings whose scalar fields it holds).
 SECTIONS = (
-    ("run", ("",)),
-    ("schedule", ("schedule",)),
-    ("pm", ("plant.pm",)),
-    ("detector", ("plant.detector",)),
-    ("optics", ("plant",)),
-    ("drift", ("plant.drift",)),
-    ("calibration", ("calibration",)),
+    ("run", ""),
+    ("schedule", "schedule"),
+    ("pm", "plant.pm"),
+    ("detector", "plant.detector"),
+    ("optics", "plant"),
+    ("drift", "plant.drift"),
+    ("calibration", "calibration"),
 )
 
 
@@ -69,16 +69,15 @@ _PARSE_BY_TYPE = {
 
 def _derive_schema() -> dict[tuple[str, str], tuple[str, object]]:
     schema = {}
-    for section, paths in SECTIONS:
-        for path in paths:
-            cls = RunSettings
-            for name in filter(None, path.split(".")):
-                cls = get_type_hints(cls)[name]
-            hints = get_type_hints(cls)
-            for f in fields(cls):
-                hint = hints[f.name]
-                if not is_dataclass(hint):
-                    schema[(section, f.name)] = (f"{path}.{f.name}".lstrip("."), hint)
+    for section, path in SECTIONS:
+        cls = RunSettings
+        for name in filter(None, path.split(".")):
+            cls = get_type_hints(cls)[name]
+        hints = get_type_hints(cls)
+        for f in fields(cls):
+            hint = hints[f.name]
+            if not is_dataclass(hint):
+                schema[(section, f.name)] = (f"{path}.{f.name}".lstrip("."), hint)
     schema[("run", "output_dir")] = ("output_dir", str)
     return schema
 

@@ -122,9 +122,9 @@ def run_stabilization_stage(
     ``CALIB_STEP`` tuples of all 128 searches in delay order to ``rows``.
     An aborted calibration leaves a partial trace, and its entry keeps the
     previous second's code with NaN visibility and is marked not accepted.
-    Each slot's search counts through one ``Plant.counter`` function, whose
-    windows are drawn in one block with the numbers that measuring step by
-    step would give, and the stage then idles to the slot end. Every search
+    Each slot spends its 23 step windows through one ``Plant.counter``
+    function, whether or not its search counts them all, and the stage then
+    idles to the slot end. Every search
     reads its step 1-4 codes from the memoised ``preset_codes``.
     """
     pm = plant.config.pm

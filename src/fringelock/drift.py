@@ -13,11 +13,13 @@ were tuned so that an uncompensated path degrades visibly within one second
 while the 1 Hz recalibration holds the long-run visibility target (see
 README, "Drift defaults").
 
-Every draw takes one laser normal, then 128 path normals, per window.
-``advance`` moves the state over one span of any length (idle time, the
-pad of a permutation slot); ``advance_windows`` over the QKD stage's equal
-windows on varying delays; ``delay_drift`` computes a run of equal
-windows on one delay (``Plant.counter`` counts them) without committing it.
+Every draw takes one laser normal, then 128 path normals, per window,
+and every advance writes its end state. ``advance`` moves the state over
+one span of any length (idle time, the pad of a permutation slot);
+``advance_windows`` over the QKD stage's equal windows on varying delays;
+``delay_drift`` over a run of equal windows on one delay (a calibration
+slot, which ``Plant.counter`` spends whole whether or not its search
+counts every window).
 """
 
 from __future__ import annotations
@@ -118,8 +120,8 @@ def advance(
     The OU step uses the exact discretization, so chunking a span into
     several calls changes the realization but not the law. Draw order is
     fixed: one laser normal, then 128 path normals. ``advance_windows``
-    (the QKD stage) and ``delay_drift`` (the runs ``Plant.counter``
-    counts) consume the stream in the same order and must change with
+    (the QKD stage) and ``delay_drift`` (the slots ``Plant.counter``
+    spends) consume the stream in the same order and must change with
     this.
     """
     decay, laser_step, walk_step = _window_law(dt, cfg)
@@ -201,28 +203,26 @@ def delay_drift(
     dt: float,
     cfg: DriftConfig,
     rng: np.random.Generator,
-) -> tuple[list[float], float, np.ndarray]:
-    """The drift over ``windows`` windows of ``dt`` seconds, all read on
-    delay ``index`` (a calibration slot, or a single window), leaving
-    ``state`` as it is.
+) -> list[float]:
+    """Advance the state over ``windows`` windows of ``dt`` seconds, all
+    read on delay ``index`` (a calibration slot, or a single window).
 
     Returns the canonical true phase of delay ``index`` at the start of each
     window, NaN where it is not finite (the reader raises
-    ``non_finite_phase``), and the end state's ``laser_eps`` and
-    ``path_phases``. These and the stream position are bit-identical to
-    calling ``true_phase`` and then ``advance`` once per window: one
-    ``(windows, 129)`` block of normals in ``advance``'s draw order, the OU
-    recursion and the delay's own walk on Python floats in ``advance``'s and
-    ``true_phase``'s operation order, and the walks summed down the block
-    from the state, which NumPy does row by row like repeated ``+=``. For a
-    few dozen windows this costs less than ``advance_windows``' vectorised
-    gather.
+    ``non_finite_phase``). Phases, final state and stream position are
+    bit-identical to calling ``true_phase`` and then ``advance`` once per
+    window: one ``(windows, 129)`` block of normals in ``advance``'s draw
+    order, the OU recursion and the delay's own walk on Python floats in
+    ``advance``'s and ``true_phase``'s operation order, and the walks summed
+    down the block from the state, which NumPy does row by row like repeated
+    ``+=``. For a few dozen windows this costs less than
+    ``advance_windows``' vectorised gather.
     """
     decay, laser_step, walk_step = _window_law(dt, cfg)
     # an index past the delays raises here, before any draw
     gain = 2.0 * math.pi * cfg.optical_freq_hz * _DELAY_S[index]
     if not windows:
-        return [], state.laser_eps, state.path_phases.copy()
+        return []
     normals = rng.standard_normal((windows, NUM_DELAYS + 1))
     offset = float(state.offsets[index])
     walk = float(state.path_phases[index])
@@ -233,6 +233,7 @@ def delay_drift(
         phases.append(canonical_phase(phase) if math.isfinite(phase) else math.nan)
         eps = eps * decay + laser_step * z
         walk = walk + walk_step * z_walk
+    state.laser_eps = eps
     # a walk past the float range turns inf or NaN without a warning
     with np.errstate(over="ignore", invalid="ignore"):
         # every row scaled in place (the laser column is read already), the
@@ -240,7 +241,8 @@ def delay_drift(
         normals *= walk_step
         walks = normals[:, 1:]
         np.add(state.path_phases, walks[0], out=walks[0])
-        return phases, eps, walks.sum(axis=0)
+        state.path_phases[:] = walks.sum(axis=0)
+    return phases
 
 
 def non_finite_phase(index: int) -> ValueError:

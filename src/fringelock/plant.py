@@ -2,30 +2,26 @@
 
 Composes the drift engine, the modulator chain and the detectors into one
 object. Delays are indices 0..127; any other index raises ``ValueError``
-before a draw. ``counter(delay_index, window_us, windows)`` draws the drift
-of a run of equal windows on one delay in one block (``drift.delay_drift``)
-and returns ``count(code) -> (c1, c2)``, which integrates the run's next
-window. The calibration search calls it once per step, because a step's
-code can depend on the counts of the steps before it. ``count`` binds the
-config's transfer, contrast and detector terms and computes a window with
-the arithmetic of ``voltage_to_phase(dac_to_voltage(code))`` (the
-reference model's), ``port_intensities`` and ``sample_counts``, in their
-operation order; only the clock moves.
+before a draw. ``counter(delay_index, window_us, windows)`` spends a run of
+equal windows on one delay (a calibration slot) when it is called: it draws
+the run's drift in one block (``drift.delay_drift``) and moves the clock
+past every window. It returns ``count(code) -> (c1, c2)``, which reads the
+next window's phase and draws that window's counts; windows that are never
+counted (an aborted search) are dark time, as on the FPGA (drift stream
+v1.1). The calibration search counts once per step, because a step's code
+can depend on the counts of the steps before it. ``count`` binds the config's transfer,
+contrast and detector terms and computes a window with the arithmetic of
+``voltage_to_phase(dac_to_voltage(code))`` (the reference model's),
+``port_intensities`` and ``sample_counts``, in their operation order.
 ``measure(delay_index, code, window_us)`` counts one window the same way.
 ``measure_slots(index, codes, window_us) -> (c1, c2)`` integrates a whole
 run of equal windows whose delays and codes are known in advance (the QKD
 stage) from one draw per stream, as vectors. The per-window physics
 therefore exists twice, and an equivalence test keeps the two aligned.
 
-A run settles before anything else reads or moves the drift: it commits
-its end state, or, when fewer windows were counted (an aborted
-calibration), rewinds the drift stream and redraws just the counted
-windows. Any sequence of calls therefore gives the counts, drift state and
-stream positions of measuring window by window.
-
 The plant owns the simulation clock (integer microseconds) and is the only
 place drift time advances, so elapsed simulated time always equals the sum
-of requested windows.
+of requested windows. Both streams only move forward.
 """
 
 from __future__ import annotations
@@ -37,7 +33,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import drift as drift_mod
-from .drift import DriftConfig, DriftState
+from .drift import DriftConfig
 # count() inlines sample_counts and port_intensities; perfbench/child.py --trace 1 wraps them
 from .hardware import NUM_DELAYS, DetectorConfig, PmConfig, dac_to_voltages, sample_counts
 from .optics import TWO_PI, port_intensities
@@ -69,19 +65,13 @@ class Plant:
         offsets_ss, drift_ss, detector_ss = ss.spawn(3)
         self._rng_drift = np.random.default_rng(drift_ss)
         self._rng_detector = np.random.default_rng(detector_ss)
-        self._state = drift_mod.initial_state(config.drift, np.random.default_rng(offsets_ss))
+        self.state = drift_mod.initial_state(config.drift, np.random.default_rng(offsets_ss))
         self.elapsed_us: int = 0
-        self._run: _Run | None = None
-
-    @property
-    def state(self) -> DriftState:
-        """The drift state after every window measured so far."""
-        self._settle()
-        return self._state
 
     def measure(self, delay_index: int, code: int, window_us: int) -> tuple[int, int]:
         """Integrate one counting window, then advance drift by the window:
-        ``counter(delay_index, window_us, 1)(code)``."""
+        ``counter(delay_index, window_us, 1)(code)``, so a code out of range
+        raises with the window spent."""
         return self.counter(delay_index, window_us, 1)(code)
 
     def measure_slots(
@@ -101,13 +91,12 @@ class Plant:
         if outside.any():
             raise ValueError(f"delay index {index[outside.argmax()]} out of range 0..127")
         cfg = self.config
-        # before the pending run settles: a code out of range draws nothing
+        # before any draw: a code out of range draws nothing
         volts = dac_to_voltages(np.asarray(codes, dtype=np.int64), cfg.pm)
         # voltage_to_phase, whose canonical_phase is fmod alone on a phase >= 0
         phi = np.fmod(math.pi * (volts - cfg.pm.v_min) / cfg.pm.v_pi, TWO_PI)
-        self._settle()
         window_s = window_us * 1e-6
-        alpha = drift_mod.advance_windows(self._state, index, window_s, cfg.drift, self._rng_drift)
+        alpha = drift_mod.advance_windows(self.state, index, window_s, cfg.drift, self._rng_drift)
         self.elapsed_us += len(index) * window_us
         # math.cos as in port_intensities: np.cos may take another SIMD path
         angles = (alpha + phi[index]).tolist()
@@ -126,26 +115,26 @@ class Plant:
     def counter(
         self, delay_index: int, window_us: int, windows: int
     ) -> Callable[[int], tuple[int, int]]:
-        """Draw the drift of ``windows`` windows of ``window_us`` on delay
-        ``delay_index`` in one block, and return ``count(code) -> (c1, c2)``,
-        which integrates the next of them at DAC code ``code``.
+        """Spend ``windows`` windows of ``window_us`` on delay
+        ``delay_index``: draw their drift in one block and move the clock
+        past them all. Return ``count(code) -> (c1, c2)``, which integrates
+        the next of them at DAC code ``code``; the windows it never counts
+        are dark time.
 
         The drift is piecewise-constant within a window (windows are short
         against the drift timescales): the phase is evaluated at the window
-        start. A count past the last window, or after the run has settled,
-        raises ``ValueError``.
+        start. A count past the last window, or after any later call that
+        moves the clock, raises ``ValueError``.
         """
         if window_us <= 0:
             raise ValueError(f"window must be positive, got {window_us} us")
         if not 0 <= delay_index < NUM_DELAYS:
             raise ValueError(f"delay index {delay_index} out of range 0..127")
-        self._settle()
-        rewind = self._rng_drift.bit_generator.state
         window_s = window_us * 1e-6
-        phases, end_eps, end_walk = drift_mod.delay_drift(
-            self._state, delay_index, windows, window_s, self.config.drift, self._rng_drift
+        phases = drift_mod.delay_drift(
+            self.state, delay_index, windows, window_s, self.config.drift, self._rng_drift
         )
-        run = self._run = _Run(delay_index, window_us, phases, end_eps, end_walk, rewind)
+        end = self.elapsed_us = self.elapsed_us + windows * window_us
         pm, contrast, det = self.config.pm, self.config.contrast, self.config.detector
         max_code, v_min, v_max, span, v_pi = pm.transfer
         signal = det.signal_rate * window_s
@@ -153,10 +142,11 @@ class Plant:
         # a scalar draw and round() both give Python ints
         draw = self._rng_detector.poisson if det.shot_noise else round
         cos, fmod, pi = math.cos, math.fmod, math.pi
+        used = 0
 
         def count(code: int) -> tuple[int, int]:
-            used = run.used
-            if used == windows or self._run is not run:
+            nonlocal used
+            if used == windows or self.elapsed_us != end:
                 raise ValueError(f"no window left in this run of delay {delay_index}")
             alpha = phases[used]
             if alpha != alpha:  # NaN: the true phase is not finite
@@ -172,8 +162,7 @@ class Plant:
             i2 = 0.5 * (1.0 - x)
             total = i1 + i2
             counts = draw(i1 / total * signal + dark), draw(i2 / total * signal + dark)
-            run.used = used + 1
-            self.elapsed_us += window_us
+            used += 1
             return counts
 
         return count
@@ -182,38 +171,6 @@ class Plant:
         """Let simulated time pass without measuring (slot padding, open loop)."""
         if duration_us < 0:
             raise ValueError(f"idle duration must be >= 0, got {duration_us} us")
-        self._settle()
         if duration_us:
-            drift_mod.advance(self._state, duration_us * 1e-6, self.config.drift, self._rng_drift)
+            drift_mod.advance(self.state, duration_us * 1e-6, self.config.drift, self._rng_drift)
             self.elapsed_us += duration_us
-
-    def _settle(self) -> None:
-        """Commit the drift of the pending run's measured windows."""
-        run = self._run
-        if run is None:
-            return
-        self._run = None
-        end_eps, end_walk = run.end_eps, run.end_walk
-        if run.used < len(run.phases):
-            # an aborted search: redraw only the windows it measured
-            self._rng_drift.bit_generator.state = run.rewind
-            _, end_eps, end_walk = drift_mod.delay_drift(
-                self._state, run.delay_index, run.used, run.window_us * 1e-6,
-                self.config.drift, self._rng_drift,
-            )
-        self._state.laser_eps = end_eps
-        self._state.path_phases[:] = end_walk
-
-
-@dataclass
-class _Run:
-    """A pending run: its drawn phases, how many of them were counted,
-    and what settling it commits or rewinds to."""
-
-    delay_index: int
-    window_us: int
-    phases: list[float]  # a phase per window, NaN where not finite
-    end_eps: float
-    end_walk: np.ndarray
-    rewind: dict
-    used: int = 0

@@ -1,11 +1,14 @@
-"""The v1 model window by window, the one oracle of the bit-exactness tests.
+"""The model window by window, the one oracle of the bit-exactness tests.
 
 ``Stepper`` is the plant one window at a time, built only from the scalar
 functions: ``drift.true_phase`` at the window start,
 ``voltage_to_phase(dac_to_voltage(code))``, ``optics.port_intensities``,
 ``hardware.sample_counts``, then one ``drift.advance``. The reference stages
-run on a ``Stepper``, choosing each step's code just before measuring it;
-the reference trace rows are the tuples ``csv.writer`` wrote in schema v1.
+run on a ``Stepper``, choosing each step's code just before measuring it.
+They follow drift stream v1.1, where an aborted search's slot still spends
+all its step windows; the stabilisation stage keeps stream v1's abort
+policy on request. The reference trace rows are the tuples ``csv.writer``
+wrote in schema v1.
 """
 
 import csv
@@ -14,7 +17,7 @@ import math
 
 import numpy as np
 
-from fringelock.calibration import CALIB_STEP, QUADRATURE_PHASES, AmbiguousPhaseError
+from fringelock.calibration import CALIB_STEP, QUADRATURE_PHASES, TOTAL_STEPS, AmbiguousPhaseError
 from fringelock.calibration import CalibrationAborted
 from fringelock.calibration import _wrap_into_span, least_squares_phase, phase_to_compensation_code
 from fringelock.controller import QKD_SLOT, TABLE_ENTRY
@@ -124,11 +127,14 @@ def calibration(delay_index, stepper, cfg, pm, rows, events):
     return pt5_code, final_visibility, final_visibility >= cfg.accept_threshold
 
 
-def stabilization_stage(second, stepper, calib_cfg, schedule, previous, events):
+def stabilization_stage(second, stepper, calib_cfg, schedule, previous, events, v1_aborts=False):
     """The stabilisation stage step by step, each slot idled to its end.
     Returns the ``TABLE_ENTRY`` table and the ``CALIB_STEP`` rows, and
-    appends each abort's message to ``events``."""
+    appends each abort's message to ``events``. An aborted search's unused
+    step windows are idled one at a time (stream v1.1); with ``v1_aborts``
+    they fold into the pad, as stream v1 drew them."""
     start_us = stepper.elapsed_us
+    window_us = calib_cfg.step_window_us
     entries, rows = [], []
     for index in range(NUM_DELAYS):
         slot_start = stepper.elapsed_us
@@ -138,6 +144,8 @@ def stabilization_stage(second, stepper, calib_cfg, schedule, previous, events):
         except CalibrationAborted as exc:
             events.append(str(exc))
             entries.append((previous["code"][index], math.nan, False, second))
+            while not v1_aborts and stepper.elapsed_us < slot_start + TOTAL_STEPS * window_us:
+                stepper.idle(window_us)
         stepper.idle(slot_start + schedule.perm_slot_us - stepper.elapsed_us)
     stepper.idle(start_us + schedule.stab_duration_us - stepper.elapsed_us)
     return np.array(entries, dtype=TABLE_ENTRY), np.array(rows, dtype=CALIB_STEP)

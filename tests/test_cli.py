@@ -35,14 +35,15 @@ PINNED_DIGESTS = {
 }
 
 #: SHA-256 of `run --seconds 1 --seed 0` at 1e5 photons/s with no dark
-#: counts, taken as above: 122 of its 128 calibrations abort, keeping
-#: partial step traces of 0 to 21 rows, so the abort path is pinned too.
+#: counts, taken as above under drift stream v1.1: 123 of its 128
+#: calibrations abort, keeping partial step traces of 0 to 21 rows, so the
+#: abort path is pinned too.
 LOW_LIGHT_ARGS = ["--set", "detector.input_rate=100000", "--set", "detector.dark_rate=0"]
 LOW_LIGHT_DIGESTS = {
-    "calib_trace.csv": "e66101aa3b77f864a5223a355f0ebe80e1bdb3b3162181c516b236c7e0ececbc",
-    "qkd_trace.csv": "9fa539ce6502516a7452a84c203f1768748b89cbec63a24fb8dac1ccdd36f721",
-    "per_delay_summary.csv": "bf5fc2e03e9445e63f372ef7bcb5f48bdc4b4f46d968cc083aecd73aa5f0ef95",
-    "report.txt": "971e15f99477b2696ab36e0be60c453c9f765f04ef5c0752c8b7dfdf789fd42d",
+    "calib_trace.csv": "6359771a87334f1cc7035c6857ccbdc5ae8bb34c80ee5d43fb2daef255544cf6",
+    "qkd_trace.csv": "0e49f861514d954cacc4f1431bb51d5de05fdcc84b07f545126bb6f68d4146fa",
+    "per_delay_summary.csv": "4b2934174f0bed649fcfce4826ee48332728900e7e6244adb76e2c8288dd6cf5",
+    "report.txt": "9db03193ed54dca0f507bc64caf6d6776066447575a61ac8f9b96931e5c36209",
 }
 
 
@@ -297,6 +298,18 @@ class TestRunCommand:
         assert err.startswith(f"error: {option} {out} cannot be an output directory")
         assert blocker.read_text() == "kept\n"
         assert list(tmp_path.iterdir()) == [blocker]
+
+    @pytest.mark.parametrize(
+        "option, args",
+        [("run.output_dir", ["--set", "run.output_dir= "]), ("--out", ["--out", ""])],
+        ids=["run.output_dir", "--out"],
+    )
+    def test_empty_output_dir_exits_2(self, tmp_path, monkeypatch, capsys, option, args):
+        # an empty name would put every output in the working directory
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "--seconds", "1", *args]) == 2
+        assert capsys.readouterr().err == f"error: {option} is empty; name an output directory\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_dark_run_exits_2_and_keeps_outputs(self, tmp_path, capsys):
         out = tmp_path / "dark"

@@ -2,6 +2,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
 from fringelock import controller
 from fringelock.calibration import CALIB_STEP, CalibrationConfig
@@ -135,7 +136,7 @@ class TestPrefetchedStabilizationStage:
             (PlantConfig(), CalibrationConfig(), FrameSchedule(), 61, "complete"),
             (_NOISELESS, CalibrationConfig(), FrameSchedule(), 62, "complete"),
             # about 2 counts per step: zero-count and ambiguous-phase aborts
-            (_LOW_LIGHT, CalibrationConfig(), FrameSchedule(), 64, "low-light"),
+            (_LOW_LIGHT, CalibrationConfig(), FrameSchedule(), 73, "low-light"),
             # 23 steps of 100 us fill a 2300 us slot: no pad window
             (PlantConfig(), CalibrationConfig(), FrameSchedule(perm_slot_us=2_300), 66, "complete"),
             # 23 steps of 108 us leave a 16 us pad
@@ -199,10 +200,39 @@ class TestPrefetchedStabilizationStage:
         with pytest.raises(ValueError, match="^true phase of delay 4 ") as raised:
             run_stabilization_stage(0, plant, calib_cfg, schedule, bootstrap_table(plant_cfg), [])
         assert str(raised.value) == str(expected.value)
-        # the same windows were measured, so the detector stream agrees too
-        assert plant.elapsed_us == reference.elapsed_us
+        # the same windows were counted, so the detector stream agrees too;
+        # the plant spent the whole slot when the search began
+        assert plant.elapsed_us == 4 * 2_500 + 23 * 100
         state = plant._rng_detector.bit_generator.state
         assert state == reference._rng_detector.bit_generator.state
+
+
+class TestDriftStreamV11:
+    """Stream v1.1 spends an aborted search's unused step windows where v1
+    folded them into the slot's pad: the same drift law, drawn in other
+    chunks."""
+
+    def test_aborted_slots_keep_the_drift_law(self):
+        # a dark plant aborts every search at step 1: v1 draws a window and a
+        # 2400 us pad per slot, v1.1 23 windows and a 200 us pad. One stage on
+        # disjoint seed pools; KS p-values of the end-of-stage walk (64 x 128
+        # values) and detuning (64), each bound at 1e-3. On 500 fresh pairs
+        # of v1 pools neither p-value fell to the bound (4 walk p-values fell
+        # to 1e-2); here both are about 0.55
+        calib_cfg, schedule, pool = CalibrationConfig(), FrameSchedule(), range(64)
+        v1, v1_1 = [], []
+        for seed in pool:
+            reference = Stepper(_DARK, seed)
+            stabilization_stage(
+                0, reference, calib_cfg, schedule, bootstrap_table(_DARK), [], v1_aborts=True
+            )
+            v1.append(reference.state)
+            plant = Plant(_DARK, len(pool) + seed)
+            run_stabilization_stage(0, plant, calib_cfg, schedule, bootstrap_table(_DARK), [])
+            v1_1.append(plant.state)
+        walk = ks_2samp(*(np.concatenate([s.path_phases for s in v]) for v in (v1, v1_1)))
+        detuning = ks_2samp(*([s.laser_eps for s in v] for v in (v1, v1_1)))
+        assert walk.pvalue > 1e-3 and detuning.pvalue > 1e-3, (walk, detuning)
 
 
 class _SpyPlant(Plant):

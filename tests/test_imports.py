@@ -1,6 +1,7 @@
 """Every name a package or test module imports at module level is read
 there, every function and class the package defines is read in the
-package, and no package module states an invariant with ``assert``."""
+package, no package module states an invariant with ``assert``, and none
+reads or sets a random stream's position."""
 
 import ast
 from pathlib import Path
@@ -95,3 +96,16 @@ def test_module_has_no_assert_statement(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not lines, f"{path.name} has assert statements at lines {lines}"
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
+def test_module_never_touches_a_stream_position(path):
+    # streams only move forward: reading or assigning bit_generator.state
+    # is how a rewind would come back
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    lines = [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "state"
+        and isinstance(node.value, ast.Attribute) and node.value.attr == "bit_generator"
+    ]
+    assert not lines, f"{path.name} reads or sets bit_generator.state at lines {lines}"

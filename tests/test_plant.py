@@ -140,9 +140,15 @@ _WIDE_DAC_CALLS = [
 
 
 def _snapshot(plant):
-    """Clock and stream positions, read without settling a pending run."""
+    """Clock and stream positions."""
     streams = (plant._rng_drift.bit_generator.state, plant._rng_detector.bit_generator.state)
     return plant.elapsed_us, streams
+
+
+def _idle_windows(reference, windows, window_us):
+    """The reference's side of windows a counter spent and never counted."""
+    for _ in range(windows):
+        reference.idle(window_us)
 
 
 class TestCounter:
@@ -152,14 +158,15 @@ class TestCounter:
     )
     @pytest.mark.parametrize("measured", [23, 22, 3, 1, 0])
     def test_matches_measure_then_idle(self, measured, window_us, slot_us):
-        # 23 counted windows commit the run; fewer rewind and redraw
+        # the slot's 23 windows elapse whether or not they are all counted
         reference, plant = Stepper(PlantConfig(), 30), default_plant(seed=30)
         codes = [(k * 2749) % 65536 for k in range(measured)]
         expected = [reference.measure(9, code, window_us) for code in codes]
-        reference.idle(slot_us - measured * window_us)
+        _idle_windows(reference, 23 - measured, window_us)
+        reference.idle(slot_us - 23 * window_us)
         count = plant.counter(9, window_us, 23)
+        assert plant.elapsed_us == 23 * window_us  # the pad is the caller's
         assert [count(code) for code in codes] == expected
-        assert plant.elapsed_us == measured * window_us  # the pad is the caller's
         plant.idle(slot_us - plant.elapsed_us)
         assert plant.elapsed_us == slot_us
         assert_same_plant(plant, reference)
@@ -168,8 +175,9 @@ class TestCounter:
     @pytest.mark.parametrize("path", ["counter", "measure", "measure_slots"])
     def test_a_delay_out_of_range_draws_nothing(self, path, delay):
         reference, plant = Stepper(PlantConfig(), 32), default_plant(seed=32)
-        # a pending run with one counted window, which the error must leave alone
+        # a spent slot with one counted window, which the error must leave alone
         assert plant.counter(5, 100, 23)(0) == reference.measure(5, 0, 100)
+        _idle_windows(reference, 22, 100)
         before = _snapshot(plant)
         calls = {
             "counter": lambda: plant.counter(delay, 100, 23),
@@ -193,15 +201,27 @@ class TestCounter:
         assert_same_plant(plant, reference)
 
     def test_a_settled_counter_raises(self):
-        # once anything else reads or moves the drift, the run's windows are gone
+        # once a later call moves the clock, the run's uncounted windows are gone
         reference, plant = Stepper(PlantConfig(), 34), default_plant(seed=34)
-        count = plant.counter(9, 100, 23)
-        assert count(1) == reference.measure(9, 1, 100)
-        plant.idle(50)
-        reference.idle(50)
-        with pytest.raises(ValueError, match="^no window left"):
-            count(2)
+        later = [  # (the plant's call, the reference's)
+            (lambda: plant.idle(50), lambda: reference.idle(50)),
+            (lambda: plant.measure(5, 0, 100), lambda: reference.measure(5, 0, 100)),
+            (lambda: plant.measure_slots(np.array([5]), [0] * 128, 100),
+             lambda: reference.measure(5, 0, 100)),
+            (lambda: plant.counter(5, 100, 23), lambda: _idle_windows(reference, 23, 100)),
+        ]
+        for call, reference_call in later:
+            count = plant.counter(9, 100, 23)
+            assert count(1) == reference.measure(9, 1, 100)
+            _idle_windows(reference, 22, 100)
+            call()
+            reference_call()
+            before = _snapshot(plant)
+            with pytest.raises(ValueError, match="^no window left in this run of delay 9$"):
+                count(2)
+            assert _snapshot(plant) == before
         assert plant.counter(9, 100, 23)(2) == reference.measure(9, 2, 100)
+        _idle_windows(reference, 22, 100)
         assert_same_plant(plant, reference)
 
     @pytest.mark.parametrize("code", [-1, 65536])
@@ -210,15 +230,16 @@ class TestCounter:
         count = plant.counter(9, 100, 23)
         with pytest.raises(ValueError, match=f"^DAC code {code} out of range for 16-bit"):
             count(code)
-        assert plant.elapsed_us == 0
         assert count(4) == reference.measure(9, 4, 100)
+        _idle_windows(reference, 22, 100)
         assert_same_plant(plant, reference)
 
     @pytest.mark.parametrize("code", [-1, 65536])
     def test_a_table_code_out_of_range_draws_nothing(self, code):
-        # the whole table converts before a pending run settles, also a code no slot reads
+        # the whole table converts before any draw, also a code no slot reads
         reference, plant = Stepper(PlantConfig(), 36), default_plant(seed=36)
         assert plant.counter(5, 100, 23)(0) == reference.measure(5, 0, 100)
+        _idle_windows(reference, 22, 100)
         before = _snapshot(plant)
         with pytest.raises(ValueError, match=f"^DAC codes {min(code, 0)}..{max(code, 0)} out of"):
             plant.measure_slots(np.array([5, 9]), [0] * 127 + [code], 100)
@@ -236,8 +257,9 @@ class TestCounter:
     @example(calls=_WIDE_DAC_CALLS, seed=1, config=_wide_dac(53))
     @example(calls=_WIDE_DAC_CALLS, seed=2, config=_wide_dac(63))
     def test_any_call_sequence_measures_window_by_window(self, calls, seed, config):
-        # the counter is a hint: no order of calls changes a number, and its
-        # inlined physics is the hardware and optics functions' on any config
+        # any order of calls gives the window-by-window numbers, a counter's
+        # uncounted windows idled one at a time, and the counter's inlined
+        # physics is the hardware and optics functions' on any config
         reference, plant = Stepper(config, seed), Plant(config, seed)
         top = config.pm.max_code
         # 128 codes from 0 to the top code, spread over every prefix
@@ -245,11 +267,13 @@ class TestCounter:
         for name, *args in calls:
             if name == "counter":
                 plant.counter(*args)
+                _idle_windows(reference, args[2], args[1])
             elif name == "slot":
                 delay, window_us, windows, measured, then = args
                 count = plant.counter(delay, window_us, windows)
                 for code in codes[:min(measured, windows)]:
                     assert count(code) == reference.measure(delay, code, window_us)
+                _idle_windows(reference, max(windows - measured, 0), window_us)
                 if measured > windows:
                     with pytest.raises(ValueError, match="no window left"):
                         count(codes[0])
