@@ -18,7 +18,9 @@ steps before an abort are kept there too; DAC codes are plain ints. The
 steps run in four batches, 1-4, 5-14, 15-22 and 23. A batch's codes are
 all computed before it starts, because none of them depends on the batch's
 own counts: the presets are fixed, the coarse scan centers on PT1, the
-fine scan on PT3, and step 23 re-applies PT5.
+fine scan on PT3, and step 23 re-applies PT5. A search gives up through
+one exception, ``CalibrationAborted``: at a step with zero total counts, or
+in ``least_squares_phase`` when the four preset fractions coincide.
 
 The estimator inverts the fringe model f_k = (1 + cos(alpha + ext_k)) / 2,
 i.e. the preset phases add to the path phase inside the cosine (the only
@@ -57,10 +59,6 @@ CALIB_STEP = np.dtype(
     [("delay_index", np.int64), ("step_index", np.int64), ("dac_code", np.int64),
      ("c1", np.int64), ("c2", np.int64), ("visibility", np.float64)]
 )
-
-
-class AmbiguousPhaseError(ValueError):
-    """The four step measurements carry no phase information (equal fractions)."""
 
 
 class CalibrationAborted(RuntimeError):
@@ -115,7 +113,7 @@ def least_squares_phase(observed: Sequence[float]) -> float:
     cos_term = f0 - f2
     sin_term = f3 - f1
     if math.hypot(cos_term, sin_term) < 1e-12:
-        raise AmbiguousPhaseError(
+        raise CalibrationAborted(
             "all four step fractions coincide; the fringe phase is unconstrained"
         )
     return canonical_phase(math.atan2(sin_term, cos_term))
@@ -154,7 +152,7 @@ def _wrap_into_span(v: float, cfg: PmConfig) -> float:
 def _scan_codes(center_code: int, offsets: Sequence[float], cfg: PmConfig) -> list[int]:
     """DAC codes of the scan points ``offsets`` volts from a center code's
     voltage, each wrapped into the span and rounded as ``voltage_to_code``."""
-    max_code, v_min, v_max, span, _ = cfg.transfer
+    max_code, v_min, v_max, span = cfg.max_code, cfg.v_min, cfg.v_max, cfg.span
     center_v = dac_to_voltage(center_code, cfg)
     codes = []
     for off in offsets:
@@ -208,11 +206,7 @@ def run_calibration(
     # steps 1-4: preset phases for the least-squares estimate
     measure_batch(1, preset_codes(pm))
     fractions = [c1 / (c1 + c2) for *_, c1, c2, _ in rows[-4:]]
-    try:
-        alpha_hat = least_squares_phase(fractions)
-    except AmbiguousPhaseError as exc:
-        # no usable fringe information: treat like a plant fault
-        raise CalibrationAborted(str(exc)) from exc
+    alpha_hat = least_squares_phase(fractions)
 
     # step 5 applies the estimate so PT1's visibility is itself observable;
     # steps 6-14 scan coarsely around PT2 (same voltage as PT1) for PT3

@@ -12,10 +12,11 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import replace
 from itertools import count, repeat
 from pathlib import Path
 
-from .config import ConfigError, load_config, schema_entry, write_config
+from .config import ConfigError, load_config, parse_key, schema_entry, write_config
 from .controller import MODES, VISIBILITY_TARGET, ExperimentReport, RunSettings, run_experiment
 from .keyrate import KeyRateParams, error_threshold, key_rate
 from .reporting import (
@@ -76,14 +77,14 @@ def _add_run_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _settings_from_args(args: argparse.Namespace, *swept: str) -> tuple[RunSettings, str]:
+def _settings_from_args(args: argparse.Namespace, *swept: str) -> RunSettings:
     """Defaults, --config, --set, then --seconds, --seed and --mode as run.*
     keys, then any swept key: each source beats those before it; --out
-    beats them all."""
+    beats them all, its text kept verbatim."""
     shorthands = {"seconds": args.seconds, "seed": args.seed, "mode": args.mode}
     run_keys = [f"run.{k}={v}" for k, v in shorthands.items() if v is not None]
-    settings, output_dir = load_config(args.config, [*args.overrides, *run_keys, *swept])
-    return settings, output_dir if args.out is None else args.out
+    settings = load_config(args.config, [*args.overrides, *run_keys, *swept])
+    return settings if args.out is None else replace(settings, output_dir=args.out)
 
 
 def _make_output_dir(args: argparse.Namespace, output_dir: str) -> Path:
@@ -106,7 +107,7 @@ def _make_output_dir(args: argparse.Namespace, output_dir: str) -> Path:
 def _execute_run(settings: RunSettings, out_dir: Path) -> tuple[ExperimentReport, str]:
     """Run with every output written into the existing ``out_dir``; returns
     the report and its text."""
-    write_config(settings, str(out_dir), out_dir / "effective_config.ini")
+    write_config(replace(settings, output_dir=str(out_dir)), out_dir / "effective_config.ini")
     pm = settings.plant.pm
     with open(out_dir / "calib_trace.csv", "w", encoding="utf-8", newline="") as calib_f, open(
         out_dir / "qkd_trace.csv", "w", encoding="utf-8", newline=""
@@ -141,8 +142,8 @@ def _require_counts(report: ExperimentReport) -> None:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    settings, output_dir = _settings_from_args(args)
-    out_dir = _make_output_dir(args, output_dir)
+    settings = _settings_from_args(args)
+    out_dir = _make_output_dir(args, settings.output_dir)
     report, text = _execute_run(settings, out_dir)
     _require_counts(report)
     sys.stdout.write(text)
@@ -160,14 +161,13 @@ def cmd_keyrate(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    if "." not in args.param:
-        raise ConfigError(f"sweep parameter must be section.key, got {args.param!r}")
-    schema_entry(*map(str.strip, args.param.split(".", 1)))  # an unknown key fails here
+    attribute, _ = schema_entry(*parse_key(args.param))  # an unknown key fails here
+    if attribute == "output_dir":
+        raise ConfigError("sweep cannot vary run.output_dir: its runs write no output files")
     raw_values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not raw_values:
         raise ConfigError("sweep needs at least one value")
-    _, output_dir = _settings_from_args(args)  # validate base config early
-    out_dir = _make_output_dir(args, output_dir)
+    out_dir = _make_output_dir(args, _settings_from_args(args).output_dir)  # base config checked
 
     failed = 0
     with open(out_dir / "sweep.csv", "w", encoding="utf-8", newline="") as handle:
@@ -180,7 +180,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             try:
                 # unless the seed is swept, every value runs at the same base
                 # seed, so value-to-value comparisons are paired
-                settings, _ = _settings_from_args(args, f"{args.param}={raw}")
+                settings = _settings_from_args(args, f"{args.param}={raw}")
                 report = run_experiment(settings)
                 _require_counts(report)
             except (ConfigError, ValueError) as exc:

@@ -4,8 +4,9 @@ The on-disk format is a plain sections-of-key=value file (configparser
 syntax), one section per subsystem. The schema is derived from the config
 dataclasses: each section holds the scalar fields of the one ``RunSettings``
 subtree ``SECTIONS`` pairs it with, and each field's type picks its parser and
-its echo format. Every run echoes its effective configuration back into the
-output directory; reloading that echo reproduces the run byte for byte.
+its echo format; every setting, the output directory too, is a field of that
+tree. Every run echoes its effective configuration back into the output
+directory; reloading that echo reproduces the run byte for byte.
 """
 
 from __future__ import annotations
@@ -78,7 +79,6 @@ def _derive_schema() -> dict[tuple[str, str], tuple[str, object]]:
             hint = hints[f.name]
             if not is_dataclass(hint):
                 schema[(section, f.name)] = (f"{path}.{f.name}".lstrip("."), hint)
-    schema[("run", "output_dir")] = ("output_dir", str)
     return schema
 
 
@@ -86,11 +86,8 @@ def _derive_schema() -> dict[tuple[str, str], tuple[str, object]]:
 SCHEMA = _derive_schema()
 
 
-def _values_from(settings: RunSettings, output_dir: str) -> dict[str, object]:
-    values = {
-        path: attrgetter(path)(settings) for path, _ in SCHEMA.values() if path != "output_dir"
-    }
-    return {**values, "output_dir": output_dir}
+def _values_from(settings: RunSettings) -> dict[str, object]:
+    return {path: attrgetter(path)(settings) for path, _ in SCHEMA.values()}
 
 
 def _build(cls: type, path: str, values: dict[str, object]):
@@ -103,11 +100,9 @@ def _build(cls: type, path: str, values: dict[str, object]):
     return cls(**kwargs)
 
 
-def load_config(
-    path: str | Path | None = None, overrides: list[str] | None = None
-) -> tuple[RunSettings, str]:
+def load_config(path: str | Path | None = None, overrides: list[str] | None = None) -> RunSettings:
     """Effective configuration: defaults, then file, then --set overrides."""
-    values = _values_from(RunSettings(), "out")
+    values = _values_from(RunSettings())
     if path is not None:
         parser = configparser.ConfigParser(interpolation=None)
         try:
@@ -123,15 +118,19 @@ def load_config(
         if "=" not in item:
             raise ConfigError(f"override must look like section.key=value, got {item!r}")
         dotted, raw = item.split("=", 1)
-        if "." not in dotted:
-            raise ConfigError(f"override key must be section.key, got {dotted!r}")
-        section, key = dotted.split(".", 1)
-        _set_value(values, section.strip(), key.strip(), raw.strip())
+        _set_value(values, *parse_key(dotted), raw.strip())
     try:
-        settings = _build(RunSettings, "", values)
+        return _build(RunSettings, "", values)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return settings, values["output_dir"]
+
+
+def parse_key(dotted: str) -> tuple[str, str]:
+    """``(section, key)`` of a dotted key (``--set``, ``sweep --param``), stripped."""
+    section, dot, key = dotted.partition(".")
+    if not dot:
+        raise ConfigError(f"a configuration key must look like section.key, got {dotted!r}")
+    return section.strip(), key.strip()
 
 
 def schema_entry(section: str, key: str) -> tuple[str, object]:
@@ -159,9 +158,9 @@ def _format_value(value: object) -> str:
     return str(value)
 
 
-def write_config(settings: RunSettings, output_dir: str, path: str | Path) -> None:
+def write_config(settings: RunSettings, path: str | Path) -> None:
     """Echo the effective configuration; reloading it reproduces the run."""
-    values = _values_from(settings, output_dir)
+    values = _values_from(settings)
     parser = configparser.ConfigParser(interpolation=None)
     for (section, key), (attr, _) in SCHEMA.items():
         if not parser.has_section(section):

@@ -290,7 +290,7 @@ def run_experiment(config: "RunSettings", sink: SecondSink | None = None) -> Exp
 
 @dataclass(frozen=True)
 class RunSettings:
-    """Everything run_experiment needs; the CLI layer builds this from files."""
+    """Every setting of a run, the output directory too; the CLI builds this from files."""
 
     plant: PlantConfig = field(default_factory=PlantConfig)
     calibration: CalibrationConfig = field(default_factory=CalibrationConfig)
@@ -298,6 +298,7 @@ class RunSettings:
     seconds: int = 1
     mode: str = CLOSED_LOOP
     seed: int = 0
+    output_dir: str = "out"
 
     def __post_init__(self) -> None:
         if self.seconds < 1:

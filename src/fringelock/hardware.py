@@ -13,17 +13,13 @@ modulator's voltage-to-phase step is written inline where a window is
 counted (``plant.py``), and on its own in ``tests/reference_model.py``.
 ``sample_counts((i1, i2), det, window, rng) -> (c1, c2)`` counts one window.
 
-The configs are frozen, so the terms every window reuses are derived once
-per config and cached: ``PmConfig.transfer`` holds the DAC transfer's
-constants and ``DetectorConfig.signal_rate`` the detected photon rate. They
-are properties, not fields, so the config schema does not see them. Each
-function combines them in the operation order of the same expression
-written over the config's fields, so the cache changes no bit.
+The derived terms ``PmConfig.span``, ``PmConfig.max_code`` and
+``DetectorConfig.signal_rate`` are properties, not fields, so the config
+schema does not see them; ``Plant.counter`` reads them once per slot.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -87,14 +83,9 @@ class PmConfig:
     def span(self) -> float:
         return self.v_max - self.v_min
 
-    @functools.cached_property
+    @property
     def max_code(self) -> int:
         return (1 << self.dac_bits) - 1
-
-    @functools.cached_property
-    def transfer(self) -> tuple[int, float, float, float, float]:
-        """``(max_code, v_min, v_max, span, v_pi)``, the DAC transfer's terms."""
-        return self.max_code, self.v_min, self.v_max, self.span, self.v_pi
 
 
 @dataclass(frozen=True)
@@ -119,7 +110,7 @@ class DetectorConfig:
         if self.input_rate < 0.0:
             raise ValueError(f"input rate must be >= 0, got {self.input_rate}")
 
-    @functools.cached_property
+    @property
     def signal_rate(self) -> float:
         """Detected photon rate before the port split, ``input_rate * efficiency``."""
         return self.input_rate * self.efficiency
@@ -127,33 +118,30 @@ class DetectorConfig:
 
 def dac_to_voltage(code: int, cfg: PmConfig) -> float:
     """Ideal DAC transfer: v_min at code 0, v_max (never past it) at full scale."""
-    max_code, v_min, v_max, span, _ = cfg.transfer
-    if not 0 <= code <= max_code:
+    if not 0 <= code <= cfg.max_code:
         raise ValueError(f"DAC code {code} out of range for {cfg.dac_bits}-bit converter")
-    return min(v_max, v_min + code * span / max_code)
+    return min(cfg.v_max, cfg.v_min + code * cfg.span / cfg.max_code)
 
 
 def dac_to_voltages(codes: np.ndarray, cfg: PmConfig) -> np.ndarray:
     """``dac_to_voltage`` of each code of an int64 array, as one array with
     the same arithmetic and bits."""
-    max_code, v_min, v_max, span, _ = cfg.transfer
-    if codes.size and not 0 <= codes.min() <= codes.max() <= max_code:
+    if codes.size and not 0 <= codes.min() <= codes.max() <= cfg.max_code:
         raise ValueError(
             f"DAC codes {codes.min()}..{codes.max()} out of range for "
             f"{cfg.dac_bits}-bit converter"
         )
-    v = v_min + codes * span / max_code
+    v = cfg.v_min + codes * cfg.span / cfg.max_code
     # min(v_max, v)'s rule: v only if below v_max (np.minimum may pick either zero)
-    return np.where(v < v_max, v, v_max)
+    return np.where(v < cfg.v_max, v, cfg.v_max)
 
 
 def voltage_to_code(v: float, cfg: PmConfig) -> int:
     """Nearest DAC code for a voltage in the span (round-trips within 1 LSB)."""
-    max_code, v_min, v_max, span, _ = cfg.transfer
-    if not v_min <= v <= v_max:
-        raise ValueError(f"voltage {v} V outside DAC span [{v_min}, {v_max}]")
-    code = round((v - v_min) / span * max_code)
-    return min(max_code, max(0, code))
+    if not cfg.v_min <= v <= cfg.v_max:
+        raise ValueError(f"voltage {v} V outside DAC span [{cfg.v_min}, {cfg.v_max}]")
+    code = round((v - cfg.v_min) / cfg.span * cfg.max_code)
+    return min(cfg.max_code, max(0, code))
 
 
 def voltage_for_phase(phase: float, cfg: PmConfig) -> float:

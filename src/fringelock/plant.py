@@ -9,8 +9,8 @@ past every window. It returns ``count(code) -> (c1, c2)``, which reads the
 next window's phase and draws that window's counts; windows that are never
 counted (an aborted search) are dark time, as on the FPGA (drift stream
 v1.1). The calibration search counts once per step, because a step's code
-can depend on the counts of the steps before it. ``count`` binds the config's transfer,
-contrast and detector terms and computes a window with the arithmetic of
+can depend on the counts of the steps before it. ``count`` binds the config's DAC
+transfer, contrast and detector terms and computes a window with the arithmetic of
 ``voltage_to_phase(dac_to_voltage(code))`` (the reference model's),
 ``port_intensities`` and ``sample_counts``, in their operation order.
 ``measure(delay_index, code, window_us)`` counts one window the same way.
@@ -136,7 +136,7 @@ class Plant:
         )
         end = self.elapsed_us = self.elapsed_us + windows * window_us
         pm, contrast, det = self.config.pm, self.config.contrast, self.config.detector
-        max_code, v_min, v_max, span, v_pi = pm.transfer
+        max_code, v_min, v_max, span, v_pi = pm.max_code, pm.v_min, pm.v_max, pm.span, pm.v_pi
         signal = det.signal_rate * window_s
         dark = det.dark_rate * window_s
         # a scalar draw and round() both give Python ints

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from fringelock.calibration import CALIB_STEP, QUADRATURE_PHASES, TOTAL_STEPS, AmbiguousPhaseError
+from fringelock.calibration import CALIB_STEP, QUADRATURE_PHASES, TOTAL_STEPS
 from fringelock.calibration import CalibrationAborted
 from fringelock.calibration import _wrap_into_span, least_squares_phase, phase_to_compensation_code
 from fringelock.controller import QKD_SLOT, TABLE_ENTRY
@@ -113,10 +113,7 @@ def calibration(delay_index, stepper, cfg, pm, rows, events):
     for k, ext in enumerate(QUADRATURE_PHASES):
         step(k + 1, voltage_to_code(voltage_for_phase(ext, pm), pm))
     fractions = [c1 / (c1 + c2) for *_, c1, c2, _ in rows[-4:]]
-    try:
-        alpha_hat = least_squares_phase(fractions)
-    except AmbiguousPhaseError as exc:
-        raise CalibrationAborted(str(exc)) from exc
+    alpha_hat = least_squares_phase(fractions)
     pt1_code = phase_to_compensation_code(alpha_hat, pm)
     pt1_visibility = step(5, pt1_code)
     coarse = [(j - 4) * cfg.coarse_interval for j in range(9)]

@@ -68,6 +68,11 @@ ODD_WINDOW_DIGESTS = {
 }
 
 
+#: SHA-256 of the effective_config.ini a bare `fringelock run` writes into
+#: ./out: every key in SCHEMA's echo order, output_dir = out included.
+DEFAULT_ECHO_DIGEST = "02ea438964e2e9b3f2316d611d8f468b64b90e98341a016c71e715b69300d74d"
+
+
 class TestRunCommand:
     @pytest.mark.parametrize(
         "argv, pinned",
@@ -120,6 +125,13 @@ class TestRunCommand:
         assert (first / "per_delay_summary.csv").read_bytes() == (
             second / "per_delay_summary.csv"
         ).read_bytes()
+
+    def test_default_config_echo_is_pinned(self, tmp_path, monkeypatch):
+        # the echo's bytes are part of the output contract
+        monkeypatch.chdir(tmp_path)
+        assert main(["run"]) == 0
+        echo = (tmp_path / "out" / "effective_config.ini").read_bytes()
+        assert hashlib.sha256(echo).hexdigest() == DEFAULT_ECHO_DIGEST
 
     def test_bad_config_exits_2(self, tmp_path, capsys):
         assert main(["run", "--set", "run.bogus=1", "--out", str(tmp_path / "x")]) == 2
@@ -497,6 +509,19 @@ class TestSweepCommand:
         assert captured.err == "error: unknown configuration key [drift] warp_factor\n"
         assert captured.out == ""
         assert not (tmp_path / "s").exists()
+
+    def test_output_dir_parameter_exits_2(self, tmp_path, monkeypatch, capsys):
+        # a sweep writes only sweep.csv, into its own directory, so every
+        # value of run.output_dir would run the same experiment
+        monkeypatch.chdir(tmp_path)
+        assert main([
+            "sweep", "--param", " run . output_dir ", "--values", "a,b",
+            "--seconds", "1", "--out", "s",
+        ]) == 2
+        captured = capsys.readouterr()
+        assert "run.output_dir" in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
 
 
 REPO_ROOT = Path(__file__).resolve().parents[1]

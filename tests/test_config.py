@@ -15,9 +15,9 @@ FLOAT_TYPES = (float, str | tuple[float, ...])
 
 class TestLoadConfig:
     def test_defaults_without_file(self):
-        settings, out_dir = load_config(None)
+        settings = load_config(None)
         assert settings == RunSettings()
-        assert out_dir == "out"
+        assert settings.output_dir == "out"
 
     def test_file_values_override_defaults(self, tmp_path):
         path = tmp_path / "run.ini"
@@ -26,7 +26,7 @@ class TestLoadConfig:
             "[drift]\npath_walk_sigma = 0.0\n"
             "[calibration]\nfine_interval = 0.05\n"
         )
-        settings, _ = load_config(path)
+        settings = load_config(path)
         assert settings.seconds == 5
         assert settings.seed == 42
         assert settings.mode == "open-loop"
@@ -36,7 +36,7 @@ class TestLoadConfig:
     def test_set_overrides_beat_file(self, tmp_path):
         path = tmp_path / "run.ini"
         path.write_text("[run]\nseconds = 5\n")
-        settings, _ = load_config(path, overrides=["run.seconds=9", "pm.v_pi=3.5"])
+        settings = load_config(path, overrides=["run.seconds=9", "pm.v_pi=3.5"])
         assert settings.seconds == 9
         assert settings.plant.pm.v_pi == 3.5
 
@@ -66,16 +66,16 @@ class TestLoadConfig:
             load_config(None, overrides=["calibration.step_window_us=200"])
 
     def test_offsets_accept_random_or_list(self):
-        settings, _ = load_config(None, overrides=["drift.static_offsets=random"])
+        settings = load_config(None, overrides=["drift.static_offsets=random"])
         assert settings.plant.drift.static_offsets == "random"
         explicit = ",".join(["0.5"] * 128)
-        settings, _ = load_config(None, overrides=[f"drift.static_offsets={explicit}"])
+        settings = load_config(None, overrides=[f"drift.static_offsets={explicit}"])
         assert settings.plant.drift.static_offsets == tuple([0.5] * 128)
 
 
 class TestRoundTrip:
     def test_write_then_load_reproduces_settings(self, tmp_path):
-        settings, _ = load_config(
+        settings = load_config(
             None,
             overrides=[
                 "run.seconds=7",
@@ -83,20 +83,21 @@ class TestRoundTrip:
                 "drift.laser_ou_sigma=3.3e-09",
                 "detector.shot_noise=false",
                 "calibration.fine_interval=0.0125",
+                "run.output_dir=outdir",
             ],
         )
         echo = tmp_path / "echo.ini"
-        write_config(settings, "outdir", echo)
-        reloaded, out_dir = load_config(echo)
+        write_config(settings, echo)
+        reloaded = load_config(echo)
         assert reloaded == settings
-        assert out_dir == "outdir"
+        assert reloaded.output_dir == "outdir"
 
     def test_explicit_offsets_round_trip(self, tmp_path):
         offsets = ",".join(str(0.01 * i) for i in range(128))
-        settings, _ = load_config(None, overrides=[f"drift.static_offsets={offsets}"])
+        settings = load_config(None, overrides=[f"drift.static_offsets={offsets}"])
         echo = tmp_path / "echo.ini"
-        write_config(settings, "out", echo)
-        reloaded, _ = load_config(echo)
+        write_config(settings, echo)
+        reloaded = load_config(echo)
         assert reloaded.plant.drift.static_offsets == settings.plant.drift.static_offsets
 
 
@@ -199,10 +200,10 @@ class TestRoundTripProperty:
     def test_echo_reloads_to_equal_settings_and_bytes(self, tmp_path, overrides):
         loaded = load_config(None, overrides)
         first, second = tmp_path / "first.ini", tmp_path / "second.ini"
-        write_config(*loaded, first)
+        write_config(loaded, first)
         reloaded = load_config(first)
         assert reloaded == loaded
-        write_config(*reloaded, second)
+        write_config(reloaded, second)
         assert second.read_bytes() == first.read_bytes()
 
 

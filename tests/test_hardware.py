@@ -125,8 +125,9 @@ class TestDacChain:
 
 
 class TestCachedTransfer:
-    """The transfer functions read the terms ``PmConfig.transfer`` caches; they
-    must give the bits of the expressions that read the config's fields."""
+    """The transfer functions read the derived terms ``PmConfig.span`` and
+    ``PmConfig.max_code``; they must give the bits of the expressions that
+    read the config's fields."""
 
     @given(pm_voltage_and_code(max_bits=63))
     @example((PM, PM.v_max, PM.max_code))
@@ -160,7 +161,7 @@ class TestCachedTransfer:
 
     def test_terms_are_not_config_fields(self):
         cfg = PmConfig(v_min=-1.5, v_max=9.0, v_pi=2.5, dac_bits=12)
-        assert cfg.transfer == (4095, -1.5, 9.0, 10.5, 2.5)
+        assert (cfg.max_code, cfg.span) == (4095, 10.5)
         assert [f.name for f in fields(PmConfig)] == ["v_min", "v_max", "v_pi", "dac_bits"]
         det = DetectorConfig(efficiency=0.3, input_rate=1e6)
         assert det.signal_rate == 1e6 * 0.3

@@ -1,7 +1,8 @@
 """Every name a package or test module imports at module level is read
 there, every function and class the package defines is read in the
-package, no package module states an invariant with ``assert``, and none
-reads or sets a random stream's position."""
+package, every helper a test module defines is read in the tests, no
+package module states an invariant with ``assert``, and none reads or sets
+a random stream's position."""
 
 import ast
 from pathlib import Path
@@ -65,17 +66,30 @@ ALLOWED_DEAD = {
     ("drift", "true_phase"), ("hardware", "sample_counts"), ("optics", "port_intensities")
 }
 
-PACKAGE = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")}
-DEFINED = {
-    (module, node.name) for module, tree in PACKAGE.items() for node in tree.body
-    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-}
-# a name counts as read when loaded bare or as an attribute (``drift_mod.advance``)
-READ_IN_PACKAGE = {
-    node.id if isinstance(node, ast.Name) else node.attr
-    for tree in PACKAGE.values() for node in ast.walk(tree)
-    if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
-}
+
+def _parse(directory: Path) -> dict[str, ast.Module]:
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in directory.glob("*.py")}
+
+
+def _definitions(modules: dict[str, ast.Module]) -> list[tuple[str, ast.stmt]]:
+    return [
+        (module, node) for module, tree in modules.items() for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    ]
+
+
+def _loaded(modules: dict[str, ast.Module]) -> set[str]:
+    # a name counts as read when loaded bare or as an attribute (``drift_mod.advance``)
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in modules.values() for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+
+
+PACKAGE = _parse(SRC)
+DEFINED = {(module, node.name) for module, node in _definitions(PACKAGE)}
+READ_IN_PACKAGE = _loaded(PACKAGE)
 
 
 def test_package_reads_every_function_and_class_it_defines():
@@ -88,6 +102,29 @@ def test_allowed_definitions_are_still_unread():
     # an allowance outlives its reason once the package reads the name again
     for module, name in ALLOWED_DEAD:
         assert (module, name) in DEFINED and name not in READ_IN_PACKAGE, f"{module}.{name}"
+
+
+def _is_fixture(node: ast.stmt) -> bool:
+    return any(
+        ast.unparse(d.func if isinstance(d, ast.Call) else d) in ("pytest.fixture", "fixture")
+        for d in node.decorator_list
+    )
+
+
+def test_tests_read_every_helper_they_define():
+    # test* functions and Test* classes are collected, not read; a fixture is
+    # read when a test takes it as a parameter
+    modules = _parse(TESTS)
+    loaded = _loaded(modules)
+    parameters = {
+        node.arg for tree in modules.values() for node in ast.walk(tree) if isinstance(node, ast.arg)
+    }
+    dead = sorted(
+        f"{module}.{node.name}" for module, node in _definitions(modules)
+        if not node.name.startswith("test" if isinstance(node, ast.FunctionDef) else "Test")
+        and node.name not in (parameters if _is_fixture(node) else loaded)
+    )
+    assert not dead, f"defined in tests/, never read there: {dead}"
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
