@@ -16,7 +16,7 @@ from dataclasses import replace
 from itertools import count, repeat
 from pathlib import Path
 
-from .config import ConfigError, load_config, parse_key, schema_entry, write_config
+from .config import load_config, parse_key, schema_entry, write_config
 from .controller import MODES, VISIBILITY_TARGET, ExperimentReport, RunSettings, run_experiment
 from .keyrate import KeyRateParams, error_threshold, key_rate
 from .reporting import (
@@ -93,12 +93,12 @@ def _make_output_dir(args: argparse.Namespace, output_dir: str) -> Path:
     key that gave the path."""
     source = "run.output_dir" if args.out is None else "--out"
     if not output_dir.strip():
-        raise ConfigError(f"{source} is empty; name an output directory")
+        raise ValueError(f"{source} is empty; name an output directory")
     out_dir = Path(output_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except (FileExistsError, NotADirectoryError) as exc:
-        raise ConfigError(
+        raise ValueError(
             f"{source} {out_dir} cannot be an output directory: {exc.strerror}"
         ) from exc
     return out_dir
@@ -161,12 +161,13 @@ def cmd_keyrate(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    attribute, _ = schema_entry(*parse_key(args.param))  # an unknown key fails here
-    if attribute == "output_dir":
-        raise ConfigError("sweep cannot vary run.output_dir: its runs write no output files")
+    section, key = parse_key(args.param)
+    param = f"{section}.{key}"  # as parsed, so a padded key writes the same rows
+    if schema_entry(section, key)[0] == "output_dir":  # an unknown key fails here
+        raise ValueError("sweep cannot vary run.output_dir: its runs write no output files")
     raw_values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not raw_values:
-        raise ConfigError("sweep needs at least one value")
+        raise ValueError("sweep needs at least one value")
     out_dir = _make_output_dir(args, _settings_from_args(args).output_dir)  # base config checked
 
     failed = 0
@@ -180,22 +181,22 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             try:
                 # unless the seed is swept, every value runs at the same base
                 # seed, so value-to-value comparisons are paired
-                settings = _settings_from_args(args, f"{args.param}={raw}")
+                settings = _settings_from_args(args, f"{param}={raw}")
                 report = run_experiment(settings)
                 _require_counts(report)
-            except (ConfigError, ValueError) as exc:
+            except ValueError as exc:
                 # a rejected value keeps its row, with no seed or metrics
-                print(f"error: {args.param}={raw}: {exc}", file=sys.stderr)
-                writer.writerow((args.param, raw, "", "", "", ""))
+                print(f"error: {param}={raw}: {exc}", file=sys.stderr)
+                writer.writerow((param, raw, "", "", "", ""))
                 failed += 1
             else:
                 vis = f"{report.global_mean_visibility:.6f}"
                 writer.writerow((
-                    args.param, raw, settings.seed, vis,
+                    param, raw, settings.seed, vis,
                     f"{report.mean_calib_visibility:.6f}",
                     f"{report.fraction_delays_at_least(VISIBILITY_TARGET):.6f}",
                 ))
-                print(f"{args.param}={raw}: global mean visibility {vis}")
+                print(f"{param}={raw}: global mean visibility {vis}")
             handle.flush()
     print(f"sweep results written to {out_dir / 'sweep.csv'}")
     return EXIT_USAGE if failed else EXIT_OK
@@ -207,7 +208,7 @@ def main(argv: list[str] | None = None) -> int:
     handlers = {"run": cmd_run, "keyrate": cmd_keyrate, "sweep": cmd_sweep}
     try:
         return handlers[args.command](args)
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # runtime fault: report, do not traceback-spam

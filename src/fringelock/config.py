@@ -2,11 +2,12 @@
 
 The on-disk format is a plain sections-of-key=value file (configparser
 syntax), one section per subsystem. The schema is derived from the config
-dataclasses: each section holds the scalar fields of the one ``RunSettings``
-subtree ``SECTIONS`` pairs it with, and each field's type picks its parser and
-its echo format; every setting, the output directory too, is a field of that
-tree. Every run echoes its effective configuration back into the output
-directory; reloading that echo reproduces the run byte for byte.
+dataclasses: each section holds the scalar fields of the ``RunSettings``
+subtree ``SECTIONS`` pairs it with, and each field's type picks its parser
+and echo format; every setting, the output directory too, is such a field.
+Every run echoes its effective configuration into the output directory, and
+reloading that echo reproduces the run byte for byte. A bad key, value or
+configuration raises a plain ``ValueError``: no exception class of its own.
 """
 
 from __future__ import annotations
@@ -19,10 +20,6 @@ from pathlib import Path
 from typing import get_type_hints
 
 from .controller import RunSettings
-
-
-class ConfigError(ValueError):
-    """Unknown key, malformed value, or inconsistent configuration."""
 
 
 #: (INI section, attribute path in RunSettings whose scalar fields it holds).
@@ -43,13 +40,13 @@ def _parse_bool(text: str) -> bool:
         return True
     if lowered in ("false", "no", "off", "0"):
         return False
-    raise ConfigError(f"expected a boolean, got {text!r}")
+    raise ValueError(f"expected a boolean, got {text!r}")
 
 
 def _parse_float(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
-        raise ConfigError(f"expected a finite number, got {text!r}")
+        raise ValueError(f"expected a finite number, got {text!r}")
     return value
 
 
@@ -86,10 +83,6 @@ def _derive_schema() -> dict[tuple[str, str], tuple[str, object]]:
 SCHEMA = _derive_schema()
 
 
-def _values_from(settings: RunSettings) -> dict[str, object]:
-    return {path: attrgetter(path)(settings) for path, _ in SCHEMA.values()}
-
-
 def _build(cls: type, path: str, values: dict[str, object]):
     hints = get_type_hints(cls)
     kwargs = {}
@@ -102,41 +95,39 @@ def _build(cls: type, path: str, values: dict[str, object]):
 
 def load_config(path: str | Path | None = None, overrides: list[str] | None = None) -> RunSettings:
     """Effective configuration: defaults, then file, then --set overrides."""
-    values = _values_from(RunSettings())
+    defaults = RunSettings()
+    values = {attr: attrgetter(attr)(defaults) for attr, _ in SCHEMA.values()}
     if path is not None:
         parser = configparser.ConfigParser(interpolation=None)
         try:
             read = parser.read(str(path))
         except (configparser.Error, UnicodeDecodeError) as exc:
-            raise ConfigError(f"malformed config file {path}: {exc}") from exc
+            raise ValueError(f"malformed config file {path}: {exc}") from exc
         if not read:
-            raise ConfigError(f"cannot read config file {path}")
+            raise ValueError(f"cannot read config file {path}")
         for section in parser.sections():
             for key, raw in parser.items(section):
                 _set_value(values, section, key, raw)
     for item in overrides or []:
         if "=" not in item:
-            raise ConfigError(f"override must look like section.key=value, got {item!r}")
+            raise ValueError(f"override must look like section.key=value, got {item!r}")
         dotted, raw = item.split("=", 1)
         _set_value(values, *parse_key(dotted), raw.strip())
-    try:
-        return _build(RunSettings, "", values)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return _build(RunSettings, "", values)
 
 
 def parse_key(dotted: str) -> tuple[str, str]:
     """``(section, key)`` of a dotted key (``--set``, ``sweep --param``), stripped."""
     section, dot, key = dotted.partition(".")
     if not dot:
-        raise ConfigError(f"a configuration key must look like section.key, got {dotted!r}")
+        raise ValueError(f"a configuration key must look like section.key, got {dotted!r}")
     return section.strip(), key.strip()
 
 
 def schema_entry(section: str, key: str) -> tuple[str, object]:
     """``SCHEMA``'s (attribute path, field type) of a key; an unknown key raises."""
     if (section, key) not in SCHEMA:
-        raise ConfigError(f"unknown configuration key [{section}] {key}")
+        raise ValueError(f"unknown configuration key [{section}] {key}")
     return SCHEMA[(section, key)]
 
 
@@ -145,7 +136,7 @@ def _set_value(values: dict, section: str, key: str, raw: str) -> None:
     try:
         values[path] = _PARSE_BY_TYPE[kind](raw)
     except ValueError as exc:
-        raise ConfigError(f"bad value for [{section}] {key}: {raw!r} ({exc})") from exc
+        raise ValueError(f"bad value for [{section}] {key}: {raw!r} ({exc})") from exc
 
 
 def _format_value(value: object) -> str:
@@ -160,11 +151,10 @@ def _format_value(value: object) -> str:
 
 def write_config(settings: RunSettings, path: str | Path) -> None:
     """Echo the effective configuration; reloading it reproduces the run."""
-    values = _values_from(settings)
     parser = configparser.ConfigParser(interpolation=None)
     for (section, key), (attr, _) in SCHEMA.items():
         if not parser.has_section(section):
             parser.add_section(section)
-        parser.set(section, key, _format_value(values[attr]))
+        parser.set(section, key, _format_value(attrgetter(attr)(settings)))
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         parser.write(handle)

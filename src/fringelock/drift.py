@@ -13,13 +13,13 @@ were tuned so that an uncompensated path degrades visibly within one second
 while the 1 Hz recalibration holds the long-run visibility target (see
 README, "Drift defaults").
 
-Every draw takes one laser normal, then 128 path normals, per window,
-and every advance writes its end state. ``advance`` moves the state over
-one span of any length (idle time, the pad of a permutation slot);
-``advance_windows`` over the QKD stage's equal windows on varying delays;
-``delay_drift`` over a run of equal windows on one delay (a calibration
-slot, which ``Plant.counter`` spends whole whether or not its search
-counts every window).
+Every draw takes one laser normal, then 128 path normals, per window, and
+every advance that returns writes its end state. ``advance`` moves the
+state over one span of any length (idle time, the pad of a permutation
+slot); ``advance_windows`` over the QKD stage's equal windows on varying
+delays; ``delay_drift`` over a calibration slot's equal windows on one
+delay. The last two raise ``non_finite_phase`` at the first true phase that
+is not finite, as ``true_phase`` does, so no phase they return is NaN.
 """
 
 from __future__ import annotations
@@ -208,14 +208,14 @@ def delay_drift(
     read on delay ``index`` (a calibration slot, or a single window).
 
     Returns the canonical true phase of delay ``index`` at the start of each
-    window, NaN where it is not finite (the reader raises
-    ``non_finite_phase``). Phases, final state and stream position are
-    bit-identical to calling ``true_phase`` and then ``advance`` once per
-    window: one ``(windows, 129)`` block of normals in ``advance``'s draw
-    order, the OU recursion and the delay's own walk on Python floats in
-    ``advance``'s and ``true_phase``'s operation order, and the walks summed
-    down the block from the state, which NumPy does row by row like repeated
-    ``+=``. For a few dozen windows this costs less than
+    window, never NaN: the first that is not finite raises
+    ``non_finite_phase``, the state unwritten. Phases, final state and
+    stream position are bit-identical to calling ``true_phase`` and then
+    ``advance`` once per window: one ``(windows, 129)`` block of normals in
+    ``advance``'s draw order, the OU recursion and the delay's own walk on
+    Python floats in ``advance``'s and ``true_phase``'s operation order, and
+    the walks summed down the block from the state, which NumPy does row by
+    row like repeated ``+=``. For a few dozen windows this costs less than
     ``advance_windows``' vectorised gather.
     """
     decay, laser_step, walk_step = _window_law(dt, cfg)
@@ -230,7 +230,9 @@ def delay_drift(
     phases = []
     for z, z_walk in zip(normals[:, 0].tolist(), normals[:, index + 1].tolist()):
         phase = offset + walk + gain * eps
-        phases.append(canonical_phase(phase) if math.isfinite(phase) else math.nan)
+        if not math.isfinite(phase):
+            raise non_finite_phase(index)
+        phases.append(canonical_phase(phase))
         eps = eps * decay + laser_step * z
         walk = walk + walk_step * z_walk
     state.laser_eps = eps

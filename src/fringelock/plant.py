@@ -2,17 +2,16 @@
 
 Composes the drift engine, the modulator chain and the detectors into one
 object. Delays are indices 0..127; any other index raises ``ValueError``
-before a draw. ``counter(delay_index, window_us, windows)`` spends a run of
-equal windows on one delay (a calibration slot) when it is called: it draws
-the run's drift in one block (``drift.delay_drift``) and moves the clock
-past every window. It returns ``count(code) -> (c1, c2)``, which reads the
-next window's phase and draws that window's counts; windows that are never
-counted (an aborted search) are dark time, as on the FPGA (drift stream
-v1.1). The calibration search counts once per step, because a step's code
-can depend on the counts of the steps before it. ``count`` binds the config's DAC
-transfer, contrast and detector terms and computes a window with the arithmetic of
-``voltage_to_phase(dac_to_voltage(code))`` (the reference model's),
-``port_intensities`` and ``sample_counts``, in their operation order.
+before a draw. ``counter(delay_index, window_us, windows)`` spends a
+calibration slot's run of equal windows when it is called and returns
+``count(code) -> (c1, c2)``, which counts the next of them; windows that are
+never counted (an aborted search) are dark time, as on the FPGA (drift
+stream v1.1). The search counts once per step, because a step's code can
+depend on the counts of the steps before it. ``count`` reads phases only: a
+non-finite drift raises in ``drift.delay_drift`` when the slot is spent.
+It binds the DAC, contrast and detector terms and computes a window with
+the arithmetic of ``voltage_to_phase(dac_to_voltage(code))`` (the reference
+model's), ``port_intensities`` and ``sample_counts``, in their operation order.
 ``measure(delay_index, code, window_us)`` counts one window the same way.
 ``measure_slots(index, codes, window_us) -> (c1, c2)`` integrates a whole
 run of equal windows whose delays and codes are known in advance (the QKD
@@ -116,10 +115,10 @@ class Plant:
         self, delay_index: int, window_us: int, windows: int
     ) -> Callable[[int], tuple[int, int]]:
         """Spend ``windows`` windows of ``window_us`` on delay
-        ``delay_index``: draw their drift in one block and move the clock
-        past them all. Return ``count(code) -> (c1, c2)``, which integrates
-        the next of them at DAC code ``code``; the windows it never counts
-        are dark time.
+        ``delay_index``: draw their drift in one block, which raises on a
+        non-finite phase, and move the clock past them all. Return
+        ``count(code) -> (c1, c2)``, which integrates the next of them at
+        DAC code ``code``; the windows it never counts are dark time.
 
         The drift is piecewise-constant within a window (windows are short
         against the drift timescales): the phase is evaluated at the window
@@ -149,8 +148,6 @@ class Plant:
             if used == windows or self.elapsed_us != end:
                 raise ValueError(f"no window left in this run of delay {delay_index}")
             alpha = phases[used]
-            if alpha != alpha:  # NaN: the true phase is not finite
-                raise drift_mod.non_finite_phase(delay_index)
             if not 0 <= code <= max_code:
                 raise ValueError(f"DAC code {code} out of range for {pm.dac_bits}-bit converter")
             # the reference model's voltage_to_phase(dac_to_voltage(code)),

@@ -486,6 +486,22 @@ class TestSweepCommand:
         err = capsys.readouterr().err
         assert "detector.input_rate=0: no QKD slot counted a photon" in err
 
+    def test_padded_parameter_writes_the_parsed_key(self, tmp_path, monkeypatch, capsys):
+        # the padding around the dot is stripped, so a padded key runs the
+        # same sweep and writes the same file, stdout and stderr
+        outputs = []
+        for run, param in enumerate(["drift.path_walk_sigma", " drift . path_walk_sigma "]):
+            (tmp_path / str(run)).mkdir()
+            monkeypatch.chdir(tmp_path / str(run))
+            assert main([
+                "sweep", "--param", param, "--values", "0.01,-1",
+                "--seconds", "1", "--seed", "3", "--out", "s",
+            ]) == 2
+            captured = capsys.readouterr()
+            outputs.append((Path("s", "sweep.csv").read_bytes(), captured.out, captured.err))
+        assert outputs[1] == outputs[0]
+        assert outputs[0][0].splitlines()[1].startswith(b"drift.path_walk_sigma,0.01,3,")
+
     def test_output_path_blocked_by_a_file_exits_2(self, tmp_path, capsys):
         blocker = tmp_path / "afile"
         blocker.write_text("kept\n")

@@ -6,11 +6,16 @@ from hypothesis import HealthCheck, given, reject, settings
 from hypothesis import strategies as st
 
 from fringelock.cli import main
-from fringelock.config import SCHEMA, ConfigError, load_config, write_config
+from fringelock.config import SCHEMA, load_config, write_config
 from fringelock.controller import MODES, RunSettings
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 FLOAT_TYPES = (float, str | tuple[float, ...])
+
+
+def exactly(message: str) -> str:
+    """A ``pytest.raises`` pattern that matches ``message`` and nothing more."""
+    return f"^{re.escape(message)}$"
 
 
 class TestLoadConfig:
@@ -41,20 +46,25 @@ class TestLoadConfig:
         assert settings.plant.pm.v_pi == 3.5
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError, match=exactly("unknown configuration key [run] bogus")):
             load_config(None, overrides=["run.bogus=1"])
 
     def test_bad_value_rejected(self):
-        with pytest.raises(ConfigError):
+        message = (
+            "bad value for [run] seconds: 'soon' (invalid literal for int() with base 10: 'soon')"
+        )
+        with pytest.raises(ValueError, match=exactly(message)):
             load_config(None, overrides=["run.seconds=soon"])
 
     def test_bad_mode_rejected(self):
-        with pytest.raises(ConfigError):
+        message = "mode must be one of ('closed-loop', 'open-loop'), got 'sideways'"
+        with pytest.raises(ValueError, match=exactly(message)):
             load_config(None, overrides=["run.mode=sideways"])
 
     def test_missing_file_rejected(self, tmp_path):
-        with pytest.raises(ConfigError):
-            load_config(tmp_path / "absent.ini")
+        path = tmp_path / "absent.ini"
+        with pytest.raises(ValueError, match=exactly(f"cannot read config file {path}")):
+            load_config(path)
 
     def test_inconsistent_config_rejected(self):
         # 23 steps of 200 us overrun the 2500 us permutation slot
@@ -62,7 +72,7 @@ class TestLoadConfig:
             "23 calibration steps of calibration.step_window_us = 200 us take 4600 us, "
             "more than the schedule.perm_slot_us = 2500 us permutation slot"
         )
-        with pytest.raises(ConfigError, match=re.escape(message)):
+        with pytest.raises(ValueError, match=re.escape(message)):
             load_config(None, overrides=["calibration.step_window_us=200"])
 
     def test_offsets_accept_random_or_list(self):
@@ -109,7 +119,7 @@ class TestValueErrors:
     def test_non_finite_float_rejected_naming_the_key(self, section, key, bad):
         kind = SCHEMA[(section, key)][1]
         raw = bad if kind is float else ",".join(["0.5"] * 127 + [bad])
-        with pytest.raises(ConfigError, match=re.escape(f"[{section}] {key}")):
+        with pytest.raises(ValueError, match=re.escape(f"[{section}] {key}")):
             load_config(None, overrides=[f"{section}.{key}={raw}"])
 
     @pytest.mark.parametrize(
@@ -118,7 +128,7 @@ class TestValueErrors:
     )
     def test_parse_errors_name_the_key(self, override):
         section, key = override.split("=")[0].split(".")
-        with pytest.raises(ConfigError, match=re.escape(f"[{section}] {key}")):
+        with pytest.raises(ValueError, match=re.escape(f"[{section}] {key}")):
             load_config(None, overrides=[override])
 
 
@@ -232,7 +242,7 @@ class TestAcceptedConfigsRun:
         # rejected with a message, never crash
         try:
             load_config(None, overrides)
-        except ConfigError:
+        except ValueError:
             reject()
         out = tmp_path_factory.mktemp("run")
         sets = [arg for item in overrides for arg in ("--set", item)]

@@ -23,7 +23,7 @@ from fringelock.hardware import NUM_DELAYS, DetectorConfig, PmConfig
 from fringelock.plant import Plant, PlantConfig
 
 from conftest import zero_noise_settings
-from reference_model import Stepper, assert_same_plant, qkd_stage, stabilization_stage
+from reference_model import Stepper, assert_same_plant, calibration, qkd_stage, stabilization_stage
 
 
 class TestFrameSchedule:
@@ -186,7 +186,7 @@ class TestPrefetchedStabilizationStage:
             if expect == "wraps":
                 assert "wrap" in events
 
-    def test_non_finite_phase_raises_at_the_same_step(self):
+    def test_non_finite_phase_raises_as_its_slot_is_spent(self):
         # a fast OU detuning near the float range: the laser term of delay 4
         # overflows at its 20th step
         plant_cfg = PlantConfig(
@@ -200,11 +200,18 @@ class TestPrefetchedStabilizationStage:
         with pytest.raises(ValueError, match="^true phase of delay 4 ") as raised:
             run_stabilization_stage(0, plant, calib_cfg, schedule, bootstrap_table(plant_cfg), [])
         assert str(raised.value) == str(expected.value)
-        # the same windows were counted, so the detector stream agrees too;
-        # the plant spent the whole slot when the search began
-        assert plant.elapsed_us == 4 * 2_500 + 23 * 100
+        # the plant raised as delay 4's slot was spent, before any window of
+        # it was counted: clock, detector stream and drift state are those
+        # of a model that ran slots 0-3 only
+        prefix = Stepper(plant_cfg, 51)
+        for index in range(4):
+            calibration(index, prefix, calib_cfg, plant_cfg.pm, [], [])
+            prefix.idle((index + 1) * schedule.perm_slot_us - prefix.elapsed_us)
+        assert plant.elapsed_us == prefix.elapsed_us == 4 * 2_500
         state = plant._rng_detector.bit_generator.state
-        assert state == reference._rng_detector.bit_generator.state
+        assert state == prefix._rng_detector.bit_generator.state
+        assert plant.state.laser_eps.hex() == prefix.state.laser_eps.hex()
+        assert plant.state.path_phases.tobytes() == prefix.state.path_phases.tobytes()
 
 
 class TestDriftStreamV11:

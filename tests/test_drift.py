@@ -170,13 +170,18 @@ class TestDelayDrift:
         assert state.path_phases.tobytes() == reference.path_phases.tobytes()
         assert rng.bit_generator.state == reference_rng.bit_generator.state
 
-    def test_non_finite_phase_comes_back_nan(self):
-        # eps is 0 in the first window; the first OU step then pushes the
-        # laser term of every delay but 0 past the float range
+    def test_non_finite_phase_raises_and_leaves_the_state(self):
+        # a tiny detuning keeps the first window finite; the first OU step
+        # then pushes the laser term of every delay but 0 past the float range
         cfg = DriftConfig(laser_ou_sigma=1e20, optical_freq_hz=1e300, static_offsets=ZERO_OFFSETS)
-        phases = delay_drift(make_state(cfg), 5, 3, 1e-4, cfg, np.random.default_rng(15))
-        assert phases[0] == 0.0
-        assert math.isnan(phases[1]) and math.isnan(phases[2])
+        state = make_state(cfg)
+        state.laser_eps = 1e-30
+        state.path_phases[:] = np.linspace(-1.0, 1.0, 128)
+        walk = state.path_phases.copy()
+        with pytest.raises(ValueError, match="^true phase of delay 5 "):
+            delay_drift(state, 5, 3, 1e-4, cfg, np.random.default_rng(15))
+        assert state.laser_eps == 1e-30
+        assert state.path_phases.tobytes() == walk.tobytes()
 
     def test_no_windows_leave_the_state(self):
         cfg = DriftConfig()

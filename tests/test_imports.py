@@ -1,8 +1,8 @@
 """Every name a package or test module imports at module level is read
 there, every function and class the package defines is read in the
 package, every helper a test module defines is read in the tests, no
-package module states an invariant with ``assert``, and none reads or sets
-a random stream's position."""
+package module states an invariant with ``assert`` or reads ``__debug__``,
+and none reads or sets a random stream's position."""
 
 import ast
 from pathlib import Path
@@ -129,10 +129,14 @@ def test_tests_read_every_helper_they_define():
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
 def test_module_has_no_assert_statement(path):
-    # python -O strips assert: an invariant must raise a real exception
+    # python -O strips assert and sets __debug__ to False: an invariant must
+    # raise a real exception, and no code may run only without -O
     tree = ast.parse(path.read_text(encoding="utf-8"))
-    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
-    assert not lines, f"{path.name} has assert statements at lines {lines}"
+    lines = [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Assert) or isinstance(node, ast.Name) and node.id == "__debug__"
+    ]
+    assert not lines, f"{path.name} has assert statements or reads __debug__ at lines {lines}"
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
