@@ -147,10 +147,9 @@ def voltage_to_code(v: float, cfg: PmConfig) -> int:
 def voltage_for_phase(phase: float, cfg: PmConfig) -> float:
     """Lowest in-span voltage whose modulator phase is ``phase`` (mod 2*pi)."""
     v = cfg.v_min + cfg.v_pi * canonical_phase(phase) / math.pi
-    if v > cfg.v_max:
-        # unreachable while the PmConfig span invariant holds
-        raise ValueError(f"no in-span voltage realizes phase {phase}")
-    return v
+    # on a span of exactly 2*v_pi a phase just under 2*pi rounds past v_max,
+    # whose phase is within rounding of 2*pi, which is 0
+    return min(cfg.v_max, v)
 
 
 def select_delay(random7: int) -> int:

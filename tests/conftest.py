@@ -11,7 +11,7 @@ from fringelock.drift import DriftConfig
 from fringelock.hardware import DetectorConfig, PmConfig
 from fringelock.plant import Plant, PlantConfig
 
-# the shared v1 model's asserts report like a test's, and survive python -O
+# the shared reference model's asserts report like a test's, and survive python -O
 pytest.register_assert_rewrite("reference_model")
 
 ZERO_OFFSETS = tuple([0.0] * 128)

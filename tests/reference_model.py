@@ -6,8 +6,7 @@ functions: ``drift.true_phase`` at the window start,
 ``hardware.sample_counts``, then one ``drift.advance``. The reference stages
 run on a ``Stepper``, choosing each step's code just before measuring it.
 They follow drift stream v1.1, where an aborted search's slot still spends
-all its step windows; the stabilisation stage keeps stream v1's abort
-policy on request. The reference trace rows are the tuples ``csv.writer``
+all its step windows. The reference trace rows are the tuples ``csv.writer``
 wrote in schema v1.
 """
 
@@ -124,12 +123,11 @@ def calibration(delay_index, stepper, cfg, pm, rows, events):
     return pt5_code, final_visibility, final_visibility >= cfg.accept_threshold
 
 
-def stabilization_stage(second, stepper, calib_cfg, schedule, previous, events, v1_aborts=False):
+def stabilization_stage(second, stepper, calib_cfg, schedule, previous, events):
     """The stabilisation stage step by step, each slot idled to its end.
     Returns the ``TABLE_ENTRY`` table and the ``CALIB_STEP`` rows, and
     appends each abort's message to ``events``. An aborted search's unused
-    step windows are idled one at a time (stream v1.1); with ``v1_aborts``
-    they fold into the pad, as stream v1 drew them."""
+    step windows are idled one at a time (stream v1.1)."""
     start_us = stepper.elapsed_us
     window_us = calib_cfg.step_window_us
     entries, rows = [], []
@@ -141,7 +139,7 @@ def stabilization_stage(second, stepper, calib_cfg, schedule, previous, events, 
         except CalibrationAborted as exc:
             events.append(str(exc))
             entries.append((previous["code"][index], math.nan, False, second))
-            while not v1_aborts and stepper.elapsed_us < slot_start + TOTAL_STEPS * window_us:
+            while stepper.elapsed_us < slot_start + TOTAL_STEPS * window_us:
                 stepper.idle(window_us)
         stepper.idle(slot_start + schedule.perm_slot_us - stepper.elapsed_us)
     stepper.idle(start_us + schedule.stab_duration_us - stepper.elapsed_us)

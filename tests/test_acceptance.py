@@ -26,13 +26,14 @@ from fringelock.hardware import (
     DetectorConfig,
     PmConfig,
     dac_to_voltage,
+    sample_counts,
     voltage_for_phase,
     voltage_to_code,
 )
 from fringelock.keyrate import binary_entropy, error_threshold
 
 from conftest import circular_diff, noiseless_plant
-from reference_model import sample_counts, voltage_to_phase
+from reference_model import voltage_to_phase
 
 SEED = 1
 

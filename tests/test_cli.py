@@ -20,6 +20,11 @@ ZERO_NOISE_OVERRIDES = [
 ]
 
 
+def _sets(*items: str) -> list[str]:
+    """``--set`` each of ``items``."""
+    return [arg for item in items for arg in ("--set", item)]
+
+
 def read_rows(path: Path) -> list[dict]:
     with open(path, newline="") as handle:
         return list(csv.DictReader(handle))
@@ -72,6 +77,43 @@ ODD_WINDOW_DIGESTS = {
 #: ./out: every key in SCHEMA's echo order, output_dir = out included.
 DEFAULT_ECHO_DIGEST = "02ea438964e2e9b3f2316d611d8f468b64b90e98341a016c71e715b69300d74d"
 
+#: (the test this row was, run arguments, the whole stderr line after "error: ")
+_REJECTED = [
+    ("test_bad_config_exits_2", _sets("run.bogus=1"), "unknown configuration key [run] bogus"),
+    ("test_non_finite_value_exits_2_naming_the_key", _sets("drift.laser_ou_sigma=nan"),
+     "bad value for [drift] laser_ou_sigma: 'nan' (expected a finite number, got 'nan')"),
+    ("test_negative_seed_exits_2_naming_the_key", ["--seed", "-1"],
+     "run.seed must be a non-negative integer, got -1"),
+    *((f"test_dac_wider_than_int64_codes_exits_2_naming_the_key-{bits}",
+       _sets(f"pm.dac_bits={bits}"), f"pm.dac_bits must be at most 63 (int64 codes), got {bits}")
+      for bits in (64, 2000)),
+    ("test_overflowing_dac_transfer_exits_2_naming_the_keys-pi-times-span",
+     _sets("pm.v_max=1e308", "pm.v_pi=1e307"),
+     "DAC transfer overflows: the span from pm.v_min = 0.0 V to pm.v_max = 1e+308 V times 65535 "
+     "codes (pm.dac_bits = 16), or times pi over pm.v_pi = 1e+307 V, is not finite"),
+    ("test_overflowing_dac_transfer_exits_2_naming_the_keys-code-times-span",
+     _sets("pm.v_min=-1e308"),
+     "DAC transfer overflows: the span from pm.v_min = -1e+308 V to pm.v_max = 10.0 V times 65535 "
+     "codes (pm.dac_bits = 16), or times pi over pm.v_pi = 4.0 V, is not finite"),
+    *((f"test_overflowing_scan_interval_exits_2_naming_the_key-{key}",
+       _sets(f"calibration.{key}=1e308"),
+       f"calibration.{key} = 1e+308 V puts scan points past the float range around the DAC span "
+       "[0.0, 10.0] V") for key in ("coarse_interval", "fine_interval")),
+    *((f"test_counts_past_int64_exit_2_naming_the_keys-{case}", _sets(*overrides),
+       f"{counts} expected counts per 100 us window exceed 2**62; lower detector.input_rate, "
+       "detector.efficiency or detector.dark_rate") for case, overrides, counts in [
+        ("input-rate", ["detector.input_rate=1e300"], "2e+295"),
+        ("input-rate-no-shot-noise", ["detector.input_rate=1e300", "detector.shot_noise=false"],
+         "2e+295"),
+        ("dark-rate", ["detector.dark_rate=1e300"], "2e+296"),
+        ("5e23-no-shot-noise", ["detector.input_rate=5e23", "detector.shot_noise=false"], "1e+19"),
+    ]),
+    # 23 steps of 109 us take 2507 us of the 2500 us permutation slot
+    ("test_slot_overrun_exits_2_naming_both_keys", _sets("calibration.step_window_us=109"),
+     "23 calibration steps of calibration.step_window_us = 109 us take 2507 us, more than the "
+     "schedule.perm_slot_us = 2500 us permutation slot"),
+]
+
 
 class TestRunCommand:
     @pytest.mark.parametrize(
@@ -107,13 +149,6 @@ class TestRunCommand:
         # stdout carries report.txt's exact text
         assert stdout == report + f"outputs written to {out}\n"
 
-    def test_identical_seed_gives_identical_bytes(self, tmp_path):
-        outs = [tmp_path / "a", tmp_path / "b"]
-        for out in outs:
-            assert main(["run", "--seconds", "1", "--seed", "11", "--out", str(out)]) == 0
-        for name in ("calib_trace.csv", "qkd_trace.csv", "per_delay_summary.csv", "report.txt"):
-            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
-
     def test_effective_config_reproduces_run(self, tmp_path):
         first = tmp_path / "first"
         assert main(["run", "--seconds", "1", "--seed", "19", "--out", str(first)]) == 0
@@ -133,10 +168,15 @@ class TestRunCommand:
         echo = (tmp_path / "out" / "effective_config.ini").read_bytes()
         assert hashlib.sha256(echo).hexdigest() == DEFAULT_ECHO_DIGEST
 
-    def test_bad_config_exits_2(self, tmp_path, capsys):
-        assert main(["run", "--set", "run.bogus=1", "--out", str(tmp_path / "x")]) == 2
-        assert capsys.readouterr().err == "error: unknown configuration key [run] bogus\n"
-        assert not (tmp_path / "x").exists()
+    @pytest.mark.parametrize(
+        "args, message", [pytest.param(*row, id=name) for name, *row in _REJECTED]
+    )
+    def test_rejected_config_exits_2(self, tmp_path, capsys, args, message):
+        # before any output: the exact message, and no output directory
+        out = tmp_path / "x"
+        assert main(["run", "--seconds", "1", "--out", str(out), *args]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("route", ["--set", "--config"])
     @pytest.mark.parametrize("key", ["calibration.ext_phases", "schedule.qkd_duration_us"])
@@ -185,12 +225,6 @@ class TestRunCommand:
         assert err.startswith("error: ") and str(path) in err
         assert not out.exists()
 
-    def test_non_finite_value_exits_2_naming_the_key(self, tmp_path, capsys):
-        out = tmp_path / "x"
-        assert main(["run", "--set", "drift.laser_ou_sigma=nan", "--out", str(out)]) == 2
-        assert "[drift] laser_ou_sigma" in capsys.readouterr().err
-        assert not out.exists()
-
     def test_non_finite_drift_phase_exits_2_naming_the_keys(self, tmp_path, capsys):
         out = tmp_path / "x"
         code = main([
@@ -200,20 +234,6 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "true phase of delay 0 (0 ns) is not finite" in err
         assert "drift.optical_freq_hz" in err
-
-    def test_negative_seed_exits_2_naming_the_key(self, tmp_path, capsys):
-        out = tmp_path / "x"
-        assert main(["run", "--seconds", "1", "--seed", "-1", "--out", str(out)]) == 2
-        assert "run.seed must be a non-negative integer, got -1" in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("bits", ["64", "2000"])
-    def test_dac_wider_than_int64_codes_exits_2_naming_the_key(self, tmp_path, capsys, bits):
-        out = tmp_path / "x"
-        code = main(["run", "--seconds", "1", "--set", f"pm.dac_bits={bits}", "--out", str(out)])
-        assert code == 2
-        assert "pm.dac_bits" in capsys.readouterr().err
-        assert not out.exists()
 
     def test_non_finite_dac_span_exits_2_naming_the_keys(self, tmp_path, capsys):
         out = tmp_path / "x"
@@ -230,52 +250,6 @@ class TestRunCommand:
             "--set", "pm.v_max=1e303", "--set", "pm.v_min=-1e303",
         ]) == 0
 
-    @pytest.mark.parametrize(
-        "overrides",
-        [["pm.v_max=1e308", "pm.v_pi=1e307"], ["pm.v_min=-1e308"]],
-        ids=["pi-times-span", "code-times-span"],
-    )
-    def test_overflowing_dac_transfer_exits_2_naming_the_keys(self, tmp_path, capsys, overrides):
-        # the first was a bare math domain error; the second ran to exit 0
-        # with every code from 2 up at v_max
-        out = tmp_path / "x"
-        sets = [arg for item in overrides for arg in ("--set", item)]
-        assert main(["run", "--seconds", "1", "--out", str(out), *sets]) == 2
-        err = capsys.readouterr().err
-        assert "DAC transfer overflows" in err
-        for key in ("pm.v_min", "pm.v_max", "pm.dac_bits"):
-            assert key in err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("key", ["coarse_interval", "fine_interval"])
-    def test_overflowing_scan_interval_exits_2_naming_the_key(self, tmp_path, capsys, key):
-        out = tmp_path / "x"
-        code = main(["run", "--seconds", "1", "--out", str(out), "--set", f"calibration.{key}=1e308"])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert f"calibration.{key} = 1e+308 V puts scan points past the float range" in err
-        assert "cannot wrap" not in err
-        assert not out.exists()
-
-    @pytest.mark.parametrize(
-        "overrides",
-        [
-            ["detector.input_rate=1e300"],
-            ["detector.input_rate=1e300", "detector.shot_noise=false"],
-            ["detector.dark_rate=1e300"],
-            ["detector.input_rate=5e23", "detector.shot_noise=false"],
-        ],
-        ids=["input-rate", "input-rate-no-shot-noise", "dark-rate", "5e23-no-shot-noise"],
-    )
-    def test_counts_past_int64_exit_2_naming_the_keys(self, tmp_path, capsys, overrides):
-        out = tmp_path / "x"
-        sets = [arg for item in overrides for arg in ("--set", item)]
-        assert main(["run", "--seconds", "1", "--out", str(out), *sets]) == 2
-        err = capsys.readouterr().err
-        for key in ("detector.input_rate", "detector.efficiency", "detector.dark_rate"):
-            assert key in err
-        assert not out.exists()
-
     @pytest.mark.parametrize("shot_noise", ["true", "false"])
     def test_counts_within_int64_still_run(self, tmp_path, shot_noise):
         # 2e18 expected counts per 100 us window, under the 2**62 limit
@@ -283,33 +257,6 @@ class TestRunCommand:
             "run", "--seconds", "1", "--out", str(tmp_path / "x"),
             "--set", "detector.input_rate=1e23", "--set", f"detector.shot_noise={shot_noise}",
         ]) == 0
-
-    def test_slot_overrun_exits_2_naming_both_keys(self, tmp_path, capsys):
-        # 23 steps of 109 us take 2507 us of the 2500 us permutation slot
-        out = tmp_path / "x"
-        code = main([
-            "run", "--seconds", "1", "--out", str(out), "--set", "calibration.step_window_us=109",
-        ])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "calibration.step_window_us = 109 us take 2507 us" in err
-        assert "schedule.perm_slot_us = 2500 us" in err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
-    @pytest.mark.parametrize("option", ["--out", "run.output_dir"])
-    def test_output_path_blocked_by_a_file_exits_2(self, tmp_path, capsys, option, under):
-        # a file where the output directory or its parent should be was a
-        # runtime fault (exit 1) from mkdir
-        blocker = tmp_path / "afile"
-        blocker.write_text("kept\n")
-        out = blocker / "sub" if under else blocker
-        args = ["--out", str(out)] if option == "--out" else ["--set", f"run.output_dir={out}"]
-        assert main(["run", "--seconds", "1", *args]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {option} {out} cannot be an output directory")
-        assert blocker.read_text() == "kept\n"
-        assert list(tmp_path.iterdir()) == [blocker]
 
     @pytest.mark.parametrize(
         "option, args",
@@ -322,6 +269,19 @@ class TestRunCommand:
         assert main(["run", "--seconds", "1", *args]) == 2
         assert capsys.readouterr().err == f"error: {option} is empty; name an output directory\n"
         assert list(tmp_path.iterdir()) == []
+
+    def test_phase_just_under_two_pi_on_an_exact_span_runs(self, tmp_path):
+        # a span of exactly 2*v_pi: a 7e-16 rad offset needs a compensation
+        # just under 2*pi, whose voltage rounds past v_max
+        out = tmp_path / "x"
+        assert main(["run", "--seconds", "1", "--out", str(out), *_sets(
+            "pm.v_min=-22.30823568083602", "pm.v_max=19.22290348673405",
+            "pm.v_pi=20.765569583785037", "pm.dac_bits=63", "detector.input_rate=1e21",
+            "detector.shot_noise=false", "detector.dark_rate=0", "drift.path_walk_sigma=0",
+            "drift.laser_ou_sigma=0", "drift.static_offsets=" + ",".join(["7e-16"] * 128),
+        )]) == 0
+        report = (out / "report.txt").read_text()
+        assert "delays with mean visibility >= 0.96: 128/128 (100.0%)" in report
 
     def test_dark_run_exits_2_and_keeps_outputs(self, tmp_path, capsys):
         out = tmp_path / "dark"
@@ -362,37 +322,25 @@ class TestKeyrateCommand:
         rate = float(out.splitlines()[0].split("=")[1])
         assert rate < 0.0
 
-    def test_domain_error_exits_2(self, capsys):
-        assert main(["keyrate", "128", "1", "1.0", "0.7"]) == 2
-        assert "error" in capsys.readouterr().err
-
-    def test_train_past_the_float_range_exits_2(self, capsys):
-        assert main(["keyrate", "1" * 401, "1", "1", "0"]) == 2
-        captured = capsys.readouterr()
-        assert "error: train length L" in captured.err
-        assert "R =" not in captured.out
-
-    @pytest.mark.parametrize("q", ["nan", "inf"])
-    def test_non_finite_q_exits_2(self, capsys, q):
-        assert main(["keyrate", "128", "1", q, "0"]) == 2
-        captured = capsys.readouterr()
-        assert "Q must be finite" in captured.err
-        assert "R =" not in captured.out
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            pytest.param(["128", "1", "1.0", "0.7"], "e_bit must lie in [0, 0.5], got 0.7",
+                         id="test_domain_error_exits_2"),
+            pytest.param(["1" * 401, "1", "1", "0"],
+                         "train length L must be at most 1.79769e+308 (a float)",
+                         id="test_train_past_the_float_range_exits_2"),
+            *(pytest.param(["128", "1", q, "0"], f"Q must be finite and >= 0, got {q}",
+                           id=f"test_non_finite_q_exits_2-{q}") for q in ("nan", "inf")),
+        ],
+    )
+    def test_rejected_input_exits_2(self, capsys, args, message):
+        # the whole message, and no rate
+        assert main(["keyrate", *args]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 class TestSweepCommand:
-    def test_zero_walk_sweep(self, tmp_path, capsys):
-        out = tmp_path / "sweep"
-        code = main([
-            "sweep", "--param", "drift.path_walk_sigma", "--values", "0",
-            "--seconds", "1", "--seed", "3", "--out", str(out),
-            *ZERO_NOISE_OVERRIDES,
-        ])
-        assert code == 0
-        rows = read_rows(out / "sweep.csv")
-        assert len(rows) == 1
-        assert rows[0]["global_mean_visibility"] == "1.000000"
-
     def test_fine_interval_noiseless_ordering(self, tmp_path):
         # a finer grid can only improve the noiseless optimum
         out = tmp_path / "sweep"
@@ -440,51 +388,39 @@ class TestSweepCommand:
         ]) == 0
         assert [r["seed"] for r in read_rows(base / "sweep.csv")] == ["5", "5"]
 
-    def test_rejected_value_keeps_the_other_rows(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "param, values, args, expected, message",
+        [
+            ("drift.path_walk_sigma", "0.02,-1,0", ["--seed", "3", *ZERO_NOISE_OVERRIDES],
+             [("0.02", "3", None), ("-1", None, None), ("0", "3", "1.000000")],
+             "drift sigmas must be >= 0"),
+            ("run.seed", "1,-1", [], [("1", "1", None), ("-1", None, None)],
+             "run.seed must be a non-negative integer, got -1"),
+            ("detector.input_rate", "0,2.5e7", ["--seed", "3", *_sets("detector.dark_rate=0")],
+             [("0", None, None), ("2.5e7", "3", None)], "no QKD slot counted a photon"),
+        ],
+        ids=["test_rejected_value_keeps_the_other_rows", "test_negative_seed_is_a_failed_row",
+             "test_dark_value_is_a_failed_row"],
+    )
+    def test_failed_value_keeps_the_other_rows(
+        self, tmp_path, capsys, param, values, args, expected, message
+    ):
+        # each expected row is (value, seed, visibility): seed None for the
+        # failed value, whose columns stay empty, visibility None for any
         out = tmp_path / "sweep"
-        code = main([
-            "sweep", "--param", "drift.path_walk_sigma", "--values", "0.02,-1,0",
-            "--seconds", "1", "--seed", "3", "--out", str(out),
-            *ZERO_NOISE_OVERRIDES,
-        ])
-        assert code == 2
-        rows = read_rows(out / "sweep.csv")
-        assert [r["value"] for r in rows] == ["0.02", "-1", "0"]
-        assert rows[0]["global_mean_visibility"] != ""
-        assert list(rows[1].values())[2:] == ["", "", "", ""]
-        assert rows[2]["global_mean_visibility"] == "1.000000"
+        argv = ["sweep", "--param", param, "--values", values, "--seconds", "1", "--out", str(out)]
+        assert main([*argv, *args]) == 2
         captured = capsys.readouterr()
-        assert "drift.path_walk_sigma=-1: drift sigmas must be >= 0" in captured.err
-        assert "drift.path_walk_sigma=0.02: global mean visibility" in captured.out
-
-    def test_negative_seed_is_a_failed_row(self, tmp_path, capsys):
-        out = tmp_path / "sweep"
-        code = main([
-            "sweep", "--param", "run.seed", "--values", "1,-1",
-            "--seconds", "1", "--out", str(out),
-        ])
-        assert code == 2
         rows = read_rows(out / "sweep.csv")
-        assert [r["value"] for r in rows] == ["1", "-1"]
-        assert rows[0]["seed"] == "1" and rows[0]["global_mean_visibility"] != ""
-        assert list(rows[1].values())[2:] == ["", "", "", ""]
-        err = capsys.readouterr().err
-        assert "run.seed=-1: run.seed must be a non-negative integer, got -1" in err
-
-    def test_dark_value_is_a_failed_row(self, tmp_path, capsys):
-        out = tmp_path / "sweep"
-        code = main([
-            "sweep", "--param", "detector.input_rate", "--values", "0,2.5e7",
-            "--seconds", "1", "--seed", "3", "--out", str(out),
-            "--set", "detector.dark_rate=0",
-        ])
-        assert code == 2
-        rows = read_rows(out / "sweep.csv")
-        assert [r["value"] for r in rows] == ["0", "2.5e7"]
-        assert list(rows[0].values())[2:] == ["", "", "", ""]
-        assert rows[1]["global_mean_visibility"] != ""
-        err = capsys.readouterr().err
-        assert "detector.input_rate=0: no QKD slot counted a photon" in err
+        assert [r["value"] for r in rows] == [value for value, _, _ in expected]
+        for row, (value, seed, visibility) in zip(rows, expected):
+            if seed is None:
+                assert list(row.values())[2:] == ["", "", "", ""]
+                assert f"{param}={value}: {message}" in captured.err
+            else:
+                assert row["seed"] == seed and row["global_mean_visibility"] != ""
+                assert visibility in (None, row["global_mean_visibility"])
+                assert f"{param}={value}: global mean visibility" in captured.out
 
     def test_padded_parameter_writes_the_parsed_key(self, tmp_path, monkeypatch, capsys):
         # the padding around the dot is stripped, so a padded key runs the
@@ -501,19 +437,6 @@ class TestSweepCommand:
             outputs.append((Path("s", "sweep.csv").read_bytes(), captured.out, captured.err))
         assert outputs[1] == outputs[0]
         assert outputs[0][0].splitlines()[1].startswith(b"drift.path_walk_sigma,0.01,3,")
-
-    def test_output_path_blocked_by_a_file_exits_2(self, tmp_path, capsys):
-        blocker = tmp_path / "afile"
-        blocker.write_text("kept\n")
-        code = main([
-            "sweep", "--param", "drift.path_walk_sigma", "--values", "0.01",
-            "--seconds", "1", "--out", str(blocker),
-        ])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: --out {blocker} cannot be an output directory")
-        assert blocker.read_text() == "kept\n"
-        assert list(tmp_path.iterdir()) == [blocker]
 
     def test_unknown_parameter_exits_2(self, tmp_path, capsys):
         # one message for the key, not one per value, and no output directory
@@ -538,6 +461,32 @@ class TestSweepCommand:
         assert "run.output_dir" in captured.err
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "command, option, under",
+    [
+        (["run"], "--out", False),
+        (["run"], "--out", True),
+        (["run"], "run.output_dir", False),
+        (["run"], "run.output_dir", True),
+        (["sweep", "--param", "drift.path_walk_sigma", "--values", "0.01"], "--out", False),
+    ],
+    ids=["run---out-file", "run---out-under-file", "run-run.output_dir-file",
+         "run-run.output_dir-under-file", "sweep---out-file"],
+)
+def test_output_path_blocked_by_a_file_exits_2(tmp_path, capsys, command, option, under):
+    # a file where the output directory or its parent should be is a usage
+    # error, not a runtime fault from mkdir
+    blocker = tmp_path / "afile"
+    blocker.write_text("kept\n")
+    out = blocker / "sub" if under else blocker
+    args = ["--out", str(out)] if option == "--out" else _sets(f"run.output_dir={out}")
+    assert main([*command, "--seconds", "1", *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {option} {out} cannot be an output directory")
+    assert blocker.read_text() == "kept\n"
+    assert list(tmp_path.iterdir()) == [blocker]
 
 
 REPO_ROOT = Path(__file__).resolve().parents[1]

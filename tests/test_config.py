@@ -2,7 +2,7 @@ import re
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, reject, settings
+from hypothesis import HealthCheck, example, given, reject, settings
 from hypothesis import strategies as st
 
 from fringelock.cli import main
@@ -45,10 +45,6 @@ class TestLoadConfig:
         assert settings.seconds == 9
         assert settings.plant.pm.v_pi == 3.5
 
-    def test_unknown_key_rejected(self):
-        with pytest.raises(ValueError, match=exactly("unknown configuration key [run] bogus")):
-            load_config(None, overrides=["run.bogus=1"])
-
     def test_bad_value_rejected(self):
         message = (
             "bad value for [run] seconds: 'soon' (invalid literal for int() with base 10: 'soon')"
@@ -81,34 +77,6 @@ class TestLoadConfig:
         explicit = ",".join(["0.5"] * 128)
         settings = load_config(None, overrides=[f"drift.static_offsets={explicit}"])
         assert settings.plant.drift.static_offsets == tuple([0.5] * 128)
-
-
-class TestRoundTrip:
-    def test_write_then_load_reproduces_settings(self, tmp_path):
-        settings = load_config(
-            None,
-            overrides=[
-                "run.seconds=7",
-                "run.seed=123",
-                "drift.laser_ou_sigma=3.3e-09",
-                "detector.shot_noise=false",
-                "calibration.fine_interval=0.0125",
-                "run.output_dir=outdir",
-            ],
-        )
-        echo = tmp_path / "echo.ini"
-        write_config(settings, echo)
-        reloaded = load_config(echo)
-        assert reloaded == settings
-        assert reloaded.output_dir == "outdir"
-
-    def test_explicit_offsets_round_trip(self, tmp_path):
-        offsets = ",".join(str(0.01 * i) for i in range(128))
-        settings = load_config(None, overrides=[f"drift.static_offsets={offsets}"])
-        echo = tmp_path / "echo.ini"
-        write_config(settings, echo)
-        reloaded = load_config(echo)
-        assert reloaded.plant.drift.static_offsets == settings.plant.drift.static_offsets
 
 
 class TestValueErrors:
@@ -207,6 +175,11 @@ class TestRoundTripProperty:
 
     @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(overrides=schema_overrides())
+    @example(overrides=[
+        "run.seconds=7", "run.seed=123", "drift.laser_ou_sigma=3.3e-09",
+        "detector.shot_noise=false", "calibration.fine_interval=0.0125", "run.output_dir=outdir",
+    ])
+    @example(overrides=["drift.static_offsets=" + ",".join(str(0.01 * i) for i in range(128))])
     def test_echo_reloads_to_equal_settings_and_bytes(self, tmp_path, overrides):
         loaded = load_config(None, overrides)
         first, second = tmp_path / "first.ini", tmp_path / "second.ini"

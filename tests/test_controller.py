@@ -1,8 +1,9 @@
+import math
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from scipy.stats import ks_2samp
+from scipy.stats import kstest
 
 from fringelock import controller
 from fringelock.calibration import CALIB_STEP, CalibrationConfig
@@ -126,7 +127,7 @@ _NO_SHOT_NOISE = PlantConfig(detector=DetectorConfig(shot_noise=False))
 _RAILS = PlantConfig(pm=PmConfig(v_max=8.0, v_pi=4.0))
 
 
-class TestPrefetchedStabilizationStage:
+class TestStabilizationStageAgainstModel:
     """``run_stabilization_stage`` against the step-by-step stage, bit for bit."""
 
     @pytest.mark.parametrize(
@@ -214,31 +215,24 @@ class TestPrefetchedStabilizationStage:
         assert plant.state.path_phases.tobytes() == prefix.state.path_phases.tobytes()
 
 
-class TestDriftStreamV11:
-    """Stream v1.1 spends an aborted search's unused step windows where v1
-    folded them into the slot's pad: the same drift law, drawn in other
-    chunks."""
-
-    def test_aborted_slots_keep_the_drift_law(self):
-        # a dark plant aborts every search at step 1: v1 draws a window and a
-        # 2400 us pad per slot, v1.1 23 windows and a 200 us pad. One stage on
-        # disjoint seed pools; KS p-values of the end-of-stage walk (64 x 128
-        # values) and detuning (64), each bound at 1e-3. On 500 fresh pairs
-        # of v1 pools neither p-value fell to the bound (4 walk p-values fell
-        # to 1e-2); here both are about 0.55
-        calib_cfg, schedule, pool = CalibrationConfig(), FrameSchedule(), range(64)
-        v1, v1_1 = [], []
-        for seed in pool:
-            reference = Stepper(_DARK, seed)
-            stabilization_stage(
-                0, reference, calib_cfg, schedule, bootstrap_table(_DARK), [], v1_aborts=True
-            )
-            v1.append(reference.state)
-            plant = Plant(_DARK, len(pool) + seed)
+class TestDriftLaw:
+    def test_dark_stage_follows_the_drift_law(self):
+        # a dark plant aborts every search at step 1, so each slot spends 23
+        # uncounted windows, then its pad. However a stage chunks T = 0.34 s,
+        # each walk ends N(0, sigma_w^2 T) and the detuning, from 0,
+        # N(0, sigma^2 (1 - e^(-2T/tau))): the OU step is exact. 32 seeds;
+        # KS p-values of the walk (32 x 128 values) and detuning, bound at 1e-3
+        calib_cfg, schedule, drift = CalibrationConfig(), FrameSchedule(), _DARK.drift
+        walks, detunings = [], []
+        for seed in range(32):
+            plant = Plant(_DARK, seed)
             run_stabilization_stage(0, plant, calib_cfg, schedule, bootstrap_table(_DARK), [])
-            v1_1.append(plant.state)
-        walk = ks_2samp(*(np.concatenate([s.path_phases for s in v]) for v in (v1, v1_1)))
-        detuning = ks_2samp(*([s.laser_eps for s in v] for v in (v1, v1_1)))
+            walks.extend(plant.state.path_phases.tolist())
+            detunings.append(plant.state.laser_eps)
+        t = schedule.stab_duration_us * 1e-6
+        walk = kstest(np.array(walks) / (drift.path_walk_sigma * math.sqrt(t)), "norm")
+        ou_sd = drift.laser_ou_sigma * math.sqrt(-math.expm1(-2.0 * t / drift.laser_ou_tau))
+        detuning = kstest(np.array(detunings) / ou_sd, "norm")
         assert walk.pvalue > 1e-3 and detuning.pvalue > 1e-3, (walk, detuning)
 
 
@@ -279,16 +273,6 @@ class TestQkdStage:
         assert len(slots) == 6600
         assert not slots["c1"].any() and not slots["c2"].any()
         assert np.isnan(slots["visibility"]).all()
-
-    def test_delay_draws_are_uniform_chi_square(self):
-        # the exact stream run_experiment(seed=0) consumes; statistic frozen
-        _, delay_ss = np.random.SeedSequence(0).spawn(2)
-        draws = np.random.default_rng(delay_ss).integers(0, 128, size=128_000)
-        counts = np.bincount(draws, minlength=128)
-        expected = draws.size / 128
-        stat = float(((counts - expected) ** 2 / expected).sum())
-        assert stat == pytest.approx(125.926, abs=1e-3)
-        assert stat < 181.993  # chi-square critical value, p=0.001, 127 dof
 
 
 class TestBatchedQkdStage:

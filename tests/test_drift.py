@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import kstest
 
 from fringelock.drift import (
     DriftConfig,
@@ -30,37 +31,25 @@ class TestAdvance:
         assert state.laser_eps == 0.0
         assert np.all(state.path_phases == 0.0)
 
-    def test_walk_increment_std(self):
-        cfg = DriftConfig(laser_ou_sigma=0.0, path_walk_sigma=0.1, static_offsets=ZERO_OFFSETS)
-        state = make_state(cfg)
-        rng = np.random.default_rng(2)
-        snapshots = [state.path_phases.copy()]
-        for _ in range(1000):
-            advance(state, 1.0, cfg, rng)
-            snapshots.append(state.path_phases.copy())
-        increments = np.diff(np.array(snapshots), axis=0).ravel()  # 128000 draws
-        assert abs(increments.std() - 0.1) / 0.1 < 0.02
-
-    def test_ou_stationary_std(self):
-        sigma = 3.0e-9
-        cfg = DriftConfig(
-            laser_ou_sigma=sigma, laser_ou_tau=10.0, path_walk_sigma=0.0,
-            static_offsets=ZERO_OFFSETS,
-        )
-        state = make_state(cfg)
-        rng = np.random.default_rng(3)
-        samples = np.empty(200_000)
-        for i in range(samples.size):
-            advance(state, 1.0, cfg, rng)
-            samples[i] = state.laser_eps
-        # discard the transient from eps(0) = 0
-        assert abs(samples[1000:].std() - sigma) / sigma < 0.03
-
-    def test_invalid_dt(self):
+    def test_single_steps_follow_the_exact_transition(self):
+        # over dt the detuning moves to N(eps e^(-dt/tau), sigma^2 (1 - e^(-2 dt/tau)))
+        # (Gillespie, Phys. Rev. E 54, 2084 (1996)) and a walk by N(0, sigma_w^2 dt):
+        # z-scores of 20 000 steps of a window, a stage, a second and tau, one
+        # path's walk per step; KS p-values bound at 1e-3
         cfg = DriftConfig(static_offsets=ZERO_OFFSETS)
         state = make_state(cfg)
-        with pytest.raises(ValueError):
-            advance(state, 0.0, cfg, np.random.default_rng(4))
+        rng = np.random.default_rng(2)
+        law = []
+        for k, dt in enumerate(np.resize([1e-4, 0.34, 1.0, 30.0], 20_000).tolist()):
+            eps, walk = state.laser_eps, state.path_phases[k % 128]
+            advance(state, dt, cfg, rng)
+            decay = math.exp(-dt / cfg.laser_ou_tau)
+            law.append((
+                (state.laser_eps - eps * decay) / (cfg.laser_ou_sigma * math.sqrt(1.0 - decay**2)),
+                (state.path_phases[k % 128] - walk) / (cfg.path_walk_sigma * math.sqrt(dt)),
+            ))
+        detuning, walks = (kstest(z, "norm") for z in zip(*law))
+        assert detuning.pvalue > 1e-3 and walks.pvalue > 1e-3, (detuning, walks)
 
     def test_determinism(self):
         cfg = DriftConfig()
@@ -130,21 +119,6 @@ class TestAdvanceWindows:
         assert state.path_phases.tobytes() == reference.path_phases.tobytes()
         assert rng.bit_generator.state == reference_rng.bit_generator.state
 
-    def test_no_windows_leave_the_state(self):
-        cfg = DriftConfig()
-        state = make_state(cfg)
-        rng = np.random.default_rng(10)
-        before = rng.bit_generator.state
-        assert advance_windows(state, np.zeros(0, dtype=np.int64), 1e-4, cfg, rng).size == 0
-        assert state.laser_eps == 0.0 and not state.path_phases.any()
-        assert rng.bit_generator.state == before
-
-    def test_invalid_dt(self):
-        cfg = DriftConfig(static_offsets=ZERO_OFFSETS)
-        with pytest.raises(ValueError):
-            advance_windows(make_state(cfg), np.zeros(3, dtype=np.int64), 0.0, cfg,
-                            np.random.default_rng(11))
-
 
 class TestDelayDrift:
     @pytest.mark.parametrize(
@@ -183,17 +157,39 @@ class TestDelayDrift:
         assert state.laser_eps == 1e-30
         assert state.path_phases.tobytes() == walk.tobytes()
 
-    def test_no_windows_leave_the_state(self):
-        cfg = DriftConfig()
-        state = make_state(cfg)
-        rng = np.random.default_rng(16)
-        before = rng.bit_generator.state
-        assert delay_drift(state, 3, 0, 1e-4, cfg, rng) == []
-        assert state.laser_eps == 0.0 and not state.path_phases.any()
-        assert rng.bit_generator.state == before
 
-    def test_invalid_dt(self):
-        cfg = DriftConfig(static_offsets=ZERO_OFFSETS)
-        for windows in (3, 0):
-            with pytest.raises(ValueError, match="dt must be positive"):
-                delay_drift(make_state(cfg), 0, windows, 0.0, cfg, np.random.default_rng(17))
+@pytest.mark.parametrize(
+    "read, seed",
+    [
+        (lambda state, cfg, rng: advance(state, 0.0, cfg, rng), 4),
+        (lambda state, cfg, rng: advance_windows(state, np.zeros(3, dtype=np.int64), 0.0, cfg, rng),
+         11),
+        (lambda state, cfg, rng: delay_drift(state, 0, 3, 0.0, cfg, rng), 17),
+        (lambda state, cfg, rng: delay_drift(state, 0, 0, 0.0, cfg, rng), 17),
+    ],
+    ids=["advance", "advance_windows", "delay_drift-3", "delay_drift-0"],
+)
+def test_invalid_dt(read, seed):
+    cfg = DriftConfig(static_offsets=ZERO_OFFSETS)
+    with pytest.raises(ValueError, match="dt must be positive"):
+        read(make_state(cfg), cfg, np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize(
+    "read, seed, empty",
+    [
+        (lambda state, cfg, rng: advance_windows(state, np.zeros(0, np.int64), 1e-4, cfg, rng),
+         10, np.zeros(0)),
+        (lambda state, cfg, rng: delay_drift(state, 3, 0, 1e-4, cfg, rng), 16, []),
+    ],
+    ids=["advance_windows", "delay_drift"],
+)
+def test_no_windows_leave_the_state(read, seed, empty):
+    cfg = DriftConfig()
+    state = make_state(cfg)
+    rng = np.random.default_rng(seed)
+    before = rng.bit_generator.state
+    phases = read(state, cfg, rng)
+    assert type(phases) is type(empty) and len(phases) == 0
+    assert state.laser_eps == 0.0 and not state.path_phases.any()
+    assert rng.bit_generator.state == before

@@ -18,11 +18,13 @@ from fringelock.hardware import (
     voltage_for_phase,
     voltage_to_code,
 )
-from fringelock.optics import canonical_phase
+from fringelock.optics import TWO_PI, canonical_phase
 
+from conftest import pm_configs
 from reference_model import voltage_to_phase
 
 PM = PmConfig()
+_EXACT_SPAN = PmConfig(v_min=-22.30823568083602, v_max=19.22290348673405, v_pi=20.765569583785037)
 
 
 @st.composite
@@ -88,11 +90,6 @@ class TestDacChain:
         with pytest.raises(ValueError):
             PmConfig(v_min=0.0, v_max=7.0, v_pi=4.0)  # span < 2*v_pi
 
-    @pytest.mark.parametrize("bits", [64, 2000])
-    def test_dac_wider_than_int64_codes_rejected(self, bits):
-        with pytest.raises(ValueError, match="pm.dac_bits"):
-            PmConfig(dac_bits=bits)
-
     def test_63_bit_dac_accepted(self):
         cfg = PmConfig(dac_bits=63)
         assert cfg.max_code == np.iinfo(np.int64).max
@@ -124,7 +121,7 @@ class TestDacChain:
             assert key in str(info.value)
 
 
-class TestCachedTransfer:
+class TestDerivedTerms:
     """The transfer functions read the derived terms ``PmConfig.span`` and
     ``PmConfig.max_code``; they must give the bits of the expressions that
     read the config's fields."""
@@ -202,6 +199,15 @@ class TestVoltageToPhase:
                 canonical_phase(phase), abs=1e-9
             )
 
+    @given(pm_configs(), st.floats(allow_nan=False, allow_infinity=False))
+    # a span of exactly 2*v_pi, where a phase just under 2*pi rounds past v_max
+    @example(_EXACT_SPAN, math.nextafter(TWO_PI, 0.0))
+    @example(_EXACT_SPAN, -5e-16)
+    def test_voltage_for_phase_is_an_in_span_code(self, cfg, phase):
+        v = voltage_for_phase(phase, cfg)
+        assert cfg.v_min <= v <= cfg.v_max
+        assert 0 <= voltage_to_code(v, cfg) <= cfg.max_code
+
 
 class TestSelectDelay:
     def test_endpoints(self):
@@ -234,19 +240,6 @@ class TestSampleCounts:
         for _ in range(200):
             _, c2 = sample_counts((1.0, 0.0), det, 1e-4, rng)
             assert c2 == 0
-
-    def test_poisson_moments(self):
-        # lambda = 500 per window at an even split
-        det = DetectorConfig(input_rate=1e7, efficiency=1.0, dark_rate=0.0)
-        rng = np.random.default_rng(15)
-        draws = np.array(
-            [
-                sample_counts((0.5, 0.5), det, 1e-4, rng)[0]
-                for _ in range(100_000)
-            ]
-        )
-        assert abs(draws.mean() - 500.0) / 500.0 < 0.01
-        assert abs(draws.var() - 500.0) / 500.0 < 0.05
 
     def test_expected_visibility_at_96_split(self):
         det = DetectorConfig(input_rate=1e7, efficiency=1.0, dark_rate=0.0)

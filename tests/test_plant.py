@@ -171,21 +171,31 @@ class TestCounter:
         assert plant.elapsed_us == slot_us
         assert_same_plant(plant, reference)
 
-    @pytest.mark.parametrize("delay", [-1, -128, 128])
-    @pytest.mark.parametrize("path", ["counter", "measure", "measure_slots"])
-    def test_a_delay_out_of_range_draws_nothing(self, path, delay):
-        reference, plant = Stepper(PlantConfig(), 32), default_plant(seed=32)
+    @pytest.mark.parametrize(
+        "seed, method, args, message",
+        [
+            *(pytest.param(32, method, args(delay), rf"^delay index {delay} out of range 0\.\.127$",
+                           id=f"test_a_delay_out_of_range_draws_nothing-{method}-{delay}")
+              for method, args in [
+                  ("counter", lambda delay: (delay, 100, 23)),
+                  ("measure", lambda delay: (delay, 0, 100)),
+                  ("measure_slots", lambda delay: (np.array([5, delay]), [0] * 128, 100)),
+              ] for delay in (-1, -128, 128)),
+            # the whole table converts before any draw, also a code no slot reads
+            *(pytest.param(36, "measure_slots", (np.array([5, 9]), [0] * 127 + [code], 100),
+                           f"^DAC codes {min(code, 0)}..{max(code, 0)} out of",
+                           id=f"test_a_table_code_out_of_range_draws_nothing-{code}")
+              for code in (-1, 65536)),
+        ],
+    )
+    def test_an_out_of_range_call_draws_nothing(self, seed, method, args, message):
+        reference, plant = Stepper(PlantConfig(), seed), default_plant(seed=seed)
         # a spent slot with one counted window, which the error must leave alone
         assert plant.counter(5, 100, 23)(0) == reference.measure(5, 0, 100)
         _idle_windows(reference, 22, 100)
         before = _snapshot(plant)
-        calls = {
-            "counter": lambda: plant.counter(delay, 100, 23),
-            "measure": lambda: plant.measure(delay, 0, 100),
-            "measure_slots": lambda: plant.measure_slots(np.array([5, delay]), [0] * 128, 100),
-        }
-        with pytest.raises(ValueError, match=rf"^delay index {delay} out of range 0\.\.127$"):
-            calls[path]()
+        with pytest.raises(ValueError, match=message):
+            getattr(plant, method)(*args)
         assert _snapshot(plant) == before
         assert plant.measure(5, 0, 100) == reference.measure(5, 0, 100)
         assert_same_plant(plant, reference)
@@ -232,19 +242,6 @@ class TestCounter:
             count(code)
         assert count(4) == reference.measure(9, 4, 100)
         _idle_windows(reference, 22, 100)
-        assert_same_plant(plant, reference)
-
-    @pytest.mark.parametrize("code", [-1, 65536])
-    def test_a_table_code_out_of_range_draws_nothing(self, code):
-        # the whole table converts before any draw, also a code no slot reads
-        reference, plant = Stepper(PlantConfig(), 36), default_plant(seed=36)
-        assert plant.counter(5, 100, 23)(0) == reference.measure(5, 0, 100)
-        _idle_windows(reference, 22, 100)
-        before = _snapshot(plant)
-        with pytest.raises(ValueError, match=f"^DAC codes {min(code, 0)}..{max(code, 0)} out of"):
-            plant.measure_slots(np.array([5, 9]), [0] * 127 + [code], 100)
-        assert _snapshot(plant) == before
-        assert plant.measure(5, 0, 100) == reference.measure(5, 0, 100)
         assert_same_plant(plant, reference)
 
     # no shrink phase: a failing example here shrinks for minutes, past a GB
@@ -301,11 +298,3 @@ class TestConfig:
     def test_contrast_validation(self):
         with pytest.raises(ValueError):
             PlantConfig(contrast=1.2)
-
-    def test_drift_only_advances_inside_plant(self):
-        plant = default_plant(seed=9)
-        before = plant.elapsed_us
-        _ = plant.state.laser_eps
-        assert before == 0
-        plant.measure(0, 0, 100)
-        assert plant.elapsed_us > before
