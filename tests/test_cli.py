@@ -471,9 +471,10 @@ class TestSweepCommand:
         (["run"], "run.output_dir", False),
         (["run"], "run.output_dir", True),
         (["sweep", "--param", "drift.path_walk_sigma", "--values", "0.01"], "--out", False),
+        (["sweep", "--param", "drift.path_walk_sigma", "--values", "0.01"], "--out", True),
     ],
     ids=["run---out-file", "run---out-under-file", "run-run.output_dir-file",
-         "run-run.output_dir-under-file", "sweep---out-file"],
+         "run-run.output_dir-under-file", "sweep---out-file", "sweep---out-under-file"],
 )
 def test_output_path_blocked_by_a_file_exits_2(tmp_path, capsys, command, option, under):
     # a file where the output directory or its parent should be is a usage

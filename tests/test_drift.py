@@ -31,16 +31,16 @@ class TestAdvance:
         assert state.laser_eps == 0.0
         assert np.all(state.path_phases == 0.0)
 
-    def test_single_steps_follow_the_exact_transition(self):
+    @pytest.mark.parametrize("dt", [1e-4, 0.34, 1.0, 30.0], ids=["window", "stage", "second", "tau"])
+    def test_single_steps_follow_the_exact_transition(self, dt):
         # over dt the detuning moves to N(eps e^(-dt/tau), sigma^2 (1 - e^(-2 dt/tau)))
         # (Gillespie, Phys. Rev. E 54, 2084 (1996)) and a walk by N(0, sigma_w^2 dt):
-        # z-scores of 20 000 steps of a window, a stage, a second and tau, one
-        # path's walk per step; KS p-values bound at 1e-3
+        # z-scores of 5 000 steps, one path's walk per step; KS p-values bound at 1e-3
         cfg = DriftConfig(static_offsets=ZERO_OFFSETS)
         state = make_state(cfg)
         rng = np.random.default_rng(2)
         law = []
-        for k, dt in enumerate(np.resize([1e-4, 0.34, 1.0, 30.0], 20_000).tolist()):
+        for k in range(5_000):
             eps, walk = state.laser_eps, state.path_phases[k % 128]
             advance(state, dt, cfg, rng)
             decay = math.exp(-dt / cfg.laser_ou_tau)
@@ -158,21 +158,22 @@ class TestDelayDrift:
         assert state.path_phases.tobytes() == walk.tobytes()
 
 
+@pytest.mark.parametrize("dt", [0.0, -1e-4, math.nan], ids=["zero", "negative", "nan"])
 @pytest.mark.parametrize(
     "read, seed",
     [
-        (lambda state, cfg, rng: advance(state, 0.0, cfg, rng), 4),
-        (lambda state, cfg, rng: advance_windows(state, np.zeros(3, dtype=np.int64), 0.0, cfg, rng),
+        (lambda state, cfg, rng, dt: advance(state, dt, cfg, rng), 4),
+        (lambda state, cfg, rng, dt: advance_windows(state, np.zeros(3, dtype=np.int64), dt, cfg, rng),
          11),
-        (lambda state, cfg, rng: delay_drift(state, 0, 3, 0.0, cfg, rng), 17),
-        (lambda state, cfg, rng: delay_drift(state, 0, 0, 0.0, cfg, rng), 17),
+        (lambda state, cfg, rng, dt: delay_drift(state, 0, 3, dt, cfg, rng), 17),
+        (lambda state, cfg, rng, dt: delay_drift(state, 0, 0, dt, cfg, rng), 17),
     ],
     ids=["advance", "advance_windows", "delay_drift-3", "delay_drift-0"],
 )
-def test_invalid_dt(read, seed):
+def test_invalid_dt(read, seed, dt):
     cfg = DriftConfig(static_offsets=ZERO_OFFSETS)
-    with pytest.raises(ValueError, match="dt must be positive"):
-        read(make_state(cfg), cfg, np.random.default_rng(seed))
+    with pytest.raises(ValueError, match=f"^dt must be positive, got {dt}$"):
+        read(make_state(cfg), cfg, np.random.default_rng(seed), dt)
 
 
 @pytest.mark.parametrize(
