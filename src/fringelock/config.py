@@ -53,7 +53,7 @@ def _parse_float(text: str) -> float:
 def _parse_offsets(text: str) -> str | tuple[float, ...]:
     if text.strip().lower() == "random":
         return "random"
-    return tuple(_parse_float(part) for part in text.split(",") if part.strip())
+    return tuple(_parse_float(part) for part in text.split(","))
 
 
 _PARSE_BY_TYPE = {

@@ -333,5 +333,5 @@ class RunSettings:
         if expected > 2**62:
             raise ValueError(
                 f"{expected:.3g} expected counts per {window_us} us window exceed 2**62; "
-                "lower detector.input_rate, detector.efficiency or detector.dark_rate"
+                "lower detector.input_rate or detector.dark_rate"
             )

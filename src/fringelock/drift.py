@@ -11,7 +11,7 @@ Two disturbance channels:
 Magnitudes are not given by the source system description; the defaults here
 were tuned so that an uncompensated path degrades visibly within one second
 while the 1 Hz recalibration holds the long-run visibility target (see
-README, "Drift defaults").
+README, "Model assumptions").
 
 Every draw takes one laser normal, then 128 path normals, per window, and
 every advance that returns writes its end state. ``advance`` moves the
@@ -32,16 +32,17 @@ import numpy as np
 from .hardware import DELAY_NS, NUM_DELAYS
 from .optics import TWO_PI, canonical_phase
 
-#: Optical carrier frequency, telecom C band.
-DEFAULT_OPTICAL_FREQ_HZ = 193.4e12
+#: Optical carrier frequency nu0, telecom C band. Fixed: it only scales the
+#: laser phase together with ``DriftConfig.laser_ou_sigma``.
+OPTICAL_FREQ_HZ = 193.4e12
 
 #: Most windows ``advance_windows`` draws at once: a block's normals and its
 #: path walk hold about 0.5 MB however many windows a call spans.
 BLOCK_WINDOWS = 128
 
-#: Path imbalance of each delay in seconds, as Python floats: ``true_phase``
-#: then overflows to inf silently, as the rest of its float arithmetic does.
-_DELAY_S = tuple(ns * 1e-9 for ns in DELAY_NS)
+#: Laser phase per unit detuning of each delay, 2*pi * nu0 * delay, in radians;
+#: the scalar readers take a Python float, whose products overflow silently.
+_LASER_GAIN = 2.0 * math.pi * OPTICAL_FREQ_HZ * (np.array(DELAY_NS) * 1e-9)
 
 
 @dataclass(frozen=True)
@@ -59,7 +60,6 @@ class DriftConfig:
     laser_ou_sigma: float = 4.0e-9
     laser_ou_tau: float = 30.0
     path_walk_sigma: float = 0.05
-    optical_freq_hz: float = DEFAULT_OPTICAL_FREQ_HZ
     static_offsets: str | tuple[float, ...] = "random"
 
     def __post_init__(self) -> None:
@@ -67,8 +67,6 @@ class DriftConfig:
             raise ValueError("drift sigmas must be >= 0")
         if self.laser_ou_tau <= 0.0:
             raise ValueError(f"OU time constant must be positive, got {self.laser_ou_tau}")
-        if self.optical_freq_hz <= 0.0:
-            raise ValueError("optical frequency must be positive")
         if isinstance(self.static_offsets, str):
             if self.static_offsets != "random":
                 raise ValueError(
@@ -137,7 +135,7 @@ def true_phase(state: DriftState, index: int, cfg: DriftConfig) -> float:
     The laser term scales with the path imbalance: 2*pi * nu0 * delay * eps.
     Path 0 (balanced arms) is immune to common-mode detuning by construction.
     """
-    laser = 2.0 * math.pi * cfg.optical_freq_hz * _DELAY_S[index] * state.laser_eps
+    laser = float(_LASER_GAIN[index]) * state.laser_eps
     phase = state.offsets[index] + state.path_phases[index] + laser
     if not math.isfinite(phase):
         raise non_finite_phase(index)
@@ -167,7 +165,6 @@ def advance_windows(
     phases = np.empty(len(index))
     # a non-finite phase raises below, naming its delay, instead of warning
     with np.errstate(over="ignore", invalid="ignore"):
-        laser_gain = 2.0 * math.pi * cfg.optical_freq_hz * np.array(_DELAY_S)
         for start in range(0, len(index), BLOCK_WINDOWS):
             block = index[start:start + BLOCK_WINDOWS]
             normals = rng.standard_normal((len(block), NUM_DELAYS + 1))
@@ -180,7 +177,7 @@ def advance_windows(
             raw = (
                 state.offsets[block]
                 + walks[np.arange(len(block)), block]
-                + laser_gain[block] * np.array(eps_at_start)
+                + _LASER_GAIN[block] * np.array(eps_at_start)
             )
             finite = np.isfinite(raw)
             if not finite.all():
@@ -220,7 +217,7 @@ def delay_drift(
     """
     decay, laser_step, walk_step = _window_law(dt, cfg)
     # an index past the delays raises here, before any draw
-    gain = 2.0 * math.pi * cfg.optical_freq_hz * _DELAY_S[index]
+    gain = float(_LASER_GAIN[index])
     if not windows:
         return []
     normals = rng.standard_normal((windows, NUM_DELAYS + 1))
@@ -251,5 +248,5 @@ def non_finite_phase(index: int) -> ValueError:
     """The error that reading delay ``index``'s non-finite true phase raises."""
     return ValueError(
         f"true phase of delay {index} ({DELAY_NS[index]} ns) is not finite; it scales "
-        "with drift.optical_freq_hz, drift.laser_ou_sigma and drift.path_walk_sigma"
+        "with drift.laser_ou_sigma and drift.path_walk_sigma"
     )

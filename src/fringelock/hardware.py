@@ -32,6 +32,9 @@ NUM_DELAYS = 1 << GATE_COUNT
 # Fiber delay per gate, ns. Powers of two are the only on/off assignment that
 # yields the arithmetic delay set {0, 2, 4, ..., 254} ns.
 FIBER_DELAYS_NS = tuple(2 << i for i in range(GATE_COUNT))
+#: Detector efficiency, an assumption: it only scales the input rate, so
+#: ``DetectorConfig.input_rate`` alone sets the detected rate.
+DETECTION_EFFICIENCY = 0.2
 
 
 @dataclass(frozen=True)
@@ -97,14 +100,11 @@ class DetectorConfig:
     rounded expectations (the noiseless plant used by oracle tests).
     """
 
-    efficiency: float = 0.2
     dark_rate: float = 100.0
     input_rate: float = 2.5e7
     shot_noise: bool = True
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.efficiency <= 1.0:
-            raise ValueError(f"efficiency must lie in (0, 1], got {self.efficiency}")
         if self.dark_rate < 0.0:
             raise ValueError(f"dark rate must be >= 0, got {self.dark_rate}")
         if self.input_rate < 0.0:
@@ -112,8 +112,8 @@ class DetectorConfig:
 
     @property
     def signal_rate(self) -> float:
-        """Detected photon rate before the port split, ``input_rate * efficiency``."""
-        return self.input_rate * self.efficiency
+        """Detected photon rate before the port split, ``input_rate * DETECTION_EFFICIENCY``."""
+        return self.input_rate * DETECTION_EFFICIENCY
 
 
 def dac_to_voltage(code: int, cfg: PmConfig) -> float:
@@ -176,9 +176,9 @@ def sample_counts(
     """Draw one counting window from the two ports' intensities ``(i1, i2)``.
 
     Returns the port counts ``(c1, c2)``. Expected counts per port are the
-    port's share of the input photon rate times efficiency and window, plus
-    dark counts. Draw order is fixed (port 1 then port 2) so a seeded
-    generator reproduces runs bit for bit.
+    port's share of ``det.signal_rate`` times the window, plus dark counts.
+    Draw order is fixed (port 1 then port 2) so a seeded generator
+    reproduces runs bit for bit.
     """
     if window <= 0.0:
         raise ValueError(f"window must be positive, got {window}")

@@ -57,8 +57,8 @@ def binary_entropy(x: float) -> float:
 
 
 def key_rate(p: KeyRateParams) -> float:
-    """Key bits per L-pulse train. Not clamped at zero."""
-    return p.Q * (1.0 - binary_entropy(p.e_bit) - binary_entropy(p.v_th / (p.L - 1)))
+    """Key bits per L-pulse train. Not clamped at zero; + 0.0 turns Q = 0's -0.0 to 0.0."""
+    return p.Q * (1.0 - binary_entropy(p.e_bit) - binary_entropy(p.v_th / (p.L - 1))) + 0.0
 
 
 def error_threshold(L: int, v_th: float = 1.0) -> float:

@@ -181,7 +181,7 @@ def test_a6_timing_invariants():
 
 
 def test_a7_statistical_sanity():
-    det = DetectorConfig(input_rate=1e7, efficiency=1.0, dark_rate=0.0)
+    det = DetectorConfig(input_rate=5e7, dark_rate=0.0)
     rng = np.random.default_rng(2024)
     draws = np.array(
         [sample_counts((0.5, 0.5), det, 1e-4, rng)[0] for _ in range(100_000)]

@@ -75,7 +75,9 @@ ODD_WINDOW_DIGESTS = {
 
 #: SHA-256 of the effective_config.ini a bare `fringelock run` writes into
 #: ./out: every key in SCHEMA's echo order, output_dir = out included.
-DEFAULT_ECHO_DIGEST = "02ea438964e2e9b3f2316d611d8f468b64b90e98341a016c71e715b69300d74d"
+DEFAULT_ECHO_DIGEST = "53cea19e9a61daf4f8327301467874b09cf48a404fd60fae62e720f19b05bfdb"
+
+_GAPPED = ",".join(["0"] * 64) + ",," + ",".join(["0"] * 64)
 
 #: (the test this row was, run arguments, the whole stderr line after "error: ")
 _REJECTED = [
@@ -100,14 +102,17 @@ _REJECTED = [
        f"calibration.{key} = 1e+308 V puts scan points past the float range around the DAC span "
        "[0.0, 10.0] V") for key in ("coarse_interval", "fine_interval")),
     *((f"test_counts_past_int64_exit_2_naming_the_keys-{case}", _sets(*overrides),
-       f"{counts} expected counts per 100 us window exceed 2**62; lower detector.input_rate, "
-       "detector.efficiency or detector.dark_rate") for case, overrides, counts in [
+       f"{counts} expected counts per 100 us window exceed 2**62; lower detector.input_rate "
+       "or detector.dark_rate") for case, overrides, counts in [
         ("input-rate", ["detector.input_rate=1e300"], "2e+295"),
         ("input-rate-no-shot-noise", ["detector.input_rate=1e300", "detector.shot_noise=false"],
          "2e+295"),
         ("dark-rate", ["detector.dark_rate=1e300"], "2e+296"),
         ("5e23-no-shot-noise", ["detector.input_rate=5e23", "detector.shot_noise=false"], "1e+19"),
     ]),
+    # 129 fields, one of them empty, are not 128 offsets
+    ("test_empty_offset_field_exits_2_naming_the_key", _sets(f"drift.static_offsets={_GAPPED}"),
+     f"bad value for [drift] static_offsets: {_GAPPED!r} (could not convert string to float: '')"),
     # 23 steps of 109 us take 2507 us of the 2500 us permutation slot
     ("test_slot_overrun_exits_2_naming_both_keys", _sets("calibration.step_window_us=109"),
      "23 calibration steps of calibration.step_window_us = 109 us take 2507 us, more than the "
@@ -179,9 +184,14 @@ class TestRunCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize("route", ["--set", "--config"])
-    @pytest.mark.parametrize("key", ["calibration.ext_phases", "schedule.qkd_duration_us"])
+    @pytest.mark.parametrize(
+        "key",
+        ["calibration.ext_phases", "schedule.qkd_duration_us", "detector.efficiency",
+         "drift.optical_freq_hz"],
+    )
     def test_removed_key_exits_2(self, tmp_path, capsys, key, route):
-        # the presets are fixed, and the QKD stage is the rest of the second
+        # the presets are fixed, the QKD stage is the rest of the second, and
+        # the detector efficiency and optical frequency are model constants
         section, name = key.split(".")
         (tmp_path / "c.ini").write_text(f"[{section}]\n{name} = 1\n")
         value = f"{key}=1" if route == "--set" else str(tmp_path / "c.ini")
@@ -226,14 +236,17 @@ class TestRunCommand:
         assert not out.exists()
 
     def test_non_finite_drift_phase_exits_2_naming_the_keys(self, tmp_path, capsys):
+        # the first OU step pushes the laser term of every delay but 0 past
+        # the float range; delay 1 is calibrated second
         out = tmp_path / "x"
         code = main([
-            "run", "--seconds", "1", "--set", "drift.optical_freq_hz=1e308", "--out", str(out),
+            "run", "--seconds", "1", "--set", "drift.laser_ou_sigma=1e308", "--out", str(out),
         ])
         assert code == 2
-        err = capsys.readouterr().err
-        assert "true phase of delay 0 (0 ns) is not finite" in err
-        assert "drift.optical_freq_hz" in err
+        assert capsys.readouterr().err == (
+            "error: true phase of delay 1 (2 ns) is not finite; it scales with "
+            "drift.laser_ou_sigma and drift.path_walk_sigma\n"
+        )
 
     def test_non_finite_dac_span_exits_2_naming_the_keys(self, tmp_path, capsys):
         out = tmp_path / "x"
@@ -312,9 +325,11 @@ class TestKeyrateCommand:
         assert "R = 0.933656" in out
         assert "e_bit threshold = 0.349539" in out
 
-    def test_zero_detections(self, capsys):
-        assert main(["keyrate", "128", "1", "0.0", "0.2"]) == 0
-        assert "R = 0.000000" in capsys.readouterr().out
+    @pytest.mark.parametrize("e_bit", ["0.2", "0.5"])
+    def test_zero_detections(self, capsys, e_bit):
+        # no detections give no key, never -0 (past the threshold the bracket is negative)
+        assert main(["keyrate", "128", "1", "0.0", e_bit]) == 0
+        assert "R = 0.000000" in capsys.readouterr().out.splitlines()
 
     def test_negative_beyond_threshold(self, capsys):
         assert main(["keyrate", "128", "1", "1.0", "0.35"]) == 0

@@ -147,7 +147,7 @@ class TestDelayDrift:
     def test_non_finite_phase_raises_and_leaves_the_state(self):
         # a tiny detuning keeps the first window finite; the first OU step
         # then pushes the laser term of every delay but 0 past the float range
-        cfg = DriftConfig(laser_ou_sigma=1e20, optical_freq_hz=1e300, static_offsets=ZERO_OFFSETS)
+        cfg = DriftConfig(laser_ou_sigma=1e308, static_offsets=ZERO_OFFSETS)
         state = make_state(cfg)
         state.laser_eps = 1e-30
         state.path_phases[:] = np.linspace(-1.0, 1.0, 128)

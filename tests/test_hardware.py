@@ -160,8 +160,8 @@ class TestDerivedTerms:
         cfg = PmConfig(v_min=-1.5, v_max=9.0, v_pi=2.5, dac_bits=12)
         assert (cfg.max_code, cfg.span) == (4095, 10.5)
         assert [f.name for f in fields(PmConfig)] == ["v_min", "v_max", "v_pi", "dac_bits"]
-        det = DetectorConfig(efficiency=0.3, input_rate=1e6)
-        assert det.signal_rate == 1e6 * 0.3
+        det = DetectorConfig(input_rate=1e6)
+        assert det.signal_rate == 1e6 * 0.2
         assert "signal_rate" not in [f.name for f in fields(DetectorConfig)]
 
 
@@ -242,7 +242,7 @@ class TestSampleCounts:
             assert c2 == 0
 
     def test_expected_visibility_at_96_split(self):
-        det = DetectorConfig(input_rate=1e7, efficiency=1.0, dark_rate=0.0)
+        det = DetectorConfig(input_rate=5e7, dark_rate=0.0)
         rng = np.random.default_rng(16)
         vis = []
         for _ in range(20_000):
@@ -258,7 +258,7 @@ class TestSampleCounts:
         assert seq1 == seq2
 
     def test_noiseless_mode_rounds_expectation(self):
-        det = DetectorConfig(input_rate=1e7, efficiency=1.0, dark_rate=0.0, shot_noise=False)
+        det = DetectorConfig(input_rate=5e7, dark_rate=0.0, shot_noise=False)
         rng = np.random.default_rng(17)
         assert sample_counts((0.75, 0.25), det, 1e-4, rng) == (750, 250)
 
@@ -272,7 +272,6 @@ class TestSampleCounts:
         intensities=st.tuples(st.floats(0.0, 10.0), st.floats(0.0, 10.0)),
         det=st.builds(
             DetectorConfig,
-            efficiency=st.floats(0.0, 1.0, exclude_min=True),
             dark_rate=st.floats(0.0, 1e6),
             input_rate=st.floats(0.0, 1e9),
             shot_noise=st.booleans(),

@@ -117,7 +117,6 @@ def plant_configs(draw):
     """A drive chain from ``pm_configs``, any contrast, drawn detector rates,
     with or without shot noise."""
     detector = DetectorConfig(
-        efficiency=draw(st.floats(0.0, 1.0, exclude_min=True)),
         dark_rate=draw(_RATES),
         input_rate=draw(_RATES),
         shot_noise=draw(st.booleans()),
