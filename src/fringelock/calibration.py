@@ -20,7 +20,9 @@ all computed before it starts, because none of them depends on the batch's
 own counts: the presets are fixed, the coarse scan centers on PT1, the
 fine scan on PT3, and step 23 re-applies PT5. A search gives up through
 one exception, ``CalibrationAborted``: at a step with zero total counts, or
-in ``least_squares_phase`` when the four preset fractions coincide.
+in ``least_squares_phase`` when the four preset fractions coincide. A search
+that ends is accepted when its step-23 visibility reaches the fixed
+``ACCEPT_THRESHOLD``; the label is only reported, as PT5 is used either way.
 
 The estimator inverts the fringe model f_k = (1 + cos(alpha + ext_k)) / 2,
 i.e. the preset phases add to the path phase inside the cosine (the only
@@ -38,17 +40,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .hardware import (
-    PmConfig,
-    dac_to_voltage,
-    voltage_for_phase,
-    voltage_to_code,
-)
+from .hardware import PmConfig, dac_to_voltage, voltage_for_phase, voltage_to_code
 from .optics import canonical_phase
 
 TOTAL_STEPS = 23
 COARSE_POINTS = 9
 FINE_POINTS = 8
+ACCEPT_THRESHOLD = 0.90
 #: The four preset modulator phases of steps 1-4; quadrature presets keep the
 #: least-squares problem well conditioned and give it a closed form.
 QUADRATURE_PHASES = (0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi)
@@ -73,15 +71,12 @@ class CalibrationConfig:
     coarse_interval: float = 0.1
     fine_interval: float = 0.025
     step_window_us: int = 100
-    accept_threshold: float = 0.90
 
     def __post_init__(self) -> None:
         if self.coarse_interval <= 0 or self.fine_interval <= 0:
             raise ValueError("scan intervals must be positive")
         if self.step_window_us <= 0:
             raise ValueError("step window must be positive")
-        if not -1.0 <= self.accept_threshold <= 1.0:
-            raise ValueError("accept threshold must lie in [-1, 1]")
 
     @functools.cached_property
     def coarse_offsets(self) -> tuple[float, ...]:
@@ -229,5 +224,5 @@ def run_calibration(
     return CalibResult(
         optimal_code=pt5_code,
         final_visibility=final_visibility,
-        accepted=final_visibility >= cfg.accept_threshold,
+        accepted=final_visibility >= ACCEPT_THRESHOLD,
     )

@@ -4,7 +4,9 @@ Batch only; runs write CSV traces plus a text report into the output
 directory and echo their effective configuration for reproducibility.
 Exit codes: 0 success, 1 runtime fault, 2 usage or configuration error,
 including a run in which no QKD slot counted a photon (its outputs are kept;
-a sweep still runs and records its other values when one is rejected).
+a sweep still runs and records its other values when one is rejected). A run
+that stops on a fault keeps the files it wrote; report.txt comes last, so a
+directory without it holds an unfinished run.
 """
 
 from __future__ import annotations

@@ -5,6 +5,8 @@ syntax), one section per subsystem. The schema is derived from the config
 dataclasses: each section holds the scalar fields of the ``RunSettings``
 subtree ``SECTIONS`` pairs it with, and each field's type picks its parser
 and echo format; every setting, the output directory too, is such a field.
+A file takes exactly the ``section.key`` pairs ``--set`` takes: keys and
+sections are case-exact, and ``[DEFAULT]`` is an ordinary, unknown section.
 Every run echoes its effective configuration into the output directory, and
 reloading that echo reproduces the run byte for byte. A bad key, value or
 configuration raises a plain ``ValueError``: no exception class of its own.
@@ -98,7 +100,8 @@ def load_config(path: str | Path | None = None, overrides: list[str] | None = No
     defaults = RunSettings()
     values = {attr: attrgetter(attr)(defaults) for attr, _ in SCHEMA.values()}
     if path is not None:
-        parser = configparser.ConfigParser(interpolation=None)
+        parser = configparser.ConfigParser(interpolation=None, default_section="")
+        parser.optionxform = str
         try:
             read = parser.read(str(path))
         except (configparser.Error, UnicodeDecodeError) as exc:

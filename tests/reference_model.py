@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from fringelock.calibration import CALIB_STEP, QUADRATURE_PHASES, TOTAL_STEPS
+from fringelock.calibration import ACCEPT_THRESHOLD, CALIB_STEP, QUADRATURE_PHASES, TOTAL_STEPS
 from fringelock.calibration import CalibrationAborted
 from fringelock.calibration import _wrap_into_span, least_squares_phase, phase_to_compensation_code
 from fringelock.controller import QKD_SLOT, TABLE_ENTRY
@@ -120,7 +120,7 @@ def calibration(delay_index, stepper, cfg, pm, rows, events):
     fine = [j * cfg.fine_interval for j in (-4, -3, -2, -1, 1, 2, 3, 4)]
     _, pt5_code = scan(15, pt3[1], fine, *pt3)
     final_visibility = step(23, pt5_code)
-    return pt5_code, final_visibility, final_visibility >= cfg.accept_threshold
+    return pt5_code, final_visibility, final_visibility >= ACCEPT_THRESHOLD
 
 
 def stabilization_stage(second, stepper, calib_cfg, schedule, previous, events):

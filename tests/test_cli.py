@@ -75,7 +75,7 @@ ODD_WINDOW_DIGESTS = {
 
 #: SHA-256 of the effective_config.ini a bare `fringelock run` writes into
 #: ./out: every key in SCHEMA's echo order, output_dir = out included.
-DEFAULT_ECHO_DIGEST = "53cea19e9a61daf4f8327301467874b09cf48a404fd60fae62e720f19b05bfdb"
+DEFAULT_ECHO_DIGEST = "3900993818146eb28de3b962d3098048e231332ed69e1d81d18e344dfd188055"
 
 _GAPPED = ",".join(["0"] * 64) + ",," + ",".join(["0"] * 64)
 
@@ -187,17 +187,37 @@ class TestRunCommand:
     @pytest.mark.parametrize(
         "key",
         ["calibration.ext_phases", "schedule.qkd_duration_us", "detector.efficiency",
-         "drift.optical_freq_hz"],
+         "drift.optical_freq_hz", "calibration.accept_threshold"],
     )
     def test_removed_key_exits_2(self, tmp_path, capsys, key, route):
         # the presets are fixed, the QKD stage is the rest of the second, and
-        # the detector efficiency and optical frequency are model constants
+        # the detector efficiency, optical frequency and accept threshold are
+        # model constants
         section, name = key.split(".")
         (tmp_path / "c.ini").write_text(f"[{section}]\n{name} = 1\n")
         value = f"{key}=1" if route == "--set" else str(tmp_path / "c.ini")
         assert main(["run", route, value, "--out", str(tmp_path / "x")]) == 2
         assert capsys.readouterr().err == f"error: unknown configuration key [{section}] {name}\n"
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ("[run]\nSeed = 3\n", "[run] Seed"),
+            ("[DEFAULT]\nseed = 3\n", "[DEFAULT] seed"),
+            ("[DEFAULT]\nseed = 3\n[run]\nseconds = 1\n", "[DEFAULT] seed"),
+            ("[DEFAULT]\nseed = 3\n[drift]\npath_walk_sigma = 0.0\n", "[DEFAULT] seed"),
+        ],
+        ids=["key-case", "default-alone", "default-and-run", "default-and-drift"],
+    )
+    def test_config_file_takes_the_keys_set_takes(self, tmp_path, capsys, text, key):
+        # keys are case-exact and [DEFAULT] is an ordinary section, which
+        # the schema does not know
+        (tmp_path / "c.ini").write_text(text)
+        out = tmp_path / "x"
+        assert main(["run", "--config", str(tmp_path / "c.ini"), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: unknown configuration key {key}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("stab_us, code", [(400_000, 0), (1_000_000, 2), (1_500_000, 2)])
     def test_stabilization_stage_alone_sets_the_split(self, tmp_path, capsys, stab_us, code):
@@ -247,6 +267,15 @@ class TestRunCommand:
             "error: true phase of delay 1 (2 ns) is not finite; it scales with "
             "drift.laser_ou_sigma and drift.path_walk_sigma\n"
         )
+        # the run keeps what it wrote before the fault: the echo and the
+        # traces' header lines; no report.txt marks it unfinished
+        assert sorted(p.name for p in out.iterdir()) == [
+            "calib_trace.csv", "effective_config.ini", "qkd_trace.csv",
+        ]
+        assert (out / "calib_trace.csv").read_bytes() == (
+            b"second,delay_index,step_index,dac_code,voltage,c1,c2,visibility\n"
+        )
+        assert (out / "qkd_trace.csv").read_bytes() == b"second,slot,delay_index,c1,c2,visibility\n"
 
     def test_non_finite_dac_span_exits_2_naming_the_keys(self, tmp_path, capsys):
         out = tmp_path / "x"

@@ -149,7 +149,6 @@ ROUND_TRIP_VALUES = {
     ("calibration", "coarse_interval"): _floats(1e-6, 10.0),
     ("calibration", "fine_interval"): _floats(1e-6, 10.0),
     ("calibration", "step_window_us"): st.integers(1, 108),
-    ("calibration", "accept_threshold"): _floats(-1.0, 1.0),
 }
 
 

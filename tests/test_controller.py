@@ -213,25 +213,39 @@ class TestStabilizationStageAgainstModel:
         assert plant.state.path_phases.tobytes() == prefix.state.path_phases.tobytes()
 
 
+def _assert_drift_law(plants, drift, t):
+    """However the plants spent the t seconds from a zero state, each walk
+    ends N(0, sigma_w^2 t) and the detuning N(0, sigma^2 (1 - e^(-2t/tau))):
+    the OU step is exact. KS p-values of the walks and detunings, bound at 1e-3."""
+    walks = np.concatenate([plant.state.path_phases for plant in plants])
+    walk = kstest(walks / (drift.path_walk_sigma * math.sqrt(t)), "norm")
+    ou_sd = drift.laser_ou_sigma * math.sqrt(-math.expm1(-2.0 * t / drift.laser_ou_tau))
+    detuning = kstest(np.array([plant.state.laser_eps for plant in plants]) / ou_sd, "norm")
+    assert walk.pvalue > 1e-3 and detuning.pvalue > 1e-3, (walk, detuning)
+
+
 class TestDriftLaw:
     def test_dark_stage_follows_the_drift_law(self):
         # a dark plant aborts every search at step 1, so each slot spends 23
-        # uncounted windows, then its pad. However a stage chunks T = 0.34 s,
-        # each walk ends N(0, sigma_w^2 T) and the detuning, from 0,
-        # N(0, sigma^2 (1 - e^(-2T/tau))): the OU step is exact. 32 seeds;
-        # KS p-values of the walk (32 x 128 values) and detuning, bound at 1e-3
-        calib_cfg, schedule, drift = CalibrationConfig(), FrameSchedule(), _DARK.drift
-        walks, detunings = [], []
-        for seed in range(32):
-            plant = Plant(_DARK, seed)
+        # uncounted windows, then its pad: one stage, T = 0.34 s, 32 seeds
+        calib_cfg, schedule = CalibrationConfig(), FrameSchedule()
+        plants = [Plant(_DARK, seed) for seed in range(32)]
+        for plant in plants:
             run_stabilization_stage(0, plant, calib_cfg, schedule, bootstrap_table(_DARK), [])
-            walks.extend(plant.state.path_phases.tolist())
-            detunings.append(plant.state.laser_eps)
-        t = schedule.stab_duration_us * 1e-6
-        walk = kstest(np.array(walks) / (drift.path_walk_sigma * math.sqrt(t)), "norm")
-        ou_sd = drift.laser_ou_sigma * math.sqrt(-math.expm1(-2.0 * t / drift.laser_ou_tau))
-        detuning = kstest(np.array(detunings) / ou_sd, "norm")
-        assert walk.pvalue > 1e-3 and detuning.pvalue > 1e-3, (walk, detuning)
+        _assert_drift_law(plants, _DARK.drift, schedule.stab_duration_us * 1e-6)
+
+    def test_closed_loop_second_follows_the_drift_law(self):
+        # one stabilisation stage whose searches count their windows, then a
+        # default-rate QKD stage: one whole second, T = 1 s, 24 seeds
+        plant_cfg, calib_cfg, schedule = PlantConfig(), CalibrationConfig(), FrameSchedule()
+        plants = [Plant(plant_cfg, seed) for seed in range(24)]
+        for seed, plant in enumerate(plants):
+            table = run_stabilization_stage(
+                0, plant, calib_cfg, schedule, bootstrap_table(plant_cfg), []
+            )
+            run_qkd_stage(table, plant, schedule, np.random.default_rng(seed))
+            assert plant.elapsed_us == 1_000_000
+        _assert_drift_law(plants, plant_cfg.drift, 1.0)
 
 
 class _SpyPlant(Plant):
