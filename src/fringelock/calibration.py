@@ -73,10 +73,9 @@ class CalibrationConfig:
     step_window_us: int = 100
 
     def __post_init__(self) -> None:
-        if self.coarse_interval <= 0 or self.fine_interval <= 0:
-            raise ValueError("scan intervals must be positive")
-        if self.step_window_us <= 0:
-            raise ValueError("step window must be positive")
+        for key in ("coarse_interval", "fine_interval", "step_window_us"):
+            if getattr(self, key) <= 0:
+                raise ValueError(f"calibration.{key} must be positive, got {getattr(self, key)}")
 
     @functools.cached_property
     def coarse_offsets(self) -> tuple[float, ...]:
@@ -94,7 +93,10 @@ class CalibrationConfig:
 class CalibResult:
     optimal_code: int
     final_visibility: float  # measured at step 23
-    accepted: bool
+
+    @property
+    def accepted(self) -> bool:
+        return self.final_visibility >= ACCEPT_THRESHOLD
 
 
 def least_squares_phase(observed: Sequence[float]) -> float:
@@ -221,8 +223,4 @@ def run_calibration(
 
     # step 23: PT6 re-applies PT5's voltage to double-check the result
     [final_visibility] = measure_batch(23, [pt5_code])
-    return CalibResult(
-        optimal_code=pt5_code,
-        final_visibility=final_visibility,
-        accepted=final_visibility >= ACCEPT_THRESHOLD,
-    )
+    return CalibResult(optimal_code=pt5_code, final_visibility=final_visibility)

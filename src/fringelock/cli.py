@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .config import load_config, parse_key, schema_entry, write_config
 from .controller import MODES, VISIBILITY_TARGET, ExperimentReport, RunSettings, run_experiment
-from .keyrate import KeyRateParams, error_threshold, key_rate
+from .keyrate import error_threshold, key_rate
 from .reporting import (
     CALIB_TRACE_HEADER,
     QKD_TRACE_HEADER,
@@ -154,8 +154,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_keyrate(args: argparse.Namespace) -> int:
-    params = KeyRateParams(L=args.L, v_th=args.v_th, Q=args.Q, e_bit=args.e_bit)
-    rate = key_rate(params)
+    rate = key_rate(args.L, args.v_th, args.Q, args.e_bit)
     threshold = error_threshold(args.L, args.v_th)
     print(f"R = {rate:.6f}")
     print(f"e_bit threshold = {threshold:.6f}")

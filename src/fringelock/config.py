@@ -103,7 +103,7 @@ def load_config(path: str | Path | None = None, overrides: list[str] | None = No
         parser = configparser.ConfigParser(interpolation=None, default_section="")
         parser.optionxform = str
         try:
-            read = parser.read(str(path))
+            read = parser.read(str(path), encoding="utf-8")
         except (configparser.Error, UnicodeDecodeError) as exc:
             raise ValueError(f"malformed config file {path}: {exc}") from exc
         if not read:

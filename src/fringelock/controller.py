@@ -24,6 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .calibration import (
+    ACCEPT_THRESHOLD,
     CALIB_STEP,
     COARSE_POINTS,
     FINE_POINTS,
@@ -56,8 +57,9 @@ class FrameSchedule:
     switch_rate_hz: int = 10_000
 
     def __post_init__(self) -> None:
-        if min(self.stab_duration_us, self.perm_slot_us) <= 0:
-            raise ValueError("schedule durations must be positive")
+        for key in ("stab_duration_us", "perm_slot_us"):
+            if getattr(self, key) <= 0:
+                raise ValueError(f"schedule.{key} must be positive, got {getattr(self, key)} us")
         if self.stab_duration_us >= US_PER_SECOND:
             raise ValueError(
                 f"schedule.stab_duration_us = {self.stab_duration_us} us leaves no QKD "
@@ -65,13 +67,20 @@ class FrameSchedule:
             )
         if NUM_DELAYS * self.perm_slot_us > self.stab_duration_us:
             raise ValueError(
-                f"{NUM_DELAYS} permutation slots of {self.perm_slot_us} us do not "
-                f"fit the {self.stab_duration_us} us stabilization stage"
+                f"schedule.perm_slot_us = {self.perm_slot_us} us: {NUM_DELAYS} slots do not fit "
+                f"the schedule.stab_duration_us = {self.stab_duration_us} us stabilization stage"
             )
         if self.switch_rate_hz <= 0 or US_PER_SECOND % self.switch_rate_hz != 0:
-            raise ValueError("switch rate must divide one second into whole-us slots")
+            raise ValueError(
+                f"schedule.switch_rate_hz = {self.switch_rate_hz} Hz must divide one second "
+                "into whole-us slots"
+            )
         if (self.qkd_duration_us * self.switch_rate_hz) % US_PER_SECOND != 0:
-            raise ValueError("QKD stage must hold an integer number of switch slots")
+            raise ValueError(
+                f"schedule.stab_duration_us = {self.stab_duration_us} us leaves "
+                f"{self.qkd_duration_us} us, not a whole number of "
+                f"schedule.switch_rate_hz = {self.switch_rate_hz} Hz slots"
+            )
 
     @property
     def qkd_duration_us(self) -> int:
@@ -88,11 +97,10 @@ class FrameSchedule:
 
 
 #: One compensation-table row per delay: the optimal DAC code, the final
-#: calibration visibility (NaN if aborted), whether it passed the accept
-#: threshold, and the second it was refreshed (-1 before the first).
+#: calibration visibility (NaN if aborted; accepted from ``ACCEPT_THRESHOLD``
+#: on), and the second it was refreshed (-1 before the first).
 TABLE_ENTRY = np.dtype(
-    [("code", np.int64), ("calib_visibility", np.float64), ("accepted", np.bool_),
-     ("refreshed_at", np.int64)]
+    [("code", np.int64), ("calib_visibility", np.float64), ("refreshed_at", np.int64)]
 )
 
 #: One QKD switch slot: the drawn delay, its two port counts and the slot
@@ -103,9 +111,9 @@ QKD_SLOT = np.dtype(
 
 
 def bootstrap_table(plant_cfg: PlantConfig) -> np.ndarray:
-    """Cold-start table: phase-0 compensation codes, nothing accepted yet."""
+    """Cold-start table: phase-0 compensation codes, nothing calibrated yet."""
     code = phase_to_compensation_code(0.0, plant_cfg.pm)
-    return np.array([(code, math.nan, False, -1)] * NUM_DELAYS, dtype=TABLE_ENTRY)
+    return np.array([(code, math.nan, -1)] * NUM_DELAYS, dtype=TABLE_ENTRY)
 
 
 def run_stabilization_stage(
@@ -121,11 +129,11 @@ def run_stabilization_stage(
     Returns the refreshed ``TABLE_ENTRY`` table, and appends the
     ``CALIB_STEP`` tuples of all 128 searches in delay order to ``rows``.
     An aborted calibration leaves a partial trace, and its entry keeps the
-    previous second's code with NaN visibility and is marked not accepted.
+    previous second's code with NaN visibility, which is never accepted.
     Each slot spends its 23 step windows through one ``Plant.counter``
     function, whether or not its search counts them all, and the stage then
-    idles to the slot end. Every search
-    reads its step 1-4 codes from the memoised ``preset_codes``.
+    idles to the slot end. Every search reads its step 1-4 codes from the
+    memoised ``preset_codes``.
     """
     pm = plant.config.pm
     start_us = plant.elapsed_us
@@ -134,9 +142,9 @@ def run_stabilization_stage(
         count = plant.counter(index, calib_cfg.step_window_us, TOTAL_STEPS)
         try:
             result = run_calibration(index, count, calib_cfg, pm, rows)
-            entries.append((result.optimal_code, result.final_visibility, result.accepted, second))
+            entries.append((result.optimal_code, result.final_visibility, second))
         except CalibrationAborted:
-            entries.append((previous["code"][index], math.nan, False, second))
+            entries.append((previous["code"][index], math.nan, second))
         plant.idle(start_us + (index + 1) * schedule.perm_slot_us - plant.elapsed_us)
     plant.idle(start_us + schedule.stab_duration_us - plant.elapsed_us)
     return np.array(entries, dtype=TABLE_ENTRY)
@@ -234,8 +242,8 @@ def run_experiment(config: "RunSettings", sink: SecondSink | None = None) -> Exp
             if (table["refreshed_at"] != second).any():
                 raise RuntimeError("table must be refreshed this second")
             calibrated_seconds += 1
-            accepted += table["accepted"]
             calib_vis = table["calib_visibility"]
+            accepted += calib_vis >= ACCEPT_THRESHOLD  # an aborted search's NaN is False
             completed = ~np.isnan(calib_vis)
             calib_vis_sum[completed] += calib_vis[completed]
             calib_vis_count += completed
@@ -302,9 +310,9 @@ class RunSettings:
 
     def __post_init__(self) -> None:
         if self.seconds < 1:
-            raise ValueError("seconds must be >= 1")
+            raise ValueError(f"run.seconds must be >= 1, got {self.seconds}")
         if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+            raise ValueError(f"run.mode must be one of {MODES}, got {self.mode!r}")
         if self.seed < 0:
             raise ValueError(f"run.seed must be a non-negative integer, got {self.seed}")
         steps_us = TOTAL_STEPS * self.calibration.step_window_us

@@ -63,19 +63,16 @@ class DriftConfig:
     static_offsets: str | tuple[float, ...] = "random"
 
     def __post_init__(self) -> None:
-        if self.laser_ou_sigma < 0.0 or self.path_walk_sigma < 0.0:
-            raise ValueError("drift sigmas must be >= 0")
+        for key in ("laser_ou_sigma", "path_walk_sigma"):
+            if getattr(self, key) < 0.0:
+                raise ValueError(f"drift.{key} must be >= 0, got {getattr(self, key)}")
         if self.laser_ou_tau <= 0.0:
-            raise ValueError(f"OU time constant must be positive, got {self.laser_ou_tau}")
-        if isinstance(self.static_offsets, str):
-            if self.static_offsets != "random":
-                raise ValueError(
-                    f"static_offsets must be 'random' or 128 phases, got {self.static_offsets!r}"
-                )
-        elif len(self.static_offsets) != NUM_DELAYS:
-            raise ValueError(
-                f"static_offsets needs exactly {NUM_DELAYS} entries, got {len(self.static_offsets)}"
-            )
+            raise ValueError(f"drift.laser_ou_tau must be positive, got {self.laser_ou_tau}")
+        offsets = self.static_offsets
+        if isinstance(offsets, str) and offsets != "random":
+            raise ValueError(f"drift.static_offsets must be 'random' or 128 phases, got {offsets!r}")
+        if not isinstance(offsets, str) and len(offsets) != NUM_DELAYS:
+            raise ValueError(f"drift.static_offsets needs {NUM_DELAYS} entries, got {len(offsets)}")
 
 
 @dataclass

@@ -53,21 +53,16 @@ class PmConfig:
 
     def __post_init__(self) -> None:
         if self.v_max <= self.v_min:
-            raise ValueError(f"v_max {self.v_max} must exceed v_min {self.v_min}")
-        if not math.isfinite(self.v_max - self.v_min):
-            raise ValueError(
-                f"DAC span from pm.v_min = {self.v_min} V to pm.v_max = {self.v_max} V "
-                "is not finite"
-            )
+            raise ValueError(f"pm.v_max = {self.v_max} V must exceed pm.v_min = {self.v_min} V")
         if self.v_pi <= 0:
-            raise ValueError(f"v_pi must be positive, got {self.v_pi}")
+            raise ValueError(f"pm.v_pi must be positive, got {self.v_pi} V")
         if (self.v_max - self.v_min) < 2.0 * self.v_pi:
             raise ValueError(
-                f"DAC span {self.v_max - self.v_min} V cannot cover a full 2*pi "
-                f"of phase (needs >= {2.0 * self.v_pi} V)"
+                f"pm.v_max - pm.v_min = {self.v_max - self.v_min} V cannot cover a full 2*pi "
+                f"of phase (needs 2 * pm.v_pi = {2.0 * self.v_pi} V)"
             )
         if self.dac_bits <= 0:
-            raise ValueError(f"dac_bits must be positive, got {self.dac_bits}")
+            raise ValueError(f"pm.dac_bits must be positive, got {self.dac_bits}")
         if self.dac_bits > 63:
             raise ValueError(f"pm.dac_bits must be at most 63 (int64 codes), got {self.dac_bits}")
         # the transfer's products at full scale: code * span, pi * span / v_pi
@@ -106,9 +101,9 @@ class DetectorConfig:
 
     def __post_init__(self) -> None:
         if self.dark_rate < 0.0:
-            raise ValueError(f"dark rate must be >= 0, got {self.dark_rate}")
+            raise ValueError(f"detector.dark_rate must be >= 0, got {self.dark_rate}")
         if self.input_rate < 0.0:
-            raise ValueError(f"input rate must be >= 0, got {self.input_rate}")
+            raise ValueError(f"detector.input_rate must be >= 0, got {self.input_rate}")
 
     @property
     def signal_rate(self) -> float:

@@ -5,14 +5,15 @@ Single-photon-source form of the rate per L-pulse train:
     R = Q * (1 - h(e_bit) - h(v_th / (L - 1)))
 
 with h the binary entropy. R may be negative; callers interpret that as
-"no key". Finite-key and decoy analyses are out of scope.
+"no key". Finite-key and decoy analyses are out of scope. ``key_rate`` and
+``error_threshold`` check their own inputs: v_th, the protocol's auxiliary
+parameter, lies in (0, (L-1)/2]; Q is the mean valid detections per train.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 
 def _check_train(L: int, v_th: float) -> None:
@@ -26,27 +27,6 @@ def _check_train(L: int, v_th: float) -> None:
         raise ValueError(f"v_th must lie in (0, (L-1)/2] = (0, {(L - 1) / 2}], got {v_th}")
 
 
-@dataclass(frozen=True)
-class KeyRateParams:
-    """Inputs to the per-train key rate.
-
-    ``v_th`` is the protocol's auxiliary parameter, bounded above by
-    (L-1)/2; Q is the average number of valid detections per L-pulse train.
-    """
-
-    L: int
-    v_th: float
-    Q: float
-    e_bit: float
-
-    def __post_init__(self) -> None:
-        _check_train(self.L, self.v_th)
-        if not 0.0 <= self.Q < math.inf:
-            raise ValueError(f"Q must be finite and >= 0, got {self.Q}")
-        if not 0.0 <= self.e_bit <= 0.5:
-            raise ValueError(f"e_bit must lie in [0, 0.5], got {self.e_bit}")
-
-
 def binary_entropy(x: float) -> float:
     """h(x) = -x*log2(x) - (1-x)*log2(1-x), with h(0) = h(1) = 0 by continuity."""
     if not 0.0 <= x <= 1.0:
@@ -56,9 +36,14 @@ def binary_entropy(x: float) -> float:
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
 
 
-def key_rate(p: KeyRateParams) -> float:
+def key_rate(L: int, v_th: float, Q: float, e_bit: float) -> float:
     """Key bits per L-pulse train. Not clamped at zero; + 0.0 turns Q = 0's -0.0 to 0.0."""
-    return p.Q * (1.0 - binary_entropy(p.e_bit) - binary_entropy(p.v_th / (p.L - 1))) + 0.0
+    _check_train(L, v_th)
+    if not 0.0 <= Q < math.inf:
+        raise ValueError(f"Q must be finite and >= 0, got {Q}")
+    if not 0.0 <= e_bit <= 0.5:
+        raise ValueError(f"e_bit must lie in [0, 0.5], got {e_bit}")
+    return Q * (1.0 - binary_entropy(e_bit) - binary_entropy(v_th / (L - 1))) + 0.0
 
 
 def error_threshold(L: int, v_th: float = 1.0) -> float:

@@ -20,7 +20,8 @@ therefore exists twice, and an equivalence test keeps the two aligned.
 
 The plant owns the simulation clock (integer microseconds) and is the only
 place drift time advances, so elapsed simulated time always equals the sum
-of requested windows. Both streams only move forward.
+of requested windows. Both streams only move forward; a window that is not
+positive raises ``drift``'s ``dt must be positive`` before either moves.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ class PlantConfig:
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.contrast <= 1.0:
-            raise ValueError(f"contrast must lie in [0, 1], got {self.contrast}")
+            raise ValueError(f"optics.contrast must lie in [0, 1], got {self.contrast}")
 
 
 class Plant:
@@ -84,8 +85,6 @@ class Plant:
         ``measure`` call per slot: the phase and port arithmetic follow
         ``port_intensities`` and ``sample_counts`` operation by operation.
         """
-        if window_us <= 0:
-            raise ValueError(f"window must be positive, got {window_us} us")
         outside = (index < 0) | (index >= NUM_DELAYS)
         if outside.any():
             raise ValueError(f"delay index {index[outside.argmax()]} out of range 0..127")
@@ -125,8 +124,6 @@ class Plant:
         start. A count past the last window, or after any later call that
         moves the clock, raises ``ValueError``.
         """
-        if window_us <= 0:
-            raise ValueError(f"window must be positive, got {window_us} us")
         if not 0 <= delay_index < NUM_DELAYS:
             raise ValueError(f"delay index {delay_index} out of range 0..127")
         window_s = window_us * 1e-6

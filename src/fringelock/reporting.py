@@ -31,7 +31,7 @@ import numpy as np
 
 from .controller import VISIBILITY_TARGET, ExperimentReport
 from .hardware import NUM_DELAYS, PmConfig, dac_to_voltages
-from .keyrate import KeyRateParams, key_rate
+from .keyrate import key_rate
 
 CALIB_TRACE_HEADER = (
     "second", "delay_index", "step_index", "dac_code", "voltage", "c1", "c2", "visibility",
@@ -132,7 +132,7 @@ def render_report(report: ExperimentReport) -> str:
     if not math.isnan(report.e_bit_overall):
         lines.append(f"e_bit proxy (delays r > 0): {report.e_bit_overall:.6f}")
         e_bit = min(0.5, max(0.0, report.e_bit_overall))
-        rate = key_rate(KeyRateParams(L=NUM_DELAYS, v_th=1.0, Q=1.0, e_bit=e_bit))
+        rate = key_rate(NUM_DELAYS, 1.0, 1.0, e_bit)
         lines.append(f"key rate per {NUM_DELAYS}-pulse train at Q=1, v_th=1: {rate:.6f}")
     lines.append(f"simulated time: {report.simulated_us} us")
     return "\n".join(lines) + "\n"

@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from fringelock.calibration import ACCEPT_THRESHOLD, CALIB_STEP, QUADRATURE_PHASES, TOTAL_STEPS
+from fringelock.calibration import CALIB_STEP, QUADRATURE_PHASES, TOTAL_STEPS
 from fringelock.calibration import CalibrationAborted
 from fringelock.calibration import _wrap_into_span, least_squares_phase, phase_to_compensation_code
 from fringelock.controller import QKD_SLOT, TABLE_ENTRY
@@ -84,7 +84,7 @@ def assert_same_plant(plant, reference):
 def calibration(delay_index, stepper, cfg, pm, rows, events):
     """The 23-step search one step at a time: each step's code is chosen
     just before it is measured, and an incumbent is replaced only by a
-    strictly higher visibility. Returns (code, final visibility, accepted).
+    strictly higher visibility. Returns (code, final visibility).
     Appends "wrap" to ``events`` for each scan point that falls off a rail."""
 
     def step(index, code):
@@ -120,7 +120,7 @@ def calibration(delay_index, stepper, cfg, pm, rows, events):
     fine = [j * cfg.fine_interval for j in (-4, -3, -2, -1, 1, 2, 3, 4)]
     _, pt5_code = scan(15, pt3[1], fine, *pt3)
     final_visibility = step(23, pt5_code)
-    return pt5_code, final_visibility, final_visibility >= ACCEPT_THRESHOLD
+    return pt5_code, final_visibility
 
 
 def stabilization_stage(second, stepper, calib_cfg, schedule, previous, events):
@@ -138,7 +138,7 @@ def stabilization_stage(second, stepper, calib_cfg, schedule, previous, events):
             entries.append((*result, second))
         except CalibrationAborted as exc:
             events.append(str(exc))
-            entries.append((previous["code"][index], math.nan, False, second))
+            entries.append((previous["code"][index], math.nan, second))
             while stepper.elapsed_us < slot_start + TOTAL_STEPS * window_us:
                 stepper.idle(window_us)
         stepper.idle(slot_start + schedule.perm_slot_us - stepper.elapsed_us)

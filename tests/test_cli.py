@@ -117,6 +117,42 @@ _REJECTED = [
     ("test_slot_overrun_exits_2_naming_both_keys", _sets("calibration.step_window_us=109"),
      "23 calibration steps of calibration.step_window_us = 109 us take 2507 us, more than the "
      "schedule.perm_slot_us = 2500 us permutation slot"),
+    # each value a settings dataclass rejects leads its message with the key
+    *((f"names-the-key-{'='.join(args).removeprefix('--set=')}", args, message)
+      for args, message in [
+        (["--seconds", "0"], "run.seconds must be >= 1, got 0"),
+        (_sets("run.mode=sideways"),
+         "run.mode must be one of ('closed-loop', 'open-loop'), got 'sideways'"),
+        (_sets("schedule.stab_duration_us=0"),
+         "schedule.stab_duration_us must be positive, got 0 us"),
+        (_sets("schedule.perm_slot_us=0"), "schedule.perm_slot_us must be positive, got 0 us"),
+        (_sets("schedule.perm_slot_us=2700"),
+         "schedule.perm_slot_us = 2700 us: 128 slots do not fit the schedule.stab_duration_us = "
+         "340000 us stabilization stage"),
+        (_sets("schedule.switch_rate_hz=3"),
+         "schedule.switch_rate_hz = 3 Hz must divide one second into whole-us slots"),
+        (_sets("schedule.stab_duration_us=340050"),
+         "schedule.stab_duration_us = 340050 us leaves 659950 us, not a whole number of "
+         "schedule.switch_rate_hz = 10000 Hz slots"),
+        (_sets("calibration.coarse_interval=0"),
+         "calibration.coarse_interval must be positive, got 0.0"),
+        (_sets("calibration.fine_interval=-1"),
+         "calibration.fine_interval must be positive, got -1.0"),
+        (_sets("calibration.step_window_us=0"),
+         "calibration.step_window_us must be positive, got 0"),
+        (_sets("drift.laser_ou_sigma=-1"), "drift.laser_ou_sigma must be >= 0, got -1.0"),
+        (_sets("drift.path_walk_sigma=-1"), "drift.path_walk_sigma must be >= 0, got -1.0"),
+        (_sets("drift.laser_ou_tau=0"), "drift.laser_ou_tau must be positive, got 0.0"),
+        (_sets("drift.static_offsets=0,1"), "drift.static_offsets needs 128 entries, got 2"),
+        (_sets("pm.v_max=-1"), "pm.v_max = -1.0 V must exceed pm.v_min = 0.0 V"),
+        (_sets("pm.v_pi=0"), "pm.v_pi must be positive, got 0.0 V"),
+        (_sets("pm.v_pi=6"), "pm.v_max - pm.v_min = 10.0 V cannot cover a full 2*pi of phase "
+         "(needs 2 * pm.v_pi = 12.0 V)"),
+        (_sets("pm.dac_bits=0"), "pm.dac_bits must be positive, got 0"),
+        (_sets("detector.dark_rate=-1"), "detector.dark_rate must be >= 0, got -1.0"),
+        (_sets("detector.input_rate=-1"), "detector.input_rate must be >= 0, got -1.0"),
+        (_sets("optics.contrast=2"), "optics.contrast must lie in [0, 1], got 2.0"),
+    ]),
 ]
 
 
@@ -161,10 +197,8 @@ class TestRunCommand:
         assert main([
             "run", "--config", str(first / "effective_config.ini"), "--out", str(second),
         ]) == 0
-        assert (first / "qkd_trace.csv").read_bytes() == (second / "qkd_trace.csv").read_bytes()
-        assert (first / "per_delay_summary.csv").read_bytes() == (
-            second / "per_delay_summary.csv"
-        ).read_bytes()
+        for name in PINNED_DIGESTS:
+            assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
     def test_default_config_echo_is_pinned(self, tmp_path, monkeypatch):
         # the echo's bytes are part of the output contract
@@ -254,6 +288,24 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(path) in err
         assert not out.exists()
+
+    def test_config_file_is_read_as_utf_8_under_an_ascii_locale(self, tmp_path):
+        # every file the program writes is UTF-8, and so is every file it
+        # reads, whatever the locale's encoding
+        config = tmp_path / "c.ini"
+        config.write_text("# r\u00e9glage\n[run]\nseed = 7\n", encoding="utf-8")
+        out = tmp_path / "x"
+        env = dict(
+            os.environ, PYTHONPATH=str(REPO_ROOT / "src"),
+            LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from fringelock.cli import main; sys.exit(main())",
+             "run", "--config", str(config), "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "seed = 7\n" in (out / "effective_config.ini").read_text(encoding="utf-8")
 
     def test_non_finite_drift_phase_exits_2_naming_the_keys(self, tmp_path, capsys):
         # the first OU step pushes the laser term of every delay but 0 past
@@ -437,7 +489,7 @@ class TestSweepCommand:
         [
             ("drift.path_walk_sigma", "0.02,-1,0", ["--seed", "3", *ZERO_NOISE_OVERRIDES],
              [("0.02", "3", None), ("-1", None, None), ("0", "3", "1.000000")],
-             "drift sigmas must be >= 0"),
+             "drift.path_walk_sigma must be >= 0, got -1.0"),
             ("run.seed", "1,-1", [], [("1", "1", None), ("-1", None, None)],
              "run.seed must be a non-negative integer, got -1"),
             ("detector.input_rate", "0,2.5e7", ["--seed", "3", *_sets("detector.dark_rate=0")],

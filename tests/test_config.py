@@ -53,7 +53,7 @@ class TestLoadConfig:
             load_config(None, overrides=["run.seconds=soon"])
 
     def test_bad_mode_rejected(self):
-        message = "mode must be one of ('closed-loop', 'open-loop'), got 'sideways'"
+        message = "run.mode must be one of ('closed-loop', 'open-loop'), got 'sideways'"
         with pytest.raises(ValueError, match=exactly(message)):
             load_config(None, overrides=["run.mode=sideways"])
 

@@ -6,7 +6,7 @@ import pytest
 from scipy.stats import kstest
 
 from fringelock import controller
-from fringelock.calibration import CALIB_STEP, CalibrationConfig
+from fringelock.calibration import ACCEPT_THRESHOLD, CALIB_STEP, CalibrationConfig
 from fringelock.controller import (
     DELAY_SUMMARY,
     OPEN_LOOP,
@@ -62,7 +62,6 @@ class TestStabilizationStage:
         steps = np.array(rows, dtype=CALIB_STEP)
         assert table.dtype == TABLE_ENTRY
         assert len(table) == 128
-        assert table["accepted"].all()
         assert (table["calib_visibility"] == 1.0).all()
         assert (table["refreshed_at"] == 0).all()
         assert plant.elapsed_us == 340_000
@@ -79,7 +78,7 @@ class TestStabilizationStage:
         worst = 128
         for second in range(60):
             table = run_stabilization_stage(second, plant, calib, schedule, table, [])
-            worst = min(worst, int(table["accepted"].sum()))
+            worst = min(worst, int((table["calib_visibility"] >= ACCEPT_THRESHOLD).sum()))
             plant.idle(schedule.qkd_duration_us)  # stand in for the QKD stage
         assert worst >= 120
 
@@ -91,7 +90,6 @@ class TestStabilizationStage:
         table = run_stabilization_stage(
             0, plant, settings.calibration, settings.schedule, previous, []
         )
-        assert not table["accepted"].any()
         assert (table["code"] == previous["code"]).all()
         assert np.isnan(table["calib_visibility"]).all()
         # aborted slots still consume their full permutation slot
@@ -386,6 +384,23 @@ class TestRunExperiment:
         assert report.simulated_us == 3_000_000
         # a single calibration means acceptance is counted against one refresh
         assert set(report.per_delay["accepted_fraction"].tolist()) <= {0.0, 1.0}
+
+    def test_accepted_fraction_counts_step_23_rows_at_the_threshold(self):
+        # at 3e5 photons/s each second has accepted, rejected and aborted
+        # searches; an aborted one has no step-23 row
+        plant = replace(PlantConfig(), detector=DetectorConfig(input_rate=3e5))
+        accepted = np.zeros(NUM_DELAYS, dtype=np.int64)
+        kinds = []
+
+        def sink(second, steps, slots):
+            final = steps[steps["step_index"] == 23]
+            passed = final["visibility"] >= ACCEPT_THRESHOLD
+            np.add.at(accepted, final["delay_index"][passed], 1)
+            kinds.append((int(passed.sum()), int((~passed).sum()), NUM_DELAYS - len(final)))
+
+        report = run_experiment(RunSettings(plant=plant, seconds=2, seed=3), sink)
+        assert all(min(counts) > 0 for counts in kinds) and len(kinds) == 2
+        assert report.per_delay["accepted_fraction"].tolist() == (accepted / 2).tolist()
 
     def test_e_bit_excludes_balanced_delay(self):
         report = run_experiment(RunSettings(seconds=1, seed=34))

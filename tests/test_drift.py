@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -103,6 +104,10 @@ class TestTruePhase:
     def test_offsets_require_full_table(self):
         with pytest.raises(ValueError):
             DriftConfig(static_offsets=(0.0, 1.0))
+        # no configuration value parses to a string but "random": only the API reaches this
+        message = "drift.static_offsets must be 'random' or 128 phases, got 'uniform'"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            DriftConfig(static_offsets="uniform")
 
 
 class TestAdvanceWindows:

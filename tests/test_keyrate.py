@@ -4,7 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from fringelock.keyrate import KeyRateParams, binary_entropy, error_threshold, key_rate
+from fringelock.keyrate import binary_entropy, error_threshold, key_rate
 
 
 def entropy_oracle(x: float) -> float:
@@ -42,46 +42,41 @@ class TestBinaryEntropy:
 
 class TestKeyRate:
     def test_ideal_long_train(self):
-        r = key_rate(KeyRateParams(L=128, v_th=1, Q=1.0, e_bit=0.0))
+        r = key_rate(128, 1, 1.0, 0.0)
         assert r == pytest.approx(1.0 - entropy_oracle(1 / 127), abs=1e-12)
         assert r == pytest.approx(0.933656, abs=1e-5)
 
     def test_zero_detections(self):
-        assert key_rate(KeyRateParams(L=64, v_th=2, Q=0.0, e_bit=0.1)) == 0.0
+        assert key_rate(64, 2, 0.0, 0.1) == 0.0
 
     def test_sign_flip_near_paper_threshold(self):
-        assert key_rate(KeyRateParams(L=128, v_th=1, Q=1.0, e_bit=0.34)) > 0.0
-        assert key_rate(KeyRateParams(L=128, v_th=1, Q=1.0, e_bit=0.35)) < 0.0
+        assert key_rate(128, 1, 1.0, 0.34) > 0.0
+        assert key_rate(128, 1, 1.0, 0.35) < 0.0
 
     def test_linear_in_q(self):
-        base = key_rate(KeyRateParams(L=128, v_th=1, Q=1.0, e_bit=0.05))
-        assert key_rate(KeyRateParams(L=128, v_th=1, Q=3.5, e_bit=0.05)) == pytest.approx(
-            3.5 * base, rel=1e-12
-        )
+        base = key_rate(128, 1, 1.0, 0.05)
+        assert key_rate(128, 1, 3.5, 0.05) == pytest.approx(3.5 * base, rel=1e-12)
 
     def test_strictly_decreasing_in_e_bit(self):
-        rates = [
-            key_rate(KeyRateParams(L=128, v_th=1, Q=1.0, e_bit=e))
-            for e in np.linspace(0.01, 0.49, 25)
-        ]
+        rates = [key_rate(128, 1, 1.0, e) for e in np.linspace(0.01, 0.49, 25)]
         assert all(a > b for a, b in zip(rates, rates[1:]))
 
     def test_negative_not_clamped(self):
-        assert key_rate(KeyRateParams(L=8, v_th=3, Q=1.0, e_bit=0.45)) < 0.0
+        assert key_rate(8, 3, 1.0, 0.45) < 0.0
 
     def test_param_validation(self):
         with pytest.raises(ValueError):
-            KeyRateParams(L=1, v_th=0.5, Q=1.0, e_bit=0.0)
+            key_rate(1, 0.5, 1.0, 0.0)
         with pytest.raises(ValueError):
-            KeyRateParams(L=128, v_th=70.0, Q=1.0, e_bit=0.0)  # above (L-1)/2
+            key_rate(128, 70.0, 1.0, 0.0)  # above (L-1)/2
         with pytest.raises(ValueError):
-            KeyRateParams(L=128, v_th=1, Q=-1.0, e_bit=0.0)
+            key_rate(128, 1, -1.0, 0.0)
         with pytest.raises(ValueError):
-            KeyRateParams(L=128, v_th=1, Q=1.0, e_bit=0.6)
+            key_rate(128, 1, 1.0, 0.6)
 
     def test_train_past_the_float_range_rejected(self):
         with pytest.raises(ValueError, match="train length L"):
-            KeyRateParams(L=10**400, v_th=1, Q=1.0, e_bit=0.0)
+            key_rate(10**400, 1, 1.0, 0.0)
         with pytest.raises(ValueError, match="train length L"):
             error_threshold(10**400, 1)
         # the largest L whose L - 1 is within the float range still runs

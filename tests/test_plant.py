@@ -74,12 +74,18 @@ class TestClock:
 
     def test_invalid_windows(self):
         plant = default_plant(seed=6)
+        drift_state = plant._rng_drift.bit_generator.state
         with pytest.raises(ValueError):
             plant.measure(0, 0, 0)
         with pytest.raises(ValueError):
             plant.idle(-1)
-        with pytest.raises(ValueError, match="window must be positive"):
+        with pytest.raises(ValueError, match="^dt must be positive, got 0.0$"):
             plant.counter(0, 0, 23)
+        with pytest.raises(ValueError, match="^dt must be positive, got -1e-06$"):
+            plant.measure_slots(np.array([0]), [0] * 128, -1)
+        # the drift law rejects a window before any draw or clock move
+        assert plant.elapsed_us == 0
+        assert plant._rng_drift.bit_generator.state == drift_state
 
     def test_batched_slots_advance_the_clock(self):
         plant = default_plant(seed=7)
