@@ -5,8 +5,9 @@ directory and echo their effective configuration for reproducibility.
 Exit codes: 0 success, 1 runtime fault, 2 usage or configuration error,
 including a run in which no QKD slot counted a photon (its outputs are kept;
 a sweep still runs and records its other values when one is rejected). A run
-that stops on a fault keeps the files it wrote; report.txt comes last, so a
-directory without it holds an unfinished run.
+that stops on a fault keeps the files it wrote; report.txt comes last, and a
+rerun first removes the earlier run's report.txt and per_delay_summary.csv,
+so a directory without report.txt holds an unfinished run.
 """
 
 from __future__ import annotations
@@ -89,13 +90,21 @@ def _settings_from_args(args: argparse.Namespace, *swept: str) -> RunSettings:
     return settings if args.out is None else replace(settings, output_dir=args.out)
 
 
-def _make_output_dir(args: argparse.Namespace, output_dir: str) -> Path:
-    """Create the output directory and return it; an empty name, or a file
-    where it or a parent should be, is a usage error, named by the option or
+def _make_output_dir(args: argparse.Namespace, output_dir: str, echoed: bool = False) -> Path:
+    """Create the output directory and return it; an empty name, a file
+    where it or a parent should be, or, for a run that echoes its config, a
+    path that is not UTF-8 text, is a usage error, named by the option or
     key that gave the path."""
     source = "run.output_dir" if args.out is None else "--out"
     if not output_dir.strip():
         raise ValueError(f"{source} is empty; name an output directory")
+    if echoed:
+        try:
+            output_dir.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValueError(
+                f"{source} {output_dir} is not UTF-8 text, so effective_config.ini cannot hold it"
+            ) from None
     out_dir = Path(output_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -109,6 +118,9 @@ def _make_output_dir(args: argparse.Namespace, output_dir: str) -> Path:
 def _execute_run(settings: RunSettings, out_dir: Path) -> tuple[ExperimentReport, str]:
     """Run with every output written into the existing ``out_dir``; returns
     the report and its text."""
+    # an earlier run's results must not stand beside this run's files
+    for name in ("report.txt", "per_delay_summary.csv"):
+        (out_dir / name).unlink(missing_ok=True)
     write_config(replace(settings, output_dir=str(out_dir)), out_dir / "effective_config.ini")
     pm = settings.plant.pm
     with open(out_dir / "calib_trace.csv", "w", encoding="utf-8", newline="") as calib_f, open(
@@ -145,7 +157,7 @@ def _require_counts(report: ExperimentReport) -> None:
 
 def cmd_run(args: argparse.Namespace) -> int:
     settings = _settings_from_args(args)
-    out_dir = _make_output_dir(args, settings.output_dir)
+    out_dir = _make_output_dir(args, settings.output_dir, echoed=True)
     report, text = _execute_run(settings, out_dir)
     _require_counts(report)
     sys.stdout.write(text)

@@ -30,6 +30,19 @@ def read_rows(path: Path) -> list[dict]:
         return list(csv.DictReader(handle))
 
 
+REPO_ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_in_ascii_locale(*args: str | bytes, cwd: Path | None = None) -> subprocess.CompletedProcess:
+    """Run the CLI in the C locale, UTF-8 mode and locale coercion off: its
+    encoding is ASCII, so non-ASCII argv bytes arrive as surrogates."""
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"),
+               LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+    code = "import sys; from fringelock.cli import main; sys.exit(main())"
+    return subprocess.run([sys.executable, "-c", code, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, errors="backslashreplace", timeout=120)
+
+
 #: SHA-256 of `run --seconds 2 --seed 0` with the default config, taken
 #: with Python 3.11.7 and numpy 2.4.6. A change here is an output change.
 PINNED_DIGESTS = {
@@ -295,17 +308,25 @@ class TestRunCommand:
         config = tmp_path / "c.ini"
         config.write_text("# r\u00e9glage\n[run]\nseed = 7\n", encoding="utf-8")
         out = tmp_path / "x"
-        env = dict(
-            os.environ, PYTHONPATH=str(REPO_ROOT / "src"),
-            LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", "import sys; from fringelock.cli import main; sys.exit(main())",
-             "run", "--config", str(config), "--out", str(out)],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
+        proc = run_in_ascii_locale("run", "--config", str(config), "--out", str(out))
         assert proc.returncode == 0, proc.stderr
         assert "seed = 7\n" in (out / "effective_config.ini").read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize(
+        "args, named",
+        [(["--out", b"r\xc3\xa9glage"], r"--out r\udcc3\udca9glage"),
+         (["--set", b"run.output_dir=d\xc3\xa9"], r"run.output_dir d\udcc3\udca9")],
+        ids=["--out", "run.output_dir"],
+    )
+    def test_output_path_not_utf_8_exits_2_under_an_ascii_locale(self, tmp_path, args, named):
+        # the path's bytes arrive as surrogates, which the UTF-8 echo cannot
+        # hold: the run stops before it makes any directory
+        proc = run_in_ascii_locale("run", "--seconds", "1", *args, cwd=tmp_path)
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            f"error: {named} is not UTF-8 text, so effective_config.ini cannot hold it\n"
+        )
+        assert list(tmp_path.iterdir()) == []
 
     def test_non_finite_drift_phase_exits_2_naming_the_keys(self, tmp_path, capsys):
         # the first OU step pushes the laser term of every delay but 0 past
@@ -328,6 +349,17 @@ class TestRunCommand:
             b"second,delay_index,step_index,dac_code,voltage,c1,c2,visibility\n"
         )
         assert (out / "qkd_trace.csv").read_bytes() == b"second,slot,delay_index,c1,c2,visibility\n"
+
+    def test_faulted_rerun_keeps_no_earlier_results(self, tmp_path):
+        # report.txt marks a finished run, so a rerun into the same directory
+        # first removes the earlier run's report and summary
+        out = tmp_path / "o"
+        argv = ["run", "--seconds", "1", "--out", str(out)]
+        assert main(argv) == 0
+        assert main([*argv, *_sets("drift.laser_ou_sigma=1e308")]) == 2
+        assert sorted(p.name for p in out.iterdir()) == [
+            "calib_trace.csv", "effective_config.ini", "qkd_trace.csv",
+        ]
 
     def test_non_finite_dac_span_exits_2_naming_the_keys(self, tmp_path, capsys):
         out = tmp_path / "x"
@@ -388,15 +420,6 @@ class TestRunCommand:
         assert "no QKD slot counted a photon" in err
         assert "detector.input_rate" in err and "detector.dark_rate" in err
         assert "global mean visibility: nan" in (out / "report.txt").read_text()
-
-    def test_calib_trace_schema(self, tmp_path):
-        out = tmp_path / "run"
-        main(["run", "--seconds", "1", "--seed", "5", "--out", str(out), *ZERO_NOISE_OVERRIDES])
-        with open(out / "calib_trace.csv", newline="") as handle:
-            header = handle.readline().strip()
-        assert header == "second,delay_index,step_index,dac_code,voltage,c1,c2,visibility"
-        with open(out / "qkd_trace.csv", newline="") as handle:
-            assert handle.readline().strip() == "second,slot,delay_index,c1,c2,visibility"
 
 
 class TestKeyrateCommand:
@@ -534,6 +557,16 @@ class TestSweepCommand:
         assert outputs[1] == outputs[0]
         assert outputs[0][0].splitlines()[1].startswith(b"drift.path_walk_sigma,0.01,3,")
 
+    def test_output_path_not_utf_8_still_sweeps_under_an_ascii_locale(self, tmp_path):
+        # a sweep writes no echo, so a path that is not UTF-8 text still works
+        proc = run_in_ascii_locale(
+            "sweep", "--param", "drift.path_walk_sigma", "--values", "0.01", "--seconds", "1",
+            "--out", b"sw\xc3\xa9", cwd=tmp_path,
+        )
+        assert proc.returncode == 0, proc.stderr
+        rows = read_rows(tmp_path / os.fsdecode(b"sw\xc3\xa9") / "sweep.csv")
+        assert [(r["value"], r["seed"]) for r in rows] == [("0.01", "0")]
+
     def test_unknown_parameter_exits_2(self, tmp_path, capsys):
         # one message for the key, not one per value, and no output directory
         assert main([
@@ -584,9 +617,6 @@ def test_output_path_blocked_by_a_file_exits_2(tmp_path, capsys, command, option
     assert err.startswith(f"error: {option} {out} cannot be an output directory")
     assert blocker.read_text() == "kept\n"
     assert list(tmp_path.iterdir()) == [blocker]
-
-
-REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestBenchmarkHooks:
