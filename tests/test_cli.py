@@ -421,6 +421,15 @@ class TestRunCommand:
         assert "detector.input_rate" in err and "detector.dark_rate" in err
         assert "global mean visibility: nan" in (out / "report.txt").read_text()
 
+    def test_calib_trace_schema(self, tmp_path):
+        out = tmp_path / "run"
+        main(["run", "--seconds", "1", "--seed", "5", "--out", str(out), *ZERO_NOISE_OVERRIDES])
+        with open(out / "calib_trace.csv", newline="") as handle:
+            header = handle.readline().strip()
+        assert header == "second,delay_index,step_index,dac_code,voltage,c1,c2,visibility"
+        with open(out / "qkd_trace.csv", newline="") as handle:
+            assert handle.readline().strip() == "second,slot,delay_index,c1,c2,visibility"
+
 
 class TestKeyrateCommand:
     def test_ideal_rate(self, capsys):

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -25,6 +25,28 @@ from fringelock.plant import Plant, PlantConfig
 
 from conftest import zero_noise_settings
 from reference_model import Stepper, assert_same_plant, calibration, qkd_stage, stabilization_stage
+
+
+class TestFrameSchedule:
+    def test_defaults(self):
+        s = FrameSchedule()
+        assert s.qkd_slot_us == 100
+        assert s.qkd_slots == 6600
+        assert 128 * s.perm_slot_us == 320_000 <= s.stab_duration_us
+
+    def test_slots_must_fit(self):
+        with pytest.raises(ValueError):
+            FrameSchedule(stab_duration_us=300_000)
+
+    def test_qkd_stage_fills_the_rest_of_the_second(self):
+        s = FrameSchedule(stab_duration_us=400_000)
+        assert (s.qkd_duration_us, s.qkd_slots) == (600_000, 6000)
+        with pytest.raises(ValueError, match=r"^schedule\.stab_duration_us = 1000000 us leaves no"):
+            FrameSchedule(stab_duration_us=1_000_000)
+
+    def test_rate_must_divide_evenly(self):
+        with pytest.raises(ValueError):
+            FrameSchedule(switch_rate_hz=9_999)
 
 
 class TestStabilizationStage:
@@ -326,6 +348,14 @@ class TestRunExperiment:
         assert report.global_mean_visibility == 1.0
         assert report.simulated_us == 1_000_000
 
+    def test_deterministic_reports(self):
+        settings = RunSettings(seconds=2, seed=31)
+        a, b = run_experiment(settings), run_experiment(settings)
+        assert a.per_delay.tobytes() == b.per_delay.tobytes()
+        for f in fields(a):
+            if f.name != "per_delay":
+                assert getattr(a, f.name) == getattr(b, f.name)
+
     def test_slot_records_and_calib_traces_via_sinks(self):
         settings = RunSettings(seconds=2, seed=32)
         calls = []
@@ -385,6 +415,12 @@ class TestRunExperiment:
         RunSettings(calibration=CalibrationConfig(**{key: 4e307}))
         with pytest.raises(ValueError, match=rf"^calibration\.{key} = 5e\+307 V puts scan"):
             RunSettings(calibration=CalibrationConfig(**{key: 5e307}))
+
+    def test_mode_validation(self):
+        with pytest.raises(ValueError):
+            RunSettings(mode="flywheel")
+        with pytest.raises(ValueError):
+            RunSettings(seconds=0)
 
 
 class TestTimingInvariants:

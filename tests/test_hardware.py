@@ -82,6 +82,14 @@ class TestDacChain:
         assert abs(back - v) <= lsb / 2 + rounding
         assert voltage_to_code(dac_to_voltage(code, cfg), cfg) == code
 
+    def test_invalid_pm_config(self):
+        with pytest.raises(ValueError):
+            PmConfig(v_min=5.0, v_max=1.0)
+        with pytest.raises(ValueError):
+            PmConfig(v_pi=0.0)
+        with pytest.raises(ValueError):
+            PmConfig(v_min=0.0, v_max=7.0, v_pi=4.0)  # span < 2*v_pi
+
     def test_63_bit_dac_accepted(self):
         cfg = PmConfig(dac_bits=63)
         assert cfg.max_code == np.iinfo(np.int64).max
