@@ -40,7 +40,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .hardware import PmConfig, dac_to_voltage, voltage_for_phase, voltage_to_code
+from .hardware import V_PI, PmConfig, dac_to_voltage, voltage_for_phase, voltage_to_code
 from .optics import canonical_phase
 
 TOTAL_STEPS = 23
@@ -123,24 +123,24 @@ def phase_to_compensation_code(alpha_hat: float, cfg: PmConfig) -> int:
     port 1, picking the lowest in-span voltage among the candidates.
     """
     target = canonical_phase(-canonical_phase(alpha_hat))
-    return voltage_to_code(voltage_for_phase(target, cfg), cfg)
+    return voltage_to_code(voltage_for_phase(target), cfg)
 
 
 def _wrap_into_span(v: float, cfg: PmConfig) -> float:
-    """Shift a voltage by the fewest multiples of 2*v_pi that fit the DAC span.
+    """Shift a voltage by the fewest multiples of 2*V_PI that fit [0, v_max].
 
-    A 2*v_pi shift leaves the modulator phase unchanged, so scan points that
+    A 2*V_PI shift leaves the modulator phase unchanged, so scan points that
     fall off a rail keep their place on the phase grid. The shift is computed
     in exact rationals and rounded once, so any finite voltage lands in the
-    span, and a one-period shift rounds exactly like ``v +/- 2*v_pi``.
+    span, and a one-period shift rounds exactly like ``v +/- 2*V_PI``.
     """
-    if cfg.v_min <= v <= cfg.v_max:
+    if 0.0 <= v <= cfg.v_max:
         return v
     if not math.isfinite(v):
-        raise ValueError(f"cannot wrap {v} V into span [{cfg.v_min}, {cfg.v_max}]")
-    exact, period = Fraction(v), Fraction(2.0 * cfg.v_pi)
-    if v < cfg.v_min:
-        exact += math.ceil((Fraction(cfg.v_min) - exact) / period) * period
+        raise ValueError(f"cannot wrap {v} V into span [0, {cfg.v_max}]")
+    exact, period = Fraction(v), Fraction(2.0 * V_PI)
+    if v < 0.0:
+        exact += math.ceil(-exact / period) * period
     else:
         exact -= math.ceil((exact - Fraction(cfg.v_max)) / period) * period
     return float(exact)
@@ -149,14 +149,14 @@ def _wrap_into_span(v: float, cfg: PmConfig) -> float:
 def _scan_codes(center_code: int, offsets: Sequence[float], cfg: PmConfig) -> list[int]:
     """DAC codes of the scan points ``offsets`` volts from a center code's
     voltage, each wrapped into the span and rounded as ``voltage_to_code``."""
-    max_code, v_min, v_max, span = cfg.max_code, cfg.v_min, cfg.v_max, cfg.span
+    max_code, v_max = cfg.max_code, cfg.v_max
     center_v = dac_to_voltage(center_code, cfg)
     codes = []
     for off in offsets:
         v = center_v + off
-        if not v_min <= v <= v_max:
+        if not 0.0 <= v <= v_max:
             v = _wrap_into_span(v, cfg)
-        codes.append(min(max_code, max(0, round((v - v_min) / span * max_code))))
+        codes.append(min(max_code, max(0, round(v / v_max * max_code))))
     return codes
 
 
@@ -164,7 +164,7 @@ def _scan_codes(center_code: int, offsets: Sequence[float], cfg: PmConfig) -> li
 def preset_codes(pm: PmConfig) -> tuple[int, ...]:
     """DAC codes of the four preset phases of steps 1-4, memoised per
     modulator: it is frozen, and every calibration reuses them."""
-    return tuple(voltage_to_code(voltage_for_phase(ext, pm), pm) for ext in QUADRATURE_PHASES)
+    return tuple(voltage_to_code(voltage_for_phase(ext), pm) for ext in QUADRATURE_PHASES)
 
 
 def run_calibration(

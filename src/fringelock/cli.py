@@ -207,7 +207,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 writer.writerow((
                     param, raw, settings.seed, vis,
                     f"{report.mean_calib_visibility:.6f}",
-                    f"{report.fraction_delays_at_least(VISIBILITY_TARGET):.6f}",
+                    f"{report.delays_at_target / len(report.per_delay):.6f}",
                 ))
                 print(f"{param}={raw}: global mean visibility {vis}")
             handle.flush()

@@ -13,9 +13,12 @@ modulator's voltage-to-phase step is written inline where a window is
 counted (``plant.py``), and on its own in ``tests/reference_model.py``.
 ``sample_counts((i1, i2), det, window, rng) -> (c1, c2)`` counts one window.
 
-The derived terms ``PmConfig.span``, ``PmConfig.max_code`` and
-``DetectorConfig.signal_rate`` are properties, not fields, so the config
-schema does not see them; ``Plant.counter`` reads them once per slot.
+The DAC spans 0 V to ``PmConfig.v_max``, and the modulator's half-wave
+voltage is the constant ``V_PI``: the origin and unit of the voltage axis
+only label the codes the search picks. The derived terms
+``PmConfig.max_code`` and ``DetectorConfig.signal_rate`` are properties,
+not fields, so the config schema does not see them; ``Plant.counter``
+reads them once per slot.
 """
 
 from __future__ import annotations
@@ -35,51 +38,38 @@ FIBER_DELAYS_NS = tuple(2 << i for i in range(GATE_COUNT))
 #: Detector efficiency, an assumption: it only scales the input rate, so
 #: ``DetectorConfig.input_rate`` alone sets the detected rate.
 DETECTION_EFFICIENCY = 0.2
+#: Modulator half-wave voltage, an assumption: 4.0 V makes the 0.1 V coarse
+#: calibration step worth 0.0785 rad.
+V_PI = 4.0
 
 
 @dataclass(frozen=True)
 class PmConfig:
-    """Phase-modulator drive chain: DAC span and half-wave voltage.
+    """Phase-modulator drive chain: a DAC from 0 V to ``v_max``.
 
-    The span must cover at least 2*v_pi so every target phase in [0, 2*pi)
-    has an in-range compensation voltage. v_pi is an assumption (4.0 V makes
-    the 0.1 V coarse calibration step worth 0.0785 rad), configurable.
+    The span must cover at least 2*V_PI so every target phase in [0, 2*pi)
+    has an in-range compensation voltage.
     """
 
-    v_min: float = 0.0
     v_max: float = 10.0
-    v_pi: float = 4.0
     dac_bits: int = 16
 
     def __post_init__(self) -> None:
-        if self.v_max <= self.v_min:
-            raise ValueError(f"pm.v_max = {self.v_max} V must exceed pm.v_min = {self.v_min} V")
-        if self.v_pi <= 0:
-            raise ValueError(f"pm.v_pi must be positive, got {self.v_pi} V")
-        if (self.v_max - self.v_min) < 2.0 * self.v_pi:
+        if self.v_max < 2.0 * V_PI:
             raise ValueError(
-                f"pm.v_max - pm.v_min = {self.v_max - self.v_min} V cannot cover a full 2*pi "
-                f"of phase (needs 2 * pm.v_pi = {2.0 * self.v_pi} V)"
+                f"pm.v_max = {self.v_max} V cannot cover a full 2*pi of phase "
+                f"(needs 2 * V_PI = {2.0 * V_PI} V)"
             )
         if self.dac_bits <= 0:
             raise ValueError(f"pm.dac_bits must be positive, got {self.dac_bits}")
         if self.dac_bits > 63:
             raise ValueError(f"pm.dac_bits must be at most 63 (int64 codes), got {self.dac_bits}")
-        # the transfer's products at full scale: code * span, pi * span / v_pi
-        if not (
-            math.isfinite(self.span * self.max_code)
-            and math.isfinite(math.pi * self.span / self.v_pi)
-        ):
+        # the transfer's products at full scale: code * v_max, pi * v_max
+        if not (math.isfinite(self.v_max * self.max_code) and math.isfinite(math.pi * self.v_max)):
             raise ValueError(
-                f"DAC transfer overflows: the span from pm.v_min = {self.v_min} V to "
-                f"pm.v_max = {self.v_max} V times {self.max_code} codes "
-                f"(pm.dac_bits = {self.dac_bits}), or times pi over pm.v_pi = "
-                f"{self.v_pi} V, is not finite"
+                f"DAC transfer overflows: pm.v_max = {self.v_max} V times the full-scale "
+                f"code {self.max_code} (pm.dac_bits = {self.dac_bits}), or times pi, is not finite"
             )
-
-    @property
-    def span(self) -> float:
-        return self.v_max - self.v_min
 
     @property
     def max_code(self) -> int:
@@ -112,10 +102,10 @@ class DetectorConfig:
 
 
 def dac_to_voltage(code: int, cfg: PmConfig) -> float:
-    """Ideal DAC transfer: v_min at code 0, v_max (never past it) at full scale."""
+    """Ideal DAC transfer: 0 V at code 0, v_max (never past it) at full scale."""
     if not 0 <= code <= cfg.max_code:
         raise ValueError(f"DAC code {code} out of range for {cfg.dac_bits}-bit converter")
-    return min(cfg.v_max, cfg.v_min + code * cfg.span / cfg.max_code)
+    return min(cfg.v_max, code * cfg.v_max / cfg.max_code)
 
 
 def dac_to_voltages(codes: np.ndarray, cfg: PmConfig) -> np.ndarray:
@@ -126,25 +116,26 @@ def dac_to_voltages(codes: np.ndarray, cfg: PmConfig) -> np.ndarray:
             f"DAC codes {codes.min()}..{codes.max()} out of range for "
             f"{cfg.dac_bits}-bit converter"
         )
-    v = cfg.v_min + codes * cfg.span / cfg.max_code
+    v = codes * cfg.v_max / cfg.max_code
     # min(v_max, v)'s rule: v only if below v_max (np.minimum may pick either zero)
     return np.where(v < cfg.v_max, v, cfg.v_max)
 
 
 def voltage_to_code(v: float, cfg: PmConfig) -> int:
     """Nearest DAC code for a voltage in the span (round-trips within 1 LSB)."""
-    if not cfg.v_min <= v <= cfg.v_max:
-        raise ValueError(f"voltage {v} V outside DAC span [{cfg.v_min}, {cfg.v_max}]")
-    code = round((v - cfg.v_min) / cfg.span * cfg.max_code)
+    if not 0.0 <= v <= cfg.v_max:
+        raise ValueError(f"voltage {v} V outside DAC span [0, {cfg.v_max}]")
+    code = round(v / cfg.v_max * cfg.max_code)
     return min(cfg.max_code, max(0, code))
 
 
-def voltage_for_phase(phase: float, cfg: PmConfig) -> float:
-    """Lowest in-span voltage whose modulator phase is ``phase`` (mod 2*pi)."""
-    v = cfg.v_min + cfg.v_pi * canonical_phase(phase) / math.pi
-    # on a span of exactly 2*v_pi a phase just under 2*pi rounds past v_max,
-    # whose phase is within rounding of 2*pi, which is 0
-    return min(cfg.v_max, v)
+def voltage_for_phase(phase: float) -> float:
+    """Lowest voltage whose modulator phase is ``phase`` (mod 2*pi).
+
+    It is at most 2*V_PI, inside every span: multiplying by V_PI = 4.0 is
+    exact, and a canonical phase under 2*pi then divides to at most 8.0 V.
+    """
+    return V_PI * canonical_phase(phase) / math.pi
 
 
 def select_delay(random7: int) -> int:

@@ -35,7 +35,7 @@ import numpy as np
 from . import drift as drift_mod
 from .drift import DriftConfig
 # count() inlines sample_counts and port_intensities; perfbench/child.py --trace 1 wraps them
-from .hardware import NUM_DELAYS, DetectorConfig, PmConfig, dac_to_voltages, sample_counts
+from .hardware import NUM_DELAYS, V_PI, DetectorConfig, PmConfig, dac_to_voltages, sample_counts
 from .optics import TWO_PI, port_intensities
 
 
@@ -92,7 +92,7 @@ class Plant:
         # before any draw: a code out of range draws nothing
         volts = dac_to_voltages(np.asarray(codes, dtype=np.int64), cfg.pm)
         # voltage_to_phase, whose canonical_phase is fmod alone on a phase >= 0
-        phi = np.fmod(math.pi * (volts - cfg.pm.v_min) / cfg.pm.v_pi, TWO_PI)
+        phi = np.fmod(math.pi * volts / V_PI, TWO_PI)
         window_s = window_us * 1e-6
         alpha = drift_mod.advance_windows(self.state, index, window_s, cfg.drift, self._rng_drift)
         self.elapsed_us += len(index) * window_us
@@ -132,12 +132,12 @@ class Plant:
         )
         end = self.elapsed_us = self.elapsed_us + windows * window_us
         pm, contrast, det = self.config.pm, self.config.contrast, self.config.detector
-        max_code, v_min, v_max, span, v_pi = pm.max_code, pm.v_min, pm.v_max, pm.span, pm.v_pi
+        max_code, v_max = pm.max_code, pm.v_max
         signal = det.signal_rate * window_s
         dark = det.dark_rate * window_s
         # a scalar draw and round() both give Python ints
         draw = self._rng_detector.poisson if det.shot_noise else round
-        cos, fmod, pi = math.cos, math.fmod, math.pi
+        cos, fmod, pi, v_pi = math.cos, math.fmod, math.pi, V_PI
         used = 0
 
         def count(code: int) -> tuple[int, int]:
@@ -150,8 +150,8 @@ class Plant:
             # the reference model's voltage_to_phase(dac_to_voltage(code)),
             # then port_intensities at unit input power, whose port total is
             # never 0, then sample_counts, port 1 first
-            v = min(v_max, v_min + code * span / max_code)
-            x = contrast * cos(alpha + fmod(pi * (v - v_min) / v_pi, TWO_PI))
+            v = min(v_max, code * v_max / max_code)
+            x = contrast * cos(alpha + fmod(pi * v / v_pi, TWO_PI))
             i1 = 0.5 * (1.0 + x)
             i2 = 0.5 * (1.0 - x)
             total = i1 + i2

@@ -108,7 +108,7 @@ def render_report(report: ExperimentReport) -> str:
     """Plain-text summary; the fraction of delays holding the visibility
     target is the headline number."""
     mean_vis = report.per_delay["mean_visibility"]
-    count = int(np.count_nonzero(mean_vis >= VISIBILITY_TARGET))
+    count = report.delays_at_target
     accepted = report.per_delay["accepted_fraction"]
     lines = [
         f"run: {report.seconds} s, mode={report.mode}, seed={report.seed}",

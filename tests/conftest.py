@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from fringelock.controller import RunSettings
 from fringelock.drift import DriftConfig
-from fringelock.hardware import DetectorConfig, PmConfig
+from fringelock.hardware import V_PI, DetectorConfig, PmConfig
 from fringelock.plant import Plant, PlantConfig
 
 # the shared reference model's asserts report like a test's, and survive python -O
@@ -69,12 +69,8 @@ def zero_noise_settings(**overrides) -> RunSettings:
 @st.composite
 def pm_configs(draw):
     """A drive chain with 1-, 16- or 63-bit codes, on the default 0-10 V span
-    or on a drawn one with span >= 2*v_pi."""
+    or on a drawn one of at least 2*V_PI."""
     dac_bits = draw(st.sampled_from([1, 16, 63]))
     if draw(st.booleans()):
         return PmConfig(dac_bits=dac_bits)
-    v_min = draw(st.floats(-100.0, 100.0))
-    v_max = v_min + draw(st.floats(0.01, 100.0))
-    half_span = (v_max - v_min) / 2.0
-    v_pi = draw(st.floats(half_span / 100.0, half_span))
-    return PmConfig(v_min=v_min, v_max=v_max, v_pi=v_pi, dac_bits=dac_bits)
+    return PmConfig(v_max=draw(st.floats(2.0 * V_PI, 200.0)), dac_bits=dac_bits)

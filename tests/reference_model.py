@@ -21,17 +21,17 @@ from fringelock.calibration import CalibrationAborted
 from fringelock.calibration import _wrap_into_span, least_squares_phase, phase_to_compensation_code
 from fringelock.controller import QKD_SLOT, TABLE_ENTRY
 from fringelock.drift import advance, initial_state, true_phase
-from fringelock.hardware import NUM_DELAYS, dac_to_voltage, sample_counts
+from fringelock.hardware import NUM_DELAYS, V_PI, dac_to_voltage, sample_counts
 from fringelock.hardware import voltage_for_phase, voltage_to_code
 from fringelock.optics import canonical_phase, port_intensities
 from fringelock.reporting import PER_DELAY_HEADER
 
 
 def voltage_to_phase(v, cfg):
-    """Modulator transfer: pi of phase per v_pi of drive, canonical [0, 2*pi)."""
-    if not cfg.v_min <= v <= cfg.v_max:
-        raise ValueError(f"voltage {v} V outside span [{cfg.v_min}, {cfg.v_max}]")
-    return canonical_phase(math.pi * (v - cfg.v_min) / cfg.v_pi)
+    """Modulator transfer: pi of phase per V_PI of drive, canonical [0, 2*pi)."""
+    if not 0.0 <= v <= cfg.v_max:
+        raise ValueError(f"voltage {v} V outside span [0, {cfg.v_max}]")
+    return canonical_phase(math.pi * v / V_PI)
 
 
 def drift_by_window(state, indices, dt, cfg, rng):
@@ -101,7 +101,7 @@ def calibration(delay_index, stepper, cfg, pm, rows, events):
         center_v = dac_to_voltage(center_code, pm)
         for j, off in enumerate(offsets):
             v = center_v + off
-            if not pm.v_min <= v <= pm.v_max:
+            if not 0.0 <= v <= pm.v_max:
                 events.append("wrap")
             code = voltage_to_code(_wrap_into_span(v, pm), pm)
             vis = step(first_step + j, code)
@@ -110,7 +110,7 @@ def calibration(delay_index, stepper, cfg, pm, rows, events):
         return best_visibility, best_code
 
     for k, ext in enumerate(QUADRATURE_PHASES):
-        step(k + 1, voltage_to_code(voltage_for_phase(ext, pm), pm))
+        step(k + 1, voltage_to_code(voltage_for_phase(ext), pm))
     fractions = [c1 / (c1 + c2) for *_, c1, c2, _ in rows[-4:]]
     alpha_hat = least_squares_phase(fractions)
     pt1_code = phase_to_compensation_code(alpha_hat, pm)

@@ -18,7 +18,7 @@ from fringelock.calibration import (
     preset_codes,
     run_calibration,
 )
-from fringelock.hardware import PmConfig, dac_to_voltage, voltage_for_phase, voltage_to_code
+from fringelock.hardware import V_PI, PmConfig, dac_to_voltage, voltage_for_phase, voltage_to_code
 from fringelock.plant import Plant, PlantConfig
 
 from conftest import circular_diff, noiseless_plant, pm_configs
@@ -62,12 +62,12 @@ class TestPhaseToCompensationCode:
 
     def test_half_wave(self):
         v = dac_to_voltage(phase_to_compensation_code(math.pi, PM), PM)
-        assert v == pytest.approx(4.0, abs=PM.span / 65535)
+        assert v == pytest.approx(4.0, abs=PM.v_max / 65535)
 
     def test_modular_identity(self):
-        # -3*pi/2 is pi/2 mod 2*pi, realized at half of v_pi
+        # -3*pi/2 is pi/2 mod 2*pi, realized at half of V_PI
         v = dac_to_voltage(phase_to_compensation_code(1.5 * math.pi, PM), PM)
-        assert v == pytest.approx(2.0, abs=PM.span / 65535)
+        assert v == pytest.approx(2.0, abs=PM.v_max / 65535)
 
     def test_cancels_phase(self):
         rng = np.random.default_rng(32)
@@ -115,7 +115,7 @@ class TestRunCalibration:
     def test_first_four_steps_apply_the_preset_codes(self):
         presets = preset_codes(PM)
         assert presets == tuple(
-            voltage_to_code(voltage_for_phase(p, PM), PM) for p in QUADRATURE_PHASES
+            voltage_to_code(voltage_for_phase(p), PM) for p in QUADRATURE_PHASES
         )
         rows = []
         count = _count(Plant(PlantConfig(), 70), 7)
@@ -134,7 +134,7 @@ class TestRunCalibration:
 
     def test_staged_search_tracks_exhaustive_optimum(self):
         cfg = CalibrationConfig()
-        fine_step_phase = math.pi * cfg.fine_interval / PM.v_pi
+        fine_step_phase = math.pi * cfg.fine_interval / V_PI
         bound = fine_step_phase + math.pi / 4096
         rng = np.random.default_rng(33)
         for alpha in rng.uniform(0.0, TWO_PI, size=16):
@@ -230,12 +230,12 @@ class TestRunCalibration:
 
 
 class TestWrapIntoSpan:
-    PERIOD = 2.0 * PM.v_pi
+    PERIOD = 2.0 * V_PI
 
     @pytest.mark.parametrize("v", [1e9 + 1.3, -1e9 - 1.3])
     def test_huge_offset_wraps_and_keeps_phase(self, v):
         w = _wrap_into_span(v, PM)
-        assert PM.v_min <= w <= PM.v_max
+        assert 0.0 <= w <= PM.v_max
         assert math.remainder(w - v, self.PERIOD) == 0.0
 
     def test_single_period_shift_is_one_addition(self):
@@ -257,7 +257,7 @@ class TestWrapIntoSpan:
     @given(st.floats(allow_nan=False, allow_infinity=False))
     def test_any_finite_voltage_lands_in_span_with_its_phase(self, v):
         w = _wrap_into_span(v, PM)
-        assert PM.v_min <= w <= PM.v_max
+        assert 0.0 <= w <= PM.v_max
         assert abs(math.remainder(w - v, self.PERIOD)) <= 1e-9 * max(1.0, abs(v))
 
 

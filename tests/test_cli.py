@@ -88,7 +88,7 @@ ODD_WINDOW_DIGESTS = {
 
 #: SHA-256 of the effective_config.ini a bare `fringelock run` writes into
 #: ./out: every key in SCHEMA's echo order, output_dir = out included.
-DEFAULT_ECHO_DIGEST = "3900993818146eb28de3b962d3098048e231332ed69e1d81d18e344dfd188055"
+DEFAULT_ECHO_DIGEST = "72aaa11bd1ad4f7864daa9ca5b290655ff32d423701b25cec5bb941b5358f1d5"
 
 _GAPPED = ",".join(["0"] * 64) + ",," + ",".join(["0"] * 64)
 
@@ -103,17 +103,17 @@ _REJECTED = [
        _sets(f"pm.dac_bits={bits}"), f"pm.dac_bits must be at most 63 (int64 codes), got {bits}")
       for bits in (64, 2000)),
     ("test_overflowing_dac_transfer_exits_2_naming_the_keys-pi-times-span",
-     _sets("pm.v_max=1e308", "pm.v_pi=1e307"),
-     "DAC transfer overflows: the span from pm.v_min = 0.0 V to pm.v_max = 1e+308 V times 65535 "
-     "codes (pm.dac_bits = 16), or times pi over pm.v_pi = 1e+307 V, is not finite"),
+     _sets("pm.dac_bits=1", "pm.v_max=1e308"),
+     "DAC transfer overflows: pm.v_max = 1e+308 V times the full-scale code 1 "
+     "(pm.dac_bits = 1), or times pi, is not finite"),
     ("test_overflowing_dac_transfer_exits_2_naming_the_keys-code-times-span",
-     _sets("pm.v_min=-1e308"),
-     "DAC transfer overflows: the span from pm.v_min = -1e+308 V to pm.v_max = 10.0 V times 65535 "
-     "codes (pm.dac_bits = 16), or times pi over pm.v_pi = 4.0 V, is not finite"),
+     _sets("pm.v_max=1e308"),
+     "DAC transfer overflows: pm.v_max = 1e+308 V times the full-scale code 65535 "
+     "(pm.dac_bits = 16), or times pi, is not finite"),
     *((f"test_overflowing_scan_interval_exits_2_naming_the_key-{key}",
        _sets(f"calibration.{key}=1e308"),
        f"calibration.{key} = 1e+308 V puts scan points past the float range around the DAC span "
-       "[0.0, 10.0] V") for key in ("coarse_interval", "fine_interval")),
+       "[0, 10.0] V") for key in ("coarse_interval", "fine_interval")),
     *((f"test_counts_past_int64_exit_2_naming_the_keys-{case}", _sets(*overrides),
        f"{counts} expected counts per 100 us window exceed 2**62; lower detector.input_rate "
        "or detector.dark_rate") for case, overrides, counts in [
@@ -157,10 +157,8 @@ _REJECTED = [
         (_sets("drift.path_walk_sigma=-1"), "drift.path_walk_sigma must be >= 0, got -1.0"),
         (_sets("drift.laser_ou_tau=0"), "drift.laser_ou_tau must be positive, got 0.0"),
         (_sets("drift.static_offsets=0,1"), "drift.static_offsets needs 128 entries, got 2"),
-        (_sets("pm.v_max=-1"), "pm.v_max = -1.0 V must exceed pm.v_min = 0.0 V"),
-        (_sets("pm.v_pi=0"), "pm.v_pi must be positive, got 0.0 V"),
-        (_sets("pm.v_pi=6"), "pm.v_max - pm.v_min = 10.0 V cannot cover a full 2*pi of phase "
-         "(needs 2 * pm.v_pi = 12.0 V)"),
+        *((_sets(f"pm.v_max={v_max}"), f"pm.v_max = {float(v_max)} V cannot cover a full 2*pi "
+           "of phase (needs 2 * V_PI = 8.0 V)") for v_max in ("-1", "7.999")),
         (_sets("pm.dac_bits=0"), "pm.dac_bits must be positive, got 0"),
         (_sets("detector.dark_rate=-1"), "detector.dark_rate must be >= 0, got -1.0"),
         (_sets("detector.input_rate=-1"), "detector.input_rate must be >= 0, got -1.0"),
@@ -234,12 +232,12 @@ class TestRunCommand:
     @pytest.mark.parametrize(
         "key",
         ["calibration.ext_phases", "schedule.qkd_duration_us", "detector.efficiency",
-         "drift.optical_freq_hz", "calibration.accept_threshold"],
+         "drift.optical_freq_hz", "calibration.accept_threshold", "pm.v_min", "pm.v_pi"],
     )
     def test_removed_key_exits_2(self, tmp_path, capsys, key, route):
         # the presets are fixed, the QKD stage is the rest of the second, and
-        # the detector efficiency, optical frequency and accept threshold are
-        # model constants
+        # the detector efficiency, optical frequency, accept threshold, the
+        # DAC's 0 V origin and the half-wave voltage are model constants
         section, name = key.split(".")
         (tmp_path / "c.ini").write_text(f"[{section}]\n{name} = 1\n")
         value = f"{key}=1" if route == "--set" else str(tmp_path / "c.ini")
@@ -363,18 +361,12 @@ class TestRunCommand:
 
     def test_non_finite_dac_span_exits_2_naming_the_keys(self, tmp_path, capsys):
         out = tmp_path / "x"
-        code = main([
-            "run", "--seconds", "1", "--out", str(out),
-            "--set", "pm.v_max=1e308", "--set", "pm.v_min=-1e308",
-        ])
+        code = main(["run", "--seconds", "1", "--out", str(out), "--set", "pm.v_max=1e308"])
         assert code == 2
         err = capsys.readouterr().err
-        assert "pm.v_min" in err and "pm.v_max" in err
+        assert "pm.v_max" in err and "pm.dac_bits" in err
         # the widest span whose 16-bit transfer stays finite still runs
-        assert main([
-            "run", "--seconds", "1", "--out", str(out),
-            "--set", "pm.v_max=1e303", "--set", "pm.v_min=-1e303",
-        ]) == 0
+        assert main(["run", "--seconds", "1", "--out", str(out), "--set", "pm.v_max=2e303"]) == 0
 
     @pytest.mark.parametrize("shot_noise", ["true", "false"])
     def test_counts_within_int64_still_run(self, tmp_path, shot_noise):
@@ -397,12 +389,11 @@ class TestRunCommand:
         assert list(tmp_path.iterdir()) == []
 
     def test_phase_just_under_two_pi_on_an_exact_span_runs(self, tmp_path):
-        # a span of exactly 2*v_pi: a 7e-16 rad offset needs a compensation
-        # just under 2*pi, whose voltage rounds past v_max
+        # a span of exactly 2*V_PI: a 7e-16 rad offset needs a compensation
+        # just under 2*pi, whose voltage lies at or just under the 8 V rail
         out = tmp_path / "x"
         assert main(["run", "--seconds", "1", "--out", str(out), *_sets(
-            "pm.v_min=-22.30823568083602", "pm.v_max=19.22290348673405",
-            "pm.v_pi=20.765569583785037", "pm.dac_bits=63", "detector.input_rate=1e21",
+            "pm.v_max=8", "pm.dac_bits=63", "detector.input_rate=1e21",
             "detector.shot_noise=false", "detector.dark_rate=0", "drift.path_walk_sigma=0",
             "drift.laser_ou_sigma=0", "drift.static_offsets=" + ",".join(["7e-16"] * 128),
         )]) == 0

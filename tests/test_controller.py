@@ -122,7 +122,7 @@ _LOW_LIGHT = PlantConfig(detector=DetectorConfig(input_rate=100_000.0, dark_rate
 _DARK = PlantConfig(detector=DetectorConfig(input_rate=0.0, dark_rate=0.0))
 _FLAT = PlantConfig(detector=DetectorConfig(shot_noise=False), contrast=0.0)
 _NO_SHOT_NOISE = PlantConfig(detector=DetectorConfig(shot_noise=False))
-_RAILS = PlantConfig(pm=PmConfig(v_max=8.0, v_pi=4.0))
+_RAILS = PlantConfig(pm=PmConfig(v_max=8.0))
 
 
 class TestStabilizationStageAgainstModel:
@@ -144,7 +144,7 @@ class TestStabilizationStageAgainstModel:
             (_DARK, CalibrationConfig(), FrameSchedule(), 67, "dark"),
             # no fringe and no shot noise: four equal fractions, no phase
             (_FLAT, CalibrationConfig(), FrameSchedule(), 68, "flat"),
-            # a span of exactly 2*v_pi: scan points wrap off a rail
+            # a span of exactly 2*V_PI: scan points wrap off a rail
             (_RAILS, CalibrationConfig(), FrameSchedule(), 70, "wraps"),
             (_NO_SHOT_NOISE, CalibrationConfig(), FrameSchedule(), 71, "complete"),
         ],

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from fringelock.hardware import (
     DELAY_NS,
     FIBER_DELAYS_NS,
+    V_PI,
     DetectorConfig,
     PmConfig,
     dac_to_voltage,
@@ -24,23 +25,17 @@ from conftest import pm_configs
 from reference_model import voltage_to_phase
 
 PM = PmConfig()
-_EXACT_SPAN = PmConfig(v_min=-22.30823568083602, v_max=19.22290348673405, v_pi=20.765569583785037)
+_EXACT_SPAN = PmConfig(v_max=2.0 * V_PI, dac_bits=63)
 
 
 @st.composite
 def pm_voltage_and_code(draw, max_bits=24):
-    """A drive chain with span >= 2*v_pi and 1 to ``max_bits`` bits, a
+    """A drive chain with span >= 2*V_PI and 1 to ``max_bits`` bits, a
     voltage in its span and one of its DAC codes."""
-    v_min = draw(st.floats(-100.0, 100.0))
-    v_max = v_min + draw(st.floats(0.01, 100.0))
-    half_span = (v_max - v_min) / 2.0
     cfg = PmConfig(
-        v_min=v_min,
-        v_max=v_max,
-        v_pi=draw(st.floats(half_span / 100.0, half_span)),
-        dac_bits=draw(st.integers(1, max_bits)),
+        v_max=draw(st.floats(2.0 * V_PI, 200.0)), dac_bits=draw(st.integers(1, max_bits))
     )
-    v = draw(st.floats(cfg.v_min, cfg.v_max))
+    v = draw(st.floats(0.0, cfg.v_max))
     max_code = (1 << cfg.dac_bits) - 1
     code = draw(st.one_of(st.just(max_code), st.integers(0, max_code)))
     return cfg, v, code
@@ -70,25 +65,24 @@ class TestDacChain:
         assert dac_to_voltage((1 << bits) - 1, cfg) == cfg.v_max
 
     @given(pm_voltage_and_code())
-    @example((PM, PM.v_min, 0))
+    @example((PM, 0.0, 0))
     @example((PM, PM.v_max, 2**PM.dac_bits - 1))
-    @example((PM, 0.1 * PM.span, 12345))
+    @example((PM, 0.1 * PM.v_max, 12345))
     def test_roundtrip_within_one_lsb(self, case):
         cfg, v, code = case
-        lsb = cfg.span / (2**cfg.dac_bits - 1)
+        lsb = cfg.v_max / (2**cfg.dac_bits - 1)
         # a few ulps of the largest magnitude in play cover the float rounding
-        rounding = 16 * math.ulp(max(abs(cfg.v_min), abs(cfg.v_max), cfg.span))
+        rounding = 16 * math.ulp(cfg.v_max)
         back = dac_to_voltage(voltage_to_code(v, cfg), cfg)
         assert abs(back - v) <= lsb / 2 + rounding
         assert voltage_to_code(dac_to_voltage(code, cfg), cfg) == code
 
     def test_invalid_pm_config(self):
-        with pytest.raises(ValueError):
-            PmConfig(v_min=5.0, v_max=1.0)
-        with pytest.raises(ValueError):
-            PmConfig(v_pi=0.0)
-        with pytest.raises(ValueError):
-            PmConfig(v_min=0.0, v_max=7.0, v_pi=4.0)  # span < 2*v_pi
+        # the span [0, v_max] must cover 2*V_PI = 8 V, and no less
+        for v_max in (-1.0, 7.0, math.nextafter(2.0 * V_PI, 0.0)):
+            with pytest.raises(ValueError, match="cannot cover a full 2\\*pi"):
+                PmConfig(v_max=v_max)
+        assert PmConfig(v_max=2.0 * V_PI).v_max == 8.0
 
     def test_63_bit_dac_accepted(self):
         cfg = PmConfig(dac_bits=63)
@@ -97,52 +91,50 @@ class TestDacChain:
 
     def test_non_finite_span_rejected(self):
         with pytest.raises(ValueError, match="not finite") as info:
-            PmConfig(v_min=-1e308, v_max=1e308)
-        assert "pm.v_min" in str(info.value) and "pm.v_max" in str(info.value)
-        # the widest spans whose transfer stays finite are valid: span times
-        # the full-scale code for 16 bits, pi times the span for 1 bit
-        assert PmConfig(v_min=-1e303, v_max=1e303).span == 2e303
-        assert PmConfig(v_min=-2.5e307, v_max=2.5e307, dac_bits=1).span == 5e307
+            PmConfig(v_max=1e308)
+        assert "pm.v_max" in str(info.value) and "pm.dac_bits" in str(info.value)
+        # the widest spans whose transfer stays finite are valid: v_max times
+        # the full-scale code for 16 bits, pi times v_max for 1 bit
+        assert PmConfig(v_max=2e303).v_max == 2e303
+        assert PmConfig(v_max=5e307, dac_bits=1).v_max == 5e307
 
     @pytest.mark.parametrize(
-        "v_min, v_max, v_pi, bits",
+        "v_max, bits",
         [
-            (0.0, 1e308, 1e307, 16),  # pi * span overflows
-            (-1e308, 10.0, 4.0, 16),  # code * span overflows from code 2 on
-            (-1e303, 2e303, 4.0, 16),  # code * span overflows near full scale
-            (-4e307, 4e307, 4.0, 1),  # pi * span overflows at 1 bit
-            (0.0, 10.0, 1e-308, 16),  # pi * span / v_pi overflows
+            (1e308, 1),  # pi * v_max overflows, code * v_max does not
+            (1e308, 16),  # code * v_max overflows
+            (3e303, 16),  # code * v_max overflows near full scale
+            (6e307, 1),  # pi * v_max overflows near the float limit
         ],
     )
-    def test_overflowing_transfer_rejected(self, v_min, v_max, v_pi, bits):
+    def test_overflowing_transfer_rejected(self, v_max, bits):
         with pytest.raises(ValueError, match="DAC transfer overflows") as info:
-            PmConfig(v_min=v_min, v_max=v_max, v_pi=v_pi, dac_bits=bits)
-        for key in ("pm.v_min", "pm.v_max", "pm.dac_bits", "pm.v_pi"):
+            PmConfig(v_max=v_max, dac_bits=bits)
+        for key in ("pm.v_max", "pm.dac_bits"):
             assert key in str(info.value)
 
 
 class TestDerivedTerms:
-    """The transfer functions read the derived terms ``PmConfig.span`` and
-    ``PmConfig.max_code``; they must give the bits of the expressions that
-    read the config's fields."""
+    """The transfer functions read the derived term ``PmConfig.max_code``;
+    they must give the bits of the expressions that read the config's
+    fields."""
 
     @given(pm_voltage_and_code(max_bits=63))
     @example((PM, PM.v_max, PM.max_code))
     @example((PmConfig(dac_bits=63), 0.0, 2**63 - 1))
     @example((PmConfig(dac_bits=63), 10.0, 2**62 + 12345))
-    @example((PmConfig(v_min=-7.5, v_max=12.25, v_pi=3.0, dac_bits=63), 12.25, 2**63 - 1))
+    @example((PmConfig(v_max=19.75, dac_bits=63), 19.75, 2**63 - 1))
     # full scale, where the unclamped voltage rounds past v_max
-    @example((PmConfig(v_min=-17.0, v_max=1.8, dac_bits=12), 1.8, 4095))
-    @example((PmConfig(v_min=-43.168, v_max=41.453, dac_bits=63), -43.168, 2**63 - 1))
+    @example((PmConfig(v_max=27.581179828564927, dac_bits=12), 27.581179828564927, 4095))
     # 52 and 53 bits: an odd full scale with codes past 2**51, where an ulp of
-    # (v - v_min) / span * max_code moves the nearest code
+    # v / v_max * max_code moves the nearest code
     @example((PmConfig(dac_bits=52), 6.4183973689717, 2**52 - 1))
-    @example((PmConfig(v_min=-7.5, v_max=12.25, v_pi=3.0, dac_bits=53), -2.6263435664375345, 0))
+    @example((PmConfig(v_max=19.75, dac_bits=53), 16.50110284305663, 0))
     def test_equals_the_inline_expressions(self, case):
         cfg, v, code = case
         max_code = (1 << cfg.dac_bits) - 1
-        volts = min(cfg.v_max, cfg.v_min + code * (cfg.v_max - cfg.v_min) / max_code)
-        nearest = round((v - cfg.v_min) / (cfg.v_max - cfg.v_min) * max_code)
+        volts = min(cfg.v_max, code * cfg.v_max / max_code)
+        nearest = round(v / cfg.v_max * max_code)
         assert dac_to_voltage(code, cfg).hex() == volts.hex()
         assert voltage_to_code(v, cfg) == min(max_code, max(0, nearest))
         array = dac_to_voltages(np.array([code, 0, max_code, code], dtype=np.int64), cfg)
@@ -157,9 +149,8 @@ class TestDerivedTerms:
         assert dac_to_voltages(np.zeros(0, dtype=np.int64), PM).shape == (0,)
 
     def test_terms_are_not_config_fields(self):
-        cfg = PmConfig(v_min=-1.5, v_max=9.0, v_pi=2.5, dac_bits=12)
-        assert (cfg.max_code, cfg.span) == (4095, 10.5)
-        assert [f.name for f in fields(PmConfig)] == ["v_min", "v_max", "v_pi", "dac_bits"]
+        assert PmConfig(dac_bits=12).max_code == 4095
+        assert [f.name for f in fields(PmConfig)] == ["v_max", "dac_bits"]
         det = DetectorConfig(input_rate=1e6)
         assert det.signal_rate == 1e6 * 0.2
         assert "signal_rate" not in [f.name for f in fields(DetectorConfig)]
@@ -184,29 +175,39 @@ class TestVoltageToPhase:
 
     def test_half_wave_shift_property(self):
         rng = np.random.default_rng(12)
-        for v in rng.uniform(PM.v_min, PM.v_max - PM.v_pi, size=200):
-            delta = canonical_phase(
-                voltage_to_phase(v + PM.v_pi, PM) - voltage_to_phase(float(v), PM)
-            )
+        for v in rng.uniform(0.0, PM.v_max - V_PI, size=200):
+            delta = canonical_phase(voltage_to_phase(v + V_PI, PM) - voltage_to_phase(float(v), PM))
             assert delta == pytest.approx(math.pi, abs=1e-9)
 
     def test_voltage_for_phase_is_lowest_candidate(self):
         rng = np.random.default_rng(13)
         for phase in rng.uniform(0.0, 2.0 * math.pi, size=200):
-            v = voltage_for_phase(float(phase), PM)
-            assert PM.v_min <= v <= PM.v_min + 2.0 * PM.v_pi
+            v = voltage_for_phase(float(phase))
+            assert 0.0 <= v <= 2.0 * V_PI
             assert voltage_to_phase(v, PM) == pytest.approx(
                 canonical_phase(phase), abs=1e-9
             )
 
     @given(pm_configs(), st.floats(allow_nan=False, allow_infinity=False))
-    # a span of exactly 2*v_pi, where a phase just under 2*pi rounds past v_max
+    # a span of exactly 2*V_PI, whose rail a phase just under 2*pi nears
     @example(_EXACT_SPAN, math.nextafter(TWO_PI, 0.0))
     @example(_EXACT_SPAN, -5e-16)
     def test_voltage_for_phase_is_an_in_span_code(self, cfg, phase):
-        v = voltage_for_phase(phase, cfg)
-        assert cfg.v_min <= v <= cfg.v_max
+        v = voltage_for_phase(phase)
+        assert 0.0 <= v <= cfg.v_max
         assert 0 <= voltage_to_code(v, cfg) <= cfg.max_code
+
+    @pytest.mark.parametrize("bits", [1, 16, 63])
+    def test_phases_just_under_two_pi_stay_in_an_exact_span(self, bits):
+        # V_PI * phase is exact, so only the division by pi rounds: the 2000
+        # largest phases below 2*pi stay at or under the 8 V rail unclamped
+        cfg = PmConfig(v_max=2.0 * V_PI, dac_bits=bits)
+        phase = TWO_PI
+        for _ in range(2000):
+            phase = math.nextafter(phase, 0.0)
+            v = voltage_for_phase(phase)
+            assert v <= 8.0
+            assert 0 <= voltage_to_code(v, cfg) <= cfg.max_code
 
 
 class TestSelectDelay:

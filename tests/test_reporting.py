@@ -11,6 +11,7 @@ from fringelock.calibration import CALIB_STEP
 from fringelock.controller import (
     DELAY_SUMMARY,
     QKD_SLOT,
+    VISIBILITY_TARGET,
     ExperimentReport,
     RunSettings,
     run_experiment,
@@ -177,3 +178,16 @@ def test_worst_delay_is_the_first_of_equal_minima():
     text = render_report(report)
     assert "lowest per-delay mean visibility: 0.500000 (delay index 40, 80 ns)" in text
     assert "delays with mean visibility >= 0.96: 125/128" in text
+
+
+def test_headline_counts_a_delay_at_exactly_the_target():
+    per_delay = np.zeros(128, dtype=DELAY_SUMMARY)
+    per_delay["mean_visibility"] = VISIBILITY_TARGET
+    per_delay["mean_visibility"][:3] = (math.nextafter(VISIBILITY_TARGET, 0.0), math.nan, 0.0)
+    report = ExperimentReport(
+        seconds=1, mode="closed-loop", seed=0, per_delay=per_delay,
+        global_mean_visibility=0.98, mean_calib_visibility=0.99,
+        e_bit_overall=0.01, simulated_us=1_000_000,
+    )
+    assert report.delays_at_target == 125
+    assert "delays with mean visibility >= 0.96: 125/128 (97.7%)" in render_report(report)
