@@ -16,7 +16,6 @@ import argparse
 import math
 import sys
 from dataclasses import replace
-from itertools import count, repeat
 from pathlib import Path
 
 from .config import load_config, parse_key, schema_entry, write_config
@@ -25,11 +24,9 @@ from .keyrate import error_threshold, key_rate
 from .reporting import (
     CALIB_TRACE_HEADER,
     QKD_TRACE_HEADER,
-    calib_trace_columns,
     calib_trace_row,
     csv_line,
     make_writer,
-    qkd_trace_columns,
     qkd_trace_row,
     render_report,
     write_summary,
@@ -122,7 +119,6 @@ def _execute_run(settings: RunSettings, out_dir: Path) -> tuple[ExperimentReport
     for name in ("report.txt", "per_delay_summary.csv"):
         (out_dir / name).unlink(missing_ok=True)
     write_config(replace(settings, output_dir=str(out_dir)), out_dir / "effective_config.ini")
-    pm = settings.plant.pm
     with open(out_dir / "calib_trace.csv", "w", encoding="utf-8", newline="") as calib_f, open(
         out_dir / "qkd_trace.csv", "w", encoding="utf-8", newline=""
     ) as qkd_f:
@@ -130,14 +126,10 @@ def _execute_run(settings: RunSettings, out_dir: Path) -> tuple[ExperimentReport
         qkd_f.write(csv_line(QKD_TRACE_HEADER))
 
         def write_second(second, steps, slots):
-            # one formatter call per row, read from this module's globals:
-            # perfbench/child.py --trace 1 rebinds both to time each row
-            calib_f.write("".join(map(
-                calib_trace_row, repeat(second), *calib_trace_columns(steps, pm)
-            )))
-            qkd_f.write("".join(map(
-                qkd_trace_row, repeat(second), count(), *qkd_trace_columns(slots)
-            )))
+            # one formatter call per file and second, read from this module's
+            # globals: perfbench/child.py --trace 1 rebinds both to time them
+            calib_f.write(calib_trace_row(second, steps, settings.plant.pm))
+            qkd_f.write(qkd_trace_row(second, slots))
 
         report = run_experiment(settings, write_second)
     write_summary(report, out_dir / "per_delay_summary.csv")

@@ -263,7 +263,7 @@ def run_experiment(config: "RunSettings", sink: SecondSink | None = None) -> Exp
         second_mean = np.divide(sums, counts, out=np.full(NUM_DELAYS, math.nan), where=counts > 0)
         min_second_mean = np.fmin(min_second_mean, second_mean)
         if sink is not None:
-            sink(second, np.array(rows, dtype=CALIB_STEP), slots)
+            sink(second, np.fromiter(rows, dtype=CALIB_STEP, count=len(rows)), slots)
 
         if plant.elapsed_us != (second + 1) * US_PER_SECOND:
             raise RuntimeError(f"clock skew: {plant.elapsed_us} us after second {second}")

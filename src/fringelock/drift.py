@@ -36,8 +36,8 @@ from .optics import TWO_PI, canonical_phase
 #: laser phase together with ``DriftConfig.laser_ou_sigma``.
 OPTICAL_FREQ_HZ = 193.4e12
 
-#: Most windows ``advance_windows`` draws at once: a block's normals and its
-#: path walk hold about 0.5 MB however many windows a call spans.
+#: Most windows ``advance_windows`` draws at once: a block's normals, in which
+#: its path walk is summed, hold about 130 kB however many windows a call spans.
 BLOCK_WINDOWS = 128
 
 #: Laser phase per unit detuning of each delay, 2*pi * nu0 * delay, in radians;
@@ -169,13 +169,15 @@ def advance_windows(
             for z in normals[:, 0].tolist():
                 eps_at_start.append(eps)
                 eps = eps * decay + laser_step * z
-            # row k is the walk at the start of window k; the last row is the end
-            walks = np.cumsum(np.vstack([walk, walk_step * normals[:, 1:]]), axis=0)
-            raw = (
-                state.offsets[block]
-                + walks[np.arange(len(block)), block]
-                + _LASER_GAIN[block] * np.array(eps_at_start)
-            )
+            # as in delay_drift, the steps scaled and summed down the block in
+            # place from the state, so row k is the walk at the end of window k
+            normals *= walk_step
+            walks = normals[:, 1:]
+            np.add(walk, walks[0], out=walks[0])
+            np.cumsum(walks, axis=0, out=walks)
+            at_start = walks[np.arange(-1, len(block) - 1), block]
+            at_start[0] = walk[block[0]]  # window 0 starts on the state's walk
+            raw = state.offsets[block] + at_start + _LASER_GAIN[block] * np.array(eps_at_start)
             finite = np.isfinite(raw)
             if not finite.all():
                 raise non_finite_phase(int(block[finite.argmin()]))

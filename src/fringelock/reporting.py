@@ -7,23 +7,24 @@ Column layouts are the stable external contract (schema v1):
 * per_delay_summary.csv: delay_index, delay_ns, mean_visibility, min_visibility,
                          e_bit_proxy, accepted_fraction
 
-Each trace line is one f-string over the ``tolist()`` columns of a second's
-``CALIB_STEP`` or ``QKD_SLOT`` array, and each file gets one ``write`` per
-second; a summary line is the run's ``DELAY_SUMMARY`` columns joined with
-commas. Every field is numeric, so CSV quoting never applies and
-plain formatting gives the bytes ``csv.writer`` would. Floats are written
-with six decimals and NaN as an empty field. A float column formats each
-distinct bit pattern once and maps the strings back to its rows; bits, not
-values, key the strings, so ``-0.0`` keeps its sign. The voltage column
-is one ``hardware.dac_to_voltages`` array of the DAC codes, formatted as
-such a float column. The line terminator is fixed, so identical (config,
-seed) runs produce byte-identical files.
+Each trace file gets one ``calib_trace_row`` or ``qkd_trace_row`` call and
+one ``write`` per second, which joins a second's field columns into lines; a
+summary line is the run's ``DELAY_SUMMARY`` columns joined with commas. Every
+field is numeric, so CSV quoting never applies and plain formatting gives the
+bytes ``csv.writer`` would. A trace column formats each distinct value once
+(an integer as ``str`` does, a float with six decimals and NaN as an empty
+field) and maps the strings back to its rows through ``np.unique``'s inverse.
+Floats are keyed by bits, not values, so ``-0.0`` keeps its sign; voltages by
+DAC code; slot numbers are formatted once per run. The line terminator is
+fixed, so identical (config, seed) runs produce byte-identical files.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from functools import lru_cache
+from itertools import chain, repeat
 from pathlib import Path
 from typing import IO, Iterable
 
@@ -43,13 +44,31 @@ PER_DELAY_HEADER = (
 )
 
 
+def _int_strings(values: np.ndarray) -> list[str]:
+    return list(map(str, values.tolist()))
+
+
+def _float_strings(values: np.ndarray) -> list[str]:
+    return ["" if v != v else f"{v:.6f}" for v in values.tolist()]
+
+
+def _fields(keys: np.ndarray, strings=_int_strings) -> list[str]:
+    """A column's fields: ``strings`` formats each distinct key once, and the
+    rows take theirs through ``np.unique``'s inverse."""
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    return np.array(strings(distinct), dtype=object)[inverse].tolist()
+
+
 def float_fields(column: np.ndarray) -> list[str]:
     """A float column's fields: six decimals, NaN as an empty field, each
-    distinct bit pattern formatted once."""
-    # a value key (np.unique on floats, a dict) would merge -0.0 into 0.0
-    bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
-    fields = ["" if v != v else f"{v:.6f}" for v in bits.view(np.float64).tolist()]
-    return np.array(fields, dtype=object)[inverse].tolist()
+    distinct bit pattern formatted once (a value key would merge -0.0 into 0.0)."""
+    return _fields(column.view(np.int64), lambda bits: _float_strings(bits.view(np.float64)))
+
+
+@lru_cache(maxsize=1)
+def _slot_fields(slots: int) -> tuple[str, ...]:
+    """The slot numbers of a QKD stage of ``slots`` slots, built once per run."""
+    return tuple(map(str, range(slots)))
 
 
 def csv_line(fields: Iterable) -> str:
@@ -62,37 +81,24 @@ def make_writer(handle: IO[str]):
     return csv.writer(handle, lineterminator="\n")
 
 
-def calib_trace_columns(steps: np.ndarray, pm: PmConfig) -> list[list]:
-    """The calib_trace fields after ``second`` of a second's ``CALIB_STEP`` rows, by column."""
-    codes = steps["dac_code"]
-    return [
-        steps["delay_index"].tolist(), steps["step_index"].tolist(), codes.tolist(),
-        float_fields(dac_to_voltages(codes, pm)), steps["c1"].tolist(), steps["c2"].tolist(),
-        float_fields(steps["visibility"]),
+def calib_trace_row(second: int, steps: np.ndarray, pm: PmConfig) -> str:
+    """The calib_trace lines of a second's ``CALIB_STEP`` rows, ``""`` for none."""
+    columns = [
+        repeat(str(second)), *(_fields(steps[name]) for name in CALIB_TRACE_HEADER[1:4]),
+        _fields(steps["dac_code"], lambda codes: _float_strings(dac_to_voltages(codes, pm))),
+        _fields(steps["c1"]), _fields(steps["c2"]), float_fields(steps["visibility"]),
     ]
+    # the empty last line ends the last row, and is all there is without rows
+    return "\n".join(chain(map(",".join, zip(*columns)), ("",)))
 
 
-def qkd_trace_columns(slots: np.ndarray) -> list[list]:
-    """The qkd_trace fields after ``second`` and ``slot`` of a ``QKD_SLOT`` array, by column."""
-    return [
-        slots["delay_index"].tolist(), slots["c1"].tolist(), slots["c2"].tolist(),
-        float_fields(slots["visibility"]),
+def qkd_trace_row(second: int, slots: np.ndarray) -> str:
+    """The qkd_trace lines of a second's ``QKD_SLOT`` array, ``""`` for none."""
+    ints = (_fields(slots[name]) for name in QKD_TRACE_HEADER[2:5])
+    columns = [
+        repeat(str(second)), _slot_fields(len(slots)), *ints, float_fields(slots["visibility"])
     ]
-
-
-def calib_trace_row(
-    second: int, delay_index: int, step_index: int, dac_code: int, voltage: str,
-    c1: int, c2: int, visibility: str,
-) -> str:
-    """One calib_trace line; ``voltage`` and ``visibility`` come as formatted fields."""
-    return f"{second},{delay_index},{step_index},{dac_code},{voltage},{c1},{c2},{visibility}\n"
-
-
-def qkd_trace_row(
-    second: int, slot: int, delay_index: int, c1: int, c2: int, visibility: str
-) -> str:
-    """One qkd_trace line; ``visibility`` comes as a formatted field."""
-    return f"{second},{slot},{delay_index},{c1},{c2},{visibility}\n"
+    return "\n".join(chain(map(",".join, zip(*columns)), ("",)))
 
 
 def write_summary(report: ExperimentReport, path: str | Path) -> None:

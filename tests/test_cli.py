@@ -647,3 +647,6 @@ class TestBenchmarkHooks:
         # one drift step: a path round Plant.idle would leave the pads unseen
         for name in ("plant.idle", "drift.advance"):
             assert spans[name][0] == 129, name
+        # one formatter call per trace file and second: a sink that stopped
+        # calling them through cli's globals would leave both spans empty
+        assert spans["reporting.calib_trace_row"][0] == spans["reporting.qkd_trace_row"][0] == 1

@@ -109,12 +109,19 @@ class TestTruePhase:
 
 
 class TestAdvanceWindows:
-    def test_matches_true_phase_then_advance_per_window(self):
-        # 300 windows: two full blocks and a partial one
+    @pytest.mark.parametrize(
+        "windows", [0, 1, 128, 129, 300], ids=["empty", "one", "block", "block-and-one", "several"]
+    )
+    def test_matches_true_phase_then_advance_per_window(self, windows):
+        # block edges (128 windows each): a block of one row, exactly one
+        # block, one past it, two full blocks and a partial one
         cfg = DriftConfig()
         reference, state = make_state(cfg, seed=7), make_state(cfg, seed=7)
         reference_rng, rng = np.random.default_rng(8), np.random.default_rng(8)
-        index = np.random.default_rng(9).integers(0, 128, size=300)
+        for p in (reference, state):  # start from a drifted state
+            p.laser_eps = 3e-9
+            p.path_phases[:] = np.linspace(-2.0, 2.0, 128)
+        index = np.random.default_rng(9).integers(0, 128, size=windows)
         expected = drift_by_window(reference, index.tolist(), 1e-4, cfg, reference_rng)
         phases = advance_windows(state, index, 1e-4, cfg, rng)
         assert phases.tolist() == expected

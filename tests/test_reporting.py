@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fringelock import cli
@@ -22,9 +22,8 @@ from fringelock.reporting import (
     CALIB_TRACE_HEADER,
     PER_DELAY_HEADER,
     QKD_TRACE_HEADER,
-    calib_trace_columns,
+    calib_trace_row,
     float_fields,
-    qkd_trace_columns,
     qkd_trace_row,
     render_report,
     write_summary,
@@ -36,8 +35,8 @@ from reference_model import calib_row, csv_field, csv_text, qkd_row, summary_row
 
 def test_missing_visibility_serializes_empty():
     slots = np.array([(9, 0, 0, math.nan)], dtype=QKD_SLOT)
-    line = qkd_trace_row(0, 3, *(column[0] for column in qkd_trace_columns(slots)))
-    assert line == "0,3,9,0,0,\n"
+    line = qkd_trace_row(0, slots)
+    assert line == "0,0,9,0,0,\n"
     assert line.rstrip("\n").split(",")[-1] == ""
 
 
@@ -62,21 +61,43 @@ def run_columns(draw):
         st.tuples(st.lists(step, max_size=12), st.lists(slot, max_size=12)),
         min_size=1, max_size=3,
     ))
+    # a few values repeated down each column; a dark run's column is all NaN
+    columns = [
+        draw(st.one_of(st.just([math.nan]), st.lists(UNIT_FLOATS, min_size=1, max_size=8)))
+        for _ in PER_DELAY_HEADER[2:]
+    ]
+    return pm, seconds, summary_of(columns)
+
+
+def summary_of(columns):
+    """A ``DELAY_SUMMARY`` array whose float columns repeat the given values."""
     per_delay = np.zeros(NUM_DELAYS, dtype=DELAY_SUMMARY)
     per_delay["delay_index"] = np.arange(NUM_DELAYS)
     per_delay["delay_ns"] = 2 * np.arange(NUM_DELAYS)
-    for name in PER_DELAY_HEADER[2:]:
-        # a few values repeated down the column; a dark run's column is all NaN
-        values = draw(st.one_of(
-            st.just([math.nan]), st.lists(UNIT_FLOATS, min_size=1, max_size=8)
-        ))
+    for name, values in zip(PER_DELAY_HEADER[2:], columns):
         per_delay[name] = np.resize(values, NUM_DELAYS)
-    return pm, seconds, per_delay
+    return per_delay
+
+
+LARGEST_COUNT = 2**63 - 1
 
 
 class TestLinesMatchCsvWriter:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(case=run_columns())
+    # a second with no steps and no slots, between two that have rows
+    @example(case=(PmConfig(), [
+        ([(4, 1, 9, 5, 6, 0.5)], [(4, 5, 6, 0.5)]), ([], []), ([(3, 2, 0, 1, 0, 1.0)], []),
+    ], summary_of([[math.nan]] * 4)))
+    # codes, counts and delays that repeat, so rows share distinct values
+    @example(case=(PmConfig(dac_bits=4), [(
+        [(7, 1, 15, 100, 3, 0.5), (7, 2, 15, 3, 100, -0.5), (8, 1, 15, 100, 100, 0.0)],
+        [(7, 100, 3, 0.5), (8, 3, 100, -0.5), (7, 100, 3, 0.5)],
+    )], summary_of([[0.5, -0.0]] * 4)))
+    # the largest counts an int64 column holds
+    @example(case=(PmConfig(), [(
+        [(127, 23, 0, LARGEST_COUNT, LARGEST_COUNT, 0.0)], [(0, LARGEST_COUNT, 0, 1.0)],
+    )], summary_of([[1.0]] * 4)))
     def test_run_outputs_match_the_row_tuples(self, tmp_path_factory, case):
         pm, seconds, per_delay = case
         report = ExperimentReport(
@@ -133,10 +154,10 @@ def test_float_fields_formats_by_bit_pattern(values):
     assert float_fields(np.array(values, dtype=np.float64)) == expected
 
 
-def test_idle_second_has_no_calib_fields():
+def test_empty_second_has_no_lines():
     # an open-loop second that did not calibrate hands the sink no CALIB_STEP rows
-    columns = calib_trace_columns(np.zeros(0, dtype=CALIB_STEP), PmConfig())
-    assert columns == [[]] * len(CALIB_TRACE_HEADER[1:])
+    assert calib_trace_row(0, np.zeros(0, dtype=CALIB_STEP), PmConfig()) == ""
+    assert qkd_trace_row(0, np.zeros(0, dtype=QKD_SLOT)) == ""
 
 
 def test_summary_handles_dark_run(tmp_path):
