@@ -18,6 +18,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from .config import load_config, parse_key, schema_entry, write_config
 from .controller import MODES, VISIBILITY_TARGET, ExperimentReport, RunSettings, run_experiment
 from .keyrate import error_threshold, key_rate
@@ -26,6 +28,7 @@ from .reporting import (
     QKD_TRACE_HEADER,
     calib_trace_row,
     csv_line,
+    float_fields,
     make_writer,
     qkd_trace_row,
     render_report,
@@ -195,13 +198,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 writer.writerow((param, raw, "", "", "", ""))
                 failed += 1
             else:
-                vis = f"{report.global_mean_visibility:.6f}"
-                writer.writerow((
-                    param, raw, settings.seed, vis,
-                    f"{report.mean_calib_visibility:.6f}",
-                    f"{report.delays_at_target / len(report.per_delay):.6f}",
-                ))
-                print(f"{param}={raw}: global mean visibility {vis}")
+                metrics = float_fields(np.array([
+                    report.global_mean_visibility, report.mean_calib_visibility,
+                    report.delays_at_target / len(report.per_delay),
+                ]))
+                writer.writerow((param, raw, settings.seed, *metrics))
+                print(f"{param}={raw}: global mean visibility {metrics[0]}")
             handle.flush()
     print(f"sweep results written to {out_dir / 'sweep.csv'}")
     return EXIT_USAGE if failed else EXIT_OK

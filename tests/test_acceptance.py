@@ -27,13 +27,13 @@ from fringelock.hardware import (
     DetectorConfig,
     PmConfig,
     dac_to_voltage,
-    sample_counts,
     voltage_for_phase,
     voltage_to_code,
 )
 from fringelock.keyrate import binary_entropy, error_threshold
+from fringelock.plant import Plant, PlantConfig
 
-from conftest import circular_diff, noiseless_plant
+from conftest import circular_diff, noiseless_plant, quiet_drift
 from reference_model import voltage_to_phase
 
 SEED = 1
@@ -183,11 +183,13 @@ def test_a6_timing_invariants():
 
 
 def test_a7_statistical_sanity():
-    det = DetectorConfig(input_rate=5e7, dark_rate=0.0)
-    rng = np.random.default_rng(2024)
-    draws = np.array(
-        [sample_counts((0.5, 0.5), det, 1e-4, rng)[0] for _ in range(100_000)]
+    # the QKD stage's counting path: delay 0 at code 0 sits at quadrature
+    # behind its pi/2 offset, so port 1 expects 500 counts per 100 us window
+    config = PlantConfig(
+        detector=DetectorConfig(input_rate=5e7, dark_rate=0.0),
+        drift=quiet_drift((math.pi / 2,) + (0.0,) * 127), contrast=1.0,
     )
+    draws, _ = Plant(config, entropy=2024).measure_slots(np.zeros(100_000, int), [0] * 128, 100)
     mean_err = abs(draws.mean() - 500.0) / 500.0
     var_err = abs(draws.var() - 500.0) / 500.0
 

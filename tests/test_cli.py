@@ -6,9 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fringelock.cli import main
+from fringelock.controller import QKD_SLOT
 
 ZERO_NOISE_OVERRIDES = [
     "--set", "drift.path_walk_sigma=0",
@@ -95,6 +97,10 @@ _GAPPED = ",".join(["0"] * 64) + ",," + ",".join(["0"] * 64)
 #: (the test this row was, run arguments, the whole stderr line after "error: ")
 _REJECTED = [
     ("test_bad_config_exits_2", _sets("run.bogus=1"), "unknown configuration key [run] bogus"),
+    ("test_undotted_key_exits_2", _sets("seed=3"),
+     "a configuration key must look like section.key, got 'seed'"),
+    ("test_override_without_value_exits_2", _sets("run.seed"),
+     "override must look like section.key=value, got 'run.seed'"),
     ("test_non_finite_value_exits_2_naming_the_key", _sets("drift.laser_ou_sigma=nan"),
      "bad value for [drift] laser_ou_sigma: 'nan' (expected a finite number, got 'nan')"),
     ("test_negative_seed_exits_2_naming_the_key", ["--seed", "-1"],
@@ -158,7 +164,7 @@ _REJECTED = [
         (_sets("drift.laser_ou_tau=0"), "drift.laser_ou_tau must be positive, got 0.0"),
         (_sets("drift.static_offsets=0,1"), "drift.static_offsets needs 128 entries, got 2"),
         *((_sets(f"pm.v_max={v_max}"), f"pm.v_max = {float(v_max)} V cannot cover a full 2*pi "
-           "of phase (needs 2 * V_PI = 8.0 V)") for v_max in ("-1", "7.999")),
+           "of phase (needs 2 * V_PI = 8.0 V)") for v_max in ("-1", "7.999", "7.999999999999999")),
         (_sets("pm.dac_bits=0"), "pm.dac_bits must be positive, got 0"),
         (_sets("detector.dark_rate=-1"), "detector.dark_rate must be >= 0, got -1.0"),
         (_sets("detector.input_rate=-1"), "detector.input_rate must be >= 0, got -1.0"),
@@ -359,6 +365,19 @@ class TestRunCommand:
             "calib_trace.csv", "effective_config.ini", "qkd_trace.csv",
         ]
 
+    def test_runtime_fault_exits_1_and_keeps_outputs(self, tmp_path, monkeypatch, capsys):
+        # a broken timing invariant is a fault of the program, not of the
+        # input: exit 1, and the files written so far stay with no report.txt
+        monkeypatch.setattr(
+            "fringelock.controller.run_qkd_stage", lambda *args: np.zeros(0, QKD_SLOT)
+        )
+        out = tmp_path / "x"
+        assert main(["run", "--seconds", "1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "runtime fault: clock skew: 340000 us after second 0\n"
+        assert sorted(p.name for p in out.iterdir()) == [
+            "calib_trace.csv", "effective_config.ini", "qkd_trace.csv",
+        ]
+
     def test_non_finite_dac_span_exits_2_naming_the_keys(self, tmp_path, capsys):
         out = tmp_path / "x"
         code = main(["run", "--seconds", "1", "--out", str(out), "--set", "pm.v_max=1e308"])
@@ -412,15 +431,6 @@ class TestRunCommand:
         assert "detector.input_rate" in err and "detector.dark_rate" in err
         assert "global mean visibility: nan" in (out / "report.txt").read_text()
 
-    def test_calib_trace_schema(self, tmp_path):
-        out = tmp_path / "run"
-        main(["run", "--seconds", "1", "--seed", "5", "--out", str(out), *ZERO_NOISE_OVERRIDES])
-        with open(out / "calib_trace.csv", newline="") as handle:
-            header = handle.readline().strip()
-        assert header == "second,delay_index,step_index,dac_code,voltage,c1,c2,visibility"
-        with open(out / "qkd_trace.csv", newline="") as handle:
-            assert handle.readline().strip() == "second,slot,delay_index,c1,c2,visibility"
-
 
 class TestKeyrateCommand:
     def test_ideal_rate(self, capsys):
@@ -451,6 +461,9 @@ class TestKeyrateCommand:
                          id="test_train_past_the_float_range_exits_2"),
             *(pytest.param(["128", "1", q, "0"], f"Q must be finite and >= 0, got {q}",
                            id=f"test_non_finite_q_exits_2-{q}") for q in ("nan", "inf")),
+            pytest.param(["128", "70", "1", "0"],
+                         "v_th must lie in (0, (L-1)/2] = (0, 63.5], got 70.0",
+                         id="test_threshold_past_half_the_train_exits_2"),
         ],
     )
     def test_rejected_input_exits_2(self, capsys, args, message):
@@ -567,29 +580,41 @@ class TestSweepCommand:
         rows = read_rows(tmp_path / os.fsdecode(b"sw\xc3\xa9") / "sweep.csv")
         assert [(r["value"], r["seed"]) for r in rows] == [("0.01", "0")]
 
-    def test_unknown_parameter_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "param, values, message",
+        [
+            ("drift.warp_factor", "1,2", "unknown configuration key [drift] warp_factor"),
+            ("seed", "1,2", "a configuration key must look like section.key, got 'seed'"),
+            # a sweep writes only sweep.csv, into its own directory, so every
+            # value of run.output_dir would run the same experiment
+            (" run . output_dir ", "a,b",
+             "sweep cannot vary run.output_dir: its runs write no output files"),
+            ("drift.path_walk_sigma", ",", "sweep needs at least one value"),
+        ],
+        ids=["unknown-key", "undotted-key", "output-dir", "no-values"],
+    )
+    def test_unknown_parameter_exits_2(self, tmp_path, capsys, param, values, message):
         # one message for the key, not one per value, and no output directory
-        assert main([
-            "sweep", "--param", "drift.warp_factor", "--values", "1,2",
-            "--out", str(tmp_path / "s"),
-        ]) == 2
-        captured = capsys.readouterr()
-        assert captured.err == "error: unknown configuration key [drift] warp_factor\n"
-        assert captured.out == ""
-        assert not (tmp_path / "s").exists()
+        out = tmp_path / "s"
+        assert main(["sweep", "--param", param, "--values", values, "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
 
-    def test_output_dir_parameter_exits_2(self, tmp_path, monkeypatch, capsys):
-        # a sweep writes only sweep.csv, into its own directory, so every
-        # value of run.output_dir would run the same experiment
-        monkeypatch.chdir(tmp_path)
-        assert main([
-            "sweep", "--param", " run . output_dir ", "--values", "a,b",
-            "--seconds", "1", "--out", "s",
-        ]) == 2
-        captured = capsys.readouterr()
-        assert "run.output_dir" in captured.err
-        assert captured.out == ""
-        assert list(tmp_path.iterdir()) == []
+    @pytest.mark.parametrize(
+        "param, values, code, row",
+        [
+            # every calibration of the dark value aborts: NaN is an empty field
+            ("detector.input_rate", "0,2.5e7", 0, "detector.input_rate,0,0,0.040541,,0.257812"),
+            # a value with a quote is quoted, its quote doubled
+            ("run.mode", 'a"b,closed-loop', 2, 'run.mode,"a""b",,,,'),
+        ],
+        ids=["nan-is-an-empty-field", "quoted-value"],
+    )
+    def test_first_row_is_a_csv_row(self, tmp_path, param, values, code, row):
+        out = tmp_path / "s"
+        argv = ["sweep", "--param", param, "--values", values, "--seconds", "1", "--out", str(out)]
+        assert main(argv) == code
+        assert (out / "sweep.csv").read_text(encoding="utf-8").splitlines()[1] == row
 
 
 @pytest.mark.parametrize(

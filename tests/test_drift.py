@@ -52,21 +52,6 @@ class TestAdvance:
         detuning, walks = (kstest(z, "norm") for z in zip(*law))
         assert detuning.pvalue > 1e-3 and walks.pvalue > 1e-3, (detuning, walks)
 
-    def test_determinism(self):
-        cfg = DriftConfig()
-        trajectories = []
-        for _ in range(2):
-            state = make_state(cfg, seed=5)
-            rng = np.random.default_rng(6)
-            trace = []
-            for _ in range(50):
-                advance(state, 0.001, cfg, rng)
-                trace.append((state.laser_eps, state.path_phases.copy()))
-            trajectories.append(trace)
-        for (e1, p1), (e2, p2) in zip(*trajectories):
-            assert e1 == e2
-            assert np.array_equal(p1, p2)
-
 
 class TestTruePhase:
     def test_balanced_path_immune_to_laser(self):

@@ -77,12 +77,11 @@ class TestDacChain:
         assert abs(back - v) <= lsb / 2 + rounding
         assert voltage_to_code(dac_to_voltage(code, cfg), cfg) == code
 
-    def test_invalid_pm_config(self):
-        # the span [0, v_max] must cover 2*V_PI = 8 V, and no less
-        for v_max in (-1.0, 7.0, math.nextafter(2.0 * V_PI, 0.0)):
-            with pytest.raises(ValueError, match="cannot cover a full 2\\*pi"):
-                PmConfig(v_max=v_max)
-        assert PmConfig(v_max=2.0 * V_PI).v_max == 8.0
+    @pytest.mark.parametrize("v", [-0.1, 10.1])
+    def test_voltage_outside_the_span_rejected(self, v):
+        with pytest.raises(ValueError) as info:
+            voltage_to_code(v, PM)
+        assert str(info.value) == f"voltage {v} V outside DAC span [0, 10.0]"
 
     def test_63_bit_dac_accepted(self):
         cfg = PmConfig(dac_bits=63)

@@ -29,17 +29,6 @@ class TestMeasure:
         assert c2 == 0
         assert c1 > 0
 
-    def test_seeded_determinism(self):
-        runs = []
-        for _ in range(2):
-            plant = default_plant(seed=77)
-            seq = []
-            for i in range(300):
-                c1, c2 = plant.measure(i % 128, i * 17 % 65536, 100)
-                seq.append((c1, c2))
-            runs.append(seq)
-        assert runs[0] == runs[1]
-
     def test_quadrature_splits_evenly(self):
         offsets = tuple([math.pi / 2] + [0.0] * 127)
         plant = Plant(PlantConfig(drift=quiet_drift(offsets), contrast=1.0), entropy=5)
