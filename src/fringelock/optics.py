@@ -26,20 +26,15 @@ def canonical_phase(value: float) -> float:
     return r
 
 
-def port_intensities(
-    input_power: float, total_phase: float, contrast: float = 1.0
-) -> tuple[float, float]:
-    """Split input power over the two output ports at the given relative phase.
+def port_intensities(total_phase: float, contrast: float = 1.0) -> tuple[float, float]:
+    """Split unit input power over the two output ports at the given relative phase.
 
-    Returns ``(i1, i2)``: port 1 carries I/2 * (1 + v0*cos(phase)), port 2
-    the complement, so the two ports always sum to the input power (lossless
-    split; detection losses are modelled downstream). ``contrast`` is the
+    Returns ``(i1, i2)``: port 1 carries (1 + v0*cos(phase)) / 2, port 2 the
+    complement, so the two ports always sum to 1 (lossless split; the photon
+    rate and detection losses are applied downstream). ``contrast`` is the
     intrinsic fringe contrast v0 in [0, 1]; 1 is the ideal interferometer.
     """
-    if input_power < 0.0:
-        raise ValueError(f"input power must be >= 0, got {input_power}")
     if not 0.0 <= contrast <= 1.0:
         raise ValueError(f"contrast must lie in [0, 1], got {contrast}")
     x = contrast * math.cos(total_phase)
-    half = 0.5 * input_power
-    return half * (1.0 + x), half * (1.0 - x)
+    return 0.5 * (1.0 + x), 0.5 * (1.0 - x)

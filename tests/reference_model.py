@@ -60,7 +60,7 @@ class Stepper:
         cfg = self.config
         alpha = true_phase(self.state, delay_index, cfg.drift)
         phi = voltage_to_phase(dac_to_voltage(code, cfg.pm), cfg.pm)
-        intensities = port_intensities(1.0, alpha + phi, cfg.contrast)
+        intensities = port_intensities(alpha + phi, cfg.contrast)
         counts = sample_counts(intensities, cfg.detector, window_us * 1e-6, self._rng_detector)
         self.idle(window_us)
         return counts

@@ -12,6 +12,8 @@ import pytest
 from fringelock.cli import main
 from fringelock.controller import QKD_SLOT
 
+from conftest import PINNED_DIGESTS
+
 ZERO_NOISE_OVERRIDES = [
     "--set", "drift.path_walk_sigma=0",
     "--set", "drift.laser_ou_sigma=0",
@@ -45,19 +47,10 @@ def run_in_ascii_locale(*args: str | bytes, cwd: Path | None = None) -> subproce
                           capture_output=True, text=True, errors="backslashreplace", timeout=120)
 
 
-#: SHA-256 of `run --seconds 2 --seed 0` with the default config, taken
-#: with Python 3.11.7 and numpy 2.4.6. A change here is an output change.
-PINNED_DIGESTS = {
-    "calib_trace.csv": "8d59816bffd2f7bf5d874d01e775e3d0c4ec911c235c9e2a48e6c7c48fad1a97",
-    "qkd_trace.csv": "c132b079258f88a5f877757c05cb088b94e0467f279a6571e7419ad3febd5c25",
-    "per_delay_summary.csv": "51aa75df3d6d90b5710c7d5f9d07473196d3d8a03b958b1e17bcb1ba445b7da7",
-    "report.txt": "350111bd8402a7d4be9434186dd1853487a37c119435f045377ca936d2cd9963",
-}
-
 #: SHA-256 of `run --seconds 1 --seed 0` at 1e5 photons/s with no dark
-#: counts, taken as above under drift stream v1.1: 123 of its 128
-#: calibrations abort, keeping partial step traces of 0 to 21 rows, so the
-#: abort path is pinned too.
+#: counts, taken as `conftest.PINNED_DIGESTS` was, under drift stream v1.1:
+#: 123 of its 128 calibrations abort, keeping partial step traces of 0 to 21
+#: rows, so the abort path is pinned too.
 LOW_LIGHT_ARGS = ["--set", "detector.input_rate=100000", "--set", "detector.dark_rate=0"]
 LOW_LIGHT_DIGESTS = {
     "calib_trace.csv": "6359771a87334f1cc7035c6857ccbdc5ae8bb34c80ee5d43fb2daef255544cf6",
@@ -177,12 +170,11 @@ class TestRunCommand:
     @pytest.mark.parametrize(
         "argv, pinned",
         [
-            (["run", "--seconds", "2", "--seed", "0"], PINNED_DIGESTS),
             (["run", "--seconds", "1", "--seed", "0", *LOW_LIGHT_ARGS], LOW_LIGHT_DIGESTS),
             (["run", "--seconds", "1", "--seed", "0", *NO_PAD_ARGS], NO_PAD_DIGESTS),
             (["run", "--seconds", "1", "--seed", "0", *ODD_WINDOW_ARGS], ODD_WINDOW_DIGESTS),
         ],
-        ids=["default", "low-light-aborts", "no-pad", "odd-window"],
+        ids=["low-light-aborts", "no-pad", "odd-window"],
     )
     def test_outputs_match_pinned_digests(self, tmp_path, argv, pinned):
         out = tmp_path / "run"

@@ -27,45 +27,40 @@ class TestCanonicalPhase:
 
 class TestPortIntensities:
     def test_constructive_extreme(self):
-        assert port_intensities(1.0, 0.0, 1.0) == (1.0, 0.0)
+        assert port_intensities(0.0, 1.0) == (1.0, 0.0)
 
     def test_quadrature(self):
-        i1, i2 = port_intensities(1.0, math.pi / 2, 1.0)
+        i1, i2 = port_intensities(math.pi / 2, 1.0)
         assert i1 == pytest.approx(0.5, abs=1e-15)
         assert i2 == pytest.approx(0.5, abs=1e-15)
 
     def test_direct_evaluation(self):
-        # cos(pi/3) = 1/2, so I=2 splits 1.5 / 0.5
-        i1, i2 = port_intensities(2.0, math.pi / 3, 1.0)
-        assert i1 == pytest.approx(1.5, rel=1e-12)
-        assert i2 == pytest.approx(0.5, rel=1e-12)
+        # cos(pi/3) = 1/2, so unit power splits 0.75 / 0.25
+        i1, i2 = port_intensities(math.pi / 3, 1.0)
+        assert i1 == pytest.approx(0.75, rel=1e-12)
+        assert i2 == pytest.approx(0.25, rel=1e-12)
 
     def test_energy_conservation(self):
         rng = np.random.default_rng(7)
         for _ in range(300):
-            power = rng.uniform(0.0, 10.0)
             phase = rng.uniform(-10.0, 10.0)
             v0 = rng.uniform(0.0, 1.0)
-            i1, i2 = port_intensities(power, phase, v0)
+            i1, i2 = port_intensities(phase, v0)
             assert i1 >= 0.0 and i2 >= 0.0
-            assert i1 + i2 == pytest.approx(power, rel=1e-12, abs=1e-15)
+            assert i1 + i2 == pytest.approx(1.0, rel=1e-12)
 
     def test_fringe_symmetry(self):
         rng = np.random.default_rng(8)
         for phase in rng.uniform(0.0, TWO_PI, size=100):
-            a1, _ = port_intensities(1.0, phase, 1.0)
-            _, b2 = port_intensities(1.0, phase + math.pi, 1.0)
+            a1, _ = port_intensities(phase, 1.0)
+            _, b2 = port_intensities(phase + math.pi, 1.0)
             assert a1 == pytest.approx(b2, abs=1e-12)
-
-    def test_negative_power_rejected(self):
-        with pytest.raises(ValueError):
-            port_intensities(-1.0, 0.0, 1.0)
 
     def test_contrast_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            port_intensities(1.0, 0.0, 1.5)
+            port_intensities(0.0, 1.5)
         with pytest.raises(ValueError):
-            port_intensities(1.0, 0.0, -0.1)
+            port_intensities(0.0, -0.1)
 
 
 class TestVisibility:
@@ -74,6 +69,6 @@ class TestVisibility:
         total = 2_000_000
         rng = np.random.default_rng(10)
         for phase in rng.uniform(0.0, TWO_PI, size=100):
-            i1, i2 = port_intensities(float(total), phase, 1.0)
-            c1, c2 = round(i1), round(i2)
+            i1, i2 = port_intensities(phase, 1.0)
+            c1, c2 = round(total * i1), round(total * i2)
             assert (c1 - c2) / (c1 + c2) == pytest.approx(math.cos(phase), abs=2.0 / total)
