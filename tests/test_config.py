@@ -58,11 +58,25 @@ class TestLoadConfig:
             load_config(path)
 
     def test_offsets_accept_random_or_list(self):
-        settings = load_config(None, overrides=["drift.static_offsets=random"])
-        assert settings.plant.drift.static_offsets == "random"
+        for spelling in ("random", "RANDOM"):
+            settings = load_config(None, overrides=[f"drift.static_offsets={spelling}"])
+            assert settings.plant.drift.static_offsets == "random"
         explicit = ",".join(["0.5"] * 128)
         settings = load_config(None, overrides=[f"drift.static_offsets={explicit}"])
         assert settings.plant.drift.static_offsets == tuple([0.5] * 128)
+
+    def test_boolean_spellings(self):
+        for spelling, value in [("true", True), ("Yes", True), ("ON", True), ("1", True),
+                                ("FALSE", False), ("no", False), ("Off", False), ("0", False)]:
+            settings = load_config(None, overrides=[f"detector.shot_noise={spelling}"])
+            assert settings.plant.detector.shot_noise is value, spelling
+
+    def test_set_strips_the_value_as_a_file_does(self, tmp_path):
+        # configparser strips around a file's `=`; `--set` takes the same padding
+        path = tmp_path / "run.ini"
+        path.write_text("[run]\nmode = open-loop\n")
+        assert load_config(None, overrides=["run.mode = open-loop"]) == load_config(path)
+        assert load_config(path).mode == "open-loop"
 
 
 class TestValueErrors:

@@ -212,3 +212,18 @@ def test_headline_counts_a_delay_at_exactly_the_target():
     )
     assert report.delays_at_target == 125
     assert "delays with mean visibility >= 0.96: 125/128 (97.7%)" in render_report(report)
+
+
+def test_key_rate_line_clamps_an_error_proxy_past_one_half():
+    # a table locked on the wrong fringe leaves a negative QKD visibility, so
+    # the proxy passes 0.5, where key_rate's domain ends
+    per_delay = np.zeros(128, dtype=DELAY_SUMMARY)
+    per_delay["mean_visibility"] = -0.4
+    report = ExperimentReport(
+        seconds=1, mode="open-loop", seed=0, per_delay=per_delay,
+        global_mean_visibility=-0.4, mean_calib_visibility=0.99,
+        e_bit_overall=0.7, simulated_us=1_000_000,
+    )
+    text = render_report(report)
+    assert "e_bit proxy (delays r > 0): 0.700000\n" in text
+    assert "key rate per 128-pulse train at Q=1, v_th=1: -0.066344\n" in text
