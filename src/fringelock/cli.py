@@ -1,7 +1,9 @@
 """Command-line front end: run | keyrate | sweep.
 
 Batch only; runs write CSV traces plus a text report into the output
-directory and echo their effective configuration for reproducibility.
+directory and echo their effective configuration for reproducibility. A run
+writes each second's trace lines as ``iter_seconds`` yields it, and
+``run_experiment`` folds the same seconds into report.txt and per_delay_summary.csv.
 Exit codes: 0 success, 1 runtime fault, 2 usage or configuration error,
 including a run in which no QKD slot counted a photon (its outputs are kept;
 a sweep still runs and records its other values when one is rejected). A run
@@ -21,7 +23,9 @@ from pathlib import Path
 import numpy as np
 
 from .config import load_config, parse_key, schema_entry, write_config
-from .controller import MODES, VISIBILITY_TARGET, ExperimentReport, RunSettings, run_experiment
+from .controller import (
+    MODES, VISIBILITY_TARGET, ExperimentReport, RunSettings, iter_seconds, run_experiment,
+)
 from .keyrate import error_threshold, key_rate
 from .reporting import (
     CALIB_TRACE_HEADER,
@@ -128,13 +132,15 @@ def _execute_run(settings: RunSettings, out_dir: Path) -> tuple[ExperimentReport
         calib_f.write(csv_line(CALIB_TRACE_HEADER))
         qkd_f.write(csv_line(QKD_TRACE_HEADER))
 
-        def write_second(second, steps, slots):
+        def written_seconds():
             # one formatter call per file and second, read from this module's
             # globals: perfbench/child.py --trace 1 rebinds both to time them
-            calib_f.write(calib_trace_row(second, steps, settings.plant.pm))
-            qkd_f.write(qkd_trace_row(second, slots))
+            for second, steps, slots in iter_seconds(settings):
+                calib_f.write(calib_trace_row(second, steps, settings.plant.pm))
+                qkd_f.write(qkd_trace_row(second, slots))
+                yield second, steps, slots
 
-        report = run_experiment(settings, write_second)
+        report = run_experiment(settings, written_seconds())
     write_summary(report, out_dir / "per_delay_summary.csv")
     text = render_report(report)
     (out_dir / "report.txt").write_text(text, encoding="utf-8")

@@ -37,7 +37,7 @@ SECTIONS = (
 
 
 def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
+    lowered = text.lower()
     if lowered in ("true", "yes", "on", "1"):
         return True
     if lowered in ("false", "no", "off", "0"):
@@ -53,7 +53,7 @@ def _parse_float(text: str) -> float:
 
 
 def _parse_offsets(text: str) -> str | tuple[float, ...]:
-    if text.strip().lower() == "random":
+    if text.lower() == "random":
         return "random"
     return tuple(_parse_float(part) for part in text.split(","))
 

@@ -12,14 +12,16 @@ Stage results are columnar: the stabilization stage returns the refreshed
 table as one ``TABLE_ENTRY`` array (a row per delay, its DAC code a plain
 int) and appends its 128 calibrations' ``CALIB_STEP`` rows to the caller's
 list, and the QKD stage returns one ``QKD_SLOT`` array with a row per
-switch slot. A run's per-delay results are one ``DELAY_SUMMARY``.
+switch slot. ``iter_seconds`` yields each second's ``CALIB_STEP`` and
+``QKD_SLOT`` arrays, which the traces hold in full, and ``run_experiment``
+folds seconds, simulated or read back, into a report of ``DELAY_SUMMARY`` rows.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -204,54 +206,61 @@ class ExperimentReport:
         return int(np.count_nonzero(self.per_delay["mean_visibility"] >= VISIBILITY_TARGET))
 
 
-#: Gets (second, its ``CALIB_STEP`` rows, empty if it did not calibrate,
-#: and its ``QKD_SLOT`` rows).
-SecondSink = Callable[[int, np.ndarray, np.ndarray], None]
-
-
-def run_experiment(config: "RunSettings", sink: SecondSink | None = None) -> ExperimentReport:
-    """Alternate stabilization and QKD stages for the configured seconds.
+def iter_seconds(config: "RunSettings") -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Alternate stabilization and QKD stages for the configured seconds,
+    yielding each as (second, its ``CALIB_STEP`` rows, empty if it did not
+    calibrate, its ``QKD_SLOT`` rows).
 
     Deterministic for a given (config, seed): the single seed spawns the
     plant's streams and the delay-draw stream through a fixed recipe. In
     open-loop mode only the first second calibrates; later stabilization
-    windows idle with the stale table, which is what the mode is for.
-    Per-delay statistics accumulate in arrays, one element per delay, and
-    ``sink`` receives each second's stage results once; without a sink the
-    calibration rows never become an array.
+    windows idle with the stale table, which is what the mode is for. A
+    second is yielded before its clock is checked, so a consumer has it
+    when the check raises.
     """
     plant_ss, delay_ss = np.random.SeedSequence(config.seed).spawn(2)
     plant = Plant(config.plant, entropy=plant_ss)
     rng_delay = np.random.default_rng(delay_ss)
     schedule = config.schedule
     table = bootstrap_table(config.plant)
-    calibrated_seconds = 0
+    for second in range(config.seconds):
+        rows: list[tuple] = []
+        if config.mode == CLOSED_LOOP or second == 0:
+            table = run_stabilization_stage(second, plant, config.calibration, schedule, table, rows)
+            if (table["refreshed_at"] != second).any():
+                raise RuntimeError("table must be refreshed this second")
+        else:
+            plant.idle(schedule.stab_duration_us)
+        slots = run_qkd_stage(table, plant, schedule, rng_delay)
+        yield second, np.fromiter(rows, dtype=CALIB_STEP, count=len(rows)), slots
+        if plant.elapsed_us != (second + 1) * US_PER_SECOND:
+            raise RuntimeError(f"clock skew: {plant.elapsed_us} us after second {second}")
+
+
+def run_experiment(config: "RunSettings", records: Iterable | None = None) -> ExperimentReport:
+    """Fold a run's seconds, by default ``iter_seconds(config)``, into its report.
+
+    A search completed when it has a step-23 row, and was accepted when that
+    row's visibility reaches ``ACCEPT_THRESHOLD``; an aborted search has
+    none. Per-delay statistics accumulate in arrays, one element per delay.
+    """
     accepted = np.zeros(NUM_DELAYS, dtype=np.int64)
     calib_vis_sum = np.zeros(NUM_DELAYS)
-    calib_vis_count = np.zeros(NUM_DELAYS, dtype=np.int64)
     vis_sum = np.zeros(NUM_DELAYS)
     vis_slots = np.zeros(NUM_DELAYS, dtype=np.int64)
     # worst per-second mean; NaN until a delay has a counted slot
     min_second_mean = np.full(NUM_DELAYS, math.nan)
+    calib_n = simulated_us = 0
 
-    for second in range(config.seconds):
-        rows: list[tuple] = []
-        if config.mode == CLOSED_LOOP or second == 0:
-            table = run_stabilization_stage(
-                second, plant, config.calibration, schedule, table, rows
-            )
-            if (table["refreshed_at"] != second).any():
-                raise RuntimeError("table must be refreshed this second")
-            calibrated_seconds += 1
-            calib_vis = table["calib_visibility"]
-            accepted += calib_vis >= ACCEPT_THRESHOLD  # an aborted search's NaN is False
-            completed = ~np.isnan(calib_vis)
-            calib_vis_sum[completed] += calib_vis[completed]
-            calib_vis_count += completed
-        else:
-            plant.idle(schedule.stab_duration_us)
+    for _, steps, slots in iter_seconds(config) if records is None else records:
+        simulated_us += US_PER_SECOND
+        # one step-23 row per completed search, in delay order
+        final = steps[steps["step_index"] == TOTAL_STEPS]
+        completed = final["delay_index"]
+        accepted[completed] += final["visibility"] >= ACCEPT_THRESHOLD
+        calib_vis_sum[completed] += final["visibility"]
+        calib_n += len(completed)
 
-        slots = run_qkd_stage(table, plant, schedule, rng_delay)
         counted = slots[~np.isnan(slots["visibility"])]
         # bincount adds in slot order, so each per-delay sum is sequential
         sums = np.bincount(
@@ -262,11 +271,6 @@ def run_experiment(config: "RunSettings", sink: SecondSink | None = None) -> Exp
         vis_slots += counts
         second_mean = np.divide(sums, counts, out=np.full(NUM_DELAYS, math.nan), where=counts > 0)
         min_second_mean = np.fmin(min_second_mean, second_mean)
-        if sink is not None:
-            sink(second, np.fromiter(rows, dtype=CALIB_STEP, count=len(rows)), slots)
-
-        if plant.elapsed_us != (second + 1) * US_PER_SECOND:
-            raise RuntimeError(f"clock skew: {plant.elapsed_us} us after second {second}")
 
     per_delay = np.empty(NUM_DELAYS, dtype=DELAY_SUMMARY)
     per_delay["delay_index"] = np.arange(NUM_DELAYS)
@@ -275,12 +279,12 @@ def run_experiment(config: "RunSettings", sink: SecondSink | None = None) -> Exp
     per_delay["mean_visibility"] = mean_vis
     per_delay["min_visibility"] = min_second_mean
     per_delay["e_bit_proxy"] = (1.0 - mean_vis) / 2.0
-    per_delay["accepted_fraction"] = accepted / calibrated_seconds
+    # open loop calibrates in its first second only
+    per_delay["accepted_fraction"] = accepted / (config.seconds if config.mode == CLOSED_LOOP else 1)
     per_delay["slots"] = vis_slots
     # sum() adds the np.float64 elements one by one in delay order, as the
     # pinned outputs need; np.sum's pairwise order would change the bits
     total_slots = int(vis_slots.sum())
-    calib_n = int(calib_vis_count.sum())
     # delay 0 interferes a train with itself (r=0 is not a valid protocol
     # shift), so it is switched but excluded from the error-rate aggregate
     rr_vis = sum(vis_sum[1:])
@@ -293,7 +297,7 @@ def run_experiment(config: "RunSettings", sink: SecondSink | None = None) -> Exp
         global_mean_visibility=sum(vis_sum) / total_slots if total_slots else math.nan,
         mean_calib_visibility=sum(calib_vis_sum) / calib_n if calib_n else math.nan,
         e_bit_overall=(1.0 - rr_vis / rr_slots) / 2.0 if rr_slots else math.nan,
-        simulated_us=plant.elapsed_us,
+        simulated_us=simulated_us,
     )
 
 

@@ -137,7 +137,7 @@ def render_report(report: ExperimentReport) -> str:
     )
     if not math.isnan(report.e_bit_overall):
         lines.append(f"e_bit proxy (delays r > 0): {report.e_bit_overall:.6f}")
-        e_bit = min(0.5, max(0.0, report.e_bit_overall))
+        e_bit = min(0.5, report.e_bit_overall)
         rate = key_rate(NUM_DELAYS, 1.0, 1.0, e_bit)
         lines.append(f"key rate per {NUM_DELAYS}-pulse train at Q=1, v_th=1: {rate:.6f}")
     lines.append(f"simulated time: {report.simulated_us} us")

@@ -2,14 +2,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from fringelock.controller import RunSettings
+from fringelock.calibration import CALIB_STEP
+from fringelock.config import load_config
+from fringelock.controller import QKD_SLOT, RunSettings, run_experiment
 from fringelock.drift import DriftConfig
 from fringelock.hardware import V_PI, DetectorConfig, PmConfig
 from fringelock.plant import Plant, PlantConfig
+from fringelock.reporting import render_report, write_summary
 
 # the shared reference model's asserts report like a test's, and survive python -O
 pytest.register_assert_rewrite("reference_model")
@@ -83,3 +88,47 @@ def pm_configs(draw):
     if draw(st.booleans()):
         return PmConfig(dac_bits=dac_bits)
     return PmConfig(v_max=draw(st.floats(2.0 * V_PI, 200.0)), dac_bits=dac_bits)
+
+
+def _read_trace(path: Path, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
+    """A trace's "second" column and its rows as a ``dtype`` array. The
+    visibility is recomputed from c1 and c2, NaN at zero counts, as the run
+    computed it; the trace's six-decimal field is not read."""
+    header, *lines = path.read_text(encoding="utf-8").splitlines()
+    names = header.split(",")
+    fields = [line.split(",") for line in lines]
+
+    def column(name):
+        at = names.index(name)
+        return np.array([int(row[at]) for row in fields], dtype=np.int64)
+
+    rows = np.empty(len(fields), dtype=dtype)
+    for name in dtype.names[:-1]:  # the visibility is last
+        rows[name] = column(name)
+    total = rows["c1"] + rows["c2"]
+    rows["visibility"] = np.divide(
+        rows["c1"] - rows["c2"], total, out=np.full(len(rows), math.nan), where=total > 0
+    )
+    return column("second"), rows
+
+
+def read_traces(out_dir: Path):
+    """A run's seconds read back from its two traces, as ``iter_seconds``
+    yields them: (second, ``CALIB_STEP`` rows, ``QKD_SLOT`` rows)."""
+    calib_seconds, steps = _read_trace(out_dir / "calib_trace.csv", CALIB_STEP)
+    qkd_seconds, slots = _read_trace(out_dir / "qkd_trace.csv", QKD_SLOT)
+    # every second switches at least one QKD slot
+    for second in range(int(qkd_seconds.max()) + 1):
+        yield second, steps[calib_seconds == second], slots[qkd_seconds == second]
+
+
+def traces_rebuild_outputs(out_dir: Path) -> bool:
+    """Whether the fold over a finished run's traces, under its echoed
+    settings, gives its report.txt and per_delay_summary.csv byte for byte."""
+    report = run_experiment(load_config(out_dir / "effective_config.ini"), read_traces(out_dir))
+    rebuilt = out_dir.parent / f"{out_dir.name}_rebuilt_summary.csv"
+    write_summary(report, rebuilt)
+    return (
+        render_report(report).encode("utf-8") == (out_dir / "report.txt").read_bytes()
+        and rebuilt.read_bytes() == (out_dir / "per_delay_summary.csv").read_bytes()
+    )

@@ -24,7 +24,7 @@ from fringelock.calibration import (
     run_calibration,
 )
 from fringelock.cli import main
-from fringelock.controller import RunSettings, run_experiment
+from fringelock.controller import RunSettings, iter_seconds, run_experiment
 from fringelock.hardware import (
     V_PI,
     DetectorConfig,
@@ -36,7 +36,9 @@ from fringelock.hardware import (
 from fringelock.keyrate import binary_entropy, error_threshold
 from fringelock.plant import Plant, PlantConfig
 
-from conftest import PINNED_DIGESTS, circular_diff, noiseless_plant, quiet_drift
+from conftest import (
+    PINNED_DIGESTS, circular_diff, noiseless_plant, quiet_drift, traces_rebuild_outputs,
+)
 from reference_model import voltage_to_phase
 
 SEED = 1
@@ -53,13 +55,15 @@ def closed_loop_run():
     step-23 visibilities at or above ACCEPT_THRESHOLD."""
     accepted: list[int] = []
 
-    def sink(second, steps, slots):
-        final = steps["visibility"][steps["step_index"] == TOTAL_STEPS]
-        accepted.append(int((final >= ACCEPT_THRESHOLD).sum()))
+    def counted(records):
+        for second, steps, slots in records:
+            final = steps["visibility"][steps["step_index"] == TOTAL_STEPS]
+            accepted.append(int((final >= ACCEPT_THRESHOLD).sum()))
+            yield second, steps, slots
 
     settings = RunSettings(seconds=60, seed=SEED)
     start = time.perf_counter()
-    report = run_experiment(settings, sink)
+    report = run_experiment(settings, counted(iter_seconds(settings)))
     wall = time.perf_counter() - start
     return report, wall, accepted
 
@@ -177,13 +181,13 @@ def test_a6_timing_invariants():
     schedule = settings.schedule
     calib_steps: dict[tuple[int, int], list[int]] = {}
     slots_per_second: dict[int, int] = {}
-
-    def sink(second, steps, slots):
+    records = list(iter_seconds(settings))
+    for second, steps, slots in records:
         for delay, step in zip(steps["delay_index"].tolist(), steps["step_index"].tolist()):
             calib_steps.setdefault((second, delay), []).append(step)
         slots_per_second[second] = len(slots)
 
-    report = run_experiment(settings, sink)
+    report = run_experiment(settings, records)
     step_ok = len(calib_steps) == 3 * 128 and all(
         steps == list(range(1, 24)) for steps in calib_steps.values()
     )
@@ -234,9 +238,12 @@ def test_a8_byte_identical_outputs(tmp_path):
         name for name, digest in PINNED_DIGESTS.items()
         if hashlib.sha256((out / name).read_bytes()).hexdigest() != digest
     ]
+    # a second source: the fold over the traces alone gives the summaries
+    rebuilt = traces_rebuild_outputs(out)
     check(
         "A8",
-        not mismatched,
+        not mismatched and rebuilt,
         "run --seconds 2 --seed 0 reproduced its pinned SHA-256 digests"
-        + (f"; mismatches: {mismatched}" if mismatched else f" ({', '.join(PINNED_DIGESTS)})"),
+        + (f"; mismatches: {mismatched}" if mismatched else f" ({', '.join(PINNED_DIGESTS)})")
+        + f"; its traces rebuilt report.txt and per_delay_summary.csv: {rebuilt}",
     )

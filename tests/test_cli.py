@@ -12,7 +12,7 @@ import pytest
 from fringelock.cli import main
 from fringelock.controller import QKD_SLOT
 
-from conftest import PINNED_DIGESTS
+from conftest import PINNED_DIGESTS, traces_rebuild_outputs
 
 ZERO_NOISE_OVERRIDES = [
     "--set", "drift.path_walk_sigma=0",
@@ -184,6 +184,7 @@ class TestRunCommand:
             for name in pinned
         }
         assert digests == pinned
+        assert traces_rebuild_outputs(out)
 
     def test_zero_noise_summary(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -369,6 +370,11 @@ class TestRunCommand:
         assert sorted(p.name for p in out.iterdir()) == [
             "calib_trace.csv", "effective_config.ini", "qkd_trace.csv",
         ]
+        # the faulted second's lines were written before the check raised
+        header, *lines = (out / "calib_trace.csv").read_text(encoding="utf-8").splitlines()
+        assert header == "second,delay_index,step_index,dac_code,voltage,c1,c2,visibility"
+        assert len(lines) == 128 * 23 and all(line.startswith("0,") for line in lines)
+        assert (out / "qkd_trace.csv").read_bytes() == b"second,slot,delay_index,c1,c2,visibility\n"
 
     def test_non_finite_dac_span_exits_2_naming_the_keys(self, tmp_path, capsys):
         out = tmp_path / "x"
@@ -650,6 +656,9 @@ class TestBenchmarkHooks:
         assert proc.returncode == 0, proc.stderr
         data = json.loads(result.read_text())
         assert data["exit_code"] == 0
+        # set-up ends where run_experiment is entered: both stages run inside
+        # its span, or the benchmark's setup_s would count simulated seconds
+        assert data["t_first_run"] is not None
         # one call per calibration: a path round this name would leave its
         # span short or empty
         trace = data["trace"]
@@ -664,6 +673,8 @@ class TestBenchmarkHooks:
         # one drift step: a path round Plant.idle would leave the pads unseen
         for name in ("plant.idle", "drift.advance"):
             assert spans[name][0] == 129, name
-        # one formatter call per trace file and second: a sink that stopped
+        stages = spans["controller.stabilization_stage"][1] + spans["controller.qkd_stage"][1]
+        assert stages <= spans["controller.run_experiment"][1]
+        # one formatter call per trace file and second: a writer that stopped
         # calling them through cli's globals would leave both spans empty
         assert spans["reporting.calib_trace_row"][0] == spans["reporting.qkd_trace_row"][0] == 1

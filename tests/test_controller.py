@@ -15,6 +15,7 @@ from fringelock.controller import (
     FrameSchedule,
     RunSettings,
     bootstrap_table,
+    iter_seconds,
     run_experiment,
     run_qkd_stage,
     run_stabilization_stage,
@@ -313,51 +314,57 @@ class TestRunExperiment:
         assert report.global_mean_visibility == 1.0
         assert report.simulated_us == 1_000_000
 
-    def test_slot_records_and_calib_traces_via_sinks(self):
-        settings = RunSettings(seconds=2, seed=32)
-        calls = []
-        run_experiment(settings, lambda *args: calls.append(args))
-        assert [second for second, _, _ in calls] == [0, 1]
-        assert sum(len(slots) for _, _, slots in calls) == 2 * 6600
-        calib_rows = [(second, row) for second, steps, _ in calls for row in steps]
+    def test_seconds_yield_slot_records_and_calib_steps(self):
+        records = list(iter_seconds(RunSettings(seconds=2, seed=32)))
+        assert [second for second, _, _ in records] == [0, 1]
+        assert sum(len(slots) for _, _, slots in records) == 2 * 6600
+        calib_rows = [(second, row) for second, steps, _ in records for row in steps]
         assert len(calib_rows) == 2 * 128 * 23
         seconds = {row[0] for row in calib_rows}
         assert seconds == {0, 1}
 
     def test_open_loop_calibrates_only_once(self):
         settings = RunSettings(seconds=3, seed=33, mode=OPEN_LOOP)
-        calib_rows = []
-        dtypes = set()
-        report = run_experiment(
-            settings,
-            lambda second, steps, slots: (
-                calib_rows.extend([second] * len(steps)), dtypes.add(steps.dtype)
-            ),
-        )
-        assert set(calib_rows) == {0}
-        # the idle seconds pass empty CALIB_STEP arrays
-        assert dtypes == {CALIB_STEP}
+        records = list(iter_seconds(settings))
+        report = run_experiment(settings, records)
+        assert [len(steps) for _, steps, _ in records] == [128 * 23, 0, 0]
+        # the idle seconds yield empty CALIB_STEP arrays
+        assert {steps.dtype for _, steps, _ in records} == {CALIB_STEP}
         assert report.mode == OPEN_LOOP
         assert report.simulated_us == 3_000_000
         # a single calibration means acceptance is counted against one refresh
         assert set(report.per_delay["accepted_fraction"].tolist()) <= {0.0, 1.0}
 
-    def test_accepted_fraction_counts_step_23_rows_at_the_threshold(self):
+    def test_accepted_fraction_counts_step_23_rows_at_the_threshold(self, monkeypatch):
         # at 3e5 photons/s each second has accepted, rejected and aborted
-        # searches; an aborted one has no step-23 row
+        # searches; the tables the stage returns are the independent source
         plant = replace(PlantConfig(), detector=DetectorConfig(input_rate=3e5))
+        settings = RunSettings(plant=plant, seconds=2, seed=3)
+        tables = []
+
+        def kept_table(*args):
+            tables.append(run_stabilization_stage(*args))
+            return tables[-1]
+
+        monkeypatch.setattr(controller, "run_stabilization_stage", kept_table)
+        records = list(iter_seconds(settings))
+        report = run_experiment(settings, records)
         accepted = np.zeros(NUM_DELAYS, dtype=np.int64)
-        kinds = []
-
-        def sink(second, steps, slots):
+        calib_vis_sum = np.zeros(NUM_DELAYS)
+        for (_, steps, _), table in zip(records, tables, strict=True):
+            vis = table["calib_visibility"]
+            completed = ~np.isnan(vis)
+            assert 0 < (vis >= ACCEPT_THRESHOLD).sum() < completed.sum() < NUM_DELAYS
+            # the fold's invariant: a search completed exactly when it has a
+            # step-23 row, whose visibility is the table's, bit for bit
             final = steps[steps["step_index"] == 23]
-            passed = final["visibility"] >= ACCEPT_THRESHOLD
-            np.add.at(accepted, final["delay_index"][passed], 1)
-            kinds.append((int(passed.sum()), int((~passed).sum()), NUM_DELAYS - len(final)))
-
-        report = run_experiment(RunSettings(plant=plant, seconds=2, seed=3), sink)
-        assert all(min(counts) > 0 for counts in kinds) and len(kinds) == 2
+            assert final["delay_index"].tolist() == np.flatnonzero(completed).tolist()
+            assert final["visibility"].tobytes() == vis[completed].tobytes()
+            accepted += vis >= ACCEPT_THRESHOLD
+            calib_vis_sum[completed] += vis[completed]
         assert report.per_delay["accepted_fraction"].tolist() == (accepted / 2).tolist()
+        completed_searches = sum(int((~np.isnan(t["calib_visibility"])).sum()) for t in tables)
+        assert report.mean_calib_visibility == sum(calib_vis_sum) / completed_searches
 
     def test_e_bit_excludes_balanced_delay(self):
         report = run_experiment(RunSettings(seconds=1, seed=34))

@@ -106,13 +106,17 @@ class TestLinesMatchCsvWriter:
             e_bit_overall=0.01, simulated_us=1_000_000 * len(seconds),
         )
 
-        def fake_run(settings, sink):
+        def fake_seconds(settings):
             for second, (steps, slots) in enumerate(seconds):
-                sink(second, np.array(steps, dtype=CALIB_STEP), np.array(slots, dtype=QKD_SLOT))
+                yield second, np.array(steps, dtype=CALIB_STEP), np.array(slots, dtype=QKD_SLOT)
+
+        def fake_run(settings, records):
+            assert len(list(records)) == len(seconds)
             return report
 
         out = tmp_path_factory.mktemp("lines")
         with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "iter_seconds", fake_seconds)
             patch.setattr(cli, "run_experiment", fake_run)
             cli._execute_run(RunSettings(plant=PlantConfig(pm=pm)), out)
         # the row-tuple form the files were first written in, through
@@ -155,7 +159,7 @@ def test_float_fields_formats_by_bit_pattern(values):
 
 
 def test_empty_second_has_no_lines():
-    # an open-loop second that did not calibrate hands the sink no CALIB_STEP rows
+    # an open-loop second that did not calibrate has no CALIB_STEP rows
     assert calib_trace_row(0, np.zeros(0, dtype=CALIB_STEP), PmConfig()) == ""
     assert qkd_trace_row(0, np.zeros(0, dtype=QKD_SLOT)) == ""
 
