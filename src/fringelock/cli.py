@@ -97,8 +97,8 @@ def _settings_from_args(args: argparse.Namespace, *swept: str) -> RunSettings:
 def _make_output_dir(args: argparse.Namespace, output_dir: str, echoed: bool = False) -> Path:
     """Create the output directory and return it; an empty name, a file
     where it or a parent should be, or, for a run that echoes its config, a
-    path that is not UTF-8 text, is a usage error, named by the option or
-    key that gave the path."""
+    path that is not UTF-8 text or that the echo's reader would strip, is a
+    usage error, named by the option or key that gave the path."""
     source = "run.output_dir" if args.out is None else "--out"
     if not output_dir.strip():
         raise ValueError(f"{source} is empty; name an output directory")
@@ -109,6 +109,11 @@ def _make_output_dir(args: argparse.Namespace, output_dir: str, echoed: bool = F
             raise ValueError(
                 f"{source} {output_dir} is not UTF-8 text, so effective_config.ini cannot hold it"
             ) from None
+        if output_dir != output_dir.strip():
+            raise ValueError(
+                f"{source} {output_dir!r} starts or ends with whitespace, "
+                "so effective_config.ini cannot hold it"
+            )
     out_dir = Path(output_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -9,12 +9,12 @@ microseconds throughout, so the timing arithmetic is exact and checkable
 from traces.
 
 Stage results are columnar: the stabilization stage returns the refreshed
-table as one ``TABLE_ENTRY`` array (a row per delay, its DAC code a plain
-int) and appends its 128 calibrations' ``CALIB_STEP`` rows to the caller's
-list, and the QKD stage returns one ``QKD_SLOT`` array with a row per
-switch slot. ``iter_seconds`` yields each second's ``CALIB_STEP`` and
-``QKD_SLOT`` arrays, which the traces hold in full, and ``run_experiment``
-folds seconds, simulated or read back, into a report of ``DELAY_SUMMARY`` rows.
+table, a list of 128 DAC codes (plain ints, one per delay), and one
+``CALIB_STEP`` array of its 128 calibrations' steps; the QKD stage returns
+one ``QKD_SLOT`` array with a row per switch slot. ``iter_seconds`` yields
+each second's ``CALIB_STEP`` and ``QKD_SLOT`` arrays, which the traces hold
+in full, and ``run_experiment`` folds seconds, simulated or read back, into
+a report of ``DELAY_SUMMARY`` rows.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .calibration import (
     CalibrationAborted,
     CalibrationConfig,
     TOTAL_STEPS,
-    phase_to_compensation_code,
     run_calibration,
 )
 from .hardware import DELAY_NS, NUM_DELAYS
@@ -98,13 +97,6 @@ class FrameSchedule:
         return self.qkd_duration_us // self.qkd_slot_us
 
 
-#: One compensation-table row per delay: the optimal DAC code, the final
-#: calibration visibility (NaN if aborted; accepted from ``ACCEPT_THRESHOLD``
-#: on), and the second it was refreshed (-1 before the first).
-TABLE_ENTRY = np.dtype(
-    [("code", np.int64), ("calib_visibility", np.float64), ("refreshed_at", np.int64)]
-)
-
 #: One QKD switch slot: the drawn delay, its two port counts and the slot
 #: visibility (c1 - c2) / (c1 + c2), NaN when the slot saw no counts.
 QKD_SLOT = np.dtype(
@@ -112,48 +104,38 @@ QKD_SLOT = np.dtype(
 )
 
 
-def bootstrap_table(plant_cfg: PlantConfig) -> np.ndarray:
-    """Cold-start table: phase-0 compensation codes, nothing calibrated yet."""
-    code = phase_to_compensation_code(0.0, plant_cfg.pm)
-    return np.array([(code, math.nan, -1)] * NUM_DELAYS, dtype=TABLE_ENTRY)
-
-
 def run_stabilization_stage(
-    second: int,
     plant: Plant,
     calib_cfg: CalibrationConfig,
     schedule: FrameSchedule,
-    previous: np.ndarray,
-    rows: list[tuple],
-) -> np.ndarray:
+    previous: list[int],
+) -> tuple[list[int], np.ndarray]:
     """Recalibrate all 128 delays in order, one permutation slot each.
 
-    Returns the refreshed ``TABLE_ENTRY`` table, and appends the
-    ``CALIB_STEP`` tuples of all 128 searches in delay order to ``rows``.
-    An aborted calibration leaves a partial trace, and its entry keeps the
-    previous second's code with NaN visibility, which is never accepted.
-    Each slot spends its 23 step windows through one ``Plant.counter``
-    function, whether or not its search counts them all, and the stage then
-    idles to the slot end. Every search reads its step 1-4 codes from the
+    Returns the refreshed table of 128 DAC codes and one ``CALIB_STEP``
+    array of all 128 searches' steps in delay order. An aborted calibration
+    leaves a partial trace with no step-23 row, and its delay keeps the
+    previous code. Each slot spends its 23 step windows through one
+    ``Plant.counter`` function, whether or not its search counts them all,
+    and the stage then idles to the slot end. Every search reads its step 1-4 codes from the
     memoised ``preset_codes``.
     """
     pm = plant.config.pm
     start_us = plant.elapsed_us
-    entries: list[tuple] = []
+    codes, rows = list(previous), []
     for index in range(NUM_DELAYS):
         count = plant.counter(index, calib_cfg.step_window_us, TOTAL_STEPS)
         try:
-            result = run_calibration(index, count, calib_cfg, pm, rows)
-            entries.append((result.optimal_code, result.final_visibility, second))
+            codes[index] = run_calibration(index, count, calib_cfg, pm, rows).optimal_code
         except CalibrationAborted:
-            entries.append((previous["code"][index], math.nan, second))
+            pass  # the previous code stays
         plant.idle(start_us + (index + 1) * schedule.perm_slot_us - plant.elapsed_us)
     plant.idle(start_us + schedule.stab_duration_us - plant.elapsed_us)
-    return np.array(entries, dtype=TABLE_ENTRY)
+    return codes, np.fromiter(rows, dtype=CALIB_STEP, count=len(rows))
 
 
 def run_qkd_stage(
-    table: np.ndarray,
+    codes: list[int],
     plant: Plant,
     schedule: FrameSchedule,
     rng_delay: np.random.Generator,
@@ -170,7 +152,7 @@ def run_qkd_stage(
     """
     n = schedule.qkd_slots
     index = rng_delay.integers(0, NUM_DELAYS, size=n)
-    c1, c2 = plant.measure_slots(index, table["code"].tolist(), schedule.qkd_slot_us)
+    c1, c2 = plant.measure_slots(index, codes, schedule.qkd_slot_us)
     slots = np.empty(n, dtype=QKD_SLOT)
     slots["delay_index"] = index
     slots["c1"] = c1
@@ -222,17 +204,15 @@ def iter_seconds(config: "RunSettings") -> Iterator[tuple[int, np.ndarray, np.nd
     plant = Plant(config.plant, entropy=plant_ss)
     rng_delay = np.random.default_rng(delay_ss)
     schedule = config.schedule
-    table = bootstrap_table(config.plant)
+    codes = [0] * NUM_DELAYS  # phase_to_compensation_code(0.0, pm) for every DAC
     for second in range(config.seconds):
-        rows: list[tuple] = []
         if config.mode == CLOSED_LOOP or second == 0:
-            table = run_stabilization_stage(second, plant, config.calibration, schedule, table, rows)
-            if (table["refreshed_at"] != second).any():
-                raise RuntimeError("table must be refreshed this second")
+            codes, steps = run_stabilization_stage(plant, config.calibration, schedule, codes)
         else:
             plant.idle(schedule.stab_duration_us)
-        slots = run_qkd_stage(table, plant, schedule, rng_delay)
-        yield second, np.fromiter(rows, dtype=CALIB_STEP, count=len(rows)), slots
+            steps = np.empty(0, dtype=CALIB_STEP)
+        slots = run_qkd_stage(codes, plant, schedule, rng_delay)
+        yield second, steps, slots
         if plant.elapsed_us != (second + 1) * US_PER_SECOND:
             raise RuntimeError(f"clock skew: {plant.elapsed_us} us after second {second}")
 

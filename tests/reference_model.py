@@ -19,7 +19,7 @@ import numpy as np
 from fringelock.calibration import CALIB_STEP, QUADRATURE_PHASES, TOTAL_STEPS
 from fringelock.calibration import CalibrationAborted
 from fringelock.calibration import _wrap_into_span, least_squares_phase, phase_to_compensation_code
-from fringelock.controller import QKD_SLOT, TABLE_ENTRY
+from fringelock.controller import QKD_SLOT
 from fringelock.drift import advance, initial_state, true_phase
 from fringelock.hardware import NUM_DELAYS, V_PI, dac_to_voltage, sample_counts
 from fringelock.hardware import voltage_for_phase, voltage_to_code
@@ -46,7 +46,9 @@ def drift_by_window(state, indices, dt, cfg, rng):
 
 class Stepper:
     """The plant window by window. The same stream recipe as ``Plant``:
-    ``SeedSequence(seed)`` spawns (offsets, drift, detector)."""
+    ``SeedSequence(seed)`` spawns (offsets, drift, detector). ``events``
+    logs what the reference searches run on it saw: "wrap" for each scan
+    point that falls off a rail, and each abort's message."""
 
     def __init__(self, config, seed):
         offsets_ss, drift_ss, detector_ss = np.random.SeedSequence(seed).spawn(3)
@@ -55,6 +57,7 @@ class Stepper:
         self._rng_detector = np.random.default_rng(detector_ss)
         self.state = initial_state(config.drift, np.random.default_rng(offsets_ss))
         self.elapsed_us = 0
+        self.events = []
 
     def measure(self, delay_index, code, window_us):
         cfg = self.config
@@ -81,11 +84,11 @@ def assert_same_plant(plant, reference):
         assert state == getattr(reference, stream).bit_generator.state, stream
 
 
-def calibration(delay_index, stepper, cfg, pm, rows, events):
+def calibration(delay_index, stepper, cfg, pm, rows):
     """The 23-step search one step at a time: each step's code is chosen
     just before it is measured, and an incumbent is replaced only by a
     strictly higher visibility. Returns (code, final visibility).
-    Appends "wrap" to ``events`` for each scan point that falls off a rail."""
+    Logs "wrap" in ``stepper.events`` for each scan point off a rail."""
 
     def step(index, code):
         c1, c2 = stepper.measure(delay_index, code, cfg.step_window_us)
@@ -102,7 +105,7 @@ def calibration(delay_index, stepper, cfg, pm, rows, events):
         for j, off in enumerate(offsets):
             v = center_v + off
             if not 0.0 <= v <= pm.v_max:
-                events.append("wrap")
+                stepper.events.append("wrap")
             code = voltage_to_code(_wrap_into_span(v, pm), pm)
             vis = step(first_step + j, code)
             if vis > best_visibility:
@@ -123,32 +126,30 @@ def calibration(delay_index, stepper, cfg, pm, rows, events):
     return pt5_code, final_visibility
 
 
-def stabilization_stage(second, stepper, calib_cfg, schedule, previous, events):
+def stabilization_stage(stepper, calib_cfg, schedule, previous):
     """The stabilisation stage step by step, each slot idled to its end.
-    Returns the ``TABLE_ENTRY`` table and the ``CALIB_STEP`` rows, and
-    appends each abort's message to ``events``. An aborted search's unused
-    step windows are idled one at a time (stream v1.1)."""
+    Returns the table of 128 DAC codes, an aborted delay's code taken from
+    ``previous``, and the ``CALIB_STEP`` rows, and logs each abort's
+    message in ``stepper.events``. An aborted search's unused step windows
+    are idled one at a time (stream v1.1)."""
     start_us = stepper.elapsed_us
     window_us = calib_cfg.step_window_us
-    entries, rows = [], []
+    codes, rows = list(previous), []
     for index in range(NUM_DELAYS):
         slot_start = stepper.elapsed_us
         try:
-            result = calibration(index, stepper, calib_cfg, stepper.config.pm, rows, events)
-            entries.append((*result, second))
+            codes[index], _ = calibration(index, stepper, calib_cfg, stepper.config.pm, rows)
         except CalibrationAborted as exc:
-            events.append(str(exc))
-            entries.append((previous["code"][index], math.nan, second))
+            stepper.events.append(str(exc))
             while stepper.elapsed_us < slot_start + TOTAL_STEPS * window_us:
                 stepper.idle(window_us)
         stepper.idle(slot_start + schedule.perm_slot_us - stepper.elapsed_us)
     stepper.idle(start_us + schedule.stab_duration_us - stepper.elapsed_us)
-    return np.array(entries, dtype=TABLE_ENTRY), np.array(rows, dtype=CALIB_STEP)
+    return codes, np.array(rows, dtype=CALIB_STEP)
 
 
-def qkd_stage(table, stepper, schedule, rng_delay):
+def qkd_stage(codes, stepper, schedule, rng_delay):
     """The QKD stage slot by slot: a delay draw, then its window."""
-    codes = table["code"].tolist()
     rows = []
     for _ in range(schedule.qkd_slots):
         index = int(rng_delay.integers(0, NUM_DELAYS))

@@ -57,8 +57,10 @@ class TestLeastSquaresPhase:
 
 
 class TestPhaseToCompensationCode:
-    def test_zero_phase_maps_to_lower_rail(self):
-        assert phase_to_compensation_code(0.0, PM) == 0
+    @given(pm_configs())
+    def test_zero_phase_maps_to_lower_rail(self, pm):
+        # so the cold-start table of controller.iter_seconds is code 0 for every DAC
+        assert phase_to_compensation_code(0.0, pm) == 0
 
     def test_half_wave(self):
         v = dac_to_voltage(phase_to_compensation_code(math.pi, PM), PM)

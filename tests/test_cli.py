@@ -325,6 +325,23 @@ class TestRunCommand:
         )
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("out", [" lead", "tab\t"], ids=["leading-space", "trailing-tab"])
+    def test_output_path_with_outer_whitespace_exits_2(self, tmp_path, monkeypatch, capsys, out):
+        # the echo's reader strips values, so it would name another
+        # directory: the run stops before it makes any. A sweep writes no
+        # echo and keeps the path as given
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "--seconds", "1", "--out", out]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --out {out!r} starts or ends with whitespace, "
+            "so effective_config.ini cannot hold it\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+        sweep = ["sweep", "--param", "run.seed", "--values", "1", "--seconds", "1", "--out", out]
+        assert main(sweep) == 0
+        assert [p.name for p in tmp_path.iterdir()] == [out]
+        assert (tmp_path / out / "sweep.csv").is_file()
+
     def test_non_finite_drift_phase_exits_2_naming_the_keys(self, tmp_path, capsys):
         # the first OU step pushes the laser term of every delay but 0 past
         # the float range; delay 1 is calibrated second

@@ -6,15 +6,14 @@ import pytest
 from scipy.stats import kstest
 
 from fringelock import controller
-from fringelock.calibration import ACCEPT_THRESHOLD, CALIB_STEP, CalibrationConfig
+from fringelock.calibration import CALIB_STEP, CalibrationAborted, CalibrationConfig
+from fringelock.calibration import run_calibration
 from fringelock.controller import (
     DELAY_SUMMARY,
     OPEN_LOOP,
     QKD_SLOT,
-    TABLE_ENTRY,
     FrameSchedule,
     RunSettings,
-    bootstrap_table,
     iter_seconds,
     run_experiment,
     run_qkd_stage,
@@ -34,43 +33,28 @@ class TestStabilizationStage:
         # random static offsets: the search must still land every path at 1.0
         drift = replace(settings.plant.drift, static_offsets="random")
         plant = Plant(replace(settings.plant, drift=drift), entropy=21)
-        rows = []
-        table = run_stabilization_stage(
-            0, plant, settings.calibration, settings.schedule, bootstrap_table(plant.config), rows
+        codes, steps = run_stabilization_stage(
+            plant, settings.calibration, settings.schedule, [0] * NUM_DELAYS
         )
-        steps = np.array(rows, dtype=CALIB_STEP)
-        assert table.dtype == TABLE_ENTRY
-        assert len(table) == 128
-        assert (table["calib_visibility"] == 1.0).all()
-        assert (table["refreshed_at"] == 0).all()
+        assert len(codes) == 128 and all(type(code) is int for code in codes)
         assert plant.elapsed_us == 340_000
         # 23 steps for each of the 128 delays, in delay order
         assert steps.dtype == CALIB_STEP
         assert steps["delay_index"].tolist() == [i for i in range(128) for _ in range(23)]
+        assert (steps[steps["step_index"] == 23]["visibility"] == 1.0).all()
 
     def test_aborted_entry_keeps_previous_code(self):
         settings = zero_noise_settings()
         dead = replace(settings.plant.detector, input_rate=0.0, dark_rate=0.0)
         plant = Plant(replace(settings.plant, detector=dead), entropy=23)
-        previous = bootstrap_table(plant.config)
-        table = run_stabilization_stage(
-            0, plant, settings.calibration, settings.schedule, previous, []
+        previous = list(range(0, 7 * NUM_DELAYS, 7))
+        codes, steps = run_stabilization_stage(
+            plant, settings.calibration, settings.schedule, previous
         )
-        assert (table["code"] == previous["code"]).all()
-        assert np.isnan(table["calib_visibility"]).all()
+        assert codes == previous == list(range(0, 7 * NUM_DELAYS, 7))
+        assert steps.dtype == CALIB_STEP and len(steps) == 0
         # aborted slots still consume their full permutation slot
         assert plant.elapsed_us == 340_000
-
-    def test_appends_after_the_callers_rows(self):
-        # earlier rows stay as they are, and each search reads only its own
-        settings = zero_noise_settings()
-        calib, schedule = settings.calibration, settings.schedule
-        previous = bootstrap_table(settings.plant)
-        fresh, shared = [], [(9, 1, 0, 1, 0, 1.0)] * 3
-        for rows in (fresh, shared):
-            run_stabilization_stage(0, Plant(settings.plant, 28), calib, schedule, previous, rows)
-        assert shared[:3] == [(9, 1, 0, 1, 0, 1.0)] * 3
-        assert shared[3:] == fresh and len(fresh) == 128 * 23
 
     def test_steps_must_fit_permutation_slot(self):
         settings = zero_noise_settings()
@@ -78,9 +62,7 @@ class TestStabilizationStage:
         calib = replace(settings.calibration, step_window_us=200)
         # 23 steps of 200 us overrun the 2500 us slot: no idle can reach its end
         with pytest.raises(ValueError, match="idle duration must be >= 0"):
-            run_stabilization_stage(
-                0, plant, calib, settings.schedule, bootstrap_table(plant.config), []
-            )
+            run_stabilization_stage(plant, calib, settings.schedule, [0] * NUM_DELAYS)
 
 
 _NOISELESS = zero_noise_settings().plant
@@ -119,21 +101,18 @@ class TestStabilizationStageAgainstModel:
     )
     def test_matches_step_by_step_stage(self, plant_cfg, calib_cfg, schedule, seed, expect):
         reference, plant = Stepper(plant_cfg, seed), Plant(plant_cfg, seed)
-        expected_table = table = bootstrap_table(plant_cfg)
-        events = []
-        for second in range(2):
-            expected_table, expected_steps = stabilization_stage(
-                second, reference, calib_cfg, schedule, expected_table, events
+        expected_codes = codes = [0] * NUM_DELAYS
+        for _ in range(2):
+            expected_codes, expected_steps = stabilization_stage(
+                reference, calib_cfg, schedule, expected_codes
             )
-            rows = []
-            table = run_stabilization_stage(second, plant, calib_cfg, schedule, table, rows)
-            steps = np.array(rows, dtype=CALIB_STEP)
-            assert table.tobytes() == expected_table.tobytes()
+            codes, steps = run_stabilization_stage(plant, calib_cfg, schedule, codes)
+            assert codes == expected_codes
             assert steps.tobytes() == expected_steps.tobytes()
             assert_same_plant(plant, reference)
             for p in (reference, plant):
                 p.idle(schedule.qkd_duration_us)  # stand in for the QKD stage
-        aborts = [e for e in events if e != "wrap"]
+        aborts = [e for e in reference.events if e != "wrap"]
         if expect == "low-light":
             assert any(a.startswith("zero total counts") for a in aborts)
             assert any("coincide" in a for a in aborts)
@@ -149,7 +128,7 @@ class TestStabilizationStageAgainstModel:
             assert not aborts
             assert len(steps) == NUM_DELAYS * 23
             if expect == "wraps":
-                assert "wrap" in events
+                assert "wrap" in reference.events
 
     def test_non_finite_phase_raises_as_its_slot_is_spent(self):
         # a fast OU detuning near the float range: the laser term of delay 4
@@ -158,17 +137,17 @@ class TestStabilizationStageAgainstModel:
         calib_cfg, schedule = CalibrationConfig(), FrameSchedule()
         reference, plant = Stepper(plant_cfg, 51), Plant(plant_cfg, 51)
         with pytest.raises(ValueError) as expected:
-            stabilization_stage(0, reference, calib_cfg, schedule, bootstrap_table(plant_cfg), [])
+            stabilization_stage(reference, calib_cfg, schedule, [0] * NUM_DELAYS)
         assert reference.elapsed_us == 4 * 2_500 + 19 * 100
         with pytest.raises(ValueError, match="^true phase of delay 4 ") as raised:
-            run_stabilization_stage(0, plant, calib_cfg, schedule, bootstrap_table(plant_cfg), [])
+            run_stabilization_stage(plant, calib_cfg, schedule, [0] * NUM_DELAYS)
         assert str(raised.value) == str(expected.value)
         # the plant raised as delay 4's slot was spent, before any window of
         # it was counted: clock, detector stream and drift state are those
         # of a model that ran slots 0-3 only
         prefix = Stepper(plant_cfg, 51)
         for index in range(4):
-            calibration(index, prefix, calib_cfg, plant_cfg.pm, [], [])
+            calibration(index, prefix, calib_cfg, plant_cfg.pm, [])
             prefix.idle((index + 1) * schedule.perm_slot_us - prefix.elapsed_us)
         assert plant.elapsed_us == prefix.elapsed_us == 4 * 2_500
         state = plant._rng_detector.bit_generator.state
@@ -195,7 +174,7 @@ class TestDriftLaw:
         calib_cfg, schedule = CalibrationConfig(), FrameSchedule()
         plants = [Plant(_DARK, seed) for seed in range(32)]
         for plant in plants:
-            run_stabilization_stage(0, plant, calib_cfg, schedule, bootstrap_table(_DARK), [])
+            run_stabilization_stage(plant, calib_cfg, schedule, [0] * NUM_DELAYS)
         _assert_drift_law(plants, _DARK.drift, schedule.stab_duration_us * 1e-6)
 
     def test_closed_loop_second_follows_the_drift_law(self):
@@ -204,10 +183,8 @@ class TestDriftLaw:
         plant_cfg, calib_cfg, schedule = PlantConfig(), CalibrationConfig(), FrameSchedule()
         plants = [Plant(plant_cfg, seed) for seed in range(24)]
         for seed, plant in enumerate(plants):
-            table = run_stabilization_stage(
-                0, plant, calib_cfg, schedule, bootstrap_table(plant_cfg), []
-            )
-            run_qkd_stage(table, plant, schedule, np.random.default_rng(seed))
+            codes, _ = run_stabilization_stage(plant, calib_cfg, schedule, [0] * NUM_DELAYS)
+            run_qkd_stage(codes, plant, schedule, np.random.default_rng(seed))
             assert plant.elapsed_us == 1_000_000
         _assert_drift_law(plants, plant_cfg.drift, 1.0)
 
@@ -228,8 +205,8 @@ class TestQkdStage:
     def test_slot_count_and_lookup_correctness(self):
         settings = zero_noise_settings()
         plant = _SpyPlant(settings.plant, entropy=24)
-        table = run_stabilization_stage(
-            0, plant, settings.calibration, settings.schedule, bootstrap_table(plant.config), []
+        table, _ = run_stabilization_stage(
+            plant, settings.calibration, settings.schedule, [0] * NUM_DELAYS
         )
         slots = run_qkd_stage(table, plant, settings.schedule, np.random.default_rng(25))
         assert slots.dtype == QKD_SLOT
@@ -237,15 +214,13 @@ class TestQkdStage:
         assert plant.elapsed_us == 1_000_000
         [(index, codes)] = plant.applied
         assert slots["delay_index"].tolist() == index.tolist()
-        for i in index.tolist():
-            assert type(codes[i]) is int and codes[i] == table["code"][i]
+        assert codes == table and all(type(code) is int for code in codes)
 
     def test_zero_count_slots_retained_as_missing(self):
         settings = zero_noise_settings()
         dead = replace(settings.plant.detector, input_rate=0.0, dark_rate=0.0)
         plant = Plant(replace(settings.plant, detector=dead), entropy=26)
-        table = bootstrap_table(plant.config)
-        slots = run_qkd_stage(table, plant, settings.schedule, np.random.default_rng(27))
+        slots = run_qkd_stage([0] * NUM_DELAYS, plant, settings.schedule, np.random.default_rng(27))
         assert len(slots) == 6600
         assert not slots["c1"].any() and not slots["c2"].any()
         assert np.isnan(slots["visibility"]).all()
@@ -273,14 +248,13 @@ class TestBatchedQkdStage:
              "dark"],
     )
     def test_matches_slot_by_slot_loop(self, plant_cfg, schedule, seed):
-        table = bootstrap_table(plant_cfg)
-        table["code"] = np.random.default_rng(seed).integers(0, plant_cfg.pm.max_code + 1, 128)
+        codes = np.random.default_rng(seed).integers(0, plant_cfg.pm.max_code + 1, 128).tolist()
         reference, plant = Stepper(plant_cfg, seed), Plant(plant_cfg, seed)
         reference_rng, rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
         for p in (reference, plant):
             p.idle(schedule.stab_duration_us)  # start from a drifted state
-        expected = qkd_stage(table, reference, schedule, reference_rng)
-        slots = run_qkd_stage(table, plant, schedule, rng)
+        expected = qkd_stage(codes, reference, schedule, reference_rng)
+        slots = run_qkd_stage(codes, plant, schedule, rng)
         for name in QKD_SLOT.names:
             assert slots[name].tobytes() == expected[name].tobytes(), name
         # every stream stands where the loop left it, so later stages agree too
@@ -291,13 +265,13 @@ class TestBatchedQkdStage:
         # eps is 0 in the first slot; the first OU step then pushes the laser
         # term of every delay but 0 past the float range
         plant_cfg = PlantConfig(drift=DriftConfig(laser_ou_sigma=1e308))
-        table, schedule = bootstrap_table(plant_cfg), FrameSchedule()
+        codes, schedule = [0] * NUM_DELAYS, FrameSchedule()
         reference, plant = Stepper(plant_cfg, 46), Plant(plant_cfg, 46)
         with pytest.raises(ValueError) as expected:
-            qkd_stage(table, reference, schedule, np.random.default_rng(47))
+            qkd_stage(codes, reference, schedule, np.random.default_rng(47))
         assert reference.elapsed_us > 0  # the phase turned non-finite mid-stage
         with pytest.raises(ValueError, match="^true phase of delay") as raised:
-            run_qkd_stage(table, plant, schedule, np.random.default_rng(47))
+            run_qkd_stage(codes, plant, schedule, np.random.default_rng(47))
         assert str(raised.value) == str(expected.value)
         assert "drift.laser_ou_sigma and drift.path_walk_sigma" in str(raised.value)
 
@@ -337,33 +311,40 @@ class TestRunExperiment:
 
     def test_accepted_fraction_counts_step_23_rows_at_the_threshold(self, monkeypatch):
         # at 3e5 photons/s each second has accepted, rejected and aborted
-        # searches; the tables the stage returns are the independent source
+        # searches; the results the searches return are the independent source
         plant = replace(PlantConfig(), detector=DetectorConfig(input_rate=3e5))
         settings = RunSettings(plant=plant, seconds=2, seed=3)
-        tables = []
+        results = []  # a CalibResult per search, None for an abort
 
-        def kept_table(*args):
-            tables.append(run_stabilization_stage(*args))
-            return tables[-1]
+        def kept_result(*args):
+            try:
+                results.append(run_calibration(*args))
+            except CalibrationAborted:
+                results.append(None)
+                raise
+            return results[-1]
 
-        monkeypatch.setattr(controller, "run_stabilization_stage", kept_table)
+        monkeypatch.setattr(controller, "run_calibration", kept_result)
         records = list(iter_seconds(settings))
         report = run_experiment(settings, records)
+        assert len(results) == 2 * NUM_DELAYS
         accepted = np.zeros(NUM_DELAYS, dtype=np.int64)
         calib_vis_sum = np.zeros(NUM_DELAYS)
-        for (_, steps, _), table in zip(records, tables, strict=True):
-            vis = table["calib_visibility"]
-            completed = ~np.isnan(vis)
-            assert 0 < (vis >= ACCEPT_THRESHOLD).sum() < completed.sum() < NUM_DELAYS
+        for second, (_, steps, _) in enumerate(records):
+            searches = results[second * NUM_DELAYS:(second + 1) * NUM_DELAYS]
+            completed = [i for i, result in enumerate(searches) if result is not None]
+            vis = np.array([searches[i].final_visibility for i in completed])
+            passed = [searches[i].accepted for i in completed]
+            assert 0 < sum(passed) < len(completed) < NUM_DELAYS
             # the fold's invariant: a search completed exactly when it has a
-            # step-23 row, whose visibility is the table's, bit for bit
+            # step-23 row, whose visibility is the search's, bit for bit
             final = steps[steps["step_index"] == 23]
-            assert final["delay_index"].tolist() == np.flatnonzero(completed).tolist()
-            assert final["visibility"].tobytes() == vis[completed].tobytes()
-            accepted += vis >= ACCEPT_THRESHOLD
-            calib_vis_sum[completed] += vis[completed]
+            assert final["delay_index"].tolist() == completed
+            assert final["visibility"].tobytes() == vis.tobytes()
+            accepted[completed] += passed
+            calib_vis_sum[completed] += vis
         assert report.per_delay["accepted_fraction"].tolist() == (accepted / 2).tolist()
-        completed_searches = sum(int((~np.isnan(t["calib_visibility"])).sum()) for t in tables)
+        completed_searches = sum(result is not None for result in results)
         assert report.mean_calib_visibility == sum(calib_vis_sum) / completed_searches
 
     def test_e_bit_excludes_balanced_delay(self):
@@ -383,15 +364,6 @@ class TestRunExperiment:
 
 class TestTimingInvariants:
     """The timing contract holds under ``python -O`` too: real exceptions."""
-
-    def test_stale_table_raises(self, monkeypatch):
-        monkeypatch.setattr(
-            controller,
-            "run_stabilization_stage",
-            lambda second, plant, calib, schedule, previous, rows: previous,
-        )
-        with pytest.raises(RuntimeError, match="table must be refreshed this second"):
-            run_experiment(zero_noise_settings())
 
     def test_clock_skew_raises(self, monkeypatch):
         monkeypatch.setattr(controller, "run_qkd_stage", lambda *args: np.zeros(0, QKD_SLOT))
