@@ -156,7 +156,10 @@ def _scan_codes(center_code: int, offsets: Sequence[float], cfg: PmConfig) -> li
         v = center_v + off
         if not 0.0 <= v <= v_max:
             v = _wrap_into_span(v, cfg)
-        codes.append(min(max_code, max(0, round(v / v_max * max_code))))
+        code = round(v / v_max * max_code)
+        if not 0 <= code <= max_code:
+            code = min(max_code, max(0, code))
+        codes.append(code)
     return codes
 
 
@@ -184,20 +187,22 @@ def run_calibration(
     """
     append_row = rows.append
 
-    def measure_batch(first_step: int, codes: Sequence[int]) -> list[float]:
+    def measure_batch(step: int, codes: Sequence[int]) -> list[float]:
         # one count per step, in step order; no code here depends on the
         # batch's own counts
         visibilities = []
-        for index, code in enumerate(codes, first_step):
+        append_vis = visibilities.append
+        for code in codes:
             c1, c2 = count(code)
             total = c1 + c2
             if total == 0:
                 raise CalibrationAborted(
-                    f"zero total counts at calibration step {index} of delay {delay_index}"
+                    f"zero total counts at calibration step {step} of delay {delay_index}"
                 )
             vis = (c1 - c2) / total
-            append_row((delay_index, index, code, c1, c2, vis))
-            visibilities.append(vis)
+            append_row((delay_index, step, code, c1, c2, vis))
+            append_vis(vis)
+            step += 1
         return visibilities
 
     # steps 1-4: preset phases for the least-squares estimate

@@ -209,10 +209,11 @@ def delay_drift(
     stream position are bit-identical to calling ``true_phase`` and then
     ``advance`` once per window: one ``(windows, 129)`` block of normals in
     ``advance``'s draw order, the OU recursion and the delay's own walk on
-    Python floats in ``advance``'s and ``true_phase``'s operation order, and
-    the walks summed down the block from the state, which NumPy does row by
-    row like repeated ``+=``. For a few dozen windows this costs less than
-    ``advance_windows``' vectorised gather.
+    Python floats in ``advance``'s and ``true_phase``'s operation order,
+    ``canonical_phase`` written inline, and the walks summed down the block
+    from the state, which NumPy does row by row like repeated ``+=``. For a
+    few dozen windows this costs less than ``advance_windows``' vectorised
+    gather.
     """
     decay, laser_step, walk_step = _window_law(dt, cfg)
     # an index past the delays raises here, before any draw
@@ -224,11 +225,19 @@ def delay_drift(
     walk = float(state.path_phases[index])
     eps = state.laser_eps
     phases = []
+    append, isfinite, fmod = phases.append, math.isfinite, math.fmod
     for z, z_walk in zip(normals[:, 0].tolist(), normals[:, index + 1].tolist()):
         phase = offset + walk + gain * eps
-        if not math.isfinite(phase):
+        if not isfinite(phase):
             raise non_finite_phase(index)
-        phases.append(canonical_phase(phase))
+        # canonical_phase inline: fmod, then its two rails; only a negative
+        # remainder plus 2*pi can round up to exactly 2*pi
+        phase = fmod(phase, TWO_PI)
+        if phase < 0.0:
+            phase += TWO_PI
+            if phase >= TWO_PI:
+                phase = 0.0
+        append(phase)
         eps = eps * decay + laser_step * z
         walk = walk + walk_step * z_walk
     state.laser_eps = eps

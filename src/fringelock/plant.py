@@ -11,7 +11,9 @@ depend on the counts of the steps before it. ``count`` reads phases only: a
 non-finite drift raises in ``drift.delay_drift`` when the slot is spent.
 It binds the DAC, contrast and detector terms and computes a window with
 the arithmetic of ``voltage_to_phase(dac_to_voltage(code))`` (the reference
-model's), ``port_intensities`` and ``sample_counts``, in their operation order.
+model's, its rail written as ``dac_to_voltages`` writes it),
+``port_intensities`` and ``sample_counts``, in their operation order, on the
+phases ``drift.delay_drift`` reads with ``canonical_phase`` inline.
 ``measure(delay_index, code, window_us)`` counts one window the same way.
 ``measure_slots(index, codes, window_us) -> (c1, c2)`` integrates a whole
 run of equal windows whose delays and codes are known in advance (the QKD
@@ -150,7 +152,9 @@ class Plant:
             # the reference model's voltage_to_phase(dac_to_voltage(code)),
             # then port_intensities at unit input power, whose port total is
             # never 0, then sample_counts, port 1 first
-            v = min(v_max, code * v_max / max_code)
+            v = code * v_max / max_code
+            if not v < v_max:  # min(v_max, v)'s rule, as in dac_to_voltages
+                v = v_max
             x = contrast * cos(alpha + fmod(pi * v / v_pi, TWO_PI))
             i1 = 0.5 * (1.0 + x)
             i2 = 0.5 * (1.0 - x)

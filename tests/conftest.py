@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import replace
 from pathlib import Path
@@ -28,6 +29,17 @@ PINNED_DIGESTS = {
     "qkd_trace.csv": "c132b079258f88a5f877757c05cb088b94e0467f279a6571e7419ad3febd5c25",
     "per_delay_summary.csv": "51aa75df3d6d90b5710c7d5f9d07473196d3d8a03b958b1e17bcb1ba445b7da7",
     "report.txt": "350111bd8402a7d4be9434186dd1853487a37c119435f045377ca936d2cd9963",
+}
+#: The same run's SHA-256 of each second's trace lines (``first_second_mismatch``).
+PINNED_SECOND_DIGESTS = {
+    "calib_trace.csv": (
+        "cf66abe5a40566f1e377965ff496153911008a1d2432460af1d2c65ccab08f58",
+        "657c4d59fac75b41678e1364a9296d5d2c3acec9454e26e892baad515fc26574",
+    ),
+    "qkd_trace.csv": (
+        "5b20d2ec3edba72766b216c168c182fcd71da228bf7125c3c39691f2e18306f2",
+        "de1b5ad4d9401ca5bbbfeff3088604a26ebeb02f29ebd7c5136aebad6a61d6ee",
+    ),
 }
 
 
@@ -132,3 +144,26 @@ def traces_rebuild_outputs(out_dir: Path) -> bool:
         render_report(report).encode("utf-8") == (out_dir / "report.txt").read_bytes()
         and rebuilt.read_bytes() == (out_dir / "per_delay_summary.csv").read_bytes()
     )
+
+
+def first_second_mismatch(out_dir: Path, pinned: dict[str, tuple[str, ...]]) -> str | None:
+    """Where a run's traces first leave ``pinned``, each trace's SHA-256 per
+    second of its lines (header excluded): the first second, and in it the
+    first trace in ``pinned``'s order, whose digest differs, and the line
+    that second starts at. A digest cannot tell which of a second's lines
+    differs. None when every second of every trace matches."""
+    rows = {}  # (second, trace) -> [(line number, line)]
+    for name in pinned:
+        _, *lines = (out_dir / name).read_bytes().splitlines(keepends=True)
+        for number, line in enumerate(lines, 2):
+            rows.setdefault((int(line.split(b",", 1)[0]), name), []).append((number, line))
+    seconds = max([len(digests) for digests in pinned.values()] + [s + 1 for s, _ in rows])
+    nothing = hashlib.sha256().hexdigest()  # a second past the pinned ones has no lines
+    for second in range(seconds):
+        for name, digests in pinned.items():
+            lines = rows.get((second, name), [])
+            digest = hashlib.sha256(b"".join(line for _, line in lines)).hexdigest()
+            if digest != (digests[second] if second < len(digests) else nothing):
+                start = f"line {lines[0][0]}: {lines[0][1].decode().rstrip()}" if lines else "no line"
+                return f"{name} second {second} differs from its pinned SHA-256; it starts at {start}"
+    return None

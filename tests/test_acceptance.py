@@ -37,7 +37,8 @@ from fringelock.keyrate import binary_entropy, error_threshold
 from fringelock.plant import Plant, PlantConfig
 
 from conftest import (
-    PINNED_DIGESTS, circular_diff, noiseless_plant, quiet_drift, traces_rebuild_outputs,
+    PINNED_DIGESTS, PINNED_SECOND_DIGESTS, circular_diff, first_second_mismatch, noiseless_plant,
+    quiet_drift, traces_rebuild_outputs,
 )
 from reference_model import voltage_to_phase
 
@@ -238,12 +239,14 @@ def test_a8_byte_identical_outputs(tmp_path):
         name for name, digest in PINNED_DIGESTS.items()
         if hashlib.sha256((out / name).read_bytes()).hexdigest() != digest
     ]
+    second = first_second_mismatch(out, PINNED_SECOND_DIGESTS)
     # a second source: the fold over the traces alone gives the summaries
     rebuilt = traces_rebuild_outputs(out)
     check(
         "A8",
-        not mismatched and rebuilt,
+        not mismatched and second is None and rebuilt,
         "run --seconds 2 --seed 0 reproduced its pinned SHA-256 digests"
         + (f"; mismatches: {mismatched}" if mismatched else f" ({', '.join(PINNED_DIGESTS)})")
+        + (f"; first: {second}" if second else ", each second's traces too")
         + f"; its traces rebuilt report.txt and per_delay_summary.csv: {rebuilt}",
     )

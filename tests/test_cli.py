@@ -12,7 +12,7 @@ import pytest
 from fringelock.cli import main
 from fringelock.controller import QKD_SLOT
 
-from conftest import PINNED_DIGESTS, traces_rebuild_outputs
+from conftest import PINNED_DIGESTS, first_second_mismatch, traces_rebuild_outputs
 
 ZERO_NOISE_OVERRIDES = [
     "--set", "drift.path_walk_sigma=0",
@@ -58,6 +58,11 @@ LOW_LIGHT_DIGESTS = {
     "per_delay_summary.csv": "4b2934174f0bed649fcfce4826ee48332728900e7e6244adb76e2c8288dd6cf5",
     "report.txt": "9db03193ed54dca0f507bc64caf6d6776066447575a61ac8f9b96931e5c36209",
 }
+#: Each run's SHA-256 per second of each trace, as `conftest.PINNED_SECOND_DIGESTS`.
+LOW_LIGHT_SECOND_DIGESTS = {
+    "calib_trace.csv": ("d1e1c3f30eda94e80f07127bf96b07203710f967b8d8e68773a6086836551ffb",),
+    "qkd_trace.csv": ("223e9cbdaa19e122fb1d6decc2b1992fad0d91afa6001d61fe03052e22410499",),
+}
 
 
 #: SHA-256 of `run --seconds 1 --seed 0` with 2300 us permutation slots,
@@ -69,6 +74,10 @@ NO_PAD_DIGESTS = {
     "per_delay_summary.csv": "a8b6743c791810fa2d2d2ce10db53ed3f6343895917d8197398820fc87e51a52",
     "report.txt": "dab317e19350ee645539b3f559d04450439d68532532e9fa993bb674aed55bef",
 }
+NO_PAD_SECOND_DIGESTS = {
+    "calib_trace.csv": ("71700b6d5fe822258bf4b6f2db422dce7469cee5212a8eaab704fa4abf25b7f1",),
+    "qkd_trace.csv": ("15aec3ef29f4e36f748fd49d6095b27176ffa22da654740586599c110b716f8f",),
+}
 
 #: SHA-256 of `run --seconds 1 --seed 0` with 108 us calibration steps,
 #: taken as above: each 2500 us slot ends in a 16 us pad.
@@ -78,6 +87,10 @@ ODD_WINDOW_DIGESTS = {
     "qkd_trace.csv": "d18a38f5fdefabbe75fde8876c2436b5f1cfbd821755e5f2ac94909cb8bfd619",
     "per_delay_summary.csv": "8ffdb6447a2fdb23fe36176c13f3ef214977202f9d9a19517527cb800cede502",
     "report.txt": "4f0d09b99bc98555c9354c63ad70fd68c1f474748af256a2b438c9fe16b51ad2",
+}
+ODD_WINDOW_SECOND_DIGESTS = {
+    "calib_trace.csv": ("c48b58ba59b3e504937bded30eeb5593f926833185ee79f19f09255dd5c33a68",),
+    "qkd_trace.csv": ("2da48c023acd424215652941680d0393269442c0e070ab993fdf204133e106fc",),
 }
 
 
@@ -168,17 +181,22 @@ _REJECTED = [
 
 class TestRunCommand:
     @pytest.mark.parametrize(
-        "argv, pinned",
+        "argv, pinned, pinned_seconds",
         [
-            (["run", "--seconds", "1", "--seed", "0", *LOW_LIGHT_ARGS], LOW_LIGHT_DIGESTS),
-            (["run", "--seconds", "1", "--seed", "0", *NO_PAD_ARGS], NO_PAD_DIGESTS),
-            (["run", "--seconds", "1", "--seed", "0", *ODD_WINDOW_ARGS], ODD_WINDOW_DIGESTS),
+            (["run", "--seconds", "1", "--seed", "0", *LOW_LIGHT_ARGS], LOW_LIGHT_DIGESTS,
+             LOW_LIGHT_SECOND_DIGESTS),
+            (["run", "--seconds", "1", "--seed", "0", *NO_PAD_ARGS], NO_PAD_DIGESTS,
+             NO_PAD_SECOND_DIGESTS),
+            (["run", "--seconds", "1", "--seed", "0", *ODD_WINDOW_ARGS], ODD_WINDOW_DIGESTS,
+             ODD_WINDOW_SECOND_DIGESTS),
         ],
         ids=["low-light-aborts", "no-pad", "odd-window"],
     )
-    def test_outputs_match_pinned_digests(self, tmp_path, argv, pinned):
+    def test_outputs_match_pinned_digests(self, tmp_path, argv, pinned, pinned_seconds):
         out = tmp_path / "run"
         assert main([*argv, "--out", str(out)]) == 0
+        # the first second that differs, before the whole files
+        assert first_second_mismatch(out, pinned_seconds) is None
         digests = {
             name: hashlib.sha256((out / name).read_bytes()).hexdigest()
             for name in pinned

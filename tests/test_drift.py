@@ -22,6 +22,19 @@ def make_state(cfg, seed=0):
     return initial_state(cfg, np.random.default_rng(seed))
 
 
+def twin_states(seed, round_up):
+    """A config and two equal states to start a reader and its reference
+    from: drifted, or on the 2*pi round-up edge, where zero offsets, no
+    detuning and a walk of -1e-18 give fmod(-1e-18, 2*pi) + 2*pi, which
+    rounds to exactly 2*pi, so the first phase must come back 0.0."""
+    cfg = DriftConfig(static_offsets=ZERO_OFFSETS) if round_up else DriftConfig()
+    states = make_state(cfg, seed=seed), make_state(cfg, seed=seed)
+    for p in states:
+        p.laser_eps = 0.0 if round_up else 3e-9
+        p.path_phases[:] = -1e-18 if round_up else np.linspace(-2.0, 2.0, 128)
+    return cfg, *states
+
+
 class TestAdvance:
     def test_zero_noise_fixed_point(self):
         cfg = DriftConfig(laser_ou_sigma=0.0, path_walk_sigma=0.0, static_offsets=ZERO_OFFSETS)
@@ -95,21 +108,20 @@ class TestTruePhase:
 
 class TestAdvanceWindows:
     @pytest.mark.parametrize(
-        "windows", [0, 1, 128, 129, 300], ids=["empty", "one", "block", "block-and-one", "several"]
+        "windows, round_up",
+        [(0, False), (1, False), (128, False), (129, False), (300, False), (23, True)],
+        ids=["empty", "one", "block", "block-and-one", "several", "round-up-to-2pi"],
     )
-    def test_matches_true_phase_then_advance_per_window(self, windows):
+    def test_matches_true_phase_then_advance_per_window(self, windows, round_up):
         # block edges (128 windows each): a block of one row, exactly one
         # block, one past it, two full blocks and a partial one
-        cfg = DriftConfig()
-        reference, state = make_state(cfg, seed=7), make_state(cfg, seed=7)
+        cfg, reference, state = twin_states(7, round_up)
         reference_rng, rng = np.random.default_rng(8), np.random.default_rng(8)
-        for p in (reference, state):  # start from a drifted state
-            p.laser_eps = 3e-9
-            p.path_phases[:] = np.linspace(-2.0, 2.0, 128)
         index = np.random.default_rng(9).integers(0, 128, size=windows)
         expected = drift_by_window(reference, index.tolist(), 1e-4, cfg, reference_rng)
         phases = advance_windows(state, index, 1e-4, cfg, rng)
         assert phases.tolist() == expected
+        assert not round_up or expected[0] == 0.0
         assert state.laser_eps == reference.laser_eps
         assert state.path_phases.tobytes() == reference.path_phases.tobytes()
         assert rng.bit_generator.state == reference_rng.bit_generator.state
@@ -117,24 +129,22 @@ class TestAdvanceWindows:
 
 class TestDelayDrift:
     @pytest.mark.parametrize(
-        "delay, windows, dt",
+        "delay, windows, dt, round_up",
         [
-            (9, 23, 1e-4),  # a calibration slot
-            (127, 23, 1.08e-4),  # 108 us steps
-            (64, 3, 1e-4),  # a short run
-            (0, 1, 1e-4),  # a single window (Plant.measure)
+            (9, 23, 1e-4, False),  # a calibration slot
+            (127, 23, 1.08e-4, False),  # 108 us steps
+            (64, 3, 1e-4, False),  # a short run
+            (0, 1, 1e-4, False),  # a single window (Plant.measure)
+            (9, 23, 1e-4, True),  # a slot whose first phase rounds up to 2*pi
         ],
-        ids=["slot", "108-us", "three-windows", "one-window"],
+        ids=["slot", "108-us", "three-windows", "one-window", "round-up-to-2pi"],
     )
-    def test_matches_true_phase_then_advance_per_window(self, delay, windows, dt):
-        cfg = DriftConfig()
-        reference, state = make_state(cfg, seed=13), make_state(cfg, seed=13)
+    def test_matches_true_phase_then_advance_per_window(self, delay, windows, dt, round_up):
+        cfg, reference, state = twin_states(13, round_up)
         reference_rng, rng = np.random.default_rng(14), np.random.default_rng(14)
-        for p in (reference, state):  # start from a drifted state
-            p.laser_eps = 3e-9
-            p.path_phases[:] = np.linspace(-2.0, 2.0, 128)
         expected = drift_by_window(reference, [delay] * windows, dt, cfg, reference_rng)
         assert delay_drift(state, delay, windows, dt, cfg, rng) == expected
+        assert not round_up or expected[0] == 0.0
         assert state.laser_eps.hex() == reference.laser_eps.hex()
         assert state.path_phases.tobytes() == reference.path_phases.tobytes()
         assert rng.bit_generator.state == reference_rng.bit_generator.state
