@@ -109,8 +109,8 @@ def _window_law(dt: float, cfg: DriftConfig) -> tuple[float, float, float]:
 
 def advance(
     state: DriftState, dt: float, cfg: DriftConfig, rng: np.random.Generator
-) -> DriftState:
-    """Advance the drift state by ``dt`` seconds in place (and return it).
+) -> None:
+    """Advance the drift state by ``dt`` seconds in place.
 
     The OU step uses the exact discretization, so chunking a span into
     several calls changes the realization but not the law. Draw order is
@@ -123,7 +123,6 @@ def advance(
     normals = rng.standard_normal(NUM_DELAYS + 1)
     state.laser_eps = state.laser_eps * decay + laser_step * float(normals[0])
     state.path_phases += walk_step * normals[1:]
-    return state
 
 
 def true_phase(state: DriftState, index: int, cfg: DriftConfig) -> float:

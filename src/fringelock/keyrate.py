@@ -46,7 +46,7 @@ def key_rate(L: int, v_th: float, Q: float, e_bit: float) -> float:
     return Q * (1.0 - binary_entropy(e_bit) - binary_entropy(v_th / (L - 1))) + 0.0
 
 
-def error_threshold(L: int, v_th: float = 1.0) -> float:
+def error_threshold(L: int, v_th: float) -> float:
     """Largest tolerable bit error rate: the root of 1 - h(e) - h(v_th/(L-1)).
 
     Bisection on (0, 0.5) to 1e-9. Returns 0 when the privacy term already

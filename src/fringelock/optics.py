@@ -26,7 +26,7 @@ def canonical_phase(value: float) -> float:
     return r
 
 
-def port_intensities(total_phase: float, contrast: float = 1.0) -> tuple[float, float]:
+def port_intensities(total_phase: float, contrast: float) -> tuple[float, float]:
     """Split unit input power over the two output ports at the given relative phase.
 
     Returns ``(i1, i2)``: port 1 carries (1 + v0*cos(phase)) / 2, port 2 the

@@ -6,7 +6,6 @@ prints none. The three 60-second simulations are session-scoped so the
 suite pays for each run once.
 """
 
-import hashlib
 import math
 import time
 from dataclasses import replace
@@ -36,10 +35,7 @@ from fringelock.hardware import (
 from fringelock.keyrate import binary_entropy, error_threshold
 from fringelock.plant import Plant, PlantConfig
 
-from conftest import (
-    PINNED_DIGESTS, PINNED_SECOND_DIGESTS, circular_diff, first_second_mismatch, noiseless_plant,
-    quiet_drift, traces_rebuild_outputs,
-)
+from conftest import PINNED_RUNS, circular_diff, noiseless_plant, pinned_run_faults, quiet_drift
 from reference_model import voltage_to_phase
 
 SEED = 1
@@ -233,20 +229,9 @@ def test_a7_statistical_sanity():
 
 
 def test_a8_byte_identical_outputs(tmp_path):
-    out = tmp_path / "run"
-    assert main(["run", "--seconds", "2", "--seed", "0", "--out", str(out)]) == 0
-    mismatched = [
-        name for name, digest in PINNED_DIGESTS.items()
-        if hashlib.sha256((out / name).read_bytes()).hexdigest() != digest
-    ]
-    second = first_second_mismatch(out, PINNED_SECOND_DIGESTS)
-    # a second source: the fold over the traces alone gives the summaries
-    rebuilt = traces_rebuild_outputs(out)
-    check(
-        "A8",
-        not mismatched and second is None and rebuilt,
-        "run --seconds 2 --seed 0 reproduced its pinned SHA-256 digests"
-        + (f"; mismatches: {mismatched}" if mismatched else f" ({', '.join(PINNED_DIGESTS)})")
-        + (f"; first: {second}" if second else ", each second's traces too")
-        + f"; its traces rebuilt report.txt and per_delay_summary.csv: {rebuilt}",
-    )
+    out, args = tmp_path / "run", PINNED_RUNS["default"]["args"]
+    assert main([*args, "--out", str(out)]) == 0
+    faults = pinned_run_faults(out, "default")
+    held = (f"the pinned SHA-256 of {', '.join(PINNED_RUNS['default']['files'])}, each second's "
+            "traces, the summaries rebuilt from its traces and a rerun from its echo held")
+    check("A8", not faults, f"{' '.join(args)}: {'; '.join(faults) or held}")

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -12,21 +13,18 @@ import pytest
 from fringelock.cli import main
 from fringelock.controller import QKD_SLOT
 
-from conftest import PINNED_DIGESTS, first_second_mismatch, traces_rebuild_outputs
-
-ZERO_NOISE_OVERRIDES = [
-    "--set", "drift.path_walk_sigma=0",
-    "--set", "drift.laser_ou_sigma=0",
-    "--set", "drift.static_offsets=" + ",".join(["0"] * 128),
-    "--set", "detector.shot_noise=false",
-    "--set", "detector.dark_rate=0",
-    "--set", "optics.contrast=1.0",
-]
-
+from conftest import PINNED_RUNS, pinned_run_faults
 
 def _sets(*items: str) -> list[str]:
     """``--set`` each of ``items``."""
     return [arg for item in items for arg in ("--set", item)]
+
+
+ZERO_NOISE_OVERRIDES = _sets(
+    "drift.path_walk_sigma=0", "drift.laser_ou_sigma=0",
+    "drift.static_offsets=" + ",".join(["0"] * 128), "detector.shot_noise=false",
+    "detector.dark_rate=0", "optics.contrast=1.0",
+)
 
 
 def read_rows(path: Path) -> list[dict]:
@@ -45,53 +43,6 @@ def run_in_ascii_locale(*args: str | bytes, cwd: Path | None = None) -> subproce
     code = "import sys; from fringelock.cli import main; sys.exit(main())"
     return subprocess.run([sys.executable, "-c", code, *args], cwd=cwd, env=env,
                           capture_output=True, text=True, errors="backslashreplace", timeout=120)
-
-
-#: SHA-256 of `run --seconds 1 --seed 0` at 1e5 photons/s with no dark
-#: counts, taken as `conftest.PINNED_DIGESTS` was, under drift stream v1.1:
-#: 123 of its 128 calibrations abort, keeping partial step traces of 0 to 21
-#: rows, so the abort path is pinned too.
-LOW_LIGHT_ARGS = ["--set", "detector.input_rate=100000", "--set", "detector.dark_rate=0"]
-LOW_LIGHT_DIGESTS = {
-    "calib_trace.csv": "6359771a87334f1cc7035c6857ccbdc5ae8bb34c80ee5d43fb2daef255544cf6",
-    "qkd_trace.csv": "0e49f861514d954cacc4f1431bb51d5de05fdcc84b07f545126bb6f68d4146fa",
-    "per_delay_summary.csv": "4b2934174f0bed649fcfce4826ee48332728900e7e6244adb76e2c8288dd6cf5",
-    "report.txt": "9db03193ed54dca0f507bc64caf6d6776066447575a61ac8f9b96931e5c36209",
-}
-#: Each run's SHA-256 per second of each trace, as `conftest.PINNED_SECOND_DIGESTS`.
-LOW_LIGHT_SECOND_DIGESTS = {
-    "calib_trace.csv": ("d1e1c3f30eda94e80f07127bf96b07203710f967b8d8e68773a6086836551ffb",),
-    "qkd_trace.csv": ("223e9cbdaa19e122fb1d6decc2b1992fad0d91afa6001d61fe03052e22410499",),
-}
-
-
-#: SHA-256 of `run --seconds 1 --seed 0` with 2300 us permutation slots,
-#: taken as above: 23 steps of 100 us fill each slot, so no pad is drawn.
-NO_PAD_ARGS = ["--set", "schedule.perm_slot_us=2300"]
-NO_PAD_DIGESTS = {
-    "calib_trace.csv": "253f928d2038269be4c1578da8786ad7002a40c283c415873b7067e18639897a",
-    "qkd_trace.csv": "a5985fd6df29af569569aa4e6929b04f001a989986d15a5edb80abd5b35347cb",
-    "per_delay_summary.csv": "a8b6743c791810fa2d2d2ce10db53ed3f6343895917d8197398820fc87e51a52",
-    "report.txt": "dab317e19350ee645539b3f559d04450439d68532532e9fa993bb674aed55bef",
-}
-NO_PAD_SECOND_DIGESTS = {
-    "calib_trace.csv": ("71700b6d5fe822258bf4b6f2db422dce7469cee5212a8eaab704fa4abf25b7f1",),
-    "qkd_trace.csv": ("15aec3ef29f4e36f748fd49d6095b27176ffa22da654740586599c110b716f8f",),
-}
-
-#: SHA-256 of `run --seconds 1 --seed 0` with 108 us calibration steps,
-#: taken as above: each 2500 us slot ends in a 16 us pad.
-ODD_WINDOW_ARGS = ["--set", "calibration.step_window_us=108"]
-ODD_WINDOW_DIGESTS = {
-    "calib_trace.csv": "78b632db4724c35dc456ba164f704fcf417b30ea58b3ccb3ee3b4b70035a0137",
-    "qkd_trace.csv": "d18a38f5fdefabbe75fde8876c2436b5f1cfbd821755e5f2ac94909cb8bfd619",
-    "per_delay_summary.csv": "8ffdb6447a2fdb23fe36176c13f3ef214977202f9d9a19517527cb800cede502",
-    "report.txt": "4f0d09b99bc98555c9354c63ad70fd68c1f474748af256a2b438c9fe16b51ad2",
-}
-ODD_WINDOW_SECOND_DIGESTS = {
-    "calib_trace.csv": ("c48b58ba59b3e504937bded30eeb5593f926833185ee79f19f09255dd5c33a68",),
-    "qkd_trace.csv": ("2da48c023acd424215652941680d0393269442c0e070ab993fdf204133e106fc",),
-}
 
 
 #: SHA-256 of the effective_config.ini a bare `fringelock run` writes into
@@ -180,34 +131,40 @@ _REJECTED = [
 
 
 class TestRunCommand:
-    @pytest.mark.parametrize(
-        "argv, pinned, pinned_seconds",
-        [
-            (["run", "--seconds", "1", "--seed", "0", *LOW_LIGHT_ARGS], LOW_LIGHT_DIGESTS,
-             LOW_LIGHT_SECOND_DIGESTS),
-            (["run", "--seconds", "1", "--seed", "0", *NO_PAD_ARGS], NO_PAD_DIGESTS,
-             NO_PAD_SECOND_DIGESTS),
-            (["run", "--seconds", "1", "--seed", "0", *ODD_WINDOW_ARGS], ODD_WINDOW_DIGESTS,
-             ODD_WINDOW_SECOND_DIGESTS),
-        ],
-        ids=["low-light-aborts", "no-pad", "odd-window"],
-    )
-    def test_outputs_match_pinned_digests(self, tmp_path, argv, pinned, pinned_seconds):
+    # the default run is A8's, in tests/test_acceptance.py
+    @pytest.mark.parametrize("name", [name for name in PINNED_RUNS if name != "default"])
+    def test_outputs_match_pinned_digests(self, tmp_path, name):
         out = tmp_path / "run"
-        assert main([*argv, "--out", str(out)]) == 0
-        # the first second that differs, before the whole files
-        assert first_second_mismatch(out, pinned_seconds) is None
-        digests = {
-            name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-            for name in pinned
-        }
-        assert digests == pinned
-        assert traces_rebuild_outputs(out)
+        assert main([*PINNED_RUNS[name]["args"], "--out", str(out)]) == 0
+        assert pinned_run_faults(out, name) == []
+
+    def test_pinned_run_faults_name_each_tampering(self, tmp_path):
+        # a checker that always passed would leave every pin test vacuous
+        run = tmp_path / "run"
+        assert main([*PINNED_RUNS["no-pad"]["args"], "--out", str(run)]) == 0
+        rebuild = "its traces do not rebuild report.txt and per_delay_summary.csv"
+        for case, (file, edit, faults) in enumerate([
+            ("report.txt", lambda data: data, []),
+            # in second 0, the first slot's visibility field, which the fold does not read
+            ("qkd_trace.csv", lambda data: data.replace(b",0.", b",0.0", 1),
+             ["qkd_trace.csv differs from its pinned SHA-256",
+              "qkd_trace.csv second 0 differs from its pinned SHA-256"]),
+            # the last bit of the last digit
+            ("per_delay_summary.csv", lambda data: data[:-2] + bytes([data[-2] ^ 1]) + b"\n",
+             ["per_delay_summary.csv differs from its pinned SHA-256", rebuild]),
+            # report.txt names the seed
+            ("effective_config.ini", lambda data: data.replace(b"\nseed = 0\n", b"\nseed = 1\n"),
+             [rebuild, "a rerun from effective_config.ini (exit 0) leaves the pins in: "
+              "calib_trace.csv, qkd_trace.csv, per_delay_summary.csv, report.txt"]),
+        ]):
+            copy = shutil.copytree(run, tmp_path / str(case))
+            (copy / file).write_bytes(edit((copy / file).read_bytes()))
+            assert [fault.split(";")[0] for fault in pinned_run_faults(copy, "no-pad")] == faults
 
     def test_zero_noise_summary(self, tmp_path, capsys):
         out = tmp_path / "run"
-        code = main(["run", "--seconds", "1", "--seed", "5", "--out", str(out), *ZERO_NOISE_OVERRIDES])
-        assert code == 0
+        argv = ["run", "--seconds", "1", "--seed", "5", "--out", str(out), *ZERO_NOISE_OVERRIDES]
+        assert main(argv) == 0
         rows = read_rows(out / "per_delay_summary.csv")
         assert len(rows) == 128
         assert all(r["mean_visibility"] == "1.000000" for r in rows)
@@ -217,16 +174,6 @@ class TestRunCommand:
         assert "run" in stdout
         # stdout carries report.txt's exact text
         assert stdout == report + f"outputs written to {out}\n"
-
-    def test_effective_config_reproduces_run(self, tmp_path):
-        first = tmp_path / "first"
-        assert main(["run", "--seconds", "1", "--seed", "19", "--out", str(first)]) == 0
-        second = tmp_path / "second"
-        assert main([
-            "run", "--config", str(first / "effective_config.ini"), "--out", str(second),
-        ]) == 0
-        for name in PINNED_DIGESTS:
-            assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
     def test_default_config_echo_is_pinned(self, tmp_path, monkeypatch):
         # the echo's bytes are part of the output contract
@@ -509,17 +456,13 @@ class TestSweepCommand:
     def test_fine_interval_noiseless_ordering(self, tmp_path):
         # a finer grid can only improve the noiseless optimum
         out = tmp_path / "sweep"
-        code = main([
+        assert main([
             "sweep", "--param", "calibration.fine_interval",
             "--values", "0.1,0.05,0.025",
             "--seconds", "1", "--seed", "8", "--out", str(out),
-            "--set", "drift.path_walk_sigma=0",
-            "--set", "drift.laser_ou_sigma=0",
-            "--set", "detector.shot_noise=false",
-            "--set", "detector.dark_rate=0",
-            "--set", "detector.input_rate=1e10",
-        ])
-        assert code == 0
+            *_sets("drift.path_walk_sigma=0", "drift.laser_ou_sigma=0", "detector.shot_noise=false",
+                   "detector.dark_rate=0", "detector.input_rate=1e10"),
+        ]) == 0
         rows = read_rows(out / "sweep.csv")
         values = [float(r["value"]) for r in rows]
         calib = [float(r["mean_calib_visibility"]) for r in rows]

@@ -13,9 +13,8 @@ from conftest import noiseless_plant, pm_configs, quiet_drift
 from reference_model import Stepper, assert_same_plant
 
 
-def default_plant(seed=0, **det_overrides):
-    det = DetectorConfig(**det_overrides) if det_overrides else DetectorConfig()
-    return Plant(PlantConfig(detector=det), entropy=seed)
+def default_plant(seed):
+    return Plant(PlantConfig(), entropy=seed)
 
 
 class TestMeasure:

@@ -1,15 +1,21 @@
 """The stream canary: a few draws from a fixed seed through each NumPy call
-the outputs rest on, pinned under numpy 2.4.6, the version the trace
+the outputs rest on, pinned under ``PINNED_NUMPY``, the version the trace
 digests and ``perfbench/pins.json`` were taken under. A digest that fails
 on another NumPy fails here too, naming the call whose stream moved. Each
 call draws from its own fresh generator, so one moved call does not move
 another's values. Floats are pinned as ``float.hex``."""
 
 import math
+import tomllib
+from pathlib import Path
 
 import numpy as np
 
 SEED = 2018
+
+#: The NumPy the pins were taken under: pyproject.toml's floor and the one
+#: version CI installs.
+PINNED_NUMPY = "2.4.6"
 
 #: The calls as the program makes them: ``iter_seconds`` spawns the plant's
 #: and the delay draws' seeds and ``Plant`` spawns three more; the drift
@@ -17,7 +23,7 @@ SEED = 2018
 #: uniforms; the detector draws Poisson counts one by one in a search and
 #: as an array in the QKD stage, at a locked port's mean of about 1.3 and
 #: the other port's 500, either side of NumPy's switch of algorithm at 10;
-#: the QKD stage draws its delays as 7-bit integers.
+#: the QKD stage draws its delays as 7-bit integers. Taken under ``PINNED_NUMPY``.
 PINNED = {
     "SeedSequence.spawn, default_rng": [
         10925031483564400959, 6488465504791515299, 17308545113465709842, 5719500274459109164,
@@ -66,6 +72,16 @@ def test_generator_calls_draw_the_pinned_values():
     # CI's log keeps this line for each leg
     print(f"[canary] numpy {np.__version__}: {held}", flush=True)
     assert not moved, (
-        f"numpy {np.__version__} draws values other than those pinned under numpy 2.4.6 "
+        f"numpy {np.__version__} draws values other than those pinned under numpy {PINNED_NUMPY} "
         f"in: {'; '.join(moved)}"
     )
+
+
+def test_toolchain_is_the_one_the_pins_were_taken_under():
+    root = Path(__file__).resolve().parents[1]
+    project = tomllib.loads((root / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    numpy = [dep for dep in project["dependencies"] if dep.startswith("numpy")]
+    assert (project["requires-python"], numpy) == (">=3.11", [f"numpy>={PINNED_NUMPY}"])
+    workflow = (root / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
+    installs = [line for line in workflow.splitlines() if "pip install" in line]
+    assert len(installs) == 1 and f"numpy=={PINNED_NUMPY}" in installs[0], installs
