@@ -94,6 +94,14 @@ def _settings_from_args(args: argparse.Namespace, *swept: str) -> RunSettings:
     return settings if args.out is None else replace(settings, output_dir=args.out)
 
 
+def _require_utf_8(text: str, named: str, file: str) -> None:
+    """A usage error unless ``text`` encodes as UTF-8, which ``file`` is written in."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ValueError(f"{named} is not UTF-8 text, so {file} cannot hold it") from None
+
+
 def _make_output_dir(args: argparse.Namespace, output_dir: str, echoed: bool = False) -> Path:
     """Create the output directory and return it; an empty name, a file
     where it or a parent should be, or, for a run that echoes its config, a
@@ -103,12 +111,7 @@ def _make_output_dir(args: argparse.Namespace, output_dir: str, echoed: bool = F
     if not output_dir.strip():
         raise ValueError(f"{source} is empty; name an output directory")
     if echoed:
-        try:
-            output_dir.encode("utf-8")
-        except UnicodeEncodeError:
-            raise ValueError(
-                f"{source} {output_dir} is not UTF-8 text, so effective_config.ini cannot hold it"
-            ) from None
+        _require_utf_8(output_dir, f"{source} {output_dir}", "effective_config.ini")
         if output_dir != output_dir.strip():
             raise ValueError(
                 f"{source} {output_dir!r} starts or ends with whitespace, "
@@ -148,7 +151,7 @@ def _execute_run(settings: RunSettings, out_dir: Path) -> tuple[ExperimentReport
         report = run_experiment(settings, written_seconds())
     write_summary(report, out_dir / "per_delay_summary.csv")
     text = render_report(report)
-    (out_dir / "report.txt").write_text(text, encoding="utf-8")
+    (out_dir / "report.txt").write_text(text, encoding="utf-8", newline="")
     return report, text
 
 
@@ -187,6 +190,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     raw_values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not raw_values:
         raise ValueError("sweep needs at least one value")
+    for raw in raw_values:
+        _require_utf_8(raw, f"sweep value {raw!r}", "sweep.csv")
     out_dir = _make_output_dir(args, _settings_from_args(args).output_dir)  # base config checked
 
     failed = 0

@@ -210,9 +210,9 @@ class TestRunCalibration:
         # errors shrink ~x10 when per-step counts scale x100
         rng = np.random.default_rng(35)
 
-        def rmse(lam_total, trials=400):
+        def rmse(lam_total):
             errs = []
-            for _ in range(trials):
+            for _ in range(400):
                 alpha = rng.uniform(0.0, TWO_PI)
                 f = []
                 for ext in QUADRATURE_PHASES:

@@ -192,23 +192,6 @@ class TestRunCommand:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("route", ["--set", "--config"])
-    @pytest.mark.parametrize(
-        "key",
-        ["calibration.ext_phases", "schedule.qkd_duration_us", "detector.efficiency",
-         "drift.optical_freq_hz", "calibration.accept_threshold", "pm.v_min", "pm.v_pi"],
-    )
-    def test_removed_key_exits_2(self, tmp_path, capsys, key, route):
-        # the presets are fixed, the QKD stage is the rest of the second, and
-        # the detector efficiency, optical frequency, accept threshold, the
-        # DAC's 0 V origin and the half-wave voltage are model constants
-        section, name = key.split(".")
-        (tmp_path / "c.ini").write_text(f"[{section}]\n{name} = 1\n")
-        value = f"{key}=1" if route == "--set" else str(tmp_path / "c.ini")
-        assert main(["run", route, value, "--out", str(tmp_path / "x")]) == 2
-        assert capsys.readouterr().err == f"error: unknown configuration key [{section}] {name}\n"
-        assert not (tmp_path / "x").exists()
-
     @pytest.mark.parametrize(
         "text, key",
         [
@@ -358,14 +341,9 @@ class TestRunCommand:
         assert len(lines) == 128 * 23 and all(line.startswith("0,") for line in lines)
         assert (out / "qkd_trace.csv").read_bytes() == b"second,slot,delay_index,c1,c2,visibility\n"
 
-    def test_non_finite_dac_span_exits_2_naming_the_keys(self, tmp_path, capsys):
-        out = tmp_path / "x"
-        code = main(["run", "--seconds", "1", "--out", str(out), "--set", "pm.v_max=1e308"])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "pm.v_max" in err and "pm.dac_bits" in err
-        # the widest span whose 16-bit transfer stays finite still runs
-        assert main(["run", "--seconds", "1", "--out", str(out), "--set", "pm.v_max=2e303"]) == 0
+    def test_widest_finite_dac_span_runs(self, tmp_path):
+        # the widest span whose 16-bit transfer stays finite; 1e308 is in _REJECTED
+        assert main(["run", "--set", "pm.v_max=2e303", "--out", str(tmp_path)]) == 0
 
     @pytest.mark.parametrize("shot_noise", ["true", "false"])
     def test_counts_within_int64_still_run(self, tmp_path, shot_noise):
@@ -566,8 +544,11 @@ class TestSweepCommand:
             (" run . output_dir ", "a,b",
              "sweep cannot vary run.output_dir: its runs write no output files"),
             ("drift.path_walk_sigma", ",", "sweep needs at least one value"),
+            # a byte that is not UTF-8 arrives in argv as a surrogate
+            ("run.mode", "closed-loop,\udcff,open-loop",
+             "sweep value '\\udcff' is not UTF-8 text, so sweep.csv cannot hold it"),
         ],
-        ids=["unknown-key", "undotted-key", "output-dir", "no-values"],
+        ids=["unknown-key", "undotted-key", "output-dir", "no-values", "value-not-utf-8"],
     )
     def test_unknown_parameter_exits_2(self, tmp_path, capsys, param, values, message):
         # one message for the key, not one per value, and no output directory
@@ -643,10 +624,6 @@ class TestBenchmarkHooks:
         spans = trace["spans"]
         assert trace["calibrations_aborted"] == 0
         assert spans["calibration"][0] == 128
-        # the stage counts through Plant.counter's closure, not these names,
-        # but each hook must still find its name
-        for name in ("plant.measure", "hardware.sample_counts", "optics.port_intensities"):
-            assert name in spans, name
         # one idle to each of the 128 slot ends plus the stage-end idle, each
         # one drift step: a path round Plant.idle would leave the pads unseen
         for name in ("plant.idle", "drift.advance"):

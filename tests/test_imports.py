@@ -2,7 +2,9 @@
 there, every function and class the package defines is read in the
 package, every helper a test module defines is read in the tests, no
 package module states an invariant with ``assert`` or reads ``__debug__``,
-and none reads or sets a random stream's position."""
+none reads or sets a random stream's position, and every file the package
+writes fixes its line ends. The one exception to the first two rules is a
+name the benchmark rebinds, as ``perfbench/child.py`` states it."""
 
 import ast
 from pathlib import Path
@@ -11,17 +13,29 @@ import pytest
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "fringelock"
+CHILD = TESTS.parent / "perfbench" / "child.py"
 
-#: (module, name) imported but never read. perfbench/child.py --trace 1
-#: rebinds these names to time them; each goes when its span is dropped from
-#: the benchmark. ``Plant.counter`` inlines ``sample_counts`` and
-#: ``port_intensities``; the window-by-window model the tests compare against
-#: is ``tests/reference_model.py``.
-ALLOWED_UNREAD = {
-    ("controller", "select_delay"),
-    ("plant", "sample_counts"),
-    ("plant", "port_intensities"),
-}
+
+def _hooked() -> set[tuple[str, str]]:
+    """(module, name) of the package that ``child.py``'s ``install_tracing``
+    rebinds to time it: each ``module.name = ...`` and each name of a
+    ``for name in (...): setattr(module, name, ...)`` loop."""
+    tree = ast.parse(CHILD.read_text(encoding="utf-8"))
+    install = [node for node in tree.body if getattr(node, "name", None) == "install_tracing"]
+    hooked = set()
+    for node in (node for function in install for node in ast.walk(function)):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            hooked.add((ast.unparse(node.value), node.attr))
+        elif isinstance(node, ast.For) and isinstance(node.iter, ast.Tuple):
+            for call in ast.walk(node):
+                if (isinstance(call, ast.Call) and ast.unparse(call.func) == "setattr"
+                        and ast.unparse(call.args[1]) == ast.unparse(node.target)):
+                    module = ast.unparse(call.args[0])
+                    hooked.update((module, element.value) for element in node.iter.elts)
+    return {(module, name) for module, name in hooked if (SRC / f"{module}.py").is_file()}
+
+
+HOOKED = _hooked()
 
 
 def _imported(tree: ast.Module) -> set[str]:
@@ -46,25 +60,8 @@ def _read(tree: ast.Module) -> set[str]:
 )
 def test_module_reads_every_name_it_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
-    unread = {
-        name for name in _imported(tree) - _read(tree) if (path.stem, name) not in ALLOWED_UNREAD
-    }
+    unread = {name for name in _imported(tree) - _read(tree) if (path.stem, name) not in HOOKED}
     assert not unread, f"{path.name} imports names it never reads: {sorted(unread)}"
-
-
-def test_allowed_names_are_still_unread():
-    # an allowance outlives its reason once the module reads the name again
-    for module, name in ALLOWED_UNREAD:
-        tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
-        assert name in _imported(tree) - _read(tree), f"{module}.{name} no longer needs its allowance"
-
-
-#: (module, name) defined at module level but read nowhere in the package.
-#: perfbench/child.py --trace 1 rebinds these names to time them, and
-#: tests/reference_model.py builds its window-by-window plant on them.
-ALLOWED_DEAD = {
-    ("drift", "true_phase"), ("hardware", "sample_counts"), ("optics", "port_intensities")
-}
 
 
 def _parse(directory: Path) -> dict[str, ast.Module]:
@@ -93,15 +90,9 @@ READ_IN_PACKAGE = _loaded(PACKAGE)
 
 
 def test_package_reads_every_function_and_class_it_defines():
-    dead = {(module, name) for module, name in DEFINED if name not in READ_IN_PACKAGE}
-    dead -= ALLOWED_DEAD
+    allowed = READ_IN_PACKAGE | {name for _, name in HOOKED}
+    dead = {(module, name) for module, name in DEFINED if name not in allowed}
     assert not dead, f"defined in src/fringelock, never read there: {sorted(dead)}"
-
-
-def test_allowed_definitions_are_still_unread():
-    # an allowance outlives its reason once the package reads the name again
-    for module, name in ALLOWED_DEAD:
-        assert (module, name) in DEFINED and name not in READ_IN_PACKAGE, f"{module}.{name}"
 
 
 def _is_fixture(node: ast.stmt) -> bool:
@@ -150,3 +141,24 @@ def test_module_never_touches_a_stream_position(path):
         and isinstance(node.value, ast.Attribute) and node.value.attr == "bit_generator"
     ]
     assert not lines, f"{path.name} reads or sets bit_generator.state at lines {lines}"
+
+
+def _writes_a_file(call: ast.Call) -> bool:
+    """A ``.write_text(...)`` call, or an ``open(...)`` whose mode writes."""
+    name = ast.unparse(call.func)
+    modes = call.args[1:2] + [keyword.value for keyword in call.keywords if keyword.arg == "mode"]
+    return name.endswith(".write_text") or name == "open" and any(
+        set("wax+") & set(ast.literal_eval(mode)) for mode in modes
+    )
+
+
+def test_package_fixes_the_line_ends_of_every_file_it_writes():
+    # a file written without newline= ends its lines as the platform does,
+    # so its bytes would leave the pinned digests on Windows
+    calls = [
+        f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and _writes_a_file(node)
+        and "newline" not in {keyword.arg for keyword in node.keywords}
+    ]
+    assert not calls, f"files written without newline= at {calls}"
