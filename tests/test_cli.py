@@ -192,6 +192,23 @@ class TestRunCommand:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("route", ["--set", "--config"])
+    @pytest.mark.parametrize(
+        "key",
+        ["calibration.ext_phases", "schedule.qkd_duration_us", "detector.efficiency",
+         "drift.optical_freq_hz", "calibration.accept_threshold", "pm.v_min", "pm.v_pi"],
+    )
+    def test_removed_key_exits_2(self, tmp_path, capsys, key, route):
+        # the presets are fixed, the QKD stage is the rest of the second, and
+        # the detector efficiency, optical frequency, accept threshold, the
+        # DAC's 0 V origin and the half-wave voltage are model constants
+        section, name = key.split(".")
+        (tmp_path / "c.ini").write_text(f"[{section}]\n{name} = 1\n")
+        value = f"{key}=1" if route == "--set" else str(tmp_path / "c.ini")
+        assert main(["run", route, value, "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == f"error: unknown configuration key [{section}] {name}\n"
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize(
         "text, key",
         [

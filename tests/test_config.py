@@ -92,7 +92,7 @@ class TestValueErrors:
 
     @pytest.mark.parametrize(
         "override",
-        ["detector.shot_noise=maybe", "drift.static_offsets=0,x,1,2"],
+        ["detector.shot_noise=maybe", "drift.static_offsets=0,x,1,2", "run.seconds=soon"],
     )
     def test_parse_errors_name_the_key(self, override):
         section, key = override.split("=")[0].split(".")

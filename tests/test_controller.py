@@ -288,6 +288,15 @@ class TestRunExperiment:
         assert report.global_mean_visibility == 1.0
         assert report.simulated_us == 1_000_000
 
+    def test_seconds_yield_slot_records_and_calib_steps(self):
+        records = list(iter_seconds(RunSettings(seconds=2, seed=32)))
+        assert [second for second, _, _ in records] == [0, 1]
+        assert sum(len(slots) for _, _, slots in records) == 2 * 6600
+        calib_rows = [(second, row) for second, steps, _ in records for row in steps]
+        assert len(calib_rows) == 2 * 128 * 23
+        seconds = {row[0] for row in calib_rows}
+        assert seconds == {0, 1}
+
     def test_open_loop_calibrates_only_once(self):
         settings = RunSettings(seconds=3, seed=33, mode=OPEN_LOOP)
         records = list(iter_seconds(settings))

@@ -22,13 +22,22 @@ from fringelock.reporting import (
     CALIB_TRACE_HEADER,
     PER_DELAY_HEADER,
     QKD_TRACE_HEADER,
+    calib_trace_row,
     float_fields,
+    qkd_trace_row,
     render_report,
     write_summary,
 )
 
 from conftest import pm_configs, zero_noise_settings
 from reference_model import calib_row, csv_field, csv_text, qkd_row, summary_rows
+
+
+def test_missing_visibility_serializes_empty():
+    slots = np.array([(9, 0, 0, math.nan)], dtype=QKD_SLOT)
+    line = qkd_trace_row(0, slots)
+    assert line == "0,0,9,0,0,\n"
+    assert line.rstrip("\n").split(",")[-1] == ""
 
 
 UNIT_FLOATS = st.one_of(st.sampled_from([math.nan, 1.0, -1.0, 0.0, -0.0]), st.floats(-1.0, 1.0))
@@ -151,6 +160,12 @@ def test_float_fields_formats_by_bit_pattern(values):
     assert float_fields(np.array(values, dtype=np.float64)) == expected
 
 
+def test_empty_second_has_no_lines():
+    # an open-loop second that did not calibrate has no CALIB_STEP rows
+    assert calib_trace_row(0, np.zeros(0, dtype=CALIB_STEP), PmConfig()) == ""
+    assert qkd_trace_row(0, np.zeros(0, dtype=QKD_SLOT)) == ""
+
+
 def test_summary_handles_dark_run(tmp_path):
     settings = zero_noise_settings()
     dead = replace(settings.plant.detector, input_rate=0.0, dark_rate=0.0)
@@ -166,6 +181,14 @@ def test_summary_handles_dark_run(tmp_path):
     assert lines[1].startswith("0,0,,,")
     text = render_report(report)
     assert "delays with mean visibility >= 0.96: 0/128" in text
+
+
+def test_report_mentions_headline_fraction():
+    report = run_experiment(RunSettings(seconds=1, seed=2))
+    text = render_report(report)
+    assert "delays with mean visibility >= 0.96" in text
+    assert f"seed={report.seed}" in text
+    assert "e_bit proxy" in text
 
 
 def test_worst_delay_is_the_first_of_equal_minima():
