@@ -105,8 +105,8 @@ def _require_utf_8(text: str, named: str, file: str) -> None:
 def _make_output_dir(args: argparse.Namespace, output_dir: str, echoed: bool = False) -> Path:
     """Create the output directory and return it; an empty name, a file
     where it or a parent should be, or, for a run that echoes its config, a
-    path that is not UTF-8 text or that the echo's reader would strip, is a
-    usage error, named by the option or key that gave the path."""
+    path that is not UTF-8 text or that the echo's reader would strip or
+    split, is a usage error, named by the option or key that gave the path."""
     source = "run.output_dir" if args.out is None else "--out"
     if not output_dir.strip():
         raise ValueError(f"{source} is empty; name an output directory")
@@ -116,6 +116,10 @@ def _make_output_dir(args: argparse.Namespace, output_dir: str, echoed: bool = F
             raise ValueError(
                 f"{source} {output_dir!r} starts or ends with whitespace, "
                 "so effective_config.ini cannot hold it"
+            )
+        if "\n" in output_dir or "\r" in output_dir:
+            raise ValueError(
+                f"{source} {output_dir!r} has a line break, so effective_config.ini cannot hold it"
             )
     out_dir = Path(output_dir)
     try:
