@@ -12,7 +12,7 @@ fixed 23-step schedule:
 
 ``run_calibration(delay_index, count, cfg, pm, rows)`` drives the search
 through ``count(code) -> (c1, c2)``, the delay's counting function
-(``Plant.counter``), one call per step in step order, and appends one
+(one of ``Plant.counters``), one call per step in step order, and appends one
 ``CALIB_STEP`` tuple per measured step to the caller's ``rows``, so the
 steps before an abort are kept there too; DAC codes are plain ints. The
 steps run in four batches, 1-4, 5-14, 15-22 and 23. A batch's codes are

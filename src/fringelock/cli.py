@@ -103,13 +103,15 @@ def _require_utf_8(text: str, named: str, file: str) -> None:
 
 
 def _make_output_dir(args: argparse.Namespace, output_dir: str, echoed: bool = False) -> Path:
-    """Create the output directory and return it; an empty name, a file
-    where it or a parent should be, or, for a run that echoes its config, a
-    path that is not UTF-8 text or that the echo's reader would strip or
-    split, is a usage error, named by the option or key that gave the path."""
+    """Create the output directory and return it; an empty name, a NUL byte,
+    a file where it or a parent should be, or, for a run that echoes its
+    config, a path that is not UTF-8 text or that the echo's reader would
+    strip or split, is a usage error, named by the option or key that gave it."""
     source = "run.output_dir" if args.out is None else "--out"
     if not output_dir.strip():
         raise ValueError(f"{source} is empty; name an output directory")
+    if "\0" in output_dir:
+        raise ValueError(f"{source} {output_dir!r} holds a NUL byte, which no path can hold")
     if echoed:
         _require_utf_8(output_dir, f"{source} {output_dir}", "effective_config.ini")
         if output_dir != output_dir.strip():

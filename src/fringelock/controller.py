@@ -3,8 +3,8 @@
 Every second splits into a 340 ms stabilization stage (all 128 delays
 recalibrated, one 2.5 ms permutation slot each, 20 ms slack) and a 660 ms
 QKD stage (delay switching at 10 kHz with table-lookup compensation). A
-permutation slot is one delay's 23 calibration windows, then an idle to the
-slot end, so the plant never sees the slot length. The clock is integer
+permutation slot is one delay's 23 calibration windows, then a pad to the
+slot end; the plant spends all 128 slots at once. The clock is integer
 microseconds throughout, so the timing arithmetic is exact and checkable
 from traces.
 
@@ -115,21 +115,22 @@ def run_stabilization_stage(
     Returns the refreshed table of 128 DAC codes and one ``CALIB_STEP``
     array of all 128 searches' steps in delay order. An aborted calibration
     leaves a partial trace with no step-23 row, and its delay keeps the
-    previous code. Each slot spends its 23 step windows through one
-    ``Plant.counter`` function, whether or not its search counts them all,
-    and the stage then idles to the slot end. Every search reads its step 1-4 codes from the
-    memoised ``preset_codes``.
+    previous code. No drift draw depends on a count, so one ``Plant.counters``
+    call spends all 128 slots before the first search counts, whether or not
+    it counts all its 23 windows. Every search reads its step 1-4 codes from
+    the memoised ``preset_codes``.
     """
     pm = plant.config.pm
     start_us = plant.elapsed_us
+    counts = plant.counters(
+        range(NUM_DELAYS), calib_cfg.step_window_us, TOTAL_STEPS, schedule.perm_slot_us
+    )
     codes, rows = list(previous), []
-    for index in range(NUM_DELAYS):
-        count = plant.counter(index, calib_cfg.step_window_us, TOTAL_STEPS)
+    for index, count in enumerate(counts):
         try:
             codes[index] = run_calibration(index, count, calib_cfg, pm, rows).optimal_code
         except CalibrationAborted:
             pass  # the previous code stays
-        plant.idle(start_us + (index + 1) * schedule.perm_slot_us - plant.elapsed_us)
     plant.idle(start_us + schedule.stab_duration_us - plant.elapsed_us)
     return codes, np.fromiter(rows, dtype=CALIB_STEP, count=len(rows))
 

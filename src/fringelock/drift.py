@@ -15,17 +15,19 @@ README, "Model assumptions").
 
 Every draw takes one laser normal, then 128 path normals, per window, and
 every advance that returns writes its end state. ``advance`` moves the
-state over one span of any length (idle time, the pad of a permutation
-slot); ``advance_windows`` over the QKD stage's equal windows on varying
-delays; ``delay_drift`` over a calibration slot's equal windows on one
-delay. The last two raise ``non_finite_phase`` at the first true phase that
-is not finite, as ``true_phase`` does, so no phase they return is NaN.
+state over one span of any length (idle time, the end of a stage);
+``advance_windows`` over the QKD stage's equal windows on varying delays;
+``slot_drift`` over a stabilisation stage's permutation slots, each a run
+of equal windows on one delay and a pad. The last two raise
+``non_finite_phase`` at the first true phase that is not finite, as
+``true_phase`` does, so no phase they return is NaN.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -36,8 +38,9 @@ from .optics import TWO_PI, canonical_phase
 #: laser phase together with ``DriftConfig.laser_ou_sigma``.
 OPTICAL_FREQ_HZ = 193.4e12
 
-#: Most windows ``advance_windows`` draws at once: a block's normals, in which
-#: its path walk is summed, hold about 130 kB however many windows a call spans.
+#: Most windows ``advance_windows`` and ``slot_drift`` draw at once: a block's
+#: normals, in which its path walk is summed, hold about 130 kB however many
+#: windows a call spans.
 BLOCK_WINDOWS = 128
 
 #: Laser phase per unit detuning of each delay, 2*pi * nu0 * delay, in radians;
@@ -115,7 +118,7 @@ def advance(
     The OU step uses the exact discretization, so chunking a span into
     several calls changes the realization but not the law. Draw order is
     fixed: one laser normal, then 128 path normals. ``advance_windows``
-    (the QKD stage) and ``delay_drift`` (the slots ``Plant.counter``
+    (the QKD stage) and ``slot_drift`` (the slots ``Plant.counters``
     spends) consume the stream in the same order and must change with
     this.
     """
@@ -153,13 +156,14 @@ def advance_windows(
     normals come in ``(windows, 129)`` blocks in ``advance``'s draw order,
     the OU recursion runs on Python floats in ``advance``'s operation order,
     and the path walk is a ``cumsum``, which adds row by row like repeated
-    ``+=``. The first non-finite phase raises ``true_phase``'s error.
+    ``+=``. The first non-finite phase raises ``true_phase``'s error, the
+    state unwritten.
     """
     decay, laser_step, walk_step = _window_law(dt, cfg)
     eps = state.laser_eps
     walk = state.path_phases
     phases = np.empty(len(index))
-    # a non-finite phase raises below, naming its delay, instead of warning
+    # a non-finite phase raises in _settled, naming its delay, instead of warning
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, len(index), BLOCK_WINDOWS):
             block = index[start:start + BLOCK_WINDOWS]
@@ -168,86 +172,88 @@ def advance_windows(
             for z in normals[:, 0].tolist():
                 eps_at_start.append(eps)
                 eps = eps * decay + laser_step * z
-            # as in delay_drift, the steps scaled and summed down the block in
-            # place from the state, so row k is the walk at the end of window k
+            # the steps scaled and summed down the block in place from the
+            # state, so row k is the walk at the end of window k
             normals *= walk_step
             walks = normals[:, 1:]
             np.add(walk, walks[0], out=walks[0])
             np.cumsum(walks, axis=0, out=walks)
             at_start = walks[np.arange(-1, len(block) - 1), block]
             at_start[0] = walk[block[0]]  # window 0 starts on the state's walk
-            raw = state.offsets[block] + at_start + _LASER_GAIN[block] * np.array(eps_at_start)
-            finite = np.isfinite(raw)
-            if not finite.all():
-                raise non_finite_phase(int(block[finite.argmin()]))
-            phases[start:start + len(block)] = raw
+            phases[start:start + len(block)] = (
+                state.offsets[block] + at_start + _LASER_GAIN[block] * np.array(eps_at_start)
+            )
             walk = walks[-1]
-    state.laser_eps = eps
-    state.path_phases[:] = walk
-    # canonical_phase, element by element
-    phases = np.fmod(phases, TWO_PI)
-    phases[phases < 0.0] += TWO_PI
-    phases[phases >= TWO_PI] = 0.0
-    return phases
+    return _settled(state, index, phases, eps, walk)
 
 
-def delay_drift(
-    state: DriftState,
-    index: int,
-    windows: int,
-    dt: float,
-    cfg: DriftConfig,
-    rng: np.random.Generator,
-) -> list[float]:
-    """Advance the state over ``windows`` windows of ``dt`` seconds, all
-    read on delay ``index`` (a calibration slot, or a single window).
+def slot_drift(
+    state: DriftState, index: Sequence[int], windows: int, dt: float, pad_dt: float,
+    cfg: DriftConfig, rng: np.random.Generator,
+) -> np.ndarray:
+    """Advance the state over ``len(index)`` permutation slots in turn, slot
+    ``s`` being ``windows`` windows of ``dt`` seconds on delay ``index[s]``
+    and then a pad of ``pad_dt`` seconds (none if 0) that nothing reads.
 
-    Returns the canonical true phase of delay ``index`` at the start of each
-    window, never NaN: the first that is not finite raises
-    ``non_finite_phase``, the state unwritten. Phases, final state and
-    stream position are bit-identical to calling ``true_phase`` and then
-    ``advance`` once per window: one ``(windows, 129)`` block of normals in
-    ``advance``'s draw order, the OU recursion and the delay's own walk on
-    Python floats in ``advance``'s and ``true_phase``'s operation order,
-    ``canonical_phase`` written inline, and the walks summed down the block
-    from the state, which NumPy does row by row like repeated ``+=``. For a
-    few dozen windows this costs less than ``advance_windows``' vectorised
-    gather.
+    Returns a row per slot of the true phases at its windows' starts, with
+    ``advance_windows``' guarantees: bit for bit ``true_phase`` and then
+    ``advance`` per window, and ``advance`` per pad. A block holds whole
+    slots, at most ``BLOCK_WINDOWS`` rows where a slot fits.
     """
     decay, laser_step, walk_step = _window_law(dt, cfg)
-    # an index past the delays raises here, before any draw
-    gain = float(_LASER_GAIN[index])
-    if not windows:
-        return []
-    normals = rng.standard_normal((windows, NUM_DELAYS + 1))
-    offset = float(state.offsets[index])
-    walk = float(state.path_phases[index])
-    eps = state.laser_eps
-    phases = []
-    append, isfinite, fmod = phases.append, math.isfinite, math.fmod
-    for z, z_walk in zip(normals[:, 0].tolist(), normals[:, index + 1].tolist()):
-        phase = offset + walk + gain * eps
-        if not isfinite(phase):
-            raise non_finite_phase(index)
-        # canonical_phase inline: fmod, then its two rails; only a negative
-        # remainder plus 2*pi can round up to exactly 2*pi
-        phase = fmod(phase, TWO_PI)
-        if phase < 0.0:
-            phase += TWO_PI
-            if phase >= TWO_PI:
-                phase = 0.0
-        append(phase)
-        eps = eps * decay + laser_step * z
-        walk = walk + walk_step * z_walk
-    state.laser_eps = eps
-    # a walk past the float range turns inf or NaN without a warning
+    pad = int(pad_dt != 0.0)
+    pad_decay, pad_laser, pad_walk = _window_law(pad_dt, cfg) if pad else (0.0, 0.0, 0.0)
+    index = np.asarray(index, dtype=np.int64)
+    rows = windows + pad
+    per_block = max(1, BLOCK_WINDOWS // max(rows, 1))
+    # window k of a block's slot j starts on row j*rows + k of its walks below
+    starts = np.arange(per_block)[:, None] * rows + np.arange(windows)
+    eps, walk = state.laser_eps, state.path_phases
+    eps_at_start = []
+    append = eps_at_start.append
+    walk_at_start = np.empty((len(index), windows))
+    # a non-finite phase raises in _settled, naming its delay, instead of warning
     with np.errstate(over="ignore", invalid="ignore"):
-        # every row scaled in place (the laser column is read already), the
-        # state folded into the first walk row, then one sum down the block
-        normals *= walk_step
-        walks = normals[:, 1:]
-        np.add(state.path_phases, walks[0], out=walks[0])
-        state.path_phases[:] = walks.sum(axis=0)
+        for start in range(0, len(index) if rows else 0, per_block):
+            block = index[start:start + per_block]
+            n = len(block)
+            normals = rng.standard_normal((n * rows, NUM_DELAYS + 1))
+            by_slot = normals.reshape(n, rows, NUM_DELAYS + 1)
+            for laser in by_slot[:, :, 0].tolist():
+                for z in laser[:windows]:
+                    append(eps)
+                    eps = eps * decay + laser_step * z
+                if pad:
+                    eps = eps * pad_decay + pad_laser * laser[-1]
+            # every row scaled by its own step (the laser column is read already)
+            pads = by_slot[:, windows:] * pad_walk
+            normals *= walk_step
+            by_slot[:, windows:] = pads
+            steps = normals[:, 1:]
+            # each slot's delay walked down the block from the state
+            walks = np.cumsum(np.vstack([walk[block], steps[:, block]]), axis=0)
+            walk_at_start[start:start + n] = walks[starts[:n], np.arange(n)[:, None]]
+            # the state folded into the first row, then one sum down the block
+            np.add(walk, steps[0], out=steps[0])
+            walk = steps.sum(axis=0)
+        raw = (state.offsets[index, None] + walk_at_start
+               + _LASER_GAIN[index, None] * np.reshape(eps_at_start, walk_at_start.shape))
+    return _settled(state, index, raw, eps, walk)
+
+
+def _settled(
+    state: DriftState, index: np.ndarray, raw: np.ndarray, eps: float, walk: np.ndarray
+) -> np.ndarray:
+    """A drift reader's end: the first delay with a ``raw`` phase that is not
+    finite raises, else the state is written and the phases return canonical."""
+    finite = np.isfinite(raw).all(axis=tuple(range(1, raw.ndim)))  # a row of phases per delay
+    if not finite.all():
+        raise non_finite_phase(int(index[finite.argmin()]))
+    state.laser_eps = eps
+    state.path_phases[:] = walk
+    phases = np.fmod(raw, TWO_PI)
+    phases[phases < 0.0] += TWO_PI
+    phases[phases >= TWO_PI] = 0.0
     return phases
 
 

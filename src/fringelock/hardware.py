@@ -17,8 +17,8 @@ The DAC spans 0 V to ``PmConfig.v_max``, and the modulator's half-wave
 voltage is the constant ``V_PI``: the origin and unit of the voltage axis
 only label the codes the search picks. The derived terms
 ``PmConfig.max_code`` and ``DetectorConfig.signal_rate`` are properties,
-not fields, so the config schema does not see them; ``Plant.counter``
-reads them once per slot.
+not fields, so the config schema does not see them; ``Plant.counters``
+reads them once per stabilisation stage.
 """
 
 from __future__ import annotations

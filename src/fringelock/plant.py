@@ -2,23 +2,18 @@
 
 Composes the drift engine, the modulator chain and the detectors into one
 object. Delays are indices 0..127; any other index raises ``ValueError``
-before a draw. ``counter(delay_index, window_us, windows)`` spends a
-calibration slot's run of equal windows when it is called and returns
-``count(code) -> (c1, c2)``, which counts the next of them; windows that are
-never counted (an aborted search) are dark time, as on the FPGA (drift
-stream v1.1). The search counts once per step, because a step's code can
-depend on the counts of the steps before it. ``count`` reads phases only: a
-non-finite drift raises in ``drift.delay_drift`` when the slot is spent.
-It binds the DAC, contrast and detector terms and computes a window with
-the arithmetic of ``voltage_to_phase(dac_to_voltage(code))`` (the reference
-model's, its rail written as ``dac_to_voltages`` writes it),
-``port_intensities`` and ``sample_counts``, in their operation order, on the
-phases ``drift.delay_drift`` reads with ``canonical_phase`` inline.
-``measure(delay_index, code, window_us)`` counts one window the same way.
-``measure_slots(index, codes, window_us) -> (c1, c2)`` integrates a whole
-run of equal windows whose delays and codes are known in advance (the QKD
-stage) from one draw per stream, as vectors. The per-window physics
-therefore exists twice, and an equivalence test keeps the two aligned.
+before a draw. ``counters`` spends a stabilisation stage's permutation
+slots in one drift pass (``drift.slot_drift``) and returns a ``count(code)
+-> (c1, c2)`` per slot, which counts the slot's next window; windows never
+counted (an aborted search) are dark time, as on the FPGA (drift stream
+v1.1). ``count`` computes a window with the arithmetic of
+``voltage_to_phase(dac_to_voltage(code))`` (the reference model's, its rail
+written as ``dac_to_voltages`` writes it), ``port_intensities`` and
+``sample_counts``, in their operation order; ``measure`` counts one window
+through it. ``measure_slots`` integrates a run of windows whose delays and
+codes are known in advance (the QKD stage) as vectors, from one draw per
+stream. The per-window physics therefore exists twice, and an equivalence
+test keeps the two aligned.
 
 The plant owns the simulation clock (integer microseconds) and is the only
 place drift time advances, so elapsed simulated time always equals the sum
@@ -30,7 +25,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from functools import partial
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -71,10 +67,9 @@ class Plant:
         self.elapsed_us: int = 0
 
     def measure(self, delay_index: int, code: int, window_us: int) -> tuple[int, int]:
-        """Integrate one counting window, then advance drift by the window:
-        ``counter(delay_index, window_us, 1)(code)``, so a code out of range
-        raises with the window spent."""
-        return self.counter(delay_index, window_us, 1)(code)
+        """Integrate one counting window, then advance drift by the window: a
+        one-slot run, so a code out of range raises with the window spent."""
+        return self.counters([delay_index], window_us, 1, window_us)[0](code)
 
     def measure_slots(
         self, index: np.ndarray, codes: Sequence[int], window_us: int
@@ -112,27 +107,25 @@ class Plant:
             counts = np.rint(lam).astype(np.int64)
         return counts[:, 0], counts[:, 1]
 
-    def counter(
-        self, delay_index: int, window_us: int, windows: int
-    ) -> Callable[[int], tuple[int, int]]:
-        """Spend ``windows`` windows of ``window_us`` on delay
-        ``delay_index``: draw their drift in one block, which raises on a
-        non-finite phase, and move the clock past them all. Return
-        ``count(code) -> (c1, c2)``, which integrates the next of them at
-        DAC code ``code``; the windows it never counts are dark time.
-
-        The drift is piecewise-constant within a window (windows are short
-        against the drift timescales): the phase is evaluated at the window
-        start. A count past the last window, or after any later call that
-        moves the clock, raises ``ValueError``.
+    def counters(
+        self, index: Sequence[int], window_us: int, windows: int, slot_us: int
+    ) -> list[Callable[[int], tuple[int, int]]]:
+        """Spend ``len(index)`` permutation slots of ``slot_us``, slot ``s``
+        being ``windows`` windows of ``window_us`` on delay ``index[s]`` and a
+        pad, and move the clock past them all. Return a ``count(code) -> (c1,
+        c2)`` per slot, which integrates the slot's next window, its phase
+        taken at the window start. A count past its slot's last window, or
+        after a later call moves the clock, raises ``ValueError``.
         """
-        if not 0 <= delay_index < NUM_DELAYS:
-            raise ValueError(f"delay index {delay_index} out of range 0..127")
+        for delay_index in index:
+            if not 0 <= delay_index < NUM_DELAYS:
+                raise ValueError(f"delay index {delay_index} out of range 0..127")
+        pad_us = slot_us - windows * window_us
         window_s = window_us * 1e-6
-        phases = drift_mod.delay_drift(
-            self.state, delay_index, windows, window_s, self.config.drift, self._rng_drift
+        phases = drift_mod.slot_drift(
+            self.state, index, windows, window_s, pad_us * 1e-6, self.config.drift, self._rng_drift
         )
-        end = self.elapsed_us = self.elapsed_us + windows * window_us
+        end = self.elapsed_us = self.elapsed_us + len(index) * slot_us
         pm, contrast, det = self.config.pm, self.config.contrast, self.config.detector
         max_code, v_max = pm.max_code, pm.v_max
         signal = det.signal_rate * window_s
@@ -140,15 +133,13 @@ class Plant:
         # a scalar draw and round() both give Python ints
         draw = self._rng_detector.poisson if det.shot_noise else round
         cos, fmod, pi, v_pi = math.cos, math.fmod, math.pi, V_PI
-        used = 0
 
-        def count(code: int) -> tuple[int, int]:
-            nonlocal used
-            if used == windows or self.elapsed_us != end:
-                raise ValueError(f"no window left in this run of delay {delay_index}")
-            alpha = phases[used]
+        def count(delay_index: int, phases: Iterator[float], code: int) -> tuple[int, int]:
             if not 0 <= code <= max_code:
                 raise ValueError(f"DAC code {code} out of range for {pm.dac_bits}-bit converter")
+            alpha = next(phases, None)
+            if alpha is None or self.elapsed_us != end:
+                raise ValueError(f"no window left in this run of delay {delay_index}")
             # the reference model's voltage_to_phase(dac_to_voltage(code)),
             # then port_intensities at unit input power, whose port total is
             # never 0, then sample_counts, port 1 first
@@ -159,14 +150,12 @@ class Plant:
             i1 = 0.5 * (1.0 + x)
             i2 = 0.5 * (1.0 - x)
             total = i1 + i2
-            counts = draw(i1 / total * signal + dark), draw(i2 / total * signal + dark)
-            used += 1
-            return counts
+            return draw(i1 / total * signal + dark), draw(i2 / total * signal + dark)
 
-        return count
+        return [partial(count, delay, iter(row)) for delay, row in zip(index, phases.tolist())]
 
     def idle(self, duration_us: int) -> None:
-        """Let simulated time pass without measuring (slot padding, open loop)."""
+        """Let simulated time pass without measuring (a stage's tail, open loop)."""
         if duration_us < 0:
             raise ValueError(f"idle duration must be >= 0, got {duration_us} us")
         if duration_us:

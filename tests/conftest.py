@@ -89,6 +89,21 @@ PINNED_RUNS = {
             "qkd_trace.csv": ("2da48c023acd424215652941680d0393269442c0e070ab993fdf204133e106fc",),
         },
     },
+    # a 320 ms stabilization stage: its 128 slots of 2500 us fill it, so no tail is idled
+    "no-tail": {
+        "args": ["run", "--seconds", "1", "--seed", "0",
+                 "--set", "schedule.stab_duration_us=320000"],
+        "files": {
+            "calib_trace.csv": "68bfbb983f990b31c528609887f49aa88511dffdaba8445b9ff102040585a9ce",
+            "qkd_trace.csv": "3b6985d6686e38a7bcc6410ab3ca83be44ff7f94cc280e548747b53ea94c4126",
+            "per_delay_summary.csv": "8a3e6c451db1226af1810360a192147cc095e25b4c602dc2c20d878ace490627",
+            "report.txt": "1a37fd5caeee6b572fd230c49f331261dfecb7775a23d88891478ff62a878a25",
+        },
+        "seconds": {
+            "calib_trace.csv": ("cf66abe5a40566f1e377965ff496153911008a1d2432460af1d2c65ccab08f58",),
+            "qkd_trace.csv": ("55883a6489a82e865f5545ef107a4e897a7d092c03dd7d40273a5a98bc6c22bf",),
+        },
+    },
 }
 
 

@@ -128,12 +128,14 @@ def test_a4_staged_search_matches_exhaustive_oracle():
     phases = np.mod(math.pi * volts / V_PI, 2.0 * math.pi)
     fine_step_phase = math.pi * calib.fine_interval / V_PI
     estimator_bound = 2.0 * math.pi / 4096 + fine_step_phase
+    window_us = calib.step_window_us
+    slot_us = TOTAL_STEPS * window_us  # one search's windows, no pad
 
     worst_gap = 0.0
     worst_est = 0.0
     for alpha in np.arange(256) * (2.0 * math.pi / 256):
         offsets = tuple([float(alpha)] + [0.0] * 127)
-        count = noiseless_plant(offsets=offsets).counter(0, calib.step_window_us, TOTAL_STEPS)
+        [count] = noiseless_plant(offsets=offsets).counters([0], window_us, TOTAL_STEPS, slot_us)
         result = run_calibration(0, count, calib, pm, [])
         phi = voltage_to_phase(dac_to_voltage(result.optimal_code, pm), pm)
         staged = math.cos(alpha + phi)

@@ -93,8 +93,10 @@ class _ScriptedCount:
 
 
 def _count(plant, delay=0, cfg=CalibrationConfig()):
-    """The plant's counting function for one search on ``delay``."""
-    return plant.counter(delay, cfg.step_window_us, TOTAL_STEPS)
+    """The plant's counting function for one search on ``delay``: a slot of
+    its 23 windows, no pad."""
+    window_us = cfg.step_window_us
+    return plant.counters([delay], window_us, TOTAL_STEPS, TOTAL_STEPS * window_us)[0]
 
 
 class TestRunCalibration:

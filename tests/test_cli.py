@@ -239,6 +239,12 @@ CLI_CONTRACT = {
         ("with_a_line_break_exits_2-run.output_dir", _sets("run.output_dir=a\rb"),
          r"run.output_dir 'a\rb'", "has a line break"),
     ]},
+    # a NUL byte, which only a config file can give, stops either command before mkdir
+    **{f"test_output_path_with_a_nul_byte_exits_2-{command[0]}": Row(
+        [*command, "--seconds", "1", "--config", "c.ini"], 2,
+        r"error: run.output_dir 'a\x00b' holds a NUL byte, which no path can hold" "\n",
+        before={"c.ini": b"[run]\noutput_dir = a\0b\n"},
+    ) for command in (["run"], ["sweep", "--param", "run.seed", "--values", "1"])},
     # a sweep writes no echo and keeps the path as given
     **{f"test_output_path_with_outer_whitespace_still_sweeps-{case}": Row(
         ["sweep", "--param", "run.seed", "--values", "1", "--seconds", "1", "--out", out], 0, "",
@@ -640,10 +646,11 @@ class TestBenchmarkHooks:
         spans = trace["spans"]
         assert trace["calibrations_aborted"] == 0
         assert spans["calibration"][0] == 128
-        # one idle to each of the 128 slot ends plus the stage-end idle, each
-        # one drift step: a path round Plant.idle would leave the pads unseen
+        # the pads are spent in the stage's one drift pass; the idle to the
+        # stage end is one drift step: a path round Plant.idle would leave
+        # the stage's tail unseen
         for name in ("plant.idle", "drift.advance"):
-            assert spans[name][0] == 129, name
+            assert spans[name][0] == 1, name
         stages = spans["controller.stabilization_stage"][1] + spans["controller.qkd_stage"][1]
         assert stages <= spans["controller.run_experiment"][1]
         # one formatter call per trace file and second: a writer that stopped

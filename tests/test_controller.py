@@ -24,7 +24,7 @@ from fringelock.hardware import NUM_DELAYS, DetectorConfig, PmConfig
 from fringelock.plant import Plant, PlantConfig
 
 from conftest import zero_noise_settings
-from reference_model import Stepper, assert_same_plant, calibration, qkd_stage, stabilization_stage
+from reference_model import Stepper, assert_same_plant, qkd_stage, stabilization_stage
 
 
 class TestStabilizationStage:
@@ -60,9 +60,11 @@ class TestStabilizationStage:
         settings = zero_noise_settings()
         plant = Plant(settings.plant)
         calib = replace(settings.calibration, step_window_us=200)
-        # 23 steps of 200 us overrun the 2500 us slot: no idle can reach its end
-        with pytest.raises(ValueError, match="idle duration must be >= 0"):
+        # 23 steps of 200 us overrun the 2500 us slot: its pad would be
+        # negative, and the drift law rejects it before any draw or count
+        with pytest.raises(ValueError, match="^dt must be positive, got -0.0021$"):
             run_stabilization_stage(plant, calib, settings.schedule, [0] * NUM_DELAYS)
+        assert plant.elapsed_us == 0
 
 
 _NOISELESS = zero_noise_settings().plant
@@ -88,6 +90,9 @@ class TestStabilizationStageAgainstModel:
             (PlantConfig(), CalibrationConfig(), FrameSchedule(perm_slot_us=2_300), 66, "complete"),
             # 23 steps of 108 us leave a 16 us pad
             (PlantConfig(), CalibrationConfig(step_window_us=108), FrameSchedule(), 65, "complete"),
+            # 128 slots of 2500 us fill a 320 ms stage: no tail
+            (PlantConfig(), CalibrationConfig(), FrameSchedule(stab_duration_us=320_000), 69,
+             "complete"),
             # no light at all: every search aborts at step 1
             (_DARK, CalibrationConfig(), FrameSchedule(), 67, "dark"),
             # no fringe and no shot noise: four equal fractions, no phase
@@ -97,7 +102,7 @@ class TestStabilizationStageAgainstModel:
             (_NO_SHOT_NOISE, CalibrationConfig(), FrameSchedule(), 71, "complete"),
         ],
         ids=["seed-60", "seed-61", "noiseless", "low-light-aborts", "no-pad", "108-us-windows",
-             "dark", "flat-fringe", "rail-wraps", "no-shot-noise"],
+             "no-tail", "dark", "flat-fringe", "rail-wraps", "no-shot-noise"],
     )
     def test_matches_step_by_step_stage(self, plant_cfg, calib_cfg, schedule, seed, expect):
         reference, plant = Stepper(plant_cfg, seed), Plant(plant_cfg, seed)
@@ -130,7 +135,7 @@ class TestStabilizationStageAgainstModel:
             if expect == "wraps":
                 assert "wrap" in reference.events
 
-    def test_non_finite_phase_raises_as_its_slot_is_spent(self):
+    def test_non_finite_phase_raises_before_the_stage_counts(self):
         # a fast OU detuning near the float range: the laser term of delay 4
         # overflows at its 20th step
         plant_cfg = PlantConfig(drift=DriftConfig(laser_ou_sigma=1e301, laser_ou_tau=1e-4))
@@ -142,18 +147,14 @@ class TestStabilizationStageAgainstModel:
         with pytest.raises(ValueError, match="^true phase of delay 4 ") as raised:
             run_stabilization_stage(plant, calib_cfg, schedule, [0] * NUM_DELAYS)
         assert str(raised.value) == str(expected.value)
-        # the plant raised as delay 4's slot was spent, before any window of
-        # it was counted: clock, detector stream and drift state are those
-        # of a model that ran slots 0-3 only
-        prefix = Stepper(plant_cfg, 51)
-        for index in range(4):
-            calibration(index, prefix, calib_cfg, plant_cfg.pm, [])
-            prefix.idle((index + 1) * schedule.perm_slot_us - prefix.elapsed_us)
-        assert plant.elapsed_us == prefix.elapsed_us == 4 * 2_500
+        # the plant spends the whole stage's drift before any search counts:
+        # clock, detector stream and drift state are those of a fresh plant
+        fresh = Plant(plant_cfg, 51)
+        assert plant.elapsed_us == 0
         state = plant._rng_detector.bit_generator.state
-        assert state == prefix._rng_detector.bit_generator.state
-        assert plant.state.laser_eps.hex() == prefix.state.laser_eps.hex()
-        assert plant.state.path_phases.tobytes() == prefix.state.path_phases.tobytes()
+        assert state == fresh._rng_detector.bit_generator.state
+        assert plant.state.laser_eps.hex() == fresh.state.laser_eps.hex()
+        assert plant.state.path_phases.tobytes() == fresh.state.path_phases.tobytes()
 
 
 def _assert_drift_law(plants, drift, t):

@@ -9,8 +9,8 @@ from fringelock.drift import (
     DriftConfig,
     advance,
     advance_windows,
-    delay_drift,
     initial_state,
+    slot_drift,
     true_phase,
 )
 
@@ -127,40 +127,68 @@ class TestAdvanceWindows:
         assert rng.bit_generator.state == reference_rng.bit_generator.state
 
 
-class TestDelayDrift:
+def drift_by_slot(state, index, windows, dt, pad_dt, cfg, rng):
+    """The reference's side of ``slot_drift``: each slot's windows one at a
+    time, then its pad, in one ``advance``."""
+    phases = []
+    for delay in index:
+        phases.append(drift_by_window(state, [delay] * windows, dt, cfg, rng))
+        if pad_dt:
+            advance(state, pad_dt, cfg, rng)
+    return phases
+
+
+class TestSlotDrift:
     @pytest.mark.parametrize(
-        "delay, windows, dt, round_up",
+        "index, windows, dt, pad_dt, round_up",
         [
-            (9, 23, 1e-4, False),  # a calibration slot
-            (127, 23, 1.08e-4, False),  # 108 us steps
-            (64, 3, 1e-4, False),  # a short run
-            (0, 1, 1e-4, False),  # a single window (Plant.measure)
-            (9, 23, 1e-4, True),  # a slot whose first phase rounds up to 2*pi
+            (range(128), 23, 1e-4, 2e-4, False),  # a stage: 25 blocks of 5 slots and one of 3
+            ([9, 64, 127, 0, 5, 9], 23, 1e-4, 0.0, False),  # 2300 us slots: no pad
+            ([127] * 6, 23, 1.08e-4, 1.6e-5, False),  # 108 us steps and a 16 us pad
+            ([0], 1, 1e-4, 0.0, False),  # a single window (Plant.measure)
+            ([3, 4, 3], 200, 1e-4, 1e-4, False),  # a slot past BLOCK_WINDOWS: one per block
+            ([1, 2], 0, 1e-4, 2e-4, False),  # pads alone
+            ([9], 23, 1e-4, 2e-4, True),  # a slot whose first phase rounds up to 2*pi
         ],
-        ids=["slot", "108-us", "three-windows", "one-window", "round-up-to-2pi"],
+        ids=["stage", "no-pad", "108-us", "one-window", "long-slots", "pads-only",
+             "round-up-to-2pi"],
     )
-    def test_matches_true_phase_then_advance_per_window(self, delay, windows, dt, round_up):
+    def test_matches_true_phase_then_advance_per_window(
+        self, index, windows, dt, pad_dt, round_up
+    ):
         cfg, reference, state = twin_states(13, round_up)
         reference_rng, rng = np.random.default_rng(14), np.random.default_rng(14)
-        expected = drift_by_window(reference, [delay] * windows, dt, cfg, reference_rng)
-        assert delay_drift(state, delay, windows, dt, cfg, rng) == expected
-        assert not round_up or expected[0] == 0.0
+        expected = drift_by_slot(reference, index, windows, dt, pad_dt, cfg, reference_rng)
+        phases = slot_drift(state, index, windows, dt, pad_dt, cfg, rng)
+        assert phases.shape == (len(index), windows) and phases.tolist() == expected
+        assert not round_up or expected[0][0] == 0.0
         assert state.laser_eps.hex() == reference.laser_eps.hex()
         assert state.path_phases.tobytes() == reference.path_phases.tobytes()
         assert rng.bit_generator.state == reference_rng.bit_generator.state
 
     def test_non_finite_phase_raises_and_leaves_the_state(self):
         # a tiny detuning keeps the first window finite; the first OU step
-        # then pushes the laser term of every delay but 0 past the float range
+        # then pushes the laser term of every delay but 0 past the float
+        # range: delay 0's slot stays finite, and the next slot's delay raises
         cfg = DriftConfig(laser_ou_sigma=1e308, static_offsets=ZERO_OFFSETS)
         state = make_state(cfg)
         state.laser_eps = 1e-30
         state.path_phases[:] = np.linspace(-1.0, 1.0, 128)
         walk = state.path_phases.copy()
         with pytest.raises(ValueError, match="^true phase of delay 5 "):
-            delay_drift(state, 5, 3, 1e-4, cfg, np.random.default_rng(15))
+            slot_drift(state, [0, 5, 2], 3, 1e-4, 2e-4, cfg, np.random.default_rng(15))
         assert state.laser_eps == 1e-30
         assert state.path_phases.tobytes() == walk.tobytes()
+
+    @pytest.mark.parametrize("pad_dt", [-2.1e-3, math.nan], ids=["overrun", "nan"])
+    def test_invalid_pad_draws_nothing(self, pad_dt):
+        # a slot its windows overrun has a negative pad; a pad of 0 is none
+        cfg = DriftConfig(static_offsets=ZERO_OFFSETS)
+        rng = np.random.default_rng(18)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match=f"^dt must be positive, got {pad_dt}$"):
+            slot_drift(make_state(cfg), [0], 23, 2e-4, pad_dt, cfg, rng)
+        assert rng.bit_generator.state == before
 
 
 @pytest.mark.parametrize("dt", [0.0, -1e-4, math.nan], ids=["zero", "negative", "nan"])
@@ -170,10 +198,10 @@ class TestDelayDrift:
         (lambda state, cfg, rng, dt: advance(state, dt, cfg, rng), 4),
         (lambda state, cfg, rng, dt: advance_windows(state, np.zeros(3, dtype=np.int64), dt, cfg, rng),
          11),
-        (lambda state, cfg, rng, dt: delay_drift(state, 0, 3, dt, cfg, rng), 17),
-        (lambda state, cfg, rng, dt: delay_drift(state, 0, 0, dt, cfg, rng), 17),
+        (lambda state, cfg, rng, dt: slot_drift(state, [0], 3, dt, 2e-4, cfg, rng), 17),
+        (lambda state, cfg, rng, dt: slot_drift(state, [0], 0, dt, 0.0, cfg, rng), 17),
     ],
-    ids=["advance", "advance_windows", "delay_drift-3", "delay_drift-0"],
+    ids=["advance", "advance_windows", "slot_drift-3", "slot_drift-0"],
 )
 def test_invalid_dt(read, seed, dt):
     cfg = DriftConfig(static_offsets=ZERO_OFFSETS)
@@ -182,20 +210,21 @@ def test_invalid_dt(read, seed, dt):
 
 
 @pytest.mark.parametrize(
-    "read, seed, empty",
+    "read, seed",
     [
         (lambda state, cfg, rng: advance_windows(state, np.zeros(0, np.int64), 1e-4, cfg, rng),
-         10, np.zeros(0)),
-        (lambda state, cfg, rng: delay_drift(state, 3, 0, 1e-4, cfg, rng), 16, []),
+         10),
+        (lambda state, cfg, rng: slot_drift(state, [], 23, 1e-4, 2e-4, cfg, rng), 16),
+        (lambda state, cfg, rng: slot_drift(state, [3], 0, 1e-4, 0.0, cfg, rng), 16),
     ],
-    ids=["advance_windows", "delay_drift"],
+    ids=["advance_windows", "slot_drift", "slot_drift-no-rows"],
 )
-def test_no_windows_leave_the_state(read, seed, empty):
+def test_no_windows_leave_the_state(read, seed):
     cfg = DriftConfig()
     state = make_state(cfg)
     rng = np.random.default_rng(seed)
     before = rng.bit_generator.state
     phases = read(state, cfg, rng)
-    assert type(phases) is type(empty) and len(phases) == 0
+    assert type(phases) is np.ndarray and phases.size == 0
     assert state.laser_eps == 0.0 and not state.path_phases.any()
     assert rng.bit_generator.state == before

@@ -68,7 +68,10 @@ class TestClock:
         with pytest.raises(ValueError):
             plant.idle(-1)
         with pytest.raises(ValueError, match="^dt must be positive, got 0.0$"):
-            plant.counter(0, 0, 23)
+            plant.counters([0], 0, 23, 2_500)
+        # 23 windows of 200 us overrun a 2500 us slot: its pad is negative
+        with pytest.raises(ValueError, match="^dt must be positive, got -0.0021$"):
+            plant.counters([0], 200, 23, 2_500)
         with pytest.raises(ValueError, match="^dt must be positive, got -1e-06$"):
             plant.measure_slots(np.array([0]), [0] * 128, -1)
         # the drift law rejects a window before any draw or clock move
@@ -86,12 +89,15 @@ class TestClock:
 
 _DELAYS = st.sampled_from([0, 9, 127])
 _WINDOWS = st.sampled_from([100, 108])
+#: Up to 7 slots: one block of 5 and part of the next.
+_SLOTS = st.lists(_DELAYS, max_size=7)
+_PADS = st.sampled_from([0, 16, 200])
 _CALLS = st.one_of(
-    st.tuples(st.just("counter"), _DELAYS, _WINDOWS, st.integers(0, 23)),
-    # a counter, the counts that follow it (all, some, none or one too
+    st.tuples(st.just("counters"), _SLOTS, _WINDOWS, st.integers(0, 23), _PADS),
+    # slots, the counts that follow in each (all, some, none or one too
     # many), then perhaps a measurement on another delay or window
     st.tuples(
-        st.just("slot"), _DELAYS, _WINDOWS, st.integers(0, 23), st.integers(0, 24),
+        st.just("slots"), _SLOTS, _WINDOWS, st.integers(0, 23), _PADS, st.integers(0, 24),
         st.none() | st.tuples(_DELAYS, _WINDOWS),
     ),
     st.tuples(st.just("measure"), _DELAYS, st.integers(0, 2**63 - 1), _WINDOWS),
@@ -127,9 +133,7 @@ def _wide_dac(bits):
 
 
 #: A full slot on each delay, then QKD windows on all three.
-_WIDE_DAC_CALLS = [
-    *(("slot", delay, 100, 23, 23, None) for delay in (0, 9, 127)), ("qkd", [0, 9, 127], 108)
-]
+_WIDE_DAC_CALLS = [("slots", [0, 9, 127], 100, 23, 0, 23, None), ("qkd", [0, 9, 127], 108)]
 
 
 def _snapshot(plant):
@@ -138,10 +142,11 @@ def _snapshot(plant):
     return plant.elapsed_us, streams
 
 
-def _idle_windows(reference, windows, window_us):
-    """The reference's side of windows a counter spent and never counted."""
+def _idle_windows(reference, windows, window_us, pad_us=0):
+    """The reference's side of windows a slot spent and never counted, then its pad."""
     for _ in range(windows):
         reference.idle(window_us)
+    reference.idle(pad_us)
 
 
 class TestCounter:
@@ -151,17 +156,18 @@ class TestCounter:
     )
     @pytest.mark.parametrize("measured", [23, 22, 3, 1, 0])
     def test_matches_measure_then_idle(self, measured, window_us, slot_us):
-        # the slot's 23 windows elapse whether or not they are all counted
+        # each slot's 23 windows and its pad elapse whether or not they are
+        # all counted; 7 slots span two blocks of the drift pass
+        delays = [9, 0, 127, 9, 64, 5, 9]
         reference, plant = Stepper(PlantConfig(), 30), default_plant(seed=30)
         codes = [(k * 2749) % 65536 for k in range(measured)]
-        expected = [reference.measure(9, code, window_us) for code in codes]
-        _idle_windows(reference, 23 - measured, window_us)
-        reference.idle(slot_us - 23 * window_us)
-        count = plant.counter(9, window_us, 23)
-        assert plant.elapsed_us == 23 * window_us  # the pad is the caller's
-        assert [count(code) for code in codes] == expected
-        plant.idle(slot_us - plant.elapsed_us)
-        assert plant.elapsed_us == slot_us
+        expected = []
+        for delay in delays:
+            expected.append([reference.measure(delay, code, window_us) for code in codes])
+            _idle_windows(reference, 23 - measured, window_us, slot_us - 23 * window_us)
+        counts = plant.counters(delays, window_us, 23, slot_us)
+        assert plant.elapsed_us == len(delays) * slot_us
+        assert [[count(code) for code in codes] for count in counts] == expected
         assert_same_plant(plant, reference)
 
     @pytest.mark.parametrize(
@@ -170,7 +176,7 @@ class TestCounter:
             *(pytest.param(32, method, args(delay), rf"^delay index {delay} out of range 0\.\.127$",
                            id=f"test_a_delay_out_of_range_draws_nothing-{method}-{delay}")
               for method, args in [
-                  ("counter", lambda delay: (delay, 100, 23)),
+                  ("counters", lambda delay: ([5, delay], 100, 23, 2_500)),
                   ("measure", lambda delay: (delay, 0, 100)),
                   ("measure_slots", lambda delay: (np.array([5, delay]), [0] * 128, 100)),
               ] for delay in (-1, -128, 128)),
@@ -184,7 +190,7 @@ class TestCounter:
     def test_an_out_of_range_call_draws_nothing(self, seed, method, args, message):
         reference, plant = Stepper(PlantConfig(), seed), default_plant(seed=seed)
         # a spent slot with one counted window, which the error must leave alone
-        assert plant.counter(5, 100, 23)(0) == reference.measure(5, 0, 100)
+        assert plant.counters([5], 100, 23, 2_300)[0](0) == reference.measure(5, 0, 100)
         _idle_windows(reference, 22, 100)
         before = _snapshot(plant)
         with pytest.raises(ValueError, match=message):
@@ -195,7 +201,7 @@ class TestCounter:
 
     def test_a_count_past_the_last_window_raises(self):
         reference, plant = Stepper(PlantConfig(), 33), default_plant(seed=33)
-        count = plant.counter(9, 100, 2)
+        [count] = plant.counters([9], 100, 2, 200)
         assert [count(1), count(2)] == [reference.measure(9, code, 100) for code in (1, 2)]
         before = _snapshot(plant)
         with pytest.raises(ValueError, match="^no window left in this run of delay 9$"):
@@ -204,33 +210,37 @@ class TestCounter:
         assert_same_plant(plant, reference)
 
     def test_a_settled_counter_raises(self):
-        # once a later call moves the clock, the run's uncounted windows are gone
+        # once a later call moves the clock, the slots' uncounted windows are gone
         reference, plant = Stepper(PlantConfig(), 34), default_plant(seed=34)
         later = [  # (the plant's call, the reference's)
             (lambda: plant.idle(50), lambda: reference.idle(50)),
             (lambda: plant.measure(5, 0, 100), lambda: reference.measure(5, 0, 100)),
             (lambda: plant.measure_slots(np.array([5]), [0] * 128, 100),
              lambda: reference.measure(5, 0, 100)),
-            (lambda: plant.counter(5, 100, 23), lambda: _idle_windows(reference, 23, 100)),
+            (lambda: plant.counters([5], 100, 23, 2_500),
+             lambda: _idle_windows(reference, 23, 100, 200)),
         ]
         for call, reference_call in later:
-            count = plant.counter(9, 100, 23)
-            assert count(1) == reference.measure(9, 1, 100)
+            first, second = plant.counters([9, 7], 100, 23, 2_300)
+            assert first(1) == reference.measure(9, 1, 100)
             _idle_windows(reference, 22, 100)
+            _idle_windows(reference, 23, 100)
             call()
             reference_call()
             before = _snapshot(plant)
-            with pytest.raises(ValueError, match="^no window left in this run of delay 9$"):
-                count(2)
+            for count, delay in ((first, 9), (second, 7)):
+                message = f"^no window left in this run of delay {delay}$"
+                with pytest.raises(ValueError, match=message):
+                    count(2)
             assert _snapshot(plant) == before
-        assert plant.counter(9, 100, 23)(2) == reference.measure(9, 2, 100)
+        assert plant.counters([9], 100, 23, 2_300)[0](2) == reference.measure(9, 2, 100)
         _idle_windows(reference, 22, 100)
         assert_same_plant(plant, reference)
 
     @pytest.mark.parametrize("code", [-1, 65536])
     def test_a_code_out_of_range_counts_nothing(self, code):
         reference, plant = Stepper(PlantConfig(), 35), default_plant(seed=35)
-        count = plant.counter(9, 100, 23)
+        [count] = plant.counters([9], 100, 23, 2_300)
         with pytest.raises(ValueError, match=f"^DAC code {code} out of range for 16-bit"):
             count(code)
         assert count(4) == reference.measure(9, 4, 100)
@@ -247,26 +257,29 @@ class TestCounter:
     @example(calls=_WIDE_DAC_CALLS, seed=1, config=_wide_dac(53))
     @example(calls=_WIDE_DAC_CALLS, seed=2, config=_wide_dac(63))
     def test_any_call_sequence_measures_window_by_window(self, calls, seed, config):
-        # any order of calls gives the window-by-window numbers, a counter's
-        # uncounted windows idled one at a time, and the counter's inlined
+        # any order of calls gives the window-by-window numbers, a slot's
+        # uncounted windows idled one at a time, and the count's inlined
         # physics is the hardware and optics functions' on any config
         reference, plant = Stepper(config, seed), Plant(config, seed)
         top = config.pm.max_code
         # 128 codes from 0 to the top code, spread over every prefix
         codes = [(k * 37 % 128) * top // 127 for k in range(128)]
         for name, *args in calls:
-            if name == "counter":
-                plant.counter(*args)
-                _idle_windows(reference, args[2], args[1])
-            elif name == "slot":
-                delay, window_us, windows, measured, then = args
-                count = plant.counter(delay, window_us, windows)
-                for code in codes[:min(measured, windows)]:
-                    assert count(code) == reference.measure(delay, code, window_us)
-                _idle_windows(reference, max(windows - measured, 0), window_us)
-                if measured > windows:
-                    with pytest.raises(ValueError, match="no window left"):
-                        count(codes[0])
+            if name == "counters":
+                delays, window_us, windows, pad_us = args
+                plant.counters(delays, window_us, windows, windows * window_us + pad_us)
+                for _ in delays:
+                    _idle_windows(reference, windows, window_us, pad_us)
+            elif name == "slots":
+                delays, window_us, windows, pad_us, measured, then = args
+                counts = plant.counters(delays, window_us, windows, windows * window_us + pad_us)
+                for delay, count in zip(delays, counts):
+                    for code in codes[:min(measured, windows)]:
+                        assert count(code) == reference.measure(delay, code, window_us)
+                    _idle_windows(reference, max(windows - measured, 0), window_us, pad_us)
+                    if measured > windows:
+                        with pytest.raises(ValueError, match="no window left"):
+                            count(codes[0])
                 if then:
                     step = (then[0], codes[7], then[1])
                     assert plant.measure(*step) == reference.measure(*step)
