@@ -115,7 +115,8 @@ class Plant:
         pad, and move the clock past them all. Return a ``count(code) -> (c1,
         c2)`` per slot, which integrates the slot's next window, its phase
         taken at the window start. A count past its slot's last window, or
-        after a later call moves the clock, raises ``ValueError``.
+        after a later call moves the clock, raises ``ValueError``; so does a
+        slot its windows overrun, in the pad's drift law, before any draw.
         """
         for delay_index in index:
             if not 0 <= delay_index < NUM_DELAYS:
