@@ -16,11 +16,11 @@ README, "Model assumptions").
 Every draw takes one laser normal, then 128 path normals, per window, and
 every advance that returns writes its end state. ``advance`` moves the
 state over one span of any length (idle time, the end of a stage);
-``advance_windows`` over the QKD stage's equal windows on varying delays;
-``slot_drift`` over a stabilisation stage's permutation slots, each a run
-of equal windows on one delay and a pad. The last two raise
+``slot_drift`` over a run of slots, each equal windows on one delay and a
+pad: a stabilisation stage's 128 permutation slots of 23 windows and a
+pad, or a QKD stage's switch slots of one window each. It raises
 ``non_finite_phase`` at the first true phase that is not finite, as
-``true_phase`` does, so no phase they return is NaN.
+``true_phase`` does, so no phase it returns is NaN.
 """
 
 from __future__ import annotations
@@ -38,9 +38,8 @@ from .optics import TWO_PI, canonical_phase
 #: laser phase together with ``DriftConfig.laser_ou_sigma``.
 OPTICAL_FREQ_HZ = 193.4e12
 
-#: Most windows ``advance_windows`` and ``slot_drift`` draw at once: a block's
-#: normals, in which its path walk is summed, hold about 130 kB however many
-#: windows a call spans.
+#: Most windows ``slot_drift`` draws at once: a block's normals, in which its
+#: path walk is summed, hold about 130 kB however many windows a call spans.
 BLOCK_WINDOWS = 128
 
 #: Laser phase per unit detuning of each delay, 2*pi * nu0 * delay, in radians;
@@ -117,10 +116,9 @@ def advance(
 
     The OU step uses the exact discretization, so chunking a span into
     several calls changes the realization but not the law. Draw order is
-    fixed: one laser normal, then 128 path normals. ``advance_windows``
-    (the QKD stage) and ``slot_drift`` (the slots ``Plant.counters``
-    spends) consume the stream in the same order and must change with
-    this.
+    fixed: one laser normal, then 128 path normals. ``slot_drift`` (both
+    stages' slots) consumes the stream in the same order and must change
+    with this.
     """
     decay, laser_step, walk_step = _window_law(dt, cfg)
     normals = rng.standard_normal(NUM_DELAYS + 1)
@@ -141,52 +139,6 @@ def true_phase(state: DriftState, index: int, cfg: DriftConfig) -> float:
     return canonical_phase(phase)
 
 
-def advance_windows(
-    state: DriftState,
-    index: np.ndarray,
-    dt: float,
-    cfg: DriftConfig,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Advance the state over ``len(index)`` windows of ``dt`` seconds each.
-
-    Returns the canonical true phase of delay ``index[k]`` at the start of
-    window ``k``. Phases, final state and stream position are bit-identical
-    to calling ``true_phase`` and then ``advance`` once per window: the
-    normals come in ``(windows, 129)`` blocks in ``advance``'s draw order,
-    the OU recursion runs on Python floats in ``advance``'s operation order,
-    and the path walk is a ``cumsum``, which adds row by row like repeated
-    ``+=``. The first non-finite phase raises ``true_phase``'s error, the
-    state unwritten.
-    """
-    decay, laser_step, walk_step = _window_law(dt, cfg)
-    eps = state.laser_eps
-    walk = state.path_phases
-    phases = np.empty(len(index))
-    # a non-finite phase raises in _settled, naming its delay, instead of warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, len(index), BLOCK_WINDOWS):
-            block = index[start:start + BLOCK_WINDOWS]
-            normals = rng.standard_normal((len(block), NUM_DELAYS + 1))
-            eps_at_start = []
-            for z in normals[:, 0].tolist():
-                eps_at_start.append(eps)
-                eps = eps * decay + laser_step * z
-            # the steps scaled and summed down the block in place from the
-            # state, so row k is the walk at the end of window k
-            normals *= walk_step
-            walks = normals[:, 1:]
-            np.add(walk, walks[0], out=walks[0])
-            np.cumsum(walks, axis=0, out=walks)
-            at_start = walks[np.arange(-1, len(block) - 1), block]
-            at_start[0] = walk[block[0]]  # window 0 starts on the state's walk
-            phases[start:start + len(block)] = (
-                state.offsets[block] + at_start + _LASER_GAIN[block] * np.array(eps_at_start)
-            )
-            walk = walks[-1]
-    return _settled(state, index, phases, eps, walk)
-
-
 def slot_drift(
     state: DriftState, index: Sequence[int], windows: int, dt: float, pad_dt: float,
     cfg: DriftConfig, rng: np.random.Generator,
@@ -195,58 +147,69 @@ def slot_drift(
     ``s`` being ``windows`` windows of ``dt`` seconds on delay ``index[s]``
     and then a pad of ``pad_dt`` seconds (none if 0) that nothing reads.
 
-    Returns a row per slot of the true phases at its windows' starts, with
-    ``advance_windows``' guarantees: bit for bit ``true_phase`` and then
-    ``advance`` per window, and ``advance`` per pad. A block holds whole
-    slots, at most ``BLOCK_WINDOWS`` rows where a slot fits.
+    Returns a row per slot of the true phases at its windows' starts. Phases,
+    final state and stream position are bit-identical to calling
+    ``true_phase`` and then ``advance`` once per window, and ``advance`` per
+    pad: the normals come in blocks of whole slots, at most
+    ``BLOCK_WINDOWS`` rows where a slot fits, in ``advance``'s draw order;
+    the OU recursion runs on Python floats in ``advance``'s operation order;
+    and the path walk adds row by row like repeated ``+=``. A delay outside
+    0..127 or a window that is not positive raises before any draw; the first
+    non-finite phase raises ``true_phase``'s error, the state unwritten.
     """
+    index = np.asarray(index, dtype=np.int64)
+    outside = (index < 0) | (index >= NUM_DELAYS)
+    if outside.any():
+        raise ValueError(f"delay index {index[outside.argmax()]} out of range 0..127")
     decay, laser_step, walk_step = _window_law(dt, cfg)
     pad = int(pad_dt != 0.0)
     pad_decay, pad_laser, pad_walk = _window_law(pad_dt, cfg) if pad else (0.0, 0.0, 0.0)
-    index = np.asarray(index, dtype=np.int64)
     rows = windows + pad
     per_block = max(1, BLOCK_WINDOWS // max(rows, 1))
+    # each row's OU decay and laser step, over the slots a block reads
+    slots = min(per_block, len(index))
+    decays = ([decay] * windows + [pad_decay] * pad) * slots
+    lasers = ([laser_step] * windows + [pad_laser] * pad) * slots
     # window k of a block's slot j starts on row j*rows + k of its walks below
     starts = np.arange(per_block)[:, None] * rows + np.arange(windows)
     eps, walk = state.laser_eps, state.path_phases
     eps_at_start = []
     append = eps_at_start.append
     walk_at_start = np.empty((len(index), windows))
-    # a non-finite phase raises in _settled, naming its delay, instead of warning
+    # a non-finite phase raises below, naming its delay, instead of warning
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, len(index) if rows else 0, per_block):
             block = index[start:start + per_block]
             n = len(block)
             normals = rng.standard_normal((n * rows, NUM_DELAYS + 1))
-            by_slot = normals.reshape(n, rows, NUM_DELAYS + 1)
-            for laser in by_slot[:, :, 0].tolist():
-                for z in laser[:windows]:
-                    append(eps)
-                    eps = eps * decay + laser_step * z
-                if pad:
-                    eps = eps * pad_decay + pad_laser * laser[-1]
+            for z, row_decay, row_laser in zip(normals[:, 0].tolist(), decays, lasers):
+                append(eps)
+                eps = eps * row_decay + row_laser * z
             # every row scaled by its own step (the laser column is read already)
+            by_slot = normals.reshape(n, rows, NUM_DELAYS + 1)
             pads = by_slot[:, windows:] * pad_walk
             normals *= walk_step
             by_slot[:, windows:] = pads
             steps = normals[:, 1:]
-            # each slot's delay walked down the block from the state
-            walks = np.cumsum(np.vstack([walk[block], steps[:, block]]), axis=0)
-            walk_at_start[start:start + n] = walks[starts[:n], np.arange(n)[:, None]]
-            # the state folded into the first row, then one sum down the block
-            np.add(walk, steps[0], out=steps[0])
-            walk = steps.sum(axis=0)
-        raw = (state.offsets[index, None] + walk_at_start
-               + _LASER_GAIN[index, None] * np.reshape(eps_at_start, walk_at_start.shape))
-    return _settled(state, index, raw, eps, walk)
-
-
-def _settled(
-    state: DriftState, index: np.ndarray, raw: np.ndarray, eps: float, walk: np.ndarray
-) -> np.ndarray:
-    """A drift reader's end: the first delay with a ``raw`` phase that is not
-    finite raises, else the state is written and the phases return canonical."""
-    finite = np.isfinite(raw).all(axis=tuple(range(1, raw.ndim)))  # a row of phases per delay
+            if rows == windows == 1:
+                # every delay walked down the block in place from the state,
+                # so row k is the walk at the end of window k
+                np.add(walk, steps[0], out=steps[0])
+                np.cumsum(steps, axis=0, out=steps)
+                at_start = steps[np.arange(-1, n - 1), block]
+                at_start[0] = walk[block[0]]  # window 0 starts on the state's walk
+                walk_at_start[start:start + n, 0] = at_start
+                walk = steps[-1]
+            else:
+                # each slot's delay walked down the block from the state
+                walks = np.cumsum(np.vstack([walk[block], steps[:, block]]), axis=0)
+                walk_at_start[start:start + n] = walks[starts[:n], np.arange(n)[:, None]]
+                # the state folded into the first row, then one sum down the block
+                np.add(walk, steps[0], out=steps[0])
+                walk = steps.sum(axis=0)
+        eps_at_start = np.reshape(eps_at_start, (len(index), rows))[:, :windows]
+        raw = state.offsets[index, None] + walk_at_start + _LASER_GAIN[index, None] * eps_at_start
+    finite = np.isfinite(raw).all(axis=1)
     if not finite.all():
         raise non_finite_phase(int(index[finite.argmin()]))
     state.laser_eps = eps

@@ -12,8 +12,9 @@ written as ``dac_to_voltages`` writes it), ``port_intensities`` and
 ``sample_counts``, in their operation order; ``measure`` counts one window
 through it. ``measure_slots`` integrates a run of windows whose delays and
 codes are known in advance (the QKD stage) as vectors, from one draw per
-stream. The per-window physics therefore exists twice, and an equivalence
-test keeps the two aligned.
+stream, reading its drift through the same pass as one-window slots. The
+per-window physics therefore exists twice, and an equivalence test keeps
+the two aligned.
 
 The plant owns the simulation clock (integer microseconds) and is the only
 place drift time advances, so elapsed simulated time always equals the sum
@@ -33,7 +34,7 @@ import numpy as np
 from . import drift as drift_mod
 from .drift import DriftConfig
 # count() inlines sample_counts and port_intensities; perfbench/child.py --trace 1 wraps them
-from .hardware import NUM_DELAYS, V_PI, DetectorConfig, PmConfig, dac_to_voltages, sample_counts
+from .hardware import V_PI, DetectorConfig, PmConfig, dac_to_voltages, sample_counts
 from .optics import TWO_PI, port_intensities
 
 
@@ -82,16 +83,14 @@ class Plant:
         ``measure`` call per slot: the phase and port arithmetic follow
         ``port_intensities`` and ``sample_counts`` operation by operation.
         """
-        outside = (index < 0) | (index >= NUM_DELAYS)
-        if outside.any():
-            raise ValueError(f"delay index {index[outside.argmax()]} out of range 0..127")
         cfg = self.config
         # before any draw: a code out of range draws nothing
         volts = dac_to_voltages(np.asarray(codes, dtype=np.int64), cfg.pm)
         # voltage_to_phase, whose canonical_phase is fmod alone on a phase >= 0
         phi = np.fmod(math.pi * volts / V_PI, TWO_PI)
         window_s = window_us * 1e-6
-        alpha = drift_mod.advance_windows(self.state, index, window_s, cfg.drift, self._rng_drift)
+        alpha = drift_mod.slot_drift(self.state, index, 1, window_s, 0.0, cfg.drift,
+                                     self._rng_drift)[:, 0]
         self.elapsed_us += len(index) * window_us
         # math.cos as in port_intensities: np.cos may take another SIMD path
         angles = (alpha + phi[index]).tolist()
@@ -118,9 +117,6 @@ class Plant:
         after a later call moves the clock, raises ``ValueError``; so does a
         slot its windows overrun, in the pad's drift law, before any draw.
         """
-        for delay_index in index:
-            if not 0 <= delay_index < NUM_DELAYS:
-                raise ValueError(f"delay index {delay_index} out of range 0..127")
         pad_us = slot_us - windows * window_us
         window_s = window_us * 1e-6
         phases = drift_mod.slot_drift(

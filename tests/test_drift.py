@@ -8,7 +8,6 @@ from scipy.stats import kstest
 from fringelock.drift import (
     DriftConfig,
     advance,
-    advance_windows,
     initial_state,
     slot_drift,
     true_phase,
@@ -106,7 +105,9 @@ class TestTruePhase:
             DriftConfig(static_offsets="uniform")
 
 
-class TestAdvanceWindows:
+class TestOneWindowSlots:
+    """The QKD stage's shape of ``slot_drift``: one window per slot, no pad."""
+
     @pytest.mark.parametrize(
         "windows, round_up",
         [(0, False), (1, False), (128, False), (129, False), (300, False), (23, True)],
@@ -119,8 +120,8 @@ class TestAdvanceWindows:
         reference_rng, rng = np.random.default_rng(8), np.random.default_rng(8)
         index = np.random.default_rng(9).integers(0, 128, size=windows)
         expected = drift_by_window(reference, index.tolist(), 1e-4, cfg, reference_rng)
-        phases = advance_windows(state, index, 1e-4, cfg, rng)
-        assert phases.tolist() == expected
+        phases = slot_drift(state, index, 1, 1e-4, 0.0, cfg, rng)
+        assert phases.shape == (windows, 1) and phases[:, 0].tolist() == expected
         assert not round_up or expected[0] == 0.0
         assert state.laser_eps == reference.laser_eps
         assert state.path_phases.tobytes() == reference.path_phases.tobytes()
@@ -146,12 +147,16 @@ class TestSlotDrift:
             ([9, 64, 127, 0, 5, 9], 23, 1e-4, 0.0, False),  # 2300 us slots: no pad
             ([127] * 6, 23, 1.08e-4, 1.6e-5, False),  # 108 us steps and a 16 us pad
             ([0], 1, 1e-4, 0.0, False),  # a single window (Plant.measure)
+            # a QKD stage: 6600 one-window slots, 51 full blocks and 72 rows
+            (np.random.default_rng(9).integers(0, 128, size=6600), 1, 1e-4, 0.0, False),
+            # the smallest slot that is walked delay by delay: a window and a pad
+            (np.random.default_rng(9).integers(0, 128, size=150), 1, 1e-4, 2e-4, False),
             ([3, 4, 3], 200, 1e-4, 1e-4, False),  # a slot past BLOCK_WINDOWS: one per block
             ([1, 2], 0, 1e-4, 2e-4, False),  # pads alone
             ([9], 23, 1e-4, 2e-4, True),  # a slot whose first phase rounds up to 2*pi
         ],
-        ids=["stage", "no-pad", "108-us", "one-window", "long-slots", "pads-only",
-             "round-up-to-2pi"],
+        ids=["stage", "no-pad", "108-us", "one-window", "qkd-stage", "window-and-pad",
+             "long-slots", "pads-only", "round-up-to-2pi"],
     )
     def test_matches_true_phase_then_advance_per_window(
         self, index, windows, dt, pad_dt, round_up
@@ -180,14 +185,24 @@ class TestSlotDrift:
         assert state.laser_eps == 1e-30
         assert state.path_phases.tobytes() == walk.tobytes()
 
-    @pytest.mark.parametrize("pad_dt", [-2.1e-3, math.nan], ids=["overrun", "nan"])
-    def test_invalid_pad_draws_nothing(self, pad_dt):
-        # a slot its windows overrun has a negative pad; a pad of 0 is none
+    @pytest.mark.parametrize(
+        "index, pad_dt, message",
+        [
+            # a slot its windows overrun has a negative pad; a pad of 0 is none
+            ([0], -2.1e-3, "dt must be positive, got -0.0021"),
+            ([0], math.nan, "dt must be positive, got nan"),
+            # a delay is checked ahead of the slot's laws
+            ([5, -1], math.nan, "delay index -1 out of range 0..127"),
+            ([128, 5], math.nan, "delay index 128 out of range 0..127"),
+        ],
+        ids=["overrun", "nan", "delay--1", "delay-128"],
+    )
+    def test_an_invalid_slot_draws_nothing(self, index, pad_dt, message):
         cfg = DriftConfig(static_offsets=ZERO_OFFSETS)
         rng = np.random.default_rng(18)
         before = rng.bit_generator.state
-        with pytest.raises(ValueError, match=f"^dt must be positive, got {pad_dt}$"):
-            slot_drift(make_state(cfg), [0], 23, 2e-4, pad_dt, cfg, rng)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            slot_drift(make_state(cfg), index, 23, 2e-4, pad_dt, cfg, rng)
         assert rng.bit_generator.state == before
 
 
@@ -196,12 +211,12 @@ class TestSlotDrift:
     "read, seed",
     [
         (lambda state, cfg, rng, dt: advance(state, dt, cfg, rng), 4),
-        (lambda state, cfg, rng, dt: advance_windows(state, np.zeros(3, dtype=np.int64), dt, cfg, rng),
+        (lambda state, cfg, rng, dt: slot_drift(state, np.zeros(3, np.int64), 1, dt, 0.0, cfg, rng),
          11),
         (lambda state, cfg, rng, dt: slot_drift(state, [0], 3, dt, 2e-4, cfg, rng), 17),
         (lambda state, cfg, rng, dt: slot_drift(state, [0], 0, dt, 0.0, cfg, rng), 17),
     ],
-    ids=["advance", "advance_windows", "slot_drift-3", "slot_drift-0"],
+    ids=["advance", "slot_drift-1", "slot_drift-3", "slot_drift-0"],
 )
 def test_invalid_dt(read, seed, dt):
     cfg = DriftConfig(static_offsets=ZERO_OFFSETS)
@@ -212,12 +227,12 @@ def test_invalid_dt(read, seed, dt):
 @pytest.mark.parametrize(
     "read, seed",
     [
-        (lambda state, cfg, rng: advance_windows(state, np.zeros(0, np.int64), 1e-4, cfg, rng),
+        (lambda state, cfg, rng: slot_drift(state, np.zeros(0, np.int64), 1, 1e-4, 0.0, cfg, rng),
          10),
         (lambda state, cfg, rng: slot_drift(state, [], 23, 1e-4, 2e-4, cfg, rng), 16),
         (lambda state, cfg, rng: slot_drift(state, [3], 0, 1e-4, 0.0, cfg, rng), 16),
     ],
-    ids=["advance_windows", "slot_drift", "slot_drift-no-rows"],
+    ids=["slot_drift-1", "slot_drift", "slot_drift-no-rows"],
 )
 def test_no_windows_leave_the_state(read, seed):
     cfg = DriftConfig()
