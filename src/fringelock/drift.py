@@ -185,15 +185,10 @@ def slot_drift(
             for z, row_decay, row_laser in zip(normals[:, 0].tolist(), decays, lasers):
                 append(eps)
                 eps = eps * row_decay + row_laser * z
-            # every row scaled by its own step (the laser column is read already)
-            by_slot = normals.reshape(n, rows, NUM_DELAYS + 1)
-            pads = by_slot[:, windows:] * pad_walk
-            normals *= walk_step
-            by_slot[:, windows:] = pads
-            steps = normals[:, 1:]
+            steps = normals[:, 1:]  # the laser column is read already
             if rows == windows == 1:
-                # every delay walked down the block in place from the state,
-                # so row k is the walk at the end of window k
+                # every delay walked down the block in place from the state: row k ends window k
+                normals *= walk_step
                 np.add(walk, steps[0], out=steps[0])
                 np.cumsum(steps, axis=0, out=steps)
                 at_start = steps[np.arange(-1, n - 1), block]
@@ -201,7 +196,12 @@ def slot_drift(
                 walk_at_start[start:start + n, 0] = at_start
                 walk = steps[-1]
             else:
-                # each slot's delay walked down the block from the state
+                # every row scaled by its own step, then each slot's delay
+                # walked down the block from the state
+                by_slot = normals.reshape(n, rows, NUM_DELAYS + 1)
+                pads = by_slot[:, windows:] * pad_walk
+                normals *= walk_step
+                by_slot[:, windows:] = pads
                 walks = np.cumsum(np.vstack([walk[block], steps[:, block]]), axis=0)
                 walk_at_start[start:start + n] = walks[starts[:n], np.arange(n)[:, None]]
                 # the state folded into the first row, then one sum down the block
