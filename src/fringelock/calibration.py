@@ -35,7 +35,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
@@ -76,6 +75,14 @@ class CalibrationConfig:
         for key in ("coarse_interval", "fine_interval", "step_window_us"):
             if getattr(self, key) <= 0:
                 raise ValueError(f"calibration.{key} must be positive, got {getattr(self, key)}")
+        # each scan's points span 8 intervals; a whole modulator period or
+        # more would only re-measure phases the scan already covers
+        for key in ("coarse_interval", "fine_interval"):
+            if not 8 * getattr(self, key) < 2.0 * V_PI:
+                raise ValueError(
+                    f"calibration.{key} = {getattr(self, key)} V makes a scan's 8 intervals span "
+                    f"a whole 2*V_PI = {2.0 * V_PI} V modulator period or more"
+                )
 
     @functools.cached_property
     def coarse_offsets(self) -> tuple[float, ...]:
@@ -126,36 +133,24 @@ def phase_to_compensation_code(alpha_hat: float, cfg: PmConfig) -> int:
     return voltage_to_code(voltage_for_phase(target), cfg)
 
 
-def _wrap_into_span(v: float, cfg: PmConfig) -> float:
-    """Shift a voltage by the fewest multiples of 2*V_PI that fit [0, v_max].
-
-    A 2*V_PI shift leaves the modulator phase unchanged, so scan points that
-    fall off a rail keep their place on the phase grid. The shift is computed
-    in exact rationals and rounded once, so any finite voltage lands in the
-    span, and a one-period shift rounds exactly like ``v +/- 2*V_PI``.
-    """
-    if 0.0 <= v <= cfg.v_max:
-        return v
-    if not math.isfinite(v):
-        raise ValueError(f"cannot wrap {v} V into span [0, {cfg.v_max}]")
-    exact, period = Fraction(v), Fraction(2.0 * V_PI)
-    if v < 0.0:
-        exact += math.ceil(-exact / period) * period
-    else:
-        exact -= math.ceil((exact - Fraction(cfg.v_max)) / period) * period
-    return float(exact)
-
-
 def _scan_codes(center_code: int, offsets: Sequence[float], cfg: PmConfig) -> list[int]:
     """DAC codes of the scan points ``offsets`` volts from a center code's
-    voltage, each wrapped into the span and rounded as ``voltage_to_code``."""
-    max_code, v_max = cfg.max_code, cfg.v_max
+    voltage, each rounded as ``voltage_to_code``.
+
+    A 2*V_PI shift leaves the modulator phase unchanged, so a point off a
+    rail moves by one period and keeps its place on the phase grid. One is
+    enough: an accepted scan spans less than a period, so a point lies less
+    than half a period (V_PI) past a rail, and the span covers a period.
+    """
+    max_code, v_max, period = cfg.max_code, cfg.v_max, 2.0 * V_PI
     center_v = dac_to_voltage(center_code, cfg)
     codes = []
     for off in offsets:
         v = center_v + off
-        if not 0.0 <= v <= v_max:
-            v = _wrap_into_span(v, cfg)
+        if v < 0.0:
+            v += period
+        elif v > v_max:
+            v -= period
         code = round(v / v_max * max_code)
         if not 0 <= code <= max_code:
             code = min(max_code, max(0, code))

@@ -28,8 +28,6 @@ import numpy as np
 from .calibration import (
     ACCEPT_THRESHOLD,
     CALIB_STEP,
-    COARSE_POINTS,
-    FINE_POINTS,
     CalibrationAborted,
     CalibrationConfig,
     TOTAL_STEPS,
@@ -308,17 +306,6 @@ class RunSettings:
                 f"{self.calibration.step_window_us} us take {steps_us} us, more than the "
                 f"schedule.perm_slot_us = {self.schedule.perm_slot_us} us permutation slot"
             )
-        # a scan point lies up to points // 2 intervals from an in-span voltage
-        v_max, calib = self.plant.pm.v_max, self.calibration
-        for key, interval, points in (
-            ("coarse_interval", calib.coarse_interval, COARSE_POINTS),
-            ("fine_interval", calib.fine_interval, FINE_POINTS),
-        ):
-            if not math.isfinite(v_max + (points // 2) * interval):
-                raise ValueError(
-                    f"calibration.{key} = {interval} V puts scan points past the float "
-                    f"range around the DAC span [0, {v_max}] V"
-                )
         # both ports' counts and their sum must fit the int64 count columns
         det = self.plant.detector
         window_us = max(self.calibration.step_window_us, self.schedule.qkd_slot_us)

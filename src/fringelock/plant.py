@@ -9,12 +9,14 @@ counted (an aborted search) are dark time, as on the FPGA (drift stream
 v1.1). ``count`` computes a window with the arithmetic of
 ``voltage_to_phase(dac_to_voltage(code))`` (the reference model's, its rail
 written as ``dac_to_voltages`` writes it), ``port_intensities`` and
-``sample_counts``, in their operation order; ``measure`` counts one window
-through it. ``measure_slots`` integrates a run of windows whose delays and
-codes are known in advance (the QKD stage) as vectors, from one draw per
-stream, reading its drift through the same pass as one-window slots. The
-per-window physics therefore exists twice, and an equivalence test keeps
-the two aligned.
+``sample_counts``, in their operation order, less ``sample_counts``'
+division by the port total: for every |x| <= 1 the rounding errors of
+1 + x and 1 - x cancel, so the total is exactly 1.0. ``measure`` counts
+one window through it. ``measure_slots`` integrates a run of windows whose
+delays and codes are known in advance (the QKD stage) as vectors, from one
+draw per stream, reading its drift through the same pass as one-window
+slots. The per-window physics therefore exists twice, and an equivalence
+test keeps the two aligned.
 
 The plant owns the simulation clock (integer microseconds) and is the only
 place drift time advances, so elapsed simulated time always equals the sum
@@ -81,7 +83,7 @@ class Plant:
         Returns the port counts ``(c1, c2)``, one element per slot. Counts,
         drift state and stream positions are bit-identical to one
         ``measure`` call per slot: the phase and port arithmetic follow
-        ``port_intensities`` and ``sample_counts`` operation by operation.
+        ``count``'s operation by operation.
         """
         cfg = self.config
         # before any draw: a code out of range draws nothing
@@ -95,11 +97,10 @@ class Plant:
         # math.cos as in port_intensities: np.cos may take another SIMD path
         angles = (alpha + phi[index]).tolist()
         x = cfg.contrast * np.fromiter(map(math.cos, angles), float, len(angles))
+        # the port total is 1.0, so each port is its own share
         ports = np.stack([0.5 * (1.0 + x), 0.5 * (1.0 - x)], axis=1)
-        # unit input power: the port total is never 0
-        fractions = ports / (ports[:, 0] + ports[:, 1])[:, None]
         det = cfg.detector
-        lam = fractions * (det.signal_rate * window_s) + det.dark_rate * window_s
+        lam = ports * (det.signal_rate * window_s) + det.dark_rate * window_s
         if det.shot_noise:
             counts = self._rng_detector.poisson(lam)
         else:
@@ -138,16 +139,13 @@ class Plant:
             if alpha is None or self.elapsed_us != end:
                 raise ValueError(f"no window left in this run of delay {delay_index}")
             # the reference model's voltage_to_phase(dac_to_voltage(code)),
-            # then port_intensities at unit input power, whose port total is
-            # never 0, then sample_counts, port 1 first
+            # then port_intensities, then sample_counts, port 1 first; the
+            # port total is 1.0, so each port is its own share
             v = code * v_max / max_code
             if not v < v_max:  # min(v_max, v)'s rule, as in dac_to_voltages
                 v = v_max
             x = contrast * cos(alpha + fmod(pi * v / v_pi, TWO_PI))
-            i1 = 0.5 * (1.0 + x)
-            i2 = 0.5 * (1.0 - x)
-            total = i1 + i2
-            return draw(i1 / total * signal + dark), draw(i2 / total * signal + dark)
+            return draw(0.5 * (1.0 + x) * signal + dark), draw(0.5 * (1.0 - x) * signal + dark)
 
         return [partial(count, delay, iter(row)) for delay, row in zip(index, phases.tolist())]
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from fringelock.calibration import CALIB_STEP, QUADRATURE_PHASES, TOTAL_STEPS
 from fringelock.calibration import CalibrationAborted
-from fringelock.calibration import _wrap_into_span, least_squares_phase, phase_to_compensation_code
+from fringelock.calibration import least_squares_phase, phase_to_compensation_code
 from fringelock.controller import QKD_SLOT
 from fringelock.drift import advance, initial_state, true_phase
 from fringelock.hardware import NUM_DELAYS, V_PI, dac_to_voltage, sample_counts
@@ -32,6 +32,17 @@ def voltage_to_phase(v, cfg):
     if not 0.0 <= v <= cfg.v_max:
         raise ValueError(f"voltage {v} V outside span [0, {cfg.v_max}]")
     return canonical_phase(math.pi * v / V_PI)
+
+
+def wrap_into_span(v, cfg):
+    """A scan point moved by one 2*V_PI period, which keeps its modulator
+    phase, if it lies off a rail: an accepted scan spans less than a period,
+    so one shift brings every point into the span."""
+    if v < 0.0:
+        return v + 2.0 * V_PI
+    if v > cfg.v_max:
+        return v - 2.0 * V_PI
+    return v
 
 
 def drift_by_window(state, indices, dt, cfg, rng):
@@ -106,7 +117,7 @@ def calibration(delay_index, stepper, cfg, pm, rows):
             v = center_v + off
             if not 0.0 <= v <= pm.v_max:
                 stepper.events.append("wrap")
-            code = voltage_to_code(_wrap_into_span(v, pm), pm)
+            code = voltage_to_code(wrap_into_span(v, pm), pm)
             vis = step(first_step + j, code)
             if vis > best_visibility:
                 best_visibility, best_code = vis, code

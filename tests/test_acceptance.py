@@ -29,6 +29,7 @@ from fringelock.hardware import (
     DetectorConfig,
     PmConfig,
     dac_to_voltage,
+    dac_to_voltages,
     voltage_for_phase,
     voltage_to_code,
 )
@@ -123,8 +124,7 @@ def test_a4_staged_search_matches_exhaustive_oracle():
     pm = PmConfig()
     calib = CalibrationConfig()
     # exhaustive oracle: true visibility over the whole DAC code space
-    codes = np.arange(2**pm.dac_bits)
-    volts = codes * (pm.v_max / (2**pm.dac_bits - 1))
+    volts = dac_to_voltages(np.arange(pm.max_code + 1), pm)
     phases = np.mod(math.pi * volts / V_PI, 2.0 * math.pi)
     fine_step_phase = math.pi * calib.fine_interval / V_PI
     estimator_bound = 2.0 * math.pi / 4096 + fine_step_phase

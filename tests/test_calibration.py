@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from fringelock.calibration import (
     CalibrationAborted,
     CalibrationConfig,
     _scan_codes,
-    _wrap_into_span,
     least_squares_phase,
     phase_to_compensation_code,
     preset_codes,
@@ -22,7 +22,7 @@ from fringelock.hardware import V_PI, PmConfig, dac_to_voltage, voltage_for_phas
 from fringelock.plant import Plant, PlantConfig
 
 from conftest import circular_diff, noiseless_plant, pm_configs
-from reference_model import voltage_to_phase
+from reference_model import voltage_to_phase, wrap_into_span
 
 PM = PmConfig()
 TWO_PI = 2.0 * math.pi
@@ -233,36 +233,47 @@ class TestRunCalibration:
         assert low / high < 25.0
 
 
-class TestWrapIntoSpan:
+class TestScanSpan:
     PERIOD = 2.0 * V_PI
+    #: the widest accepted interval: a scan's 8 intervals span just under a period
+    WIDEST = math.nextafter(1.0, 0.0)
 
-    @pytest.mark.parametrize("v", [1e9 + 1.3, -1e9 - 1.3])
-    def test_huge_offset_wraps_and_keeps_phase(self, v):
-        w = _wrap_into_span(v, PM)
-        assert 0.0 <= w <= PM.v_max
-        assert math.remainder(w - v, self.PERIOD) == 0.0
+    @pytest.mark.parametrize("key", ["coarse_interval", "fine_interval"])
+    def test_scan_must_span_less_than_a_period(self, key):
+        CalibrationConfig(**{key: self.WIDEST})
+        for interval in (1.0, 1e308, math.inf, math.nan):
+            message = (f"calibration.{key} = {interval} V makes a scan's 8 intervals span a "
+                       "whole 2*V_PI = 8.0 V modulator period or more")
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                CalibrationConfig(**{key: interval})
 
-    def test_single_period_shift_is_one_addition(self):
-        assert _wrap_into_span(-0.3, PM) == -0.3 + self.PERIOD
-        assert _wrap_into_span(10.4, PM) == 10.4 - self.PERIOD
-        assert _wrap_into_span(10.0, PM) == 10.0
+    def test_off_span_point_moves_one_period(self):
+        assert _scan_codes(0, (-0.3,), PM) == [voltage_to_code(-0.3 + self.PERIOD, PM)]
+        assert _scan_codes(PM.max_code, (0.4,), PM) == [voltage_to_code(10.4 - self.PERIOD, PM)]
+        assert _scan_codes(PM.max_code, (0.0,), PM) == [PM.max_code]
 
-    @pytest.mark.parametrize("v", [math.nan, math.inf, -math.inf])
-    def test_non_finite_voltage_rejected(self, v):
-        with pytest.raises(ValueError, match="cannot wrap"):
-            _wrap_into_span(v, PM)
+    @pytest.mark.parametrize("dac_bits", [1, 16, 63])
+    def test_widest_scan_at_a_rail_lands_in_span_with_its_phase(self, dac_bits):
+        # on the exact 2*V_PI span, the scan's far points lie nearly half a period off a rail
+        pm = PmConfig(v_max=self.PERIOD, dac_bits=dac_bits)
+        cfg = CalibrationConfig(coarse_interval=self.WIDEST, fine_interval=self.WIDEST)
+        for center in (0, pm.max_code):
+            center_v = dac_to_voltage(center, pm)
+            for offsets in (cfg.coarse_offsets, cfg.fine_offsets):
+                for off in offsets:
+                    v = center_v + off
+                    w = wrap_into_span(v, pm)
+                    assert 0.0 <= w <= pm.v_max
+                    assert abs(math.remainder(w - v, self.PERIOD)) <= 1e-15
+                expected = [voltage_to_code(wrap_into_span(center_v + off, pm), pm)
+                            for off in offsets]
+                assert _scan_codes(center, offsets, pm) == expected
 
-    def test_huge_scan_interval_completes(self):
-        cfg = CalibrationConfig(coarse_interval=1e9, fine_interval=1e9)
+    def test_widest_scan_completes(self):
+        cfg = CalibrationConfig(coarse_interval=self.WIDEST, fine_interval=self.WIDEST)
         rows = []
         run_calibration(0, _count(noiseless_plant(), cfg=cfg), cfg, PM, rows)
         assert len(rows) == 23
-
-    @given(st.floats(allow_nan=False, allow_infinity=False))
-    def test_any_finite_voltage_lands_in_span_with_its_phase(self, v):
-        w = _wrap_into_span(v, PM)
-        assert 0.0 <= w <= PM.v_max
-        assert abs(math.remainder(w - v, self.PERIOD)) <= 1e-9 * max(1.0, abs(v))
 
 
 class TestScanCodes:
@@ -273,14 +284,15 @@ class TestScanCodes:
         assert cfg.coarse_offsets is cfg.coarse_offsets
         assert cfg.fine_offsets is cfg.fine_offsets
 
-    @given(pm=pm_configs(), interval=st.floats(1e-9, 1e3), data=st.data())
+    @given(pm=pm_configs(), interval=st.floats(1e-9, 1.0, exclude_max=True), data=st.data())
     def test_matches_voltage_to_code_per_point(self, pm, interval, data):
-        # rail centers and wide intervals put points off the span, to wrap
+        # rail centers and wide intervals put points off the span, to wrap;
+        # voltage_to_code raises on a point the shift leaves off the span
         center = data.draw(st.sampled_from([0, pm.max_code]) | st.integers(0, pm.max_code))
         center_v = dac_to_voltage(center, pm)
         for offsets in (
             CalibrationConfig(coarse_interval=interval).coarse_offsets,
             CalibrationConfig(fine_interval=interval).fine_offsets,
         ):
-            expected = [voltage_to_code(_wrap_into_span(center_v + off, pm), pm) for off in offsets]
+            expected = [voltage_to_code(wrap_into_span(center_v + off, pm), pm) for off in offsets]
             assert _scan_codes(center, offsets, pm) == expected

@@ -46,6 +46,20 @@ class TestMeasure:
             assert a.measure(0, 4321, 100) == b.measure(0, 4321, 100)
 
 
+    @given(st.floats(-1.0, 1.0))
+    @example(1.0)
+    @example(-1.0)
+    @example(0.5)
+    @example(-0.5)
+    @example(2.0**-53)
+    @example(-(2.0**-53))
+    def test_port_split_sums_to_exactly_one(self, x):
+        # counters and measure_slots skip sample_counts' division by the port
+        # total: the rounding errors of 1 + x and 1 - x cancel to within
+        # 2**-53 of 2, which rounds back to 2
+        assert 0.5 * (1.0 + x) + 0.5 * (1.0 - x) == 1.0
+
+
 class TestClock:
     def test_elapsed_is_sum_of_requested_windows(self):
         plant = default_plant(seed=3)
